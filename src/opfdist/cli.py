@@ -15,7 +15,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -276,16 +275,6 @@ def _config_hash(cfg: BenchConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _bench_task(args):
-    name, dataset, code, seed, runs, normalization, wanted = args
-    try:
-        cells = evaluation.benchmark_column(dataset, code, seed, runs,
-                                            normalization, wanted=wanted)
-        return name, code, cells, None
-    except Exception as exc:
-        return name, code, None, f"{type(exc).__name__}: {exc}"
-
-
 def _complete_classifiers(matrix: evaluation.BenchmarkMatrix) -> list[str]:
     out = []
     for c in matrix.classifiers:
@@ -322,70 +311,46 @@ def cmd_bench(args) -> int:
         for s in cfg.datasets
     ]
 
-    matrix = evaluation.BenchmarkMatrix(
-        tuple(s.name for s in cfg.datasets), cfg.distance_codes, cfg.runs)
-
     # resume: adopt cells already on disk if they belong to this exact config
-    reused = 0
+    seeded = evaluation.BenchmarkMatrix(
+        tuple(s.name for s in cfg.datasets), cfg.distance_codes, cfg.runs)
     manifest_path = out_dir / "manifest.txt"
     cells_path = out_dir / "cells.csv"
     if args.resume and cells_path.exists():
-        if manifest_path.exists():
-            recorded = None
-            for line in manifest_path.read_text(encoding="utf-8").splitlines():
-                if line.startswith("config_hash = "):
-                    recorded = line.split(" = ", 1)[1]
-            if recorded != cfg_hash:
-                raise ConfigError(
-                    f"{out_dir} holds results for a different configuration "
-                    f"(manifest config_hash {recorded} != {cfg_hash})")
-        valid = set(matrix.classifiers)
-        valid_ds = set(matrix.datasets)
+        if not manifest_path.exists():
+            raise ConfigError(
+                f"{out_dir} holds cells.csv but no manifest.txt; cannot check "
+                f"that its cells belong to this configuration")
+        recorded = None
+        for line in manifest_path.read_text(encoding="utf-8").splitlines():
+            if line.startswith("config_hash = "):
+                recorded = line.split(" = ", 1)[1]
+        if recorded != cfg_hash:
+            raise ConfigError(
+                f"{out_dir} holds results for a different configuration "
+                f"(manifest config_hash {recorded} != {cfg_hash})")
+        valid = set(seeded.classifiers)
+        valid_ds = set(seeded.datasets)
         for ds, c, r, f, acc in dataio.read_cells_csv(cells_path):
             if ds in valid_ds and c in valid and 0 <= r < cfg.runs and f in (0, 1):
-                matrix.cells[(ds, c, r, f)] = acc
-                reused += 1
-
-    all_keys = {(r, f) for r in range(cfg.runs) for f in (0, 1)}
-    tasks = []
-    by_name = {d.name: d for d in datasets}
-    for spec in cfg.datasets:
-        for code in cfg.distance_codes:
-            have = {(r, f) for (ds, c, r, f) in matrix.cells
-                    if ds == spec.name and c == code}
-            missing = all_keys - have
-            if missing:
-                tasks.append((spec.name, by_name[spec.name], code, cfg.seed,
-                              cfg.runs, cfg.normalization, frozenset(missing)))
+                seeded.cells[(ds, c, r, f)] = acc
 
     total = len(cfg.datasets) * len(cfg.distance_codes)
-    done_count = total - len(tasks)
-    print(f"grid: {total} columns, {len(tasks)} to compute, "
-          f"{reused} cells reused", file=sys.stderr)
+    done_count = sum(seeded.is_complete(ds, c) for ds in seeded.datasets
+                     for c in seeded.classifiers)
+    print(f"grid: {total} columns, {total - done_count} to compute, "
+          f"{len(seeded.cells)} cells reused", file=sys.stderr)
 
-    def record(name, code, cells, error):
+    def progress(name, code, error):
         nonlocal done_count
         done_count += 1
-        if error is not None:
-            matrix.errors[(name, code)] = error
-            print(f"[{done_count}/{total}] {name} {code}: FAILED {error}",
-                  file=sys.stderr)
-        else:
-            for (r, f), (acc, t_train, t_test) in cells.items():
-                matrix.cells[(name, code, r, f)] = acc
-                matrix.timings[(name, code, r, f)] = (t_train, t_test)
-            print(f"[{done_count}/{total}] {name} {code}: ok", file=sys.stderr)
+        status = "ok" if error is None else f"FAILED {error}"
+        print(f"[{done_count}/{total}] {name} {code}: {status}", file=sys.stderr)
 
-    if cfg.parallelism == 1 or len(tasks) <= 1:
-        for t in tasks:
-            record(*_bench_task(t))
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            pending = {pool.submit(_bench_task, t) for t in tasks}
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    record(*fut.result())
+    matrix = evaluation.run_benchmark(
+        datasets, cfg.distance_codes, cfg.seed, cfg.runs,
+        normalization=cfg.normalization, parallelism=cfg.parallelism,
+        progress=progress, done=seeded.cells)
 
     if cfg.external_baselines is not None:
         ext_rows = dataio.read_cells_csv(cfg.external_baselines)
@@ -533,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", required=True, help="distance code, e.g. D3")
     p.add_argument("--normalization", choices=dataio.NORMALIZATION_MODES,
                    default="none")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; training is deterministic")
     p.add_argument("--out", required=True, help="model archive path")
     p.set_defaults(func=cmd_train)
 

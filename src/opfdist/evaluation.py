@@ -253,10 +253,10 @@ def benchmark_column(
 
 
 def _column_task(args):
-    name, dataset, code, seed, runs, normalization = args
+    name, dataset, code, seed, runs, normalization, wanted = args
     try:
         return name, code, benchmark_column(dataset, code, seed, runs,
-                                            normalization), None
+                                            normalization, wanted), None
     except Exception as exc:  # recorded, never silently dropped
         return name, code, None, f"{type(exc).__name__}: {exc}"
 
@@ -270,12 +270,16 @@ def run_benchmark(
     normalization: str = "none",
     parallelism: int = 1,
     progress: Callable[[str, str, str | None], None] | None = None,
+    done: Mapping[tuple[str, str, int, int], float] | None = None,
 ) -> BenchmarkMatrix:
     """Compute the full grid.
 
-    A failing column is recorded in ``errors`` and leaves no cells; all
-    other columns are unaffected.  Results are identical for any
-    ``parallelism`` >= 1.
+    ``done`` holds cells already computed, keyed (dataset, code, run,
+    fold); they seed the matrix, and only the missing cells of each column
+    are computed.  ``progress(dataset, code, error)`` is called as each
+    computed column finishes.  A failing column is recorded in ``errors``
+    and leaves no new cells; all other columns are unaffected.  Results
+    are identical for any ``parallelism`` >= 1.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -291,10 +295,20 @@ def run_benchmark(
         raise EmptyInput("need at least one dataset and one distance")
 
     matrix = BenchmarkMatrix(tuple(names), tuple(codes), runs)
-    tasks = [
-        (d.name, d, code, seed, runs, normalization)
-        for d in datasets for code in codes
-    ]
+    grid_keys = {(r, f) for r in range(runs) for f in (0, 1)}
+    for key, acc in (done or {}).items():
+        if key[0] not in names or key[1] not in codes or key[2:] not in grid_keys:
+            raise ValueError(f"done cell {key} lies outside the grid")
+        matrix.cells[key] = acc
+
+    tasks = []
+    for d in datasets:
+        for code in codes:
+            missing = frozenset(k for k in grid_keys
+                                if (d.name, code) + k not in matrix.cells)
+            if missing:
+                tasks.append((d.name, d, code, seed, runs, normalization,
+                              missing))
 
     def record(name, code, cells, error):
         if error is not None:
@@ -306,15 +320,15 @@ def run_benchmark(
         if progress is not None:
             progress(name, code, error)
 
-    if parallelism == 1 or len(tasks) == 1:
+    if parallelism == 1 or len(tasks) <= 1:
         for task in tasks:
             record(*_column_task(task))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             pending = {pool.submit(_column_task, t) for t in tasks}
             while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in finished:
                     record(*fut.result())
     return matrix
 

@@ -114,16 +114,17 @@ class Prediction:
 
 
 def _row_getter(
-    feats: list[tuple[float, ...]],
-    kernel: distances.Kernel,
-    cache: bool | None,
+    graph: TrainingGraph, cache: bool | None
 ) -> Callable[[int], list[float]]:
     """Return row(i) -> distances from node i to every node (diagonal 0).
 
-    With caching the full matrix is materialized once; symmetric measures
-    fill the mirror half without re-evaluating (their kernels are
-    bit-for-bit symmetric under the sequential accumulation order).
+    With caching the full matrix is materialized once.  Symmetric measures
+    fill the upper triangle and mirror it without re-evaluating (their
+    kernels are bit-for-bit symmetric under the sequential accumulation
+    order); measures in ``ASYMMETRIC_CODES`` evaluate both directions.
     """
+    kernel = distances.distance_function(graph.distance)
+    feats = [s.features for s in graph.samples]
     n = len(feats)
     if cache is None:
         cache = n <= _CACHE_MAX_NODES
@@ -133,38 +134,19 @@ def _row_getter(
             return [0.0 if j == i else kernel(fi, feats[j]) for j in range(n)]
         return row
 
+    symmetric = graph.distance.code not in distances.ASYMMETRIC_CODES
     mat: list[list[float]] = [[0.0] * n for _ in range(n)]
     for i in range(n):
         fi = feats[i]
         row_i = mat[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1 if symmetric else 0, n):
             row_i[j] = kernel(fi, feats[j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[j][i] = mat[i][j]
+        row_i[i] = 0.0  # an asymmetric row evaluated its diagonal too
+    if symmetric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[j][i] = mat[i][j]
     return mat.__getitem__
-
-
-def _row_getter_for(graph: TrainingGraph, cache: bool | None):
-    kernel = distances.distance_function(graph.distance)
-    feats = [s.features for s in graph.samples]
-    if graph.distance.code in distances.ASYMMETRIC_CODES:
-        # The mirror fill is only valid for symmetric measures; compute
-        # both directions explicitly here.
-        n = len(feats)
-        if cache is None:
-            cache = n <= _CACHE_MAX_NODES
-        if not cache:
-            def row(i: int) -> list[float]:
-                fi = feats[i]
-                return [0.0 if j == i else kernel(fi, feats[j]) for j in range(n)]
-            return row
-        mat = [
-            [0.0 if j == i else kernel(feats[i], feats[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return mat.__getitem__
-    return _row_getter(feats, kernel, cache)
 
 
 def _mst_parents(graph: TrainingGraph, row_of) -> list[int]:
@@ -205,7 +187,7 @@ def find_prototypes(
     a spanning tree must connect each class's nodes to the rest of the
     graph through some inter-class edge.
     """
-    return _find_prototypes(graph, _row_getter_for(graph, cache_distances))
+    return _find_prototypes(graph, _row_getter(graph, cache_distances))
 
 
 def _find_prototypes(graph: TrainingGraph, row_of) -> frozenset[int]:
@@ -230,7 +212,7 @@ def train(
     max(cost[s], d(s, t)) and t switches conqueror only when the offer is
     a strict improvement.
     """
-    row_of = _row_getter_for(graph, cache_distances)
+    row_of = _row_getter(graph, cache_distances)
     prototypes = _find_prototypes(graph, row_of)
 
     n = len(graph.samples)

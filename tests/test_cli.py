@@ -292,6 +292,42 @@ def test_bench_resume_rejects_changed_configuration(tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
 
 
+def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = {n: (out / n).read_bytes() for n in BYTE_STABLE}
+
+    # drop the whole (blob1, D6) column and one cell of (blob2, D7)
+    header, *rows = (out / "cells.csv").read_text().splitlines()
+    kept = [row for row in rows
+            if not row.startswith("blob1,D6,")
+            and not row.startswith("blob2,D7,1,0,")]
+    assert len(kept) == len(rows) - 5
+    (out / "cells.csv").write_text("\n".join([header] + kept) + "\n")
+
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--resume", "--parallelism", "2"]) == 0
+    err = capsys.readouterr().err
+    assert "grid: 6 columns, 2 to compute, 19 cells reused" in err
+    assert "[6/6]" in err
+    for name in BYTE_STABLE:
+        assert (out / name).read_bytes() == before[name], name
+
+
+def test_bench_resume_refuses_cells_without_manifest(tmp_path, capsys):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (out / "manifest.txt").unlink()
+
+    rc = main(["bench", "--config", str(cfg), "--out", str(out), "--resume"])
+    assert rc == 2
+    assert "manifest" in capsys.readouterr().err
+
+
 def test_bench_without_resume_overwrites_cleanly(tmp_path):
     cfg = bench_config(tmp_path)
     out = tmp_path / "r"

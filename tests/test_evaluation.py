@@ -406,6 +406,16 @@ def test_benchmark_results_do_not_depend_on_parallelism():
                              parallelism=3)
     assert serial.cells == parallel.cells
 
+    # seeding half the cells computes only the other half, to the same bits
+    half = {k: serial.cells[k] for k in sorted(serial.cells)[3:11]}
+    resumed = run_benchmark(datasets, ["D3", "D7"], seed=2, runs=2,
+                            parallelism=3, done=half)
+    assert resumed.cells == serial.cells
+    assert set(resumed.timings) == set(serial.cells) - set(half)
+    with pytest.raises(ValueError):
+        run_benchmark(datasets, ["D3", "D7"], seed=2, runs=2,
+                      done={("t1", "D3", 2, 0): 0.5})
+
 
 def test_benchmark_records_per_column_failures():
     bad = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 1],
