@@ -12,12 +12,14 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import random
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__, distances, evaluation, forest
@@ -316,6 +318,8 @@ def cmd_bench(args) -> int:
         tuple(s.name for s in cfg.datasets), cfg.distance_codes, cfg.runs)
     manifest_path = out_dir / "manifest.txt"
     cells_path = out_dir / "cells.csv"
+    timings_path = out_dir / "timings.csv"
+    old_timings = {}
     if args.resume and cells_path.exists():
         if not manifest_path.exists():
             raise ConfigError(
@@ -334,6 +338,8 @@ def cmd_bench(args) -> int:
         for ds, c, r, f, acc in dataio.read_cells_csv(cells_path):
             if ds in valid_ds and c in valid and 0 <= r < cfg.runs and f in (0, 1):
                 seeded.cells[(ds, c, r, f)] = acc
+        if timings_path.exists():
+            old_timings = dataio.read_timings_csv(timings_path)
 
     total = len(cfg.datasets) * len(cfg.distance_codes)
     done_count = sum(seeded.is_complete(ds, c) for ds in seeded.datasets
@@ -351,6 +357,10 @@ def cmd_bench(args) -> int:
         datasets, cfg.distance_codes, cfg.seed, cfg.runs,
         normalization=cfg.normalization, parallelism=cfg.parallelism,
         progress=progress, done=seeded.cells)
+    # an adopted cell keeps the timing recorded when it was computed
+    for key in seeded.cells:
+        if key in old_timings:
+            matrix.timings.setdefault(key, old_timings[key])
 
     if cfg.external_baselines is not None:
         ext_rows = dataio.read_cells_csv(cfg.external_baselines)
@@ -378,6 +388,8 @@ def cmd_bench(args) -> int:
     manifest = {
         "config_hash": cfg_hash,
         "package": f"opfdist {__version__}",
+        "numpy": np.__version__,
+        "python": platform.python_version(),
         "archive_format": str(dataio.ARCHIVE_VERSION),
         "seed": str(cfg.seed),
         "runs": str(cfg.runs),

@@ -551,31 +551,49 @@ def write_distance_catalogue(path: str | Path) -> None:
                  "satisfies_identity"], rows)
 
 
-def read_cells_csv(path: str | Path) -> list[tuple[str, str, int, int, float]]:
-    """Rows of a cells file: (dataset, classifier, run, fold, accuracy)."""
+def _read_grid_csv(path: str | Path, value_names: Sequence[str]
+                   ) -> list[tuple]:
+    """Rows (dataset, classifier, run, fold, *values) of a per-cell file
+    whose header is dataset,classifier,run,fold followed by value_names."""
     path = Path(path)
+    expected = ["dataset", "classifier", "run", "fold", *value_names]
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise EmptyFile("no header row", path=path)
-        expected = ["dataset", "classifier", "run", "fold", "accuracy"]
         if [h.strip() for h in header] != expected:
             raise ParseError(
                 f"expected header {expected}, found {header}", path=path)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 5:
+            if len(row) != len(expected):
                 raise RaggedRows(
-                    f"expected 5 fields, found {len(row)}", path=path, row=line_no)
+                    f"expected {len(expected)} fields, found {len(row)}",
+                    path=path, row=line_no)
             try:
                 out.append((row[0], row[1], int(row[2]), int(row[3]),
-                            float(row[4])))
+                            *(float(v) for v in row[4:])))
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, row=line_no) from None
     return out
+
+
+def read_cells_csv(path: str | Path) -> list[tuple[str, str, int, int, float]]:
+    """Rows of a cells file: (dataset, classifier, run, fold, accuracy)."""
+    return _read_grid_csv(path, ["accuracy"])
+
+
+def read_timings_csv(
+    path: str | Path,
+) -> dict[tuple[str, str, int, int], tuple[float, float]]:
+    """A timings file as (dataset, classifier, run, fold) ->
+    (train_seconds, test_seconds)."""
+    rows = _read_grid_csv(path, ["train_seconds", "test_seconds"])
+    return {(ds, c, r, f): (t_train, t_test)
+            for ds, c, r, f, t_train, t_test in rows}
 
 
 def write_stat_files(

@@ -1,4 +1,4 @@
-"""Catalogue of 47 scalar distance measures.
+"""Catalogue of 47 distance measures, each as a scalar and a block kernel.
 
 Each measure is implemented exactly as its printed formula, including the
 exponential variants of the entropy family (Jeffreys, Jensen, Jensen-Shannon,
@@ -24,6 +24,14 @@ min/max machinery keeps working.
 Summation is plain sequential accumulation in component order, so repeated
 evaluation of identical inputs is identical bit for bit.  All functions are
 pure; there is no shared state.
+
+``pairwise`` evaluates a measure on every pair of rows of two matrices with
+numpy.  Its block kernels accumulate feature by feature in the scalar
+kernels' order, mirror every scalar conditional with ``np.where`` on the same
+comparison, and apply libm ``exp``/``log`` (through ``math``) per element,
+so each entry equals the scalar kernel's result bit for bit.  ``np.exp`` and
+``np.log`` are not used: their SIMD implementations round differently from
+libm on a fraction of inputs, which can flip a tie in the forest.
 """
 
 from __future__ import annotations
@@ -34,10 +42,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, DomainViolation, EmptyInput
 
 FeatureVector = Sequence[float]
 Kernel = Callable[[FeatureVector, FeatureVector], float]
+# (A, B) -> raw matrix out[i, j] = kernel(A[i], B[j]), before the finite clamp.
+BlockKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Substitute for exact-zero denominators and log(0) arguments.
 EPS = 1e-10
@@ -495,8 +507,10 @@ def _hassanat(x, y):
         if lo >= 0.0:
             s += 1.0 - (1.0 + lo) / (1.0 + hi)
         else:
+            # Past 2**53 in magnitude, 1.0 + lo + al rounds to 0.0 and so
+            # may 1.0 + hi + al; _div keeps that case finite.
             al = -lo
-            s += 1.0 - (1.0 + lo + al) / (1.0 + hi + al)
+            s += 1.0 - _div(1.0 + lo + al, 1.0 + hi + al)
     return s
 
 
@@ -506,6 +520,338 @@ def _chi2_statistic(x, y):
         m = (a + b) / 2.0
         s += _div(a - m, m)
     return s
+
+
+# --- block kernels -----------------------------------------------------
+# One function per measure, over a row matrix A (m, d) and B (k, d); each
+# returns the raw (m, k) matrix of kernel(A[i], B[j]).  ``_cols`` hands out
+# feature j as a column a (m, 1) and a row b (1, k), so the sums below run
+# in the scalar kernels' order.  Sums over one argument only (sxx, syy,
+# a * _exp(a)) are kept as a column or a row: the same operations in the
+# same order give the same bits.  Callers run these under np.errstate, as
+# the np.where branches not taken may divide by zero or overflow.
+
+
+def _cols(A, B):
+    At = np.ascontiguousarray(A.T)
+    Bt = np.ascontiguousarray(B.T)
+    for j in range(At.shape[0]):
+        yield At[j][:, None], Bt[j][None, :]
+
+
+def _zeros(A, B):
+    return np.zeros((A.shape[0], B.shape[0]))
+
+
+def _libm(fn, t):
+    # math.exp / math.log per element: bit-identical to the scalar kernels.
+    return np.fromiter(map(fn, t.ravel().tolist()), np.float64,
+                       t.size).reshape(t.shape)
+
+
+def _vdiv(num, den):
+    zero = den == 0.0
+    if not zero.any():
+        return num / den
+    q = num / np.where(zero, EPS, den)
+    return np.where(zero & (num == 0.0), 0.0, q)
+
+
+def _vmul(a, b):
+    return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+
+def _vfinite(v):
+    if np.isfinite(v).all():
+        return v
+    v = np.where(v == math.inf, _FMAX, v)
+    v = np.where(v == -math.inf, -_FMAX, v)
+    return np.where(v != v, _FMAX, v)
+
+
+def _vexp(t):
+    return _libm(math.exp, np.where(t > EXP_MAX, EXP_MAX, t))
+
+
+def _vsqrt(v):
+    return np.where(v < 0.0, 0.0, np.sqrt(v))
+
+
+def _vlog(v):
+    return _libm(math.log, np.where(v > 0.0, v, EPS))
+
+
+def _vmin(a, b):
+    return np.where(a < b, a, b)
+
+
+def _vmax(a, b):
+    return np.where(a > b, a, b)
+
+
+def _sum_sq_diff(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        d = a - b
+        s += d * d
+    return s
+
+
+def _sum_abs_diff(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        s += np.abs(a - b)
+    return s
+
+
+def _inner_sums(A, B):
+    sxy = _zeros(A, B)
+    sxx = np.zeros((A.shape[0], 1))
+    syy = np.zeros((1, B.shape[0]))
+    for a, b in _cols(A, B):
+        sxy += a * b
+        sxx += a * a
+        syy += b * b
+    return sxy, sxx, syy
+
+
+def _sum_sq_sqrt_diff(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        d = _vsqrt(a) - _vsqrt(b)
+        s += d * d
+    return s
+
+
+def _sum_term(term, scale=1.0):
+    """Block kernel for scale * (sum of term(a, b) over the features);
+    scale * s is s itself, bit for bit, when scale is 1.0."""
+
+    def block(A, B):
+        s = _zeros(A, B)
+        for a, b in _cols(A, B):
+            s += term(a, b)
+        return scale * s
+
+    return block
+
+
+def _chi2_sums(A, B):
+    s1 = _zeros(A, B)
+    s2 = _zeros(A, B)
+    for a, b in _cols(A, B):
+        d = a - b
+        dd = d * d
+        s1 += _vdiv(dd, a)
+        s2 += _vdiv(dd, b)
+    return s1, s2
+
+
+def _shannon_sums(A, B):
+    s1 = _zeros(A, B)
+    s2 = _zeros(A, B)
+    for a, b in _cols(A, B):
+        t = a + b
+        s1 += a * _vexp(_vdiv(2.0 * a, t))
+        s2 += b * _vexp(_vdiv(2.0 * b, t))
+    return s1, s2
+
+
+def _b_chebyshev(A, B):
+    best = _zeros(A, B)
+    for a, b in _cols(A, B):
+        v = np.abs(a - b)
+        best = np.where(v > best, v, best)
+    return best
+
+
+def _b_chi_squared(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        d = a - b
+        s += _vdiv(d * d, np.abs(a + b))
+    return _vsqrt(s)
+
+
+def _b_euclidean(A, B):
+    return np.sqrt(_sum_sq_diff(A, B))
+
+
+def _b_gaussian(A, B):
+    return _libm(math.exp, -np.sqrt(_sum_sq_diff(A, B)))
+
+
+def _b_log_euclidean(A, B):
+    return _vlog(np.sqrt(_sum_sq_diff(A, B)))
+
+
+def _b_bray_curtis(A, B):
+    num = _zeros(A, B)
+    den = _zeros(A, B)
+    for a, b in _cols(A, B):
+        num += np.abs(a - b)
+        den += a + b
+    return _vdiv(num, den)
+
+
+def _b_gower(A, B):
+    return _sum_abs_diff(A, B) / A.shape[1]
+
+
+def _b_kulczynski(A, B):
+    num = _zeros(A, B)
+    den = _zeros(A, B)
+    for a, b in _cols(A, B):
+        num += np.abs(a - b)
+        den += _vmin(a, b)
+    return _vdiv(num, den)
+
+
+def _b_non_intersection(A, B):
+    return 0.5 * _sum_abs_diff(A, B)
+
+
+def _b_soergel(A, B):
+    num = _zeros(A, B)
+    den = _zeros(A, B)
+    for a, b in _cols(A, B):
+        num += np.abs(a - b)
+        den += _vmax(a, b)
+    return _vdiv(num, den)
+
+
+def _b_chord(A, B):
+    sxy, sxx, syy = _inner_sums(A, B)
+    return _vsqrt(2.0 - 2.0 * _vdiv(sxy, _vmul(sxx, syy)))
+
+
+def _b_cosine(A, B):
+    sxy, sxx, syy = _inner_sums(A, B)
+    return 1.0 - _vdiv(sxy, _vmul(sxx, syy))
+
+
+def _b_dice(A, B):
+    sxy, sxx, syy = _inner_sums(A, B)
+    return 1.0 - _vdiv(sxy, sxx + syy)
+
+
+def _b_jaccard(A, B):
+    sxy, sxx, syy = _inner_sums(A, B)
+    return _vdiv(_sum_sq_diff(A, B), sxx + syy - sxy)
+
+
+def _b_bhattacharyya(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        s += _vsqrt(a * b)
+    return -_vexp(s)
+
+
+def _b_hellinger(A, B):
+    return np.sqrt(2.0 * _sum_sq_sqrt_diff(A, B))
+
+
+def _b_matusita(A, B):
+    return np.sqrt(_sum_sq_sqrt_diff(A, B))
+
+
+def _b_average_euclidean(A, B):
+    return np.sqrt(_sum_sq_diff(A, B) / A.shape[1])
+
+
+def _b_clark(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        r = _vdiv(a - b, np.abs(a) + np.abs(b))
+        s += r * r
+    return np.sqrt(s)
+
+
+def _b_mean_censored_euclidean(A, B):
+    num = _zeros(A, B)
+    cnt = _zeros(A, B)
+    for a, b in _cols(A, B):
+        d = a - b
+        num += d * d
+        cnt += np.where(a * a + b * b != 0.0, 1.0, 0.0)
+    return _vdiv(num, cnt)
+
+
+def _b_jensen(A, B):
+    s = _zeros(A, B)
+    for a, b in _cols(A, B):
+        m = (a + b) / 2.0
+        s += (a * _vexp(a) + b * _vexp(b)) / 2.0 - m * _vexp(m)
+    return 0.5 * s
+
+
+def _b_jensen_shannon(A, B):
+    s1, s2 = _shannon_sums(A, B)
+    return 0.5 * (s1 + s2)
+
+
+def _b_topsoe(A, B):
+    s1, s2 = _shannon_sums(A, B)
+    return s1 + s2
+
+
+def _b_max_symmetric_chi2(A, B):
+    s1, s2 = _chi2_sums(A, B)
+    return _vmax(s1, s2)
+
+
+def _b_min_symmetric_chi2(A, B):
+    s1, s2 = _chi2_sums(A, B)
+    return _vmin(s1, s2)
+
+
+def _hassanat_term(a, b):
+    lt = a < b
+    lo = np.where(lt, a, b)
+    hi = np.where(lt, b, a)
+    al = -lo
+    return np.where(lo >= 0.0, 1.0 - (1.0 + lo) / (1.0 + hi),
+                    1.0 - _vdiv(1.0 + lo + al, 1.0 + hi + al))
+
+
+def _chi2_statistic_term(a, b):
+    m = (a + b) / 2.0
+    return _vdiv(a - m, m)
+
+
+def _sq(a, b):
+    d = a - b
+    return d * d
+
+
+_b_manhattan = _sum_abs_diff
+_b_squared_euclidean = _sum_sq_diff
+_b_squared_chord = _sum_sq_sqrt_diff
+_b_canberra = _sum_term(lambda a, b: _vdiv(np.abs(a - b), np.abs(a) + np.abs(b)))
+_b_lorentzian = _sum_term(lambda a, b: _vexp(1.0 + np.abs(a - b)))
+_b_divergence = _sum_term(
+    lambda a, b: _vdiv(_sq(a, b), (a + b) * (a + b)), 2.0)
+_b_additive_symmetric_chi2 = _sum_term(
+    lambda a, b: _vdiv(_sq(a, b) * (a + b), a * b), 2.0)
+_b_neyman_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), a))
+_b_pearson_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), b))
+_b_squared_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), a + b))
+_b_sangvi_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), a + b), 2.0)
+_b_jeffreys = _sum_term(lambda a, b: (a - b) * _vexp(_vdiv(a, b)))
+_b_k_divergence = _sum_term(lambda a, b: a * _vexp(_vdiv(2.0 * a, a + b)))
+_b_kullback_leibler = _sum_term(lambda a, b: a * _vexp(_vdiv(a, b)))
+_b_vicis_symmetric_1 = _sum_term(
+    lambda a, b: _vdiv(_sq(a, b), _vmin(a, b) * _vmin(a, b)))
+_b_vicis_symmetric_2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), _vmin(a, b)))
+_b_vicis_symmetric_3 = _sum_term(lambda a, b: _vdiv(_sq(a, b), _vmax(a, b)))
+_b_vicis_wave_hedges = _sum_term(lambda a, b: _vdiv(np.abs(a - b), _vmin(a, b)))
+_b_hamming = _sum_term(lambda a, b: np.where(a != b, 1.0, 0.0))
+_b_hassanat = _sum_term(_hassanat_term)
+_b_chi2_statistic = _sum_term(_chi2_statistic_term)
+
+
+def _b_log_squared_euclidean(A, B):
+    return _vlog(_sum_sq_diff(A, B))
 
 
 # --- registry ----------------------------------------------------------
@@ -524,7 +870,7 @@ class Taxonomy(str, Enum):
 
 @dataclass(frozen=True)
 class DistanceId:
-    """Registry entry: identifying code, metadata, and the scalar kernel."""
+    """Registry entry: identifying code, metadata, scalar and block kernel."""
 
     code: str
     name: str
@@ -532,65 +878,82 @@ class DistanceId:
     requires_nonnegative_input: bool
     satisfies_identity: bool
     kernel: Kernel = field(repr=False, compare=False)
+    block: BlockKernel = field(repr=False, compare=False)
 
 
 def _entries():
     T = Taxonomy
     rows = [
-        # code, name, taxonomy, nonneg_input, identity, kernel
-        ("D1", "Chebyshev", T.LP, False, True, _chebyshev),
-        ("D2", "Chi-Squared", T.LP, False, True, _chi_squared),
-        ("D3", "Euclidean", T.LP, False, True, _euclidean),
-        ("D4", "Gaussian", T.LP, False, False, _gaussian),
-        ("D5", "Log-Euclidean", T.LP, False, False, _log_euclidean),
-        ("D6", "Manhattan", T.LP, False, True, _manhattan),
-        ("D7", "Bray-Curtis", T.L1, False, True, _bray_curtis),
-        ("D8", "Canberra", T.L1, False, True, _canberra),
-        ("D9", "Gower", T.L1, False, True, _gower),
-        ("D10", "Kulczynski", T.L1, False, True, _kulczynski),
-        ("D11", "Lorentzian", T.L1, False, False, _lorentzian),
-        ("D12", "Non-Intersection", T.L1, False, True, _non_intersection),
-        ("D13", "Soergel", T.L1, False, True, _soergel),
-        ("D14", "Chord", T.INNER_PRODUCT, False, False, _chord),
-        ("D15", "Cosine", T.INNER_PRODUCT, False, False, _cosine),
-        ("D16", "Dice", T.INNER_PRODUCT, False, False, _dice),
-        ("D17", "Jaccard", T.INNER_PRODUCT, False, True, _jaccard),
-        ("D18", "Bhattacharyya", T.SQUARED_CHORD, True, False, _bhattacharyya),
-        ("D19", "Hellinger", T.SQUARED_CHORD, True, True, _hellinger),
-        ("D20", "Matusita", T.SQUARED_CHORD, True, True, _matusita),
-        ("D21", "Squared Chord", T.SQUARED_CHORD, True, True, _squared_chord),
+        # code, name, taxonomy, nonneg_input, identity, kernel, block
+        ("D1", "Chebyshev", T.LP, False, True, _chebyshev, _b_chebyshev),
+        ("D2", "Chi-Squared", T.LP, False, True, _chi_squared, _b_chi_squared),
+        ("D3", "Euclidean", T.LP, False, True, _euclidean, _b_euclidean),
+        ("D4", "Gaussian", T.LP, False, False, _gaussian, _b_gaussian),
+        ("D5", "Log-Euclidean", T.LP, False, False, _log_euclidean, _b_log_euclidean),
+        ("D6", "Manhattan", T.LP, False, True, _manhattan, _b_manhattan),
+        ("D7", "Bray-Curtis", T.L1, False, True, _bray_curtis, _b_bray_curtis),
+        ("D8", "Canberra", T.L1, False, True, _canberra, _b_canberra),
+        ("D9", "Gower", T.L1, False, True, _gower, _b_gower),
+        ("D10", "Kulczynski", T.L1, False, True, _kulczynski, _b_kulczynski),
+        ("D11", "Lorentzian", T.L1, False, False, _lorentzian, _b_lorentzian),
+        ("D12", "Non-Intersection", T.L1, False, True, _non_intersection,
+         _b_non_intersection),
+        ("D13", "Soergel", T.L1, False, True, _soergel, _b_soergel),
+        ("D14", "Chord", T.INNER_PRODUCT, False, False, _chord, _b_chord),
+        ("D15", "Cosine", T.INNER_PRODUCT, False, False, _cosine, _b_cosine),
+        ("D16", "Dice", T.INNER_PRODUCT, False, False, _dice, _b_dice),
+        ("D17", "Jaccard", T.INNER_PRODUCT, False, True, _jaccard, _b_jaccard),
+        ("D18", "Bhattacharyya", T.SQUARED_CHORD, True, False, _bhattacharyya,
+         _b_bhattacharyya),
+        ("D19", "Hellinger", T.SQUARED_CHORD, True, True, _hellinger, _b_hellinger),
+        ("D20", "Matusita", T.SQUARED_CHORD, True, True, _matusita, _b_matusita),
+        ("D21", "Squared Chord", T.SQUARED_CHORD, True, True, _squared_chord,
+         _b_squared_chord),
         ("D22", "Additive Symmetric Chi-Squared", T.SQUARED_L2, False, True,
-         _additive_symmetric_chi2),
-        ("D23", "Average Euclidean", T.SQUARED_L2, False, True, _average_euclidean),
-        ("D24", "Clark", T.SQUARED_L2, False, True, _clark),
-        ("D25", "Divergence", T.SQUARED_L2, False, True, _divergence),
+         _additive_symmetric_chi2, _b_additive_symmetric_chi2),
+        ("D23", "Average Euclidean", T.SQUARED_L2, False, True, _average_euclidean,
+         _b_average_euclidean),
+        ("D24", "Clark", T.SQUARED_L2, False, True, _clark, _b_clark),
+        ("D25", "Divergence", T.SQUARED_L2, False, True, _divergence, _b_divergence),
         ("D26", "Log-Squared Euclidean", T.SQUARED_L2, False, False,
-         _log_squared_euclidean),
+         _log_squared_euclidean, _b_log_squared_euclidean),
         ("D27", "Mean Censored Euclidean", T.SQUARED_L2, False, True,
-         _mean_censored_euclidean),
-        ("D28", "Neyman Chi-Squared", T.SQUARED_L2, False, True, _neyman_chi2),
-        ("D29", "Pearson Chi-Squared", T.SQUARED_L2, False, True, _pearson_chi2),
-        ("D30", "Sangvi Chi-Squared", T.SQUARED_L2, False, True, _sangvi_chi2),
-        ("D31", "Squared Chi-Squared", T.SQUARED_L2, False, True, _squared_chi2),
-        ("D32", "Squared Euclidean", T.SQUARED_L2, False, True, _squared_euclidean),
-        ("D33", "Jeffreys", T.SHANNON_ENTROPY, False, True, _jeffreys),
-        ("D34", "Jensen", T.SHANNON_ENTROPY, False, True, _jensen),
-        ("D35", "Jensen-Shannon", T.SHANNON_ENTROPY, False, False, _jensen_shannon),
-        ("D36", "K-Divergence", T.SHANNON_ENTROPY, False, False, _k_divergence),
+         _mean_censored_euclidean, _b_mean_censored_euclidean),
+        ("D28", "Neyman Chi-Squared", T.SQUARED_L2, False, True, _neyman_chi2,
+         _b_neyman_chi2),
+        ("D29", "Pearson Chi-Squared", T.SQUARED_L2, False, True, _pearson_chi2,
+         _b_pearson_chi2),
+        ("D30", "Sangvi Chi-Squared", T.SQUARED_L2, False, True, _sangvi_chi2,
+         _b_sangvi_chi2),
+        ("D31", "Squared Chi-Squared", T.SQUARED_L2, False, True, _squared_chi2,
+         _b_squared_chi2),
+        ("D32", "Squared Euclidean", T.SQUARED_L2, False, True, _squared_euclidean,
+         _b_squared_euclidean),
+        ("D33", "Jeffreys", T.SHANNON_ENTROPY, False, True, _jeffreys, _b_jeffreys),
+        ("D34", "Jensen", T.SHANNON_ENTROPY, False, True, _jensen, _b_jensen),
+        ("D35", "Jensen-Shannon", T.SHANNON_ENTROPY, False, False, _jensen_shannon,
+         _b_jensen_shannon),
+        ("D36", "K-Divergence", T.SHANNON_ENTROPY, False, False, _k_divergence,
+         _b_k_divergence),
         ("D37", "Kullback-Leibler", T.SHANNON_ENTROPY, False, False,
-         _kullback_leibler),
-        ("D38", "Topsoe", T.SHANNON_ENTROPY, False, False, _topsoe),
+         _kullback_leibler, _b_kullback_leibler),
+        ("D38", "Topsoe", T.SHANNON_ENTROPY, False, False, _topsoe, _b_topsoe),
         ("D39", "Max Symmetric Chi-Squared", T.VICISSITUDE, False, True,
-         _max_symmetric_chi2),
+         _max_symmetric_chi2, _b_max_symmetric_chi2),
         ("D40", "Min Symmetric Chi-Squared", T.VICISSITUDE, False, True,
-         _min_symmetric_chi2),
-        ("D41", "Vicis Symmetric 1", T.VICISSITUDE, False, True, _vicis_symmetric_1),
-        ("D42", "Vicis Symmetric 2", T.VICISSITUDE, False, True, _vicis_symmetric_2),
-        ("D43", "Vicis Symmetric 3", T.VICISSITUDE, False, True, _vicis_symmetric_3),
-        ("D44", "Vicis-Wave Hedges", T.VICISSITUDE, False, True, _vicis_wave_hedges),
-        ("D45", "Hamming", T.OTHER, False, True, _hamming),
-        ("D46", "Hassanat", T.OTHER, False, True, _hassanat),
-        ("D47", "Chi-Squared Statistic", T.OTHER, False, True, _chi2_statistic),
+         _min_symmetric_chi2, _b_min_symmetric_chi2),
+        ("D41", "Vicis Symmetric 1", T.VICISSITUDE, False, True, _vicis_symmetric_1,
+         _b_vicis_symmetric_1),
+        ("D42", "Vicis Symmetric 2", T.VICISSITUDE, False, True, _vicis_symmetric_2,
+         _b_vicis_symmetric_2),
+        ("D43", "Vicis Symmetric 3", T.VICISSITUDE, False, True, _vicis_symmetric_3,
+         _b_vicis_symmetric_3),
+        ("D44", "Vicis-Wave Hedges", T.VICISSITUDE, False, True, _vicis_wave_hedges,
+         _b_vicis_wave_hedges),
+        ("D45", "Hamming", T.OTHER, False, True, _hamming, _b_hamming),
+        ("D46", "Hassanat", T.OTHER, False, True, _hassanat, _b_hassanat),
+        ("D47", "Chi-Squared Statistic", T.OTHER, False, True, _chi2_statistic,
+         _b_chi2_statistic),
     ]
     return tuple(DistanceId(*row) for row in rows)
 
@@ -634,6 +997,26 @@ def distance_function(id_or_code: DistanceId | str) -> Kernel:
         return _finite(kernel(x, y))
 
     return call
+
+
+def pairwise(id_or_code: DistanceId | str, A, B) -> np.ndarray:
+    """Matrix ``out[i, j] = distance_function(id)(A[i], B[j])``, bit for bit.
+
+    ``A`` (m, d) and ``B`` (k, d) are row matrices; the result is a finite
+    float64 (m, k) array.  As with ``distance_function``, domain checks are
+    the caller's job.
+    """
+    block = resolve(id_or_code).block
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise DimensionMismatch(
+            f"A has shape {A.shape}, B has shape {B.shape}; expected two "
+            f"row matrices of one width")
+    if A.shape[1] == 0:
+        raise DimensionMismatch("feature vectors must have dim >= 1")
+    with np.errstate(all="ignore"):
+        return _vfinite(block(A, B))
 
 
 def _check_nonnegative(entry: DistanceId, x: FeatureVector, y: FeatureVector) -> None:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import distances, forest
 from .dataio import Dataset, apply_to_samples, fit_normalization
@@ -564,6 +563,9 @@ def friedman_nemenyi(matrix: BenchmarkMatrix, alpha: float = 0.05) -> StatReport
         stat = (12.0 / (n * k * (k + 1)) * ssq - 3.0 * n * (k + 1)) / c_factor
         if stat < 0.0:
             stat = 0.0
+        # imported here: scipy.stats is most of the package's import time,
+        # and only this p-value needs it
+        from scipy.stats import chi2
         p = float(chi2.sf(stat, k - 1))
     mean_ranks = {c: rank_sums[c] / n for c in matrix.classifiers}
 

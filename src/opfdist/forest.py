@@ -6,10 +6,17 @@ spanning tree.  Each prototype then competes for every node by offering a
 path whose cost is the largest arc along it; the node keeps the cheapest
 offer, recording its conquering predecessor and the label of the tree root
 that reached it.  A query is classified by the training node that minimizes
-max(node cost, distance(node, query)); the scan runs over nodes in
-non-decreasing cost order and may stop early once no remaining node can
-improve on the best offer, which provably returns the same cost and label
-as the full scan.
+max(node cost, distance(node, query)), the first such node in
+non-decreasing cost order.
+
+The distance matrix, Prim's algorithm, the competition and
+``classify_batch`` run on numpy: arcs come from the measures' block kernels
+(``distances.pairwise``), which equal the scalar kernels bit for bit, and
+each extraction is a first-occurrence argmin.  Single-query ``classify``
+keeps the scalar ordered scan, which may stop early once no remaining node
+can improve on the best offer (Papa et al., Pattern Recognition 2012); the
+full scan and the batch path return the same cost, label and conqueror, so
+``early_exit`` never changes a result.
 
 All tie-breaks are deterministic: minimum extraction prefers the lowest
 node index, and a node's conqueror changes only on a strict improvement.
@@ -21,12 +28,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import distances
 from .errors import DimensionMismatch, SingleClass
 
 # Above this node count the full pairwise matrix is left uncomputed and
 # arcs are evaluated on demand (the matrix would dominate memory).
 _CACHE_MAX_NODES = 2048
+# Row blocks of the matrix and query blocks of classify_batch hold about
+# this many entries, which bounds the block kernels' temporaries.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,69 +125,77 @@ class Prediction:
     conqueror: int
 
 
+def _feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
+    return np.array([s.features for s in samples], dtype=np.float64)
+
+
 def _row_getter(
     graph: TrainingGraph, cache: bool | None
-) -> Callable[[int], list[float]]:
+) -> Callable[[int], np.ndarray]:
     """Return row(i) -> distances from node i to every node (diagonal 0).
 
-    With caching the full matrix is materialized once.  Symmetric measures
-    fill the upper triangle and mirror it without re-evaluating (their
-    kernels are bit-for-bit symmetric under the sequential accumulation
-    order); measures in ``ASYMMETRIC_CODES`` evaluate both directions.
+    With caching the full matrix is materialized once, in row blocks.
+    Symmetric measures fill the upper triangle and mirror it without
+    re-evaluating (their kernels are bit-for-bit symmetric under the
+    sequential accumulation order); measures in ``ASYMMETRIC_CODES``
+    evaluate full rows.  Without caching each row is evaluated on demand.
     """
-    kernel = distances.distance_function(graph.distance)
-    feats = [s.features for s in graph.samples]
-    n = len(feats)
+    measure = graph.distance
+    X = _feature_matrix(graph.samples)
+    n = len(X)
     if cache is None:
         cache = n <= _CACHE_MAX_NODES
     if not cache:
-        def row(i: int) -> list[float]:
-            fi = feats[i]
-            return [0.0 if j == i else kernel(fi, feats[j]) for j in range(n)]
+        def row(i: int) -> np.ndarray:
+            r = distances.pairwise(measure, X[i:i + 1], X)[0]
+            r[i] = 0.0
+            return r
         return row
 
-    symmetric = graph.distance.code not in distances.ASYMMETRIC_CODES
-    mat: list[list[float]] = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        fi = feats[i]
-        row_i = mat[i]
-        for j in range(i + 1 if symmetric else 0, n):
-            row_i[j] = kernel(fi, feats[j])
-        row_i[i] = 0.0  # an asymmetric row evaluated its diagonal too
-    if symmetric:
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[j][i] = mat[i][j]
+    symmetric = measure.code not in distances.ASYMMETRIC_CODES
+    mat = np.empty((n, n))
+    # Up to four row blocks even when the matrix fits in one, so that a
+    # symmetric fill skips most of the lower triangle; blocks of at least
+    # 16 rows keep small graphs in one kernel call.
+    step = max(16, min(_BLOCK_ENTRIES // n, -(-n // 4)))
+    below = np.tri(step, k=-1, dtype=bool)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        c0 = r0 if symmetric else 0
+        mat[r0:r1, c0:] = distances.pairwise(measure, X[r0:r1], X[c0:])
+        if symmetric:
+            # rows above this block are done: mirror their columns here,
+            # then the upper triangle of the block's own square
+            mat[r0:r1, :r0] = mat[:r0, r0:r1].T
+            square = mat[r0:r1, r0:r1]
+            m = r1 - r0
+            square[...] = np.where(below[:m, :m], square.T, square)
+    np.fill_diagonal(mat, 0.0)
     return mat.__getitem__
 
 
-def _mst_parents(graph: TrainingGraph, row_of) -> list[int]:
+def _mst_parents(n: int, row_of) -> list[int]:
     """Prim's algorithm from node 0; parent[i] = -1 for the root.
 
-    Extraction takes the lowest-index node among minimum keys; an equal
-    competing key never displaces the recorded parent.
+    Extraction takes the lowest-index node among minimum keys (argmin
+    returns the first minimum); an equal competing key never displaces the
+    recorded parent.
     """
-    n = len(graph.samples)
-    in_tree = [False] * n
-    key = [math.inf] * n
-    parent = [-1] * n
-    key[0] = -math.inf
+    key = np.full(n, np.inf)  # a node in the tree reads +inf
+    key[0] = -np.inf
+    parent = np.full(n, -1)
+    free = np.ones(n, dtype=bool)
     for _ in range(n):
-        u = -1
-        best = math.inf
-        for v in range(n):
-            if not in_tree[v] and key[v] < best:
-                best = key[v]
-                u = v
-        if u < 0:
-            u = next(v for v in range(n) if not in_tree[v])
-        in_tree[u] = True
+        u = int(key.argmin())
+        if key[u] == np.inf:
+            u = int(free.argmax())
+        free[u] = False
+        key[u] = np.inf
         row = row_of(u)
-        for v in range(n):
-            if not in_tree[v] and row[v] < key[v]:
-                key[v] = row[v]
-                parent[v] = u
-    return parent
+        closer = free & (row < key)
+        np.copyto(key, row, where=closer)
+        parent[closer] = u
+    return parent.tolist()
 
 
 def find_prototypes(
@@ -191,7 +211,7 @@ def find_prototypes(
 
 
 def _find_prototypes(graph: TrainingGraph, row_of) -> frozenset[int]:
-    parent = _mst_parents(graph, row_of)
+    parent = _mst_parents(len(graph.samples), row_of)
     labels = [s.label for s in graph.samples]
     protos: set[int] = set()
     for child, par in enumerate(parent):
@@ -207,71 +227,70 @@ def train(
     """Competition of prototypes over the complete graph.
 
     Prototypes start with cost 0 and no predecessor; every other node
-    starts unreachable.  Nodes are settled in non-decreasing cost order;
-    settling node s offers each remaining node t the cost
-    max(cost[s], d(s, t)) and t switches conqueror only when the offer is
-    a strict improvement.
+    starts unreachable.  Nodes are settled in non-decreasing cost order,
+    lowest index first among equal costs; settling node s offers each
+    remaining node t the cost max(cost[s], d(s, t)) and t switches
+    conqueror only when the offer is a strict improvement.
     """
     row_of = _row_getter(graph, cache_distances)
     prototypes = _find_prototypes(graph, row_of)
 
     n = len(graph.samples)
-    labels = [s.label for s in graph.samples]
-    cost = [math.inf] * n
-    pred: list[int | None] = [None] * n
-    root_label = [-1] * n
-    done = [False] * n
-    for p in prototypes:
-        cost[p] = 0.0
-        root_label[p] = labels[p]
+    cost = np.full(n, np.inf)
+    pred = np.full(n, -1)
+    root = np.full(n, -1)  # index of the prototype whose tree holds the node
+    seeds = sorted(prototypes)
+    cost[seeds] = 0.0
+    root[seeds] = seeds
+    key = cost.copy()  # cost for extraction; a settled node reads +inf
 
     ordered: list[int] = []
     for _ in range(n):
-        s = -1
-        best = math.inf
-        for v in range(n):
-            if not done[v] and cost[v] < best:
-                best = cost[v]
-                s = v
-        if s < 0:
+        s = int(key.argmin())
+        cs = key[s]
+        if cs == np.inf:
             break
-        done[s] = True
+        key[s] = np.inf
         ordered.append(s)
-        cs = cost[s]
-        rl = root_label[s]
         row = row_of(s)
-        for t in range(n):
-            if done[t] or cost[t] <= cs:
-                continue
-            d = row[t]
-            offer = cs if cs >= d else d
-            if offer < cost[t]:
-                cost[t] = offer
-                pred[t] = s
-                root_label[t] = rl
+        offer = np.where(cs >= row, cs, row)
+        # a settled node t has cost[t] <= cs <= offer, so it never improves
+        better = offer < cost
+        np.copyto(cost, offer, where=better)
+        np.copyto(key, offer, where=better)
+        pred[better] = s
+        root[better] = root[s]
     if len(ordered) != n:
         raise AssertionError("complete graph left nodes unreached")
 
+    labels = [s.label for s in graph.samples]
     return TrainedForest(
         samples=graph.samples,
         distance=graph.distance,
         prototypes=prototypes,
-        cost=tuple(cost),
-        predecessor=tuple(pred),
-        root_label=tuple(root_label),
+        cost=tuple(cost.tolist()),
+        predecessor=tuple(None if p < 0 else p for p in pred.tolist()),
+        root_label=tuple(labels[r] for r in root.tolist()),
         ordered_nodes=tuple(ordered),
     )
 
 
-def _classify_one(
+def classify(
     forest: TrainedForest,
-    kernel: distances.Kernel,
     query: Sequence[float],
-    early_exit: bool,
+    *,
+    early_exit: bool = True,
 ) -> Prediction:
+    """Label a query by the training node offering the cheapest path.
+
+    Scans nodes in ``ordered_nodes`` order with the scalar kernel.
+    ``early_exit=False`` forces the full scan; the result is identical
+    because nodes later in the order cannot offer below their own cost.
+    """
     if len(query) != forest.n_features:
         raise DimensionMismatch(
             f"query has dim {len(query)}, model expects {forest.n_features}")
+    kernel = distances.distance_function(forest.distance)
     samples = forest.samples
     cost = forest.cost
     best = math.inf
@@ -288,27 +307,39 @@ def _classify_one(
     return Prediction(forest.root_label[who], best, who)
 
 
-def classify(
-    forest: TrainedForest,
-    query: Sequence[float],
-    *,
-    early_exit: bool = True,
-) -> Prediction:
-    """Label a query by the training node offering the cheapest path.
-
-    ``early_exit=False`` forces the full scan; the result is identical
-    because nodes later in the order cannot offer below their own cost.
-    """
-    kernel = distances.distance_function(forest.distance)
-    return _classify_one(forest, kernel, query, early_exit)
-
-
 def classify_batch(
     forest: TrainedForest,
     queries: Sequence[Sequence[float]],
     *,
     early_exit: bool = True,
 ) -> list[Prediction]:
-    """Classify queries independently; order preserved."""
-    kernel = distances.distance_function(forest.distance)
-    return [_classify_one(forest, kernel, q, early_exit) for q in queries]
+    """Classify queries independently; order preserved.
+
+    The whole batch is scored with the measure's block kernel: for each
+    query, the first node in ``ordered_nodes`` order that minimizes
+    max(cost, distance) wins, which is what the scan of ``classify``
+    returns.  ``early_exit`` is accepted for symmetry with ``classify``;
+    it never changes a result.
+    """
+    queries = list(queries)
+    for q in queries:
+        if len(q) != forest.n_features:
+            raise DimensionMismatch(
+                f"query has dim {len(q)}, model expects {forest.n_features}")
+    if not queries:
+        return []
+    order = forest.ordered_nodes
+    nodes = _feature_matrix([forest.samples[s] for s in order])
+    cost = np.array([forest.cost[s] for s in order])[:, None]
+    Q = np.array(queries, dtype=np.float64)
+    out: list[Prediction] = []
+    step = max(1, _BLOCK_ENTRIES // len(order))
+    for q0 in range(0, len(Q), step):
+        d = distances.pairwise(forest.distance, nodes, Q[q0:q0 + step])
+        offer = np.where(cost >= d, cost, d)
+        first = offer.argmin(axis=0)
+        best = offer[first, np.arange(len(first))]
+        for k, c in zip(first.tolist(), best.tolist()):
+            who = order[k]
+            out.append(Prediction(forest.root_label[who], c, who))
+    return out

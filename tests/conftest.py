@@ -128,21 +128,6 @@ def random_graph_spec(rng, n_features=5):
     return features, labels
 
 
-def full_scan_reference(forest, kernel, query):
-    """Classification without the early exit, written independently:
-    scan every node in order, keep the first strict minimum."""
-    best = math.inf
-    who = -1
-    for s in forest.ordered_nodes:
-        cs = forest.cost[s]
-        d = kernel(forest.samples[s].features, query)
-        offer = cs if cs >= d else d
-        if offer < best:
-            best = offer
-            who = s
-    return forest.root_label[who], best, who
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive signed-rank enumeration
 # ---------------------------------------------------------------------------

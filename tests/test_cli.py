@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import os
+import platform
 import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opfdist
@@ -245,6 +247,8 @@ def test_bench_writes_full_report_set(tmp_path, capsys):
     assert "seed = 0" in manifest
     assert "normalization = min_max_01" in manifest
     assert "dataset_blob1 = rows=8 features=2 classes=2" in manifest
+    assert f"numpy = {np.__version__}\n" in manifest
+    assert f"python = {platform.python_version()}\n" in manifest
     rank_lines = (out / "rank.csv").read_text().splitlines()
     assert len(rank_lines) == 4  # header + one row per ranked measure
     summary_lines = (out / "summary.csv").read_text().splitlines()
@@ -298,12 +302,12 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     before = {n: (out / n).read_bytes() for n in BYTE_STABLE}
+    timings_before = (out / "timings.csv").read_text().splitlines()[1:]
 
     # drop the whole (blob1, D6) column and one cell of (blob2, D7)
+    dropped = ("blob1,D6,", "blob2,D7,1,0,")
     header, *rows = (out / "cells.csv").read_text().splitlines()
-    kept = [row for row in rows
-            if not row.startswith("blob1,D6,")
-            and not row.startswith("blob2,D7,1,0,")]
+    kept = [row for row in rows if not row.startswith(dropped)]
     assert len(kept) == len(rows) - 5
     (out / "cells.csv").write_text("\n".join([header] + kept) + "\n")
 
@@ -314,6 +318,16 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     assert "[6/6]" in err
     for name in BYTE_STABLE:
         assert (out / name).read_bytes() == before[name], name
+
+    # one timing per cell; the reused cells keep their recorded timings
+    timings = (out / "timings.csv").read_text().splitlines()[1:]
+    cells = (out / "cells.csv").read_text().splitlines()[1:]
+    assert len(timings) == len(cells) == 24
+    assert [t.split(",")[:4] for t in timings] == \
+        [c.split(",")[:4] for c in cells]
+    reused = [t for t in timings_before if not t.startswith(dropped)]
+    assert len(reused) == 19
+    assert set(reused) <= set(timings)
 
 
 def test_bench_resume_refuses_cells_without_manifest(tmp_path, capsys):

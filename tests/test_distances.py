@@ -5,6 +5,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from opfdist import (
     registry,
     resolve,
 )
+from opfdist.distances import pairwise
 from opfdist.errors import DimensionMismatch, DomainViolation, EmptyInput
 
 ALL = registry()
@@ -246,6 +248,12 @@ def test_overflowing_kernel_is_clamped_to_largest_float():
     assert v == sys.float_info.max
 
 
+def test_hassanat_stays_finite_past_2_to_the_53():
+    # 1.0 + lo + |lo| rounds to 0.0 here, and so does the denominator.
+    for x, y in (((-1e20,), (-1e20,)), ((-1e90, 1.0), (-1e90, -1e90))):
+        assert math.isfinite(evaluate(resolve("D46"), x, y))
+
+
 def test_strict_mode_rejects_negative_input_where_required():
     for code in ("D18", "D19", "D20", "D21"):
         entry = resolve(code)
@@ -363,3 +371,62 @@ def test_property_every_measure_is_finite(data, x):
     x = tuple(x)
     for code in CODES:
         assert math.isfinite(evaluate(resolve(code), x, y)), code
+
+
+# ---------------------------------------------------------------------------
+# Block kernels against the scalar kernels
+# ---------------------------------------------------------------------------
+
+def _oracle_inputs():
+    """(name, A, B) row matrices over the degenerate-input policy's cases."""
+    rng = random.Random(43)
+
+    def rows(n, d, draw):
+        return np.array([[draw() for _ in range(d)] for _ in range(n)])
+
+    # enough pairs that libm and SIMD log/exp roundings would part ways
+    yield "positive", rows(48, 4, lambda: rng.uniform(0.01, 5.0)), \
+        rows(40, 4, lambda: rng.uniform(0.01, 5.0))
+    signed_zeros = (0.0, -0.0, 0.0, 1.0, 2.0)
+    yield "zeros", rows(9, 4, lambda: rng.choice(signed_zeros)), \
+        rows(8, 4, lambda: rng.choice(signed_zeros))
+    yield "negative", rows(8, 4, lambda: rng.uniform(-3.0, 3.0)), \
+        rows(6, 4, lambda: rng.uniform(-3.0, 3.0))
+    huge = (1e90, -1e90, 3e89, -2e89, 0.0, 1.0)
+    yield "near_1e90", rows(8, 3, lambda: rng.choice(huge)), \
+        rows(7, 3, lambda: rng.choice(huge))
+    # past the documented range: sums overflow to +-inf, products of a
+    # zero and an infinite sum meet _mul, results meet the finite clamp
+    beyond = (1e160, -1e160, 1e90, 0.0, -0.0, 1.0, -2.0)
+    fixed = np.array([[0.0, -0.0, 0.0], [1e160, -1e160, 1e160]])
+    yield "past_overflow", \
+        np.vstack([fixed, rows(8, 3, lambda: rng.choice(beyond))]), \
+        np.vstack([fixed, rows(8, 3, lambda: rng.choice(beyond))])
+    # a/b and 2a/(a+b) far above EXP_MAX, and exponents at it
+    ratios = (1e-300, 1e-9, 0.5, 2.0, 600.0, 1e3, 0.0)
+    yield "exp_clamp", rows(8, 3, lambda: rng.choice(ratios)), \
+        rows(8, 3, lambda: rng.choice(ratios))
+
+
+@pytest.mark.filterwarnings("error")
+def test_pairwise_equals_scalar_kernels_bit_for_bit():
+    for code in CODES:
+        fn = distance_function(code)
+        for name, A, B in _oracle_inputs():
+            orders = [(A, B), (B, A)] if code in ASYMMETRIC_CODES else [(A, B)]
+            for X, Y in orders:
+                got = pairwise(code, X, Y)
+                assert got.dtype == np.float64 and got.shape == (len(X), len(Y))
+                want = np.array([[fn(tuple(x.tolist()), tuple(y.tolist()))
+                                  for y in Y] for x in X])
+                diff = got.view(np.uint64) != want.view(np.uint64)
+                assert not diff.any(), (code, name, np.argwhere(diff)[:3])
+
+
+def test_pairwise_rejects_mismatched_or_empty_widths():
+    with pytest.raises(DimensionMismatch):
+        pairwise("D3", np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch):
+        pairwise("D3", np.zeros((2, 0)), np.zeros((2, 0)))
+    with pytest.raises(DimensionMismatch):
+        pairwise("D3", np.zeros(3), np.zeros((2, 3)))

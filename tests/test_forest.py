@@ -1,6 +1,7 @@
 """Training-graph construction, prototypes, training, classification."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -12,12 +13,13 @@ from opfdist import (
     distance_function,
     find_prototypes,
     graph_from_arrays,
+    registry,
     train,
 )
 from opfdist.errors import DimensionMismatch, SingleClass
 
+import forest_reference
 from conftest import (
-    full_scan_reference,
     kruskal_cross_prototypes,
     oracle_costs,
     pairwise_matrix,
@@ -266,7 +268,8 @@ def test_early_exit_equals_full_scan():
                 fast = classify(forest, q, early_exit=True)
                 slow = classify(forest, q, early_exit=False)
                 assert fast == slow
-                label, cost, who = full_scan_reference(forest, kernel, q)
+                label, cost, who = forest_reference.full_scan_reference(
+                    forest, kernel, q)
                 assert (fast.label, fast.cost, fast.conqueror) == \
                     (label, cost, who)
 
@@ -283,3 +286,58 @@ def test_zero_training_error_on_well_separated_data():
     forest = train(graph_from_arrays(features, labels, "D3"))
     predictions = classify_batch(forest, features)
     assert [p.label for p in predictions] == labels
+
+
+# ---------------------------------------------------------------------------
+# Numpy paths against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _oracle_graphs(code):
+    rng = random.Random(73)
+    for n in (2, 17, 40):
+        labels = [i % 3 for i in range(n)] if n > 2 else [0, 1]
+        features = [[rng.uniform(0.0, 2.0) for _ in range(4)]
+                    for _ in range(n)]
+        yield graph_from_arrays(features, labels, code)
+    # tie-heavy: duplicated rows of small integers, so equal keys, costs
+    # and offers exercise the lowest-index and earlier-settled tie-breaks
+    base = [[float(rng.randint(0, 2)) for _ in range(3)] for _ in range(6)]
+    features = [base[i % 6] for i in range(30)]
+    labels = [rng.randrange(3) for _ in range(30)]
+    yield graph_from_arrays(features, labels, code)
+
+
+def _assert_python_scalars(model):
+    assert all(type(i) is int for i in model.prototypes)
+    assert all(type(c) is float for c in model.cost)
+    assert all(p is None or type(p) is int for p in model.predecessor)
+    assert all(type(r) is int for r in model.root_label)
+    assert all(type(i) is int for i in model.ordered_nodes)
+
+
+def test_train_and_classify_batch_equal_scalar_reference():
+    for code in [d.code for d in registry()]:
+        kernel = distance_function(code)
+        for graph in _oracle_graphs(code):
+            want = forest_reference.train(graph)
+            for cache in (True, False):
+                got = train(graph, cache_distances=cache)
+                for field in dataclasses.fields(want):
+                    assert getattr(got, field.name) == \
+                        getattr(want, field.name), (code, cache, field.name)
+                assert repr(got) == repr(want)
+                _assert_python_scalars(got)
+            dim = graph.n_features
+            rng = random.Random(len(graph.samples))
+            queries = [s.features for s in graph.samples[:5]] + [
+                [float(rng.randint(0, 2)) for _ in range(dim)]
+                for _ in range(5)] + [
+                [rng.uniform(-0.5, 2.5) for _ in range(dim)] for _ in range(5)]
+            for early_exit in (True, False):
+                preds = classify_batch(got, queries, early_exit=early_exit)
+                for p, q in zip(preds, queries):
+                    assert (p.label, p.cost, p.conqueror) == \
+                        forest_reference.full_scan_reference(got, kernel, q), code
+                    assert type(p.label) is int and type(p.conqueror) is int
+                    assert type(p.cost) is float
+                assert preds == [classify(got, q) for q in queries], code
