@@ -1,4 +1,4 @@
-"""Catalogue of 47 distance measures, each as a scalar and a block kernel.
+"""Catalogue of 47 distance measures, each written once and run in two forms.
 
 Each measure is implemented exactly as its printed formula, including the
 exponential variants of the entropy family (Jeffreys, Jensen, Jensen-Shannon,
@@ -25,13 +25,16 @@ Summation is plain sequential accumulation in component order, so repeated
 evaluation of identical inputs is identical bit for bit.  All functions are
 pure; there is no shared state.
 
-``pairwise`` evaluates a measure on every pair of rows of two matrices with
-numpy.  Its block kernels accumulate feature by feature in the scalar
-kernels' order, mirror every scalar conditional with ``np.where`` on the same
-comparison, and apply libm ``exp``/``log`` (through ``math``) per element,
-so each entry equals the scalar kernel's result bit for bit.  ``np.exp`` and
-``np.log`` are not used: their SIMD implementations round differently from
-libm on a fraction of inputs, which can flip a tie in the forest.
+Each formula is written once, over a table of arithmetic operations, and
+built twice: as a per-pair kernel over Python floats (``distance_function``,
+``evaluate``, single-query classification) and as a numpy block kernel that
+evaluates every pair of rows of two matrices (``pairwise``).  Both forms
+accumulate feature by feature in component order and decide every
+conditional on the same comparison, so each ``pairwise`` entry equals the
+per-pair result bit for bit.  ``exp`` and ``log`` are libm's (through
+``math``), applied per element in the block form; ``np.exp`` and ``np.log``
+are not used: their SIMD implementations round differently from libm on a
+fraction of inputs, which can flip a tie in the forest.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ EPS = 1e-10
 EXP_MAX = 500.0
 
 _FMAX = sys.float_info.max
+
+
+# --- per-pair operations -----------------------------------------------
 
 
 def _div(num: float, den: float) -> float:
@@ -104,432 +110,20 @@ def _log(v: float) -> float:
     return math.log(v if v > 0.0 else EPS)
 
 
-# --- kernels -----------------------------------------------------------
-# One function per printed formula; x and y are same-length sequences.
+def _lo(a, b):
+    return a if a < b else b
 
 
-def _chebyshev(x, y):
-    best = 0.0
-    for a, b in zip(x, y):
-        v = abs(a - b)
-        if v > best:
-            best = v
-    return best
+def _hi(a, b):
+    return a if a > b else b
 
 
-def _chi_squared(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += _div(d * d, abs(a + b))
-    return _sqrt(s)
-
-
-def _euclidean(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    return math.sqrt(s)
-
-
-def _gaussian(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    return math.exp(-math.sqrt(s))
-
-
-def _log_euclidean(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    return _log(math.sqrt(s))
-
-
-def _manhattan(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += abs(a - b)
-    return s
-
-
-def _bray_curtis(x, y):
-    num = 0.0
-    den = 0.0
-    for a, b in zip(x, y):
-        num += abs(a - b)
-        den += a + b
-    return _div(num, den)
-
-
-def _canberra(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += _div(abs(a - b), abs(a) + abs(b))
-    return s
-
-
-def _gower(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += abs(a - b)
-    n = len(x)
-    return s / n if n else 0.0
-
-
-def _kulczynski(x, y):
-    num = 0.0
-    den = 0.0
-    for a, b in zip(x, y):
-        num += abs(a - b)
-        den += a if a < b else b
-    return _div(num, den)
-
-
-def _lorentzian(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += _exp(1.0 + abs(a - b))
-    return s
-
-
-def _non_intersection(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += abs(a - b)
-    return 0.5 * s
-
-
-def _soergel(x, y):
-    num = 0.0
-    den = 0.0
-    for a, b in zip(x, y):
-        num += abs(a - b)
-        den += a if a > b else b
-    return _div(num, den)
-
-
-def _chord(x, y):
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    for a, b in zip(x, y):
-        sxy += a * b
-        sxx += a * a
-        syy += b * b
-    return _sqrt(2.0 - 2.0 * _div(sxy, _mul(sxx, syy)))
-
-
-def _cosine(x, y):
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    for a, b in zip(x, y):
-        sxy += a * b
-        sxx += a * a
-        syy += b * b
-    return 1.0 - _div(sxy, _mul(sxx, syy))
-
-
-def _dice(x, y):
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    for a, b in zip(x, y):
-        sxy += a * b
-        sxx += a * a
-        syy += b * b
-    return 1.0 - _div(sxy, sxx + syy)
-
-
-def _jaccard(x, y):
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    sdd = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        sdd += d * d
-        sxy += a * b
-        sxx += a * a
-        syy += b * b
-    return _div(sdd, sxx + syy - sxy)
-
-
-def _bhattacharyya(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += _sqrt(a * b)
-    return -_exp(s)
-
-
-def _hellinger(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = _sqrt(a) - _sqrt(b)
-        s += d * d
-    return math.sqrt(2.0 * s)
-
-
-def _matusita(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = _sqrt(a) - _sqrt(b)
-        s += d * d
-    return math.sqrt(s)
-
-
-def _squared_chord(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = _sqrt(a) - _sqrt(b)
-        s += d * d
-    return s
-
-
-def _additive_symmetric_chi2(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += _div(d * d * (a + b), a * b)
-    return 2.0 * s
-
-
-def _average_euclidean(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    n = len(x)
-    return math.sqrt(s / n) if n else 0.0
-
-
-def _clark(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        r = _div(a - b, abs(a) + abs(b))
-        s += r * r
-    return math.sqrt(s)
-
-
-def _divergence(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        t = a + b
-        s += _div(d * d, t * t)
-    return 2.0 * s
-
-
-def _log_squared_euclidean(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    return _log(s)
-
-
-def _mean_censored_euclidean(x, y):
-    num = 0.0
-    cnt = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        num += d * d
-        if a * a + b * b != 0.0:
-            cnt += 1.0
-    return _div(num, cnt)
-
-
-def _neyman_chi2(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += _div(d * d, a)
-    return s
-
-
-def _pearson_chi2(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += _div(d * d, b)
-    return s
-
-
-def _sangvi_chi2(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += _div(d * d, a + b)
-    return 2.0 * s
-
-
-def _squared_chi2(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += _div(d * d, a + b)
-    return s
-
-
-def _squared_euclidean(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    return s
-
-
-def _jeffreys(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += (a - b) * _exp(_div(a, b))
-    return s
-
-
-def _jensen(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        m = (a + b) / 2.0
-        s += (a * _exp(a) + b * _exp(b)) / 2.0 - m * _exp(m)
-    return 0.5 * s
-
-
-def _jensen_shannon(x, y):
-    s1 = 0.0
-    s2 = 0.0
-    for a, b in zip(x, y):
-        t = a + b
-        s1 += a * _exp(_div(2.0 * a, t))
-        s2 += b * _exp(_div(2.0 * b, t))
-    return 0.5 * (s1 + s2)
-
-
-def _k_divergence(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += a * _exp(_div(2.0 * a, a + b))
-    return s
-
-
-def _kullback_leibler(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        s += a * _exp(_div(a, b))
-    return s
-
-
-def _topsoe(x, y):
-    s1 = 0.0
-    s2 = 0.0
-    for a, b in zip(x, y):
-        t = a + b
-        s1 += a * _exp(_div(2.0 * a, t))
-        s2 += b * _exp(_div(2.0 * b, t))
-    return s1 + s2
-
-
-def _max_symmetric_chi2(x, y):
-    s1 = 0.0
-    s2 = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        dd = d * d
-        s1 += _div(dd, a)
-        s2 += _div(dd, b)
-    return s1 if s1 > s2 else s2
-
-
-def _min_symmetric_chi2(x, y):
-    s1 = 0.0
-    s2 = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        dd = d * d
-        s1 += _div(dd, a)
-        s2 += _div(dd, b)
-    return s1 if s1 < s2 else s2
-
-
-def _vicis_symmetric_1(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        m = a if a < b else b
-        s += _div(d * d, m * m)
-    return s
-
-
-def _vicis_symmetric_2(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        m = a if a < b else b
-        s += _div(d * d, m)
-    return s
-
-
-def _vicis_symmetric_3(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        m = a if a > b else b
-        s += _div(d * d, m)
-    return s
-
-
-def _vicis_wave_hedges(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        m = a if a < b else b
-        s += _div(abs(a - b), m)
-    return s
-
-
-def _hamming(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        if a != b:
-            s += 1.0
-    return s
-
-
-def _hassanat(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        if a < b:
-            lo, hi = a, b
-        else:
-            lo, hi = b, a
-        if lo >= 0.0:
-            s += 1.0 - (1.0 + lo) / (1.0 + hi)
-        else:
-            # Past 2**53 in magnitude, 1.0 + lo + al rounds to 0.0 and so
-            # may 1.0 + hi + al; _div keeps that case finite.
-            al = -lo
-            s += 1.0 - _div(1.0 + lo + al, 1.0 + hi + al)
-    return s
-
-
-def _chi2_statistic(x, y):
-    s = 0.0
-    for a, b in zip(x, y):
-        m = (a + b) / 2.0
-        s += _div(a - m, m)
-    return s
-
-
-# --- block kernels -----------------------------------------------------
-# One function per measure, over a row matrix A (m, d) and B (k, d); each
-# returns the raw (m, k) matrix of kernel(A[i], B[j]).  ``_cols`` hands out
-# feature j as a column a (m, 1) and a row b (1, k), so the sums below run
-# in the scalar kernels' order.  Sums over one argument only (sxx, syy,
-# a * _exp(a)) are kept as a column or a row: the same operations in the
-# same order give the same bits.  Callers run these under np.errstate, as
-# the np.where branches not taken may divide by zero or overflow.
+# --- block operations --------------------------------------------------
+# ``_cols`` hands out feature j of row matrices A (m, d) and B (k, d) as a
+# column a (m, 1) and a row b (1, k).  Every conditional of the scalar
+# operations is mirrored with ``np.where`` on the same comparison, never
+# with ``np.minimum``/``np.maximum``.  Callers run these under np.errstate,
+# as the np.where branches not taken may divide by zero or overflow.
 
 
 def _cols(A, B):
@@ -539,18 +133,16 @@ def _cols(A, B):
         yield At[j][:, None], Bt[j][None, :]
 
 
-def _zeros(A, B):
-    return np.zeros((A.shape[0], B.shape[0]))
-
-
 def _libm(fn, t):
-    # math.exp / math.log per element: bit-identical to the scalar kernels.
+    # math.exp / math.log per element, as in the per-pair form.
     return np.fromiter(map(fn, t.ravel().tolist()), np.float64,
                        t.size).reshape(t.shape)
 
 
 def _vdiv(num, den):
-    zero = den == 0.0
+    # np.equal, not ==: a den that is a plain number (a width) still
+    # gives a result with .any()
+    zero = np.equal(den, 0.0)
     if not zero.any():
         return num / den
     q = num / np.where(zero, EPS, den)
@@ -581,277 +173,356 @@ def _vlog(v):
     return _libm(math.log, np.where(v > 0.0, v, EPS))
 
 
-def _vmin(a, b):
+def _vlo(a, b):
     return np.where(a < b, a, b)
 
 
-def _vmax(a, b):
+def _vhi(a, b):
     return np.where(a > b, a, b)
 
 
-def _sum_sq_diff(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        d = a - b
-        s += d * d
-    return s
-
-
-def _sum_abs_diff(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        s += np.abs(a - b)
-    return s
-
-
-def _inner_sums(A, B):
-    sxy = _zeros(A, B)
-    sxx = np.zeros((A.shape[0], 1))
-    syy = np.zeros((1, B.shape[0]))
-    for a, b in _cols(A, B):
-        sxy += a * b
-        sxx += a * a
-        syy += b * b
-    return sxy, sxx, syy
-
-
-def _sum_sq_sqrt_diff(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        d = _vsqrt(a) - _vsqrt(b)
-        s += d * d
-    return s
-
-
-def _sum_term(term, scale=1.0):
-    """Block kernel for scale * (sum of term(a, b) over the features);
-    scale * s is s itself, bit for bit, when scale is 1.0."""
-
-    def block(A, B):
-        s = _zeros(A, B)
-        for a, b in _cols(A, B):
-            s += term(a, b)
-        return scale * s
-
-    return block
-
-
-def _chi2_sums(A, B):
-    s1 = _zeros(A, B)
-    s2 = _zeros(A, B)
-    for a, b in _cols(A, B):
-        d = a - b
-        dd = d * d
-        s1 += _vdiv(dd, a)
-        s2 += _vdiv(dd, b)
-    return s1, s2
-
-
-def _shannon_sums(A, B):
-    s1 = _zeros(A, B)
-    s2 = _zeros(A, B)
-    for a, b in _cols(A, B):
-        t = a + b
-        s1 += a * _vexp(_vdiv(2.0 * a, t))
-        s2 += b * _vexp(_vdiv(2.0 * b, t))
-    return s1, s2
-
-
-def _b_chebyshev(A, B):
-    best = _zeros(A, B)
-    for a, b in _cols(A, B):
-        v = np.abs(a - b)
-        best = np.where(v > best, v, best)
-    return best
-
-
-def _b_chi_squared(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        d = a - b
-        s += _vdiv(d * d, np.abs(a + b))
-    return _vsqrt(s)
-
-
-def _b_euclidean(A, B):
-    return np.sqrt(_sum_sq_diff(A, B))
-
-
-def _b_gaussian(A, B):
-    return _libm(math.exp, -np.sqrt(_sum_sq_diff(A, B)))
-
-
-def _b_log_euclidean(A, B):
-    return _vlog(np.sqrt(_sum_sq_diff(A, B)))
-
-
-def _b_bray_curtis(A, B):
-    num = _zeros(A, B)
-    den = _zeros(A, B)
-    for a, b in _cols(A, B):
-        num += np.abs(a - b)
-        den += a + b
-    return _vdiv(num, den)
-
-
-def _b_gower(A, B):
-    return _sum_abs_diff(A, B) / A.shape[1]
-
-
-def _b_kulczynski(A, B):
-    num = _zeros(A, B)
-    den = _zeros(A, B)
-    for a, b in _cols(A, B):
-        num += np.abs(a - b)
-        den += _vmin(a, b)
-    return _vdiv(num, den)
-
-
-def _b_non_intersection(A, B):
-    return 0.5 * _sum_abs_diff(A, B)
-
-
-def _b_soergel(A, B):
-    num = _zeros(A, B)
-    den = _zeros(A, B)
-    for a, b in _cols(A, B):
-        num += np.abs(a - b)
-        den += _vmax(a, b)
-    return _vdiv(num, den)
-
-
-def _b_chord(A, B):
-    sxy, sxx, syy = _inner_sums(A, B)
-    return _vsqrt(2.0 - 2.0 * _vdiv(sxy, _vmul(sxx, syy)))
-
-
-def _b_cosine(A, B):
-    sxy, sxx, syy = _inner_sums(A, B)
-    return 1.0 - _vdiv(sxy, _vmul(sxx, syy))
-
-
-def _b_dice(A, B):
-    sxy, sxx, syy = _inner_sums(A, B)
-    return 1.0 - _vdiv(sxy, sxx + syy)
-
-
-def _b_jaccard(A, B):
-    sxy, sxx, syy = _inner_sums(A, B)
-    return _vdiv(_sum_sq_diff(A, B), sxx + syy - sxy)
-
-
-def _b_bhattacharyya(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        s += _vsqrt(a * b)
-    return -_vexp(s)
-
-
-def _b_hellinger(A, B):
-    return np.sqrt(2.0 * _sum_sq_sqrt_diff(A, B))
-
-
-def _b_matusita(A, B):
-    return np.sqrt(_sum_sq_sqrt_diff(A, B))
-
-
-def _b_average_euclidean(A, B):
-    return np.sqrt(_sum_sq_diff(A, B) / A.shape[1])
-
-
-def _b_clark(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        r = _vdiv(a - b, np.abs(a) + np.abs(b))
-        s += r * r
-    return np.sqrt(s)
-
-
-def _b_mean_censored_euclidean(A, B):
-    num = _zeros(A, B)
-    cnt = _zeros(A, B)
-    for a, b in _cols(A, B):
-        d = a - b
-        num += d * d
-        cnt += np.where(a * a + b * b != 0.0, 1.0, 0.0)
-    return _vdiv(num, cnt)
-
-
-def _b_jensen(A, B):
-    s = _zeros(A, B)
-    for a, b in _cols(A, B):
-        m = (a + b) / 2.0
-        s += (a * _vexp(a) + b * _vexp(b)) / 2.0 - m * _vexp(m)
-    return 0.5 * s
-
-
-def _b_jensen_shannon(A, B):
-    s1, s2 = _shannon_sums(A, B)
-    return 0.5 * (s1 + s2)
-
-
-def _b_topsoe(A, B):
-    s1, s2 = _shannon_sums(A, B)
-    return s1 + s2
-
-
-def _b_max_symmetric_chi2(A, B):
-    s1, s2 = _chi2_sums(A, B)
-    return _vmax(s1, s2)
-
-
-def _b_min_symmetric_chi2(A, B):
-    s1, s2 = _chi2_sums(A, B)
-    return _vmin(s1, s2)
-
-
-def _hassanat_term(a, b):
-    lt = a < b
-    lo = np.where(lt, a, b)
-    hi = np.where(lt, b, a)
-    al = -lo
-    return np.where(lo >= 0.0, 1.0 - (1.0 + lo) / (1.0 + hi),
-                    1.0 - _vdiv(1.0 + lo + al, 1.0 + hi + al))
-
-
-def _chi2_statistic_term(a, b):
-    m = (a + b) / 2.0
-    return _vdiv(a - m, m)
-
-
-def _sq(a, b):
-    d = a - b
-    return d * d
-
-
-_b_manhattan = _sum_abs_diff
-_b_squared_euclidean = _sum_sq_diff
-_b_squared_chord = _sum_sq_sqrt_diff
-_b_canberra = _sum_term(lambda a, b: _vdiv(np.abs(a - b), np.abs(a) + np.abs(b)))
-_b_lorentzian = _sum_term(lambda a, b: _vexp(1.0 + np.abs(a - b)))
-_b_divergence = _sum_term(
-    lambda a, b: _vdiv(_sq(a, b), (a + b) * (a + b)), 2.0)
-_b_additive_symmetric_chi2 = _sum_term(
-    lambda a, b: _vdiv(_sq(a, b) * (a + b), a * b), 2.0)
-_b_neyman_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), a))
-_b_pearson_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), b))
-_b_squared_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), a + b))
-_b_sangvi_chi2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), a + b), 2.0)
-_b_jeffreys = _sum_term(lambda a, b: (a - b) * _vexp(_vdiv(a, b)))
-_b_k_divergence = _sum_term(lambda a, b: a * _vexp(_vdiv(2.0 * a, a + b)))
-_b_kullback_leibler = _sum_term(lambda a, b: a * _vexp(_vdiv(a, b)))
-_b_vicis_symmetric_1 = _sum_term(
-    lambda a, b: _vdiv(_sq(a, b), _vmin(a, b) * _vmin(a, b)))
-_b_vicis_symmetric_2 = _sum_term(lambda a, b: _vdiv(_sq(a, b), _vmin(a, b)))
-_b_vicis_symmetric_3 = _sum_term(lambda a, b: _vdiv(_sq(a, b), _vmax(a, b)))
-_b_vicis_wave_hedges = _sum_term(lambda a, b: _vdiv(np.abs(a - b), _vmin(a, b)))
-_b_hamming = _sum_term(lambda a, b: np.where(a != b, 1.0, 0.0))
-_b_hassanat = _sum_term(_hassanat_term)
-_b_chi2_statistic = _sum_term(_chi2_statistic_term)
-
-
-def _b_log_squared_euclidean(A, B):
-    return _vlog(_sum_sq_diff(A, B))
+# --- the measures ------------------------------------------------------
+# Each measure is written once, in ``_measures``, over a table of
+# operations.  Over _SCALAR it is the per-pair kernel of two feature
+# sequences; over _BLOCK it is the block kernel of row matrices A (m, d)
+# and B (k, d), returning the (m, k) matrix of kernel(A[i], B[j]).  Both
+# return raw values; ``distance_function`` and ``pairwise`` apply the
+# finite clamp.  An accumulator starts at s = 0.0 and becomes an array on
+# its first addition; a sum over one argument only (sxx, syy, a * exp(a))
+# stays a column or a row.  The same operations run in the same order in
+# both forms, so they give the same bits.  To keep both forms total and
+# equal, a definition
+#
+# * divides through ``div`` unless the denominator is the constant 2.0
+#   (a float divided by 0 raises where numpy returns inf, and ``width``
+#   is 0 for empty vectors);
+# * branches only through the ``lo``/``hi`` selects, which evaluate both
+#   operands in both forms;
+# * counts by adding a comparison to a sum, which adds 1 or 0 in both.
+
+_SCALAR = dict(pairs=zip, div=_div, mul=_mul, exp=_exp, log=_log, sqrt=_sqrt,
+               root=math.sqrt, lo=_lo, hi=_hi, width=len)
+_BLOCK = dict(pairs=_cols, div=_vdiv, mul=_vmul, exp=_vexp, log=_vlog,
+              sqrt=_vsqrt, root=np.sqrt, lo=_vlo, hi=_vhi,
+              width=lambda A: A.shape[1])
+
+
+def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width):
+    """The 47 measures over one table of operations, keyed by code.
+
+    ``sqrt`` clamps a negative radicand to 0; ``root`` is the plain square
+    root, for radicands that cannot be negative.
+    """
+
+    # Running sums that several measures finalize.  Where a code comes
+    # before the semicolon, that measure is the sum itself.
+
+    def sq_diff(x, y):  # sum (a-b)^2: D32; D3-D5, D17, D23, D26
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += d * d
+        return s
+
+    def abs_diff(x, y):  # sum |a-b|: D6; D9, D12
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += abs(a - b)
+        return s
+
+    def inner(x, y):  # (sum ab, sum a^2, sum b^2): D14-D17
+        sxy = sxx = syy = 0.0
+        for a, b in pairs(x, y):
+            sxy += a * b
+            sxx += a * a
+            syy += b * b
+        return sxy, sxx, syy
+
+    def sqrt_diff(x, y):  # sum (sqrt a - sqrt b)^2: D21; D19, D20
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = sqrt(a) - sqrt(b)
+            s += d * d
+        return s
+
+    def sq_over_sum(x, y):  # sum (a-b)^2 / (a+b): D31; D30
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d, a + b)
+        return s
+
+    def chi2(x, y):  # (sum (a-b)^2 / a, sum (a-b)^2 / b): D39, D40
+        s1 = s2 = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            dd = d * d
+            s1 += div(dd, a)
+            s2 += div(dd, b)
+        return s1, s2
+
+    def shannon(x, y):  # (sum a e^(2a/(a+b)), sum b e^(2b/(a+b))): D35, D38
+        s1 = s2 = 0.0
+        for a, b in pairs(x, y):
+            t = a + b
+            s1 += a * exp(div(2.0 * a, t))
+            s2 += b * exp(div(2.0 * b, t))
+        return s1, s2
+
+    # One function per remaining printed formula.
+
+    def chebyshev(x, y):
+        best = 0.0
+        for a, b in pairs(x, y):
+            best = hi(abs(a - b), best)
+        return best
+
+    def chi_squared(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d, abs(a + b))
+        return sqrt(s)
+
+    def euclidean(x, y):
+        return root(sq_diff(x, y))
+
+    def gaussian(x, y):
+        return exp(-root(sq_diff(x, y)))
+
+    def log_euclidean(x, y):
+        return log(root(sq_diff(x, y)))
+
+    def bray_curtis(x, y):
+        num = den = 0.0
+        for a, b in pairs(x, y):
+            num += abs(a - b)
+            den += a + b
+        return div(num, den)
+
+    def canberra(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += div(abs(a - b), abs(a) + abs(b))
+        return s
+
+    def gower(x, y):
+        return div(abs_diff(x, y), width(x))
+
+    def kulczynski(x, y):
+        num = den = 0.0
+        for a, b in pairs(x, y):
+            num += abs(a - b)
+            den += lo(a, b)
+        return div(num, den)
+
+    def lorentzian(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += exp(1.0 + abs(a - b))
+        return s
+
+    def non_intersection(x, y):
+        return 0.5 * abs_diff(x, y)
+
+    def soergel(x, y):
+        num = den = 0.0
+        for a, b in pairs(x, y):
+            num += abs(a - b)
+            den += hi(a, b)
+        return div(num, den)
+
+    def chord(x, y):
+        sxy, sxx, syy = inner(x, y)
+        return sqrt(2.0 - 2.0 * div(sxy, mul(sxx, syy)))
+
+    def cosine(x, y):
+        sxy, sxx, syy = inner(x, y)
+        return 1.0 - div(sxy, mul(sxx, syy))
+
+    def dice(x, y):
+        sxy, sxx, syy = inner(x, y)
+        return 1.0 - div(sxy, sxx + syy)
+
+    def jaccard(x, y):
+        sxy, sxx, syy = inner(x, y)
+        return div(sq_diff(x, y), sxx + syy - sxy)
+
+    def bhattacharyya(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += sqrt(a * b)
+        return -exp(s)
+
+    def hellinger(x, y):
+        return root(2.0 * sqrt_diff(x, y))
+
+    def matusita(x, y):
+        return root(sqrt_diff(x, y))
+
+    def additive_symmetric_chi2(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d * (a + b), a * b)
+        return 2.0 * s
+
+    def average_euclidean(x, y):
+        return root(div(sq_diff(x, y), width(x)))
+
+    def clark(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            r = div(a - b, abs(a) + abs(b))
+            s += r * r
+        return root(s)
+
+    def divergence(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            t = a + b
+            s += div(d * d, t * t)
+        return 2.0 * s
+
+    def log_squared_euclidean(x, y):
+        return log(sq_diff(x, y))
+
+    def mean_censored_euclidean(x, y):
+        num = cnt = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            num += d * d
+            cnt += a * a + b * b != 0.0
+        return div(num, cnt)
+
+    def neyman_chi2(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d, a)
+        return s
+
+    def pearson_chi2(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d, b)
+        return s
+
+    def sangvi_chi2(x, y):
+        return 2.0 * sq_over_sum(x, y)
+
+    def jeffreys(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += (a - b) * exp(div(a, b))
+        return s
+
+    def jensen(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            m = (a + b) / 2.0
+            s += (a * exp(a) + b * exp(b)) / 2.0 - m * exp(m)
+        return 0.5 * s
+
+    def jensen_shannon(x, y):
+        s1, s2 = shannon(x, y)
+        return 0.5 * (s1 + s2)
+
+    def k_divergence(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += a * exp(div(2.0 * a, a + b))
+        return s
+
+    def kullback_leibler(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += a * exp(div(a, b))
+        return s
+
+    def topsoe(x, y):
+        s1, s2 = shannon(x, y)
+        return s1 + s2
+
+    def max_symmetric_chi2(x, y):
+        return hi(*chi2(x, y))
+
+    def min_symmetric_chi2(x, y):
+        return lo(*chi2(x, y))
+
+    def vicis_symmetric_1(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            m = lo(a, b)
+            s += div(d * d, m * m)
+        return s
+
+    def vicis_symmetric_2(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d, lo(a, b))
+        return s
+
+    def vicis_symmetric_3(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            d = a - b
+            s += div(d * d, hi(a, b))
+        return s
+
+    def vicis_wave_hedges(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += div(abs(a - b), lo(a, b))
+        return s
+
+    def hamming(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += a != b
+        return s
+
+    def hassanat(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            mn = lo(a, b)
+            mx = hi(a, b)
+            # For mn < 0 both ends shift up by |mn|.  Past 2**53 in
+            # magnitude 1.0 + mn - shift rounds to 0.0, and so may the
+            # denominator; div keeps that case finite.
+            shift = lo(mn, 0.0)
+            s += 1.0 - div(1.0 + mn - shift, 1.0 + mx - shift)
+        return s
+
+    def chi2_statistic(x, y):
+        s = 0.0
+        for a, b in pairs(x, y):
+            m = (a + b) / 2.0
+            s += div(a - m, m)
+        return s
+
+    return {
+        "D1": chebyshev, "D2": chi_squared, "D3": euclidean,
+        "D4": gaussian, "D5": log_euclidean, "D6": abs_diff,
+        "D7": bray_curtis, "D8": canberra, "D9": gower, "D10": kulczynski,
+        "D11": lorentzian, "D12": non_intersection, "D13": soergel,
+        "D14": chord, "D15": cosine, "D16": dice, "D17": jaccard,
+        "D18": bhattacharyya, "D19": hellinger, "D20": matusita,
+        "D21": sqrt_diff, "D22": additive_symmetric_chi2,
+        "D23": average_euclidean, "D24": clark, "D25": divergence,
+        "D26": log_squared_euclidean, "D27": mean_censored_euclidean,
+        "D28": neyman_chi2, "D29": pearson_chi2, "D30": sangvi_chi2,
+        "D31": sq_over_sum, "D32": sq_diff, "D33": jeffreys, "D34": jensen,
+        "D35": jensen_shannon, "D36": k_divergence, "D37": kullback_leibler,
+        "D38": topsoe, "D39": max_symmetric_chi2, "D40": min_symmetric_chi2,
+        "D41": vicis_symmetric_1, "D42": vicis_symmetric_2,
+        "D43": vicis_symmetric_3, "D44": vicis_wave_hedges, "D45": hamming,
+        "D46": hassanat, "D47": chi2_statistic,
+    }
 
 
 # --- registry ----------------------------------------------------------
@@ -870,7 +541,8 @@ class Taxonomy(str, Enum):
 
 @dataclass(frozen=True)
 class DistanceId:
-    """Registry entry: identifying code, metadata, scalar and block kernel."""
+    """Registry entry: identifying code, metadata, and the measure's one
+    definition run as a per-pair ``kernel`` and a numpy ``block`` kernel."""
 
     code: str
     name: str
@@ -884,78 +556,59 @@ class DistanceId:
 def _entries():
     T = Taxonomy
     rows = [
-        # code, name, taxonomy, nonneg_input, identity, kernel, block
-        ("D1", "Chebyshev", T.LP, False, True, _chebyshev, _b_chebyshev),
-        ("D2", "Chi-Squared", T.LP, False, True, _chi_squared, _b_chi_squared),
-        ("D3", "Euclidean", T.LP, False, True, _euclidean, _b_euclidean),
-        ("D4", "Gaussian", T.LP, False, False, _gaussian, _b_gaussian),
-        ("D5", "Log-Euclidean", T.LP, False, False, _log_euclidean, _b_log_euclidean),
-        ("D6", "Manhattan", T.LP, False, True, _manhattan, _b_manhattan),
-        ("D7", "Bray-Curtis", T.L1, False, True, _bray_curtis, _b_bray_curtis),
-        ("D8", "Canberra", T.L1, False, True, _canberra, _b_canberra),
-        ("D9", "Gower", T.L1, False, True, _gower, _b_gower),
-        ("D10", "Kulczynski", T.L1, False, True, _kulczynski, _b_kulczynski),
-        ("D11", "Lorentzian", T.L1, False, False, _lorentzian, _b_lorentzian),
-        ("D12", "Non-Intersection", T.L1, False, True, _non_intersection,
-         _b_non_intersection),
-        ("D13", "Soergel", T.L1, False, True, _soergel, _b_soergel),
-        ("D14", "Chord", T.INNER_PRODUCT, False, False, _chord, _b_chord),
-        ("D15", "Cosine", T.INNER_PRODUCT, False, False, _cosine, _b_cosine),
-        ("D16", "Dice", T.INNER_PRODUCT, False, False, _dice, _b_dice),
-        ("D17", "Jaccard", T.INNER_PRODUCT, False, True, _jaccard, _b_jaccard),
-        ("D18", "Bhattacharyya", T.SQUARED_CHORD, True, False, _bhattacharyya,
-         _b_bhattacharyya),
-        ("D19", "Hellinger", T.SQUARED_CHORD, True, True, _hellinger, _b_hellinger),
-        ("D20", "Matusita", T.SQUARED_CHORD, True, True, _matusita, _b_matusita),
-        ("D21", "Squared Chord", T.SQUARED_CHORD, True, True, _squared_chord,
-         _b_squared_chord),
-        ("D22", "Additive Symmetric Chi-Squared", T.SQUARED_L2, False, True,
-         _additive_symmetric_chi2, _b_additive_symmetric_chi2),
-        ("D23", "Average Euclidean", T.SQUARED_L2, False, True, _average_euclidean,
-         _b_average_euclidean),
-        ("D24", "Clark", T.SQUARED_L2, False, True, _clark, _b_clark),
-        ("D25", "Divergence", T.SQUARED_L2, False, True, _divergence, _b_divergence),
-        ("D26", "Log-Squared Euclidean", T.SQUARED_L2, False, False,
-         _log_squared_euclidean, _b_log_squared_euclidean),
-        ("D27", "Mean Censored Euclidean", T.SQUARED_L2, False, True,
-         _mean_censored_euclidean, _b_mean_censored_euclidean),
-        ("D28", "Neyman Chi-Squared", T.SQUARED_L2, False, True, _neyman_chi2,
-         _b_neyman_chi2),
-        ("D29", "Pearson Chi-Squared", T.SQUARED_L2, False, True, _pearson_chi2,
-         _b_pearson_chi2),
-        ("D30", "Sangvi Chi-Squared", T.SQUARED_L2, False, True, _sangvi_chi2,
-         _b_sangvi_chi2),
-        ("D31", "Squared Chi-Squared", T.SQUARED_L2, False, True, _squared_chi2,
-         _b_squared_chi2),
-        ("D32", "Squared Euclidean", T.SQUARED_L2, False, True, _squared_euclidean,
-         _b_squared_euclidean),
-        ("D33", "Jeffreys", T.SHANNON_ENTROPY, False, True, _jeffreys, _b_jeffreys),
-        ("D34", "Jensen", T.SHANNON_ENTROPY, False, True, _jensen, _b_jensen),
-        ("D35", "Jensen-Shannon", T.SHANNON_ENTROPY, False, False, _jensen_shannon,
-         _b_jensen_shannon),
-        ("D36", "K-Divergence", T.SHANNON_ENTROPY, False, False, _k_divergence,
-         _b_k_divergence),
-        ("D37", "Kullback-Leibler", T.SHANNON_ENTROPY, False, False,
-         _kullback_leibler, _b_kullback_leibler),
-        ("D38", "Topsoe", T.SHANNON_ENTROPY, False, False, _topsoe, _b_topsoe),
-        ("D39", "Max Symmetric Chi-Squared", T.VICISSITUDE, False, True,
-         _max_symmetric_chi2, _b_max_symmetric_chi2),
-        ("D40", "Min Symmetric Chi-Squared", T.VICISSITUDE, False, True,
-         _min_symmetric_chi2, _b_min_symmetric_chi2),
-        ("D41", "Vicis Symmetric 1", T.VICISSITUDE, False, True, _vicis_symmetric_1,
-         _b_vicis_symmetric_1),
-        ("D42", "Vicis Symmetric 2", T.VICISSITUDE, False, True, _vicis_symmetric_2,
-         _b_vicis_symmetric_2),
-        ("D43", "Vicis Symmetric 3", T.VICISSITUDE, False, True, _vicis_symmetric_3,
-         _b_vicis_symmetric_3),
-        ("D44", "Vicis-Wave Hedges", T.VICISSITUDE, False, True, _vicis_wave_hedges,
-         _b_vicis_wave_hedges),
-        ("D45", "Hamming", T.OTHER, False, True, _hamming, _b_hamming),
-        ("D46", "Hassanat", T.OTHER, False, True, _hassanat, _b_hassanat),
-        ("D47", "Chi-Squared Statistic", T.OTHER, False, True, _chi2_statistic,
-         _b_chi2_statistic),
+        # code, name, taxonomy, nonneg_input, identity
+        ("D1", "Chebyshev", T.LP, False, True),
+        ("D2", "Chi-Squared", T.LP, False, True),
+        ("D3", "Euclidean", T.LP, False, True),
+        ("D4", "Gaussian", T.LP, False, False),
+        ("D5", "Log-Euclidean", T.LP, False, False),
+        ("D6", "Manhattan", T.LP, False, True),
+        ("D7", "Bray-Curtis", T.L1, False, True),
+        ("D8", "Canberra", T.L1, False, True),
+        ("D9", "Gower", T.L1, False, True),
+        ("D10", "Kulczynski", T.L1, False, True),
+        ("D11", "Lorentzian", T.L1, False, False),
+        ("D12", "Non-Intersection", T.L1, False, True),
+        ("D13", "Soergel", T.L1, False, True),
+        ("D14", "Chord", T.INNER_PRODUCT, False, False),
+        ("D15", "Cosine", T.INNER_PRODUCT, False, False),
+        ("D16", "Dice", T.INNER_PRODUCT, False, False),
+        ("D17", "Jaccard", T.INNER_PRODUCT, False, True),
+        ("D18", "Bhattacharyya", T.SQUARED_CHORD, True, False),
+        ("D19", "Hellinger", T.SQUARED_CHORD, True, True),
+        ("D20", "Matusita", T.SQUARED_CHORD, True, True),
+        ("D21", "Squared Chord", T.SQUARED_CHORD, True, True),
+        ("D22", "Additive Symmetric Chi-Squared", T.SQUARED_L2, False, True),
+        ("D23", "Average Euclidean", T.SQUARED_L2, False, True),
+        ("D24", "Clark", T.SQUARED_L2, False, True),
+        ("D25", "Divergence", T.SQUARED_L2, False, True),
+        ("D26", "Log-Squared Euclidean", T.SQUARED_L2, False, False),
+        ("D27", "Mean Censored Euclidean", T.SQUARED_L2, False, True),
+        ("D28", "Neyman Chi-Squared", T.SQUARED_L2, False, True),
+        ("D29", "Pearson Chi-Squared", T.SQUARED_L2, False, True),
+        ("D30", "Sangvi Chi-Squared", T.SQUARED_L2, False, True),
+        ("D31", "Squared Chi-Squared", T.SQUARED_L2, False, True),
+        ("D32", "Squared Euclidean", T.SQUARED_L2, False, True),
+        ("D33", "Jeffreys", T.SHANNON_ENTROPY, False, True),
+        ("D34", "Jensen", T.SHANNON_ENTROPY, False, True),
+        ("D35", "Jensen-Shannon", T.SHANNON_ENTROPY, False, False),
+        ("D36", "K-Divergence", T.SHANNON_ENTROPY, False, False),
+        ("D37", "Kullback-Leibler", T.SHANNON_ENTROPY, False, False),
+        ("D38", "Topsoe", T.SHANNON_ENTROPY, False, False),
+        ("D39", "Max Symmetric Chi-Squared", T.VICISSITUDE, False, True),
+        ("D40", "Min Symmetric Chi-Squared", T.VICISSITUDE, False, True),
+        ("D41", "Vicis Symmetric 1", T.VICISSITUDE, False, True),
+        ("D42", "Vicis Symmetric 2", T.VICISSITUDE, False, True),
+        ("D43", "Vicis Symmetric 3", T.VICISSITUDE, False, True),
+        ("D44", "Vicis-Wave Hedges", T.VICISSITUDE, False, True),
+        ("D45", "Hamming", T.OTHER, False, True),
+        ("D46", "Hassanat", T.OTHER, False, True),
+        ("D47", "Chi-Squared Statistic", T.OTHER, False, True),
     ]
-    return tuple(DistanceId(*row) for row in rows)
+    kernels = _measures(**_SCALAR)
+    blocks = _measures(**_BLOCK)
+    return tuple(DistanceId(*row, kernel=kernels[row[0]], block=blocks[row[0]])
+                 for row in rows)
 
 
 _REGISTRY: tuple[DistanceId, ...] = _entries()
@@ -994,7 +647,9 @@ def distance_function(id_or_code: DistanceId | str) -> Kernel:
     kernel = resolve(id_or_code).kernel
 
     def call(x: FeatureVector, y: FeatureVector) -> float:
-        return _finite(kernel(x, y))
+        v = kernel(x, y)
+        # finite results skip the _finite call, which classify pays per node
+        return v if -_FMAX <= v <= _FMAX else _finite(v)
 
     return call
 

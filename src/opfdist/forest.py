@@ -11,7 +11,7 @@ non-decreasing cost order.
 
 The distance matrix, Prim's algorithm, the competition and
 ``classify_batch`` run on numpy: arcs come from the measures' block kernels
-(``distances.pairwise``), which equal the scalar kernels bit for bit, and
+(``distances.pairwise``), which equal the per-pair kernels bit for bit, and
 each extraction is a first-occurrence argmin.  Single-query ``classify``
 keeps the scalar ordered scan, which may stop early once no remaining node
 can improve on the best offer (Papa et al., Pattern Recognition 2012); the
@@ -129,23 +129,19 @@ def _feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
     return np.array([s.features for s in samples], dtype=np.float64)
 
 
-def _row_getter(
-    graph: TrainingGraph, cache: bool | None
-) -> Callable[[int], np.ndarray]:
+def _row_getter(graph: TrainingGraph) -> Callable[[int], np.ndarray]:
     """Return row(i) -> distances from node i to every node (diagonal 0).
 
-    With caching the full matrix is materialized once, in row blocks.
-    Symmetric measures fill the upper triangle and mirror it without
-    re-evaluating (their kernels are bit-for-bit symmetric under the
-    sequential accumulation order); measures in ``ASYMMETRIC_CODES``
-    evaluate full rows.  Without caching each row is evaluated on demand.
+    Up to ``_CACHE_MAX_NODES`` nodes the full matrix is materialized once,
+    in row blocks.  Symmetric measures fill the upper triangle and mirror
+    it without re-evaluating (their kernels are bit-for-bit symmetric under
+    the sequential accumulation order); measures in ``ASYMMETRIC_CODES``
+    evaluate full rows.  Above it each row is evaluated on demand.
     """
     measure = graph.distance
     X = _feature_matrix(graph.samples)
     n = len(X)
-    if cache is None:
-        cache = n <= _CACHE_MAX_NODES
-    if not cache:
+    if n > _CACHE_MAX_NODES:
         def row(i: int) -> np.ndarray:
             r = distances.pairwise(measure, X[i:i + 1], X)[0]
             r[i] = 0.0
@@ -186,9 +182,9 @@ def _mst_parents(n: int, row_of) -> list[int]:
     parent = np.full(n, -1)
     free = np.ones(n, dtype=bool)
     for _ in range(n):
+        # every arc is finite, so after the root each free node has a
+        # finite key and the argmin is a free node
         u = int(key.argmin())
-        if key[u] == np.inf:
-            u = int(free.argmax())
         free[u] = False
         key[u] = np.inf
         row = row_of(u)
@@ -198,16 +194,14 @@ def _mst_parents(n: int, row_of) -> list[int]:
     return parent.tolist()
 
 
-def find_prototypes(
-    graph: TrainingGraph, *, cache_distances: bool | None = None
-) -> frozenset[int]:
+def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     """Endpoint pairs of inter-class MST edges.
 
     Every class present in the graph contributes at least one prototype:
     a spanning tree must connect each class's nodes to the rest of the
     graph through some inter-class edge.
     """
-    return _find_prototypes(graph, _row_getter(graph, cache_distances))
+    return _find_prototypes(graph, _row_getter(graph))
 
 
 def _find_prototypes(graph: TrainingGraph, row_of) -> frozenset[int]:
@@ -221,9 +215,7 @@ def _find_prototypes(graph: TrainingGraph, row_of) -> frozenset[int]:
     return frozenset(protos)
 
 
-def train(
-    graph: TrainingGraph, *, cache_distances: bool | None = None
-) -> TrainedForest:
+def train(graph: TrainingGraph) -> TrainedForest:
     """Competition of prototypes over the complete graph.
 
     Prototypes start with cost 0 and no predecessor; every other node
@@ -232,7 +224,7 @@ def train(
     remaining node t the cost max(cost[s], d(s, t)) and t switches
     conqueror only when the offer is a strict improvement.
     """
-    row_of = _row_getter(graph, cache_distances)
+    row_of = _row_getter(graph)
     prototypes = _find_prototypes(graph, row_of)
 
     n = len(graph.samples)

@@ -1,16 +1,18 @@
 """Scalar reference for OPF training and classification.
 
-Plain-Python loops over the scalar kernels of ``distance_function``: the
-list-of-lists distance matrix (upper triangle mirrored for symmetric
-measures), Prim's algorithm, the prototype competition and the full
-classification scan.  The library's numpy paths must reproduce these
-field for field and bit for bit.
+Plain-Python loops over the hand-written kernels of ``distance_reference``,
+not the library's: the list-of-lists distance matrix (upper triangle
+mirrored for symmetric measures), Prim's algorithm, the prototype
+competition and the full classification scan.  The library's numpy paths
+must reproduce these field for field and bit for bit.
 """
 from __future__ import annotations
 
 import math
 
-from opfdist import ASYMMETRIC_CODES, TrainedForest, distance_function
+from opfdist import ASYMMETRIC_CODES, TrainedForest
+
+from distance_reference import distance_function
 
 
 def distance_rows(graph):
@@ -19,7 +21,7 @@ def distance_rows(graph):
     Symmetric measures evaluate the upper triangle and mirror it, which is
     how the library orients every off-diagonal entry.
     """
-    kernel = distance_function(graph.distance)
+    kernel = distance_function(graph.distance.code)
     feats = [s.features for s in graph.samples]
     n = len(feats)
     symmetric = graph.distance.code not in ASYMMETRIC_CODES

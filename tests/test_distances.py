@@ -23,6 +23,8 @@ from opfdist import (
 from opfdist.distances import pairwise
 from opfdist.errors import DimensionMismatch, DomainViolation, EmptyInput
 
+import distance_reference
+
 ALL = registry()
 CODES = [d.code for d in ALL]
 SYMMETRIC_CODES = [c for c in CODES if c not in ASYMMETRIC_CODES]
@@ -374,7 +376,7 @@ def test_property_every_measure_is_finite(data, x):
 
 
 # ---------------------------------------------------------------------------
-# Block kernels against the scalar kernels
+# Both forms of each measure against the hand-written reference kernels
 # ---------------------------------------------------------------------------
 
 def _oracle_inputs():
@@ -412,15 +414,21 @@ def _oracle_inputs():
 def test_pairwise_equals_scalar_kernels_bit_for_bit():
     for code in CODES:
         fn = distance_function(code)
+        ref = distance_reference.distance_function(code)
         for name, A, B in _oracle_inputs():
             orders = [(A, B), (B, A)] if code in ASYMMETRIC_CODES else [(A, B)]
             for X, Y in orders:
                 got = pairwise(code, X, Y)
                 assert got.dtype == np.float64 and got.shape == (len(X), len(Y))
-                want = np.array([[fn(tuple(x.tolist()), tuple(y.tolist()))
-                                  for y in Y] for x in X])
-                diff = got.view(np.uint64) != want.view(np.uint64)
-                assert not diff.any(), (code, name, np.argwhere(diff)[:3])
+                rows = [[tuple(x.tolist()), tuple(y.tolist())]
+                        for x in X for y in Y]
+                want = np.array([ref(x, y) for x, y in rows]).reshape(got.shape)
+                scalar = np.array([fn(x, y) for x, y in rows]).reshape(got.shape)
+                for form, out in (("pairwise", got),
+                                  ("distance_function", scalar)):
+                    diff = out.view(np.uint64) != want.view(np.uint64)
+                    assert not diff.any(), \
+                        (code, name, form, np.argwhere(diff)[:3])
 
 
 def test_pairwise_rejects_mismatched_or_empty_widths():

@@ -16,8 +16,10 @@ from opfdist import (
     registry,
     train,
 )
+import opfdist.forest
 from opfdist.errors import DimensionMismatch, SingleClass
 
+import distance_reference
 import forest_reference
 from conftest import (
     kruskal_cross_prototypes,
@@ -191,16 +193,18 @@ def test_costs_stay_nonnegative_for_negative_valued_measures():
             assert all(c >= 0.0 for c in forest.cost), code
 
 
-def test_training_is_deterministic_and_cache_neutral():
+def test_training_is_deterministic_and_cache_neutral(monkeypatch):
     rng = random.Random(61)
     features, labels = random_graph_spec(rng)
     g = graph_from_arrays(features, labels, "D7")
+    assert len(g.samples) <= opfdist.forest._CACHE_MAX_NODES
     a = train(g)
     b = train(g)
-    cached = train(g, cache_distances=True)
-    uncached = train(g, cache_distances=False)
+    # a limit of 0 nodes forces rows computed on demand
+    monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES", 0)
+    uncached = train(g)
     assert a == b
-    assert cached == uncached == a
+    assert uncached == a
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +263,7 @@ def test_classifying_training_samples_moves_no_higher_than_own_cost():
 def test_early_exit_equals_full_scan():
     rng = random.Random(67)
     for code in ("D3", "D15", "D33", "D46"):
-        kernel = distance_function(code)
+        kernel = distance_reference.distance_function(code)
         for _ in range(10):
             features, labels = random_graph_spec(rng)
             forest = train(graph_from_arrays(features, labels, code))
@@ -315,13 +319,17 @@ def _assert_python_scalars(model):
     assert all(type(i) is int for i in model.ordered_nodes)
 
 
-def test_train_and_classify_batch_equal_scalar_reference():
+def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
+    limit = opfdist.forest._CACHE_MAX_NODES
     for code in [d.code for d in registry()]:
-        kernel = distance_function(code)
+        kernel = distance_reference.distance_function(code)
         for graph in _oracle_graphs(code):
             want = forest_reference.train(graph)
             for cache in (True, False):
-                got = train(graph, cache_distances=cache)
+                # a limit of 0 nodes forces rows computed on demand
+                monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES",
+                                    limit if cache else 0)
+                got = train(graph)
                 for field in dataclasses.fields(want):
                     assert getattr(got, field.name) == \
                         getattr(want, field.name), (code, cache, field.name)
