@@ -56,7 +56,6 @@ from .evaluation import (
     WilcoxonResult,
     accuracy,
     balanced_accuracy,
-    benchmark_column,
     critical_difference,
     friedman_nemenyi,
     make_splits,

@@ -341,17 +341,23 @@ def cmd_bench(args) -> int:
         if timings_path.exists():
             old_timings = dataio.read_timings_csv(timings_path)
 
-    total = len(cfg.datasets) * len(cfg.distance_codes)
-    done_count = sum(seeded.is_complete(ds, c) for ds in seeded.datasets
-                     for c in seeded.classifiers)
-    print(f"grid: {total} columns, {total - done_count} to compute, "
+    # one task per (dataset, run, test fold); fully reused folds count as done
+    total = len(cfg.datasets) * cfg.runs * 2
+    done_count = total - len({(ds, r, f) for ds in seeded.datasets
+                              for c in seeded.classifiers
+                              for r in range(cfg.runs) for f in (0, 1)
+                              if (ds, c, r, f) not in seeded.cells})
+    print(f"grid: {total} tasks, {total - done_count} to compute, "
           f"{len(seeded.cells)} cells reused", file=sys.stderr)
 
-    def progress(name, code, error):
+    def progress(name, run, fold, errors):
         nonlocal done_count
         done_count += 1
-        status = "ok" if error is None else f"FAILED {error}"
-        print(f"[{done_count}/{total}] {name} {code}: {status}", file=sys.stderr)
+        first = next(iter(errors), None)
+        status = "ok" if first is None else (
+            f"FAILED {len(errors)} code(s), first {first}: {errors[first]}")
+        print(f"[{done_count}/{total}] {name} run {run} fold {fold}: {status}",
+              file=sys.stderr)
 
     matrix = evaluation.run_benchmark(
         datasets, cfg.distance_codes, cfg.seed, cfg.runs,

@@ -118,6 +118,10 @@ def _hi(a, b):
     return a if a > b else b
 
 
+def _order(a, b):
+    return (a, b) if a < b else (b, a)
+
+
 # --- block operations --------------------------------------------------
 # ``_cols`` hands out feature j of row matrices A (m, d) and B (k, d) as a
 # column a (m, 1) and a row b (1, k).  Every conditional of the scalar
@@ -181,6 +185,11 @@ def _vhi(a, b):
     return np.where(a > b, a, b)
 
 
+def _vorder(a, b):
+    less = a < b
+    return np.where(less, a, b), np.where(less, b, a)
+
+
 # --- the measures ------------------------------------------------------
 # Each measure is written once, in ``_measures``, over a table of
 # operations.  Over _SCALAR it is the per-pair kernel of two feature
@@ -196,18 +205,18 @@ def _vhi(a, b):
 # * divides through ``div`` unless the denominator is the constant 2.0
 #   (a float divided by 0 raises where numpy returns inf, and ``width``
 #   is 0 for empty vectors);
-# * branches only through the ``lo``/``hi`` selects, which evaluate both
-#   operands in both forms;
+# * branches only through the ``lo``/``hi``/``order`` selects, which
+#   evaluate both operands in both forms;
 # * counts by adding a comparison to a sum, which adds 1 or 0 in both.
 
 _SCALAR = dict(pairs=zip, div=_div, mul=_mul, exp=_exp, log=_log, sqrt=_sqrt,
-               root=math.sqrt, lo=_lo, hi=_hi, width=len)
+               root=math.sqrt, lo=_lo, hi=_hi, order=_order, width=len)
 _BLOCK = dict(pairs=_cols, div=_vdiv, mul=_vmul, exp=_vexp, log=_vlog,
-              sqrt=_vsqrt, root=np.sqrt, lo=_vlo, hi=_vhi,
+              sqrt=_vsqrt, root=np.sqrt, lo=_vlo, hi=_vhi, order=_vorder,
               width=lambda A: A.shape[1])
 
 
-def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width):
+def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width):
     """The 47 measures over one table of operations, keyed by code.
 
     ``sqrt`` clamps a negative radicand to 0; ``root`` is the plain square
@@ -489,8 +498,7 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width):
     def hassanat(x, y):
         s = 0.0
         for a, b in pairs(x, y):
-            mn = lo(a, b)
-            mx = hi(a, b)
+            mn, mx = order(a, b)
             # For mn < 0 both ends shift up by |mn|.  Past 2**53 in
             # magnitude 1.0 + mn - shift rounds to 0.0, and so may the
             # denominator; div keeps that case finite.

@@ -7,16 +7,21 @@ two fold accuracies.  Comparisons use a two-sided Wilcoxon signed-rank
 test per dataset pair, and a tie-corrected Friedman test over all
 (dataset, run) blocks followed by a Nemenyi critical difference.
 
+The grid's unit of work is one (dataset, run, test fold): it draws that
+run's split, fits the normalization on the training half once, then fits
+and tests every distance code on it.
+
 Everything is deterministic given (seed, runs): split shuffles derive from
-a per-run seed sequence, and results are keyed by grid position, so the
-degree of parallelism cannot change any reported number.
+a per-run seed sequence, results are keyed by grid position, and a failed
+column reports its lowest failing (run, fold), so the degree of
+parallelism cannot change any reported number.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,36 +67,37 @@ def make_splits(dataset: Dataset, seed: int, runs: int) -> list[SplitPlan]:
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    return [_split_run(dataset, seed, run) for run in range(runs)]
+
+
+def _split_run(dataset: Dataset, seed: int, run: int) -> SplitPlan:
+    """The plan of repetition ``run`` alone, as ``make_splits`` draws it."""
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    labels = [s.label for s in dataset.samples]
     by_class: list[list[int]] = [[] for _ in range(dataset.n_classes)]
-    for i, lab in enumerate(labels):
-        by_class[lab].append(i)
+    for i, s in enumerate(dataset.samples):
+        by_class[s.label].append(i)
     for cls, members in enumerate(by_class):
         if len(members) < 2:
             raise TooFewSamplesPerClass(
                 f"class {cls} of dataset {dataset.name!r} has {len(members)} "
                 f"sample(s); stratified halving needs at least 2")
 
-    plans = []
-    for run in range(runs):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=(seed, run))))
-        assignment = [0] * len(labels)
-        odd_seen = 0
-        for members in by_class:
-            k = len(members)
-            n0 = k // 2
-            if k % 2 == 1:
-                if odd_seen % 2 == 0:
-                    n0 += 1
-                odd_seen += 1
-            order = rng.permutation(k)
-            for pos, idx in enumerate(order):
-                assignment[members[int(idx)]] = 0 if pos < n0 else 1
-        plans.append(SplitPlan(seed, run, tuple(assignment)))
-    return plans
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=(seed, run))))
+    assignment = [0] * len(dataset.samples)
+    odd_seen = 0
+    for members in by_class:
+        k = len(members)
+        n0 = k // 2
+        if k % 2 == 1:
+            if odd_seen % 2 == 0:
+                n0 += 1
+            odd_seen += 1
+        order = rng.permutation(k)
+        for pos, idx in enumerate(order):
+            assignment[members[int(idx)]] = 0 if pos < n0 else 1
+    return SplitPlan(seed, run, tuple(assignment))
 
 
 # --- metrics ------------------------------------------------------------
@@ -200,64 +206,38 @@ class BenchmarkMatrix:
         return cls(tuple(datasets), tuple(classifiers), n_runs, cells)
 
 
-def _evaluate_cell(
-    dataset: Dataset,
-    code: str,
-    train_idx: Sequence[int],
-    test_idx: Sequence[int],
-    normalization: str,
-) -> tuple[float, float, float]:
-    train_samples = [dataset.samples[i] for i in train_idx]
-    test_samples = [dataset.samples[i] for i in test_idx]
-    spec = fit_normalization(train_samples, normalization)
-    train_samples = apply_to_samples(spec, train_samples)
-    test_samples = apply_to_samples(spec, test_samples)
-
-    t0 = time.perf_counter()
-    graph = forest.TrainingGraph(tuple(train_samples), distances.resolve(code))
-    model = forest.train(graph)
-    t1 = time.perf_counter()
-    preds = forest.classify_batch(model, [s.features for s in test_samples])
-    t2 = time.perf_counter()
-    acc = accuracy([p.label for p in preds], [s.label for s in test_samples])
-    return acc, t1 - t0, t2 - t1
-
-
-def benchmark_column(
-    dataset: Dataset,
-    code: str,
-    seed: int,
-    runs: int,
-    normalization: str = "none",
-    wanted: set[tuple[int, int]] | None = None,
-) -> dict[tuple[int, int], tuple[float, float, float]]:
-    """All cells of one (dataset, classifier) column.
-
-    Returns (run, fold) -> (accuracy, train seconds, test seconds), where
-    fold is the TEST fold of the cell.  ``wanted`` restricts computation to
-    the given (run, fold) pairs (used to resume a partial grid).
-    """
-    plans = make_splits(dataset, seed, runs)
-    out: dict[tuple[int, int], tuple[float, float, float]] = {}
-    for plan in plans:
-        folds = (plan.fold_indices(0), plan.fold_indices(1))
-        for test_fold in (0, 1):
-            key = (plan.run_index, test_fold)
-            if wanted is not None and key not in wanted:
-                continue
-            out[key] = _evaluate_cell(
-                dataset, code, folds[1 - test_fold], folds[test_fold],
-                normalization)
-    return out
-
-
-def _column_task(args):
-    name, dataset, code, seed, runs, normalization, wanted = args
+def _fold_task(args):
+    """One (dataset, run, test fold): split and normalize once, then fit
+    and test every code in ``codes``.  Returns (dataset name, run, fold,
+    cells, errors) with code -> (accuracy, train s, test s) and code ->
+    error text; a failing split or normalization fails every code."""
+    dataset, seed, run, fold, normalization, codes = args
     try:
-        return name, code, benchmark_column(dataset, code, seed, runs,
-                                            normalization, wanted), None
+        plan = _split_run(dataset, seed, run)
+        train = [dataset.samples[i] for i in plan.fold_indices(1 - fold)]
+        test = [dataset.samples[i] for i in plan.fold_indices(fold)]
+        spec = fit_normalization(train, normalization)
+        train = tuple(apply_to_samples(spec, train))
+        test = apply_to_samples(spec, test)
     except Exception as exc:  # recorded, never silently dropped
-        return name, code, None, f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
+        return dataset.name, run, fold, {}, dict.fromkeys(codes, error)
+    queries = [s.features for s in test]
+    truth = [s.label for s in test]
+    cells, errors = {}, {}
+    for code in codes:
+        try:
+            t0 = time.perf_counter()
+            model = forest.train(
+                forest.TrainingGraph(train, distances.resolve(code)))
+            t1 = time.perf_counter()
+            preds = forest.classify_batch(model, queries)
+            t2 = time.perf_counter()
+            cells[code] = (accuracy([p.label for p in preds], truth),
+                           t1 - t0, t2 - t1)
+        except Exception as exc:  # recorded, never silently dropped
+            errors[code] = f"{type(exc).__name__}: {exc}"
+    return dataset.name, run, fold, cells, errors
 
 
 def run_benchmark(
@@ -268,17 +248,18 @@ def run_benchmark(
     *,
     normalization: str = "none",
     parallelism: int = 1,
-    progress: Callable[[str, str, str | None], None] | None = None,
+    progress: Callable[[str, int, int, dict[str, str]], None] | None = None,
     done: Mapping[tuple[str, str, int, int], float] | None = None,
 ) -> BenchmarkMatrix:
-    """Compute the full grid.
+    """Compute the full grid, one task per (dataset, run, test fold).
 
     ``done`` holds cells already computed, keyed (dataset, code, run,
-    fold); they seed the matrix, and only the missing cells of each column
-    are computed.  ``progress(dataset, code, error)`` is called as each
-    computed column finishes.  A failing column is recorded in ``errors``
-    and leaves no new cells; all other columns are unaffected.  Results
-    are identical for any ``parallelism`` >= 1.
+    fold); they seed the matrix, and each fold runs only its missing
+    codes.  ``progress(dataset, run, fold, errors)`` is called as each
+    task finishes, with its code -> error text.  A code failing in any
+    fold fails its (dataset, code) column: the column keeps no cell from
+    this call, and ``errors`` holds its lowest failing (run, fold)'s
+    message.  Results are identical for any ``parallelism`` >= 1.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -302,33 +283,37 @@ def run_benchmark(
 
     tasks = []
     for d in datasets:
-        for code in codes:
-            missing = frozenset(k for k in grid_keys
-                                if (d.name, code) + k not in matrix.cells)
-            if missing:
-                tasks.append((d.name, d, code, seed, runs, normalization,
-                              missing))
+        for r in range(runs):
+            for f in (0, 1):
+                missing = [c for c in codes
+                           if (d.name, c, r, f) not in matrix.cells]
+                if missing:
+                    tasks.append((d, seed, r, f, normalization, missing))
 
-    def record(name, code, cells, error):
-        if error is not None:
-            matrix.errors[(name, code)] = error
-        else:
-            for (r, f), (acc, t_train, t_test) in cells.items():
-                matrix.cells[(name, code, r, f)] = acc
-                matrix.timings[(name, code, r, f)] = (t_train, t_test)
+    failed: dict[tuple[str, str], dict[tuple[int, int], str]] = {}
+
+    def record(name, run, fold, cells, errors):
+        for code, (acc, t_train, t_test) in cells.items():
+            matrix.cells[(name, code, run, fold)] = acc
+            matrix.timings[(name, code, run, fold)] = (t_train, t_test)
+        for code, error in errors.items():
+            failed.setdefault((name, code), {})[(run, fold)] = error
         if progress is not None:
-            progress(name, code, error)
+            progress(name, run, fold, errors)
 
     if parallelism == 1 or len(tasks) <= 1:
         for task in tasks:
-            record(*_column_task(task))
+            record(*_fold_task(task))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            pending = {pool.submit(_column_task, t) for t in tasks}
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    record(*fut.result())
+            for fut in as_completed([pool.submit(_fold_task, t) for t in tasks]):
+                record(*fut.result())
+
+    for key, by_fold in failed.items():
+        matrix.errors[key] = by_fold[min(by_fold)]
+    # a failed column drops the cells computed here, the ones with a timing
+    for key in [k for k in matrix.timings if k[:2] in failed]:
+        del matrix.cells[key], matrix.timings[key]
     return matrix
 
 

@@ -238,7 +238,7 @@ def test_bench_writes_full_report_set(tmp_path, capsys):
         assert (out / name).exists(), name
     captured = capsys.readouterr()
     assert "reports written to" in captured.out
-    assert "grid: 6 columns" in captured.err
+    assert "grid: 8 tasks, 8 to compute, 0 cells reused" in captured.err
 
     cells_lines = (out / "cells.csv").read_text().splitlines()
     assert len(cells_lines) == 1 + 2 * 3 * 2 * 2
@@ -314,8 +314,8 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--out", str(out),
                  "--resume", "--parallelism", "2"]) == 0
     err = capsys.readouterr().err
-    assert "grid: 6 columns, 2 to compute, 19 cells reused" in err
-    assert "[6/6]" in err
+    assert "grid: 8 tasks, 5 to compute, 19 cells reused" in err
+    assert "[8/8]" in err
     for name in BYTE_STABLE:
         assert (out / name).read_bytes() == before[name], name
 
@@ -387,7 +387,8 @@ def test_bench_records_failing_dataset_and_continues(tmp_path, capsys):
     rc = main(["bench", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     err = capsys.readouterr().err
-    assert "FAILED" in err
+    assert ("[1/8] thin run 0 fold 0: FAILED 3 code(s), first D3: "
+            "TooFewSamplesPerClass") in err
     assert "warning: 3 column(s) failed" in err
     assert "rank statistics skipped" in err
     failures = (out / "failures.csv").read_text().splitlines()

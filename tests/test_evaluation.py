@@ -10,8 +10,8 @@ from opfdist import (
     BenchmarkMatrix,
     accuracy,
     balanced_accuracy,
-    benchmark_column,
     critical_difference,
+    evaluation,
     friedman_nemenyi,
     make_splits,
     run_benchmark,
@@ -447,15 +447,54 @@ def test_benchmark_input_validation():
         run_benchmark([ds], ["D99"], seed=0, runs=1)
 
 
-def test_benchmark_column_honours_wanted_subset():
-    ds = toy_dataset()
-    wanted = {(0, 1), (2, 0)}
-    cells = benchmark_column(ds, "D3", seed=4, runs=3, wanted=wanted)
-    assert set(cells) == wanted
-    full = benchmark_column(ds, "D3", seed=4, runs=3)
-    assert set(full) == {(r, f) for r in range(3) for f in (0, 1)}
-    for key in wanted:
-        assert cells[key][0] == full[key][0]
+def test_a_code_failing_on_some_folds_fails_its_whole_column(monkeypatch):
+    datasets = [toy_dataset("t1", seed=5), toy_dataset("t2", seed=6)]
+    codes = ["D3", "D6", "D7"]
+    # t1's training halves, by (run, test fold); features are not
+    # normalized, so the graph's samples identify the fold
+    fold_of = {
+        frozenset(datasets[0].samples[i].features
+                  for i in plan.fold_indices(1 - f)): (plan.run_index, f)
+        for plan in make_splits(datasets[0], seed=2, runs=3) for f in (0, 1)}
+    real_train = evaluation.forest.train
+
+    def flaky_train(graph):
+        key = fold_of.get(frozenset(s.features for s in graph.samples))
+        if graph.distance.code == "D6" and key in {(1, 1), (2, 0)}:
+            raise RuntimeError(f"boom at run {key[0]} fold {key[1]}")
+        return real_train(graph)
+
+    # the pool's workers are forked, so they inherit the patch
+    monkeypatch.setattr(evaluation.forest, "train", flaky_train)
+    serial = run_benchmark(datasets, codes, seed=2, runs=3)
+    parallel = run_benchmark(datasets, codes, seed=2, runs=3, parallelism=3)
+
+    assert serial.errors == {("t1", "D6"): "RuntimeError: boom at run 1 fold 1"}
+    assert not [k for k in serial.cells if k[:2] == ("t1", "D6")]
+    assert not [k for k in serial.timings if k[:2] == ("t1", "D6")]
+    for ds in ("t1", "t2"):
+        for c in codes:
+            assert serial.is_complete(ds, c) == ((ds, c) != ("t1", "D6"))
+    assert len(serial.cells) == 5 * 3 * 2
+    assert parallel.cells == serial.cells
+    assert parallel.errors == serial.errors
+
+
+def test_serial_grid_normalizes_once_per_fold(monkeypatch):
+    datasets = [toy_dataset("t1", seed=5), toy_dataset("t2", seed=6)]
+    calls = []
+    real_fit = evaluation.fit_normalization
+
+    def counting_fit(train, mode):
+        calls.append(mode)
+        return real_fit(train, mode)
+
+    monkeypatch.setattr(evaluation, "fit_normalization", counting_fit)
+    for codes in (["D3"], ["D3", "D6", "D7"]):
+        calls.clear()
+        run_benchmark(datasets, codes, seed=1, runs=3,
+                      normalization="min_max_01")
+        assert calls == ["min_max_01"] * (2 * 3 * 2)
 
 
 def test_summarize_means_and_sample_std():
