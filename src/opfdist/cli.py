@@ -396,6 +396,7 @@ def cmd_bench(args) -> int:
         "package": f"opfdist {__version__}",
         "numpy": np.__version__,
         "python": platform.python_version(),
+        "exp_log": distances.EXP_LOG,
         "archive_format": str(dataio.ARCHIVE_VERSION),
         "seed": str(cfg.seed),
         "runs": str(cfg.runs),

@@ -37,9 +37,11 @@ formatting, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -526,8 +528,29 @@ def load_forest(path: str | Path) -> tuple[forest.TrainedForest, NormalizationSp
 # --- reports ---------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Text file handle whose contents replace ``path`` only once complete.
+
+    Writes go to ``<name>.tmp`` beside ``path``, which is flushed, fsynced
+    and renamed over ``path`` on success and removed on failure.  A writer
+    killed midway thus leaves the previous file whole: a row cut mid-number
+    could still parse, and ``--resume`` would adopt it.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -718,7 +741,7 @@ def write_reports(
 
     path = out / "manifest.txt"
     fields = dict(manifest or {})
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for key in sorted(fields):
             fh.write(f"{key} = {fields[key]}\n")
     written.append(path)

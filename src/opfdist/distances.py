@@ -31,10 +31,16 @@ built twice: as a per-pair kernel over Python floats (``distance_function``,
 evaluates every pair of rows of two matrices (``pairwise``).  Both forms
 accumulate feature by feature in component order and decide every
 conditional on the same comparison, so each ``pairwise`` entry equals the
-per-pair result bit for bit.  ``exp`` and ``log`` are libm's (through
-``math``), applied per element in the block form; ``np.exp`` and ``np.log``
-are not used: their SIMD implementations round differently from libm on a
-fraction of inputs, which can flip a tie in the forest.
+per-pair result bit for bit.  ``exp`` and ``log`` are libm's in both
+forms.  The per-pair form calls ``math.exp``/``math.log``.  The block form
+calls ``np.exp``/``np.log`` on a reversed (negative-stride) view.  On
+such a view numpy skips its SIMD kernels, which round differently from
+libm on a fraction of inputs, and runs the loop that calls libm's
+``exp``/``log`` per element.  Whether that loop matches ``math`` is checked
+once at import on a sentinel that the SIMD kernels fail; if it does not
+match, the block form calls ``math.exp``/``math.log`` per element
+(``EXP_LOG`` names the path in use).  A differently rounded ``exp`` could
+flip a tie in the forest.
 """
 
 from __future__ import annotations
@@ -137,10 +143,42 @@ def _cols(A, B):
         yield At[j][:, None], Bt[j][None, :]
 
 
-def _libm(fn, t):
-    # math.exp / math.log per element, as in the per-pair form.
+def _strided(fn, t):
+    # fn over a reversed 1-D view of t: a negative stride keeps numpy off
+    # its SIMD kernel and on the loop that calls libm per element.
+    return fn(np.ascontiguousarray(t).ravel()[::-1])[::-1].reshape(t.shape)
+
+
+def _per_element(fn, t):
     return np.fromiter(map(fn, t.ravel().tolist()), np.float64,
                        t.size).reshape(t.shape)
+
+
+def _strided_matches_math() -> bool:
+    # On x86-64 with AVX-512, numpy's contiguous float64 exp and log differ
+    # from libm on 181 and 18 of these 4096 values, so this check fails
+    # whenever the reversed view still reaches a SIMD kernel.
+    x = np.linspace(-5.0, 5.0, 4096)
+    v = np.linspace(0.5, 2.0, 4096)
+    return all(
+        np.array_equal(_strided(np_fn, t).view(np.uint64),
+                       _per_element(math_fn, t).view(np.uint64))
+        for np_fn, math_fn, t in ((np.exp, math.exp, x),
+                                  (np.log, math.log, v)))
+
+
+# How the block form computes exp and log: "numpy-strided" (np.exp/np.log
+# on a reversed view) where that matches math.exp/math.log on the
+# sentinel, else "libm-per-element" (math.exp/math.log per element).
+EXP_LOG = ("numpy-strided" if _strided_matches_math()
+           else "libm-per-element")
+
+
+def _libm(np_fn, math_fn, t):
+    # libm's exp or log of every element of t, as in the per-pair form.
+    if EXP_LOG == "numpy-strided":
+        return _strided(np_fn, t)
+    return _per_element(math_fn, t)
 
 
 def _vdiv(num, den):
@@ -166,7 +204,7 @@ def _vfinite(v):
 
 
 def _vexp(t):
-    return _libm(math.exp, np.where(t > EXP_MAX, EXP_MAX, t))
+    return _libm(np.exp, math.exp, np.where(t > EXP_MAX, EXP_MAX, t))
 
 
 def _vsqrt(v):
@@ -174,7 +212,7 @@ def _vsqrt(v):
 
 
 def _vlog(v):
-    return _libm(math.log, np.where(v > 0.0, v, EPS))
+    return _libm(np.log, math.log, np.where(v > 0.0, v, EPS))
 
 
 def _vlo(a, b):

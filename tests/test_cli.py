@@ -249,6 +249,8 @@ def test_bench_writes_full_report_set(tmp_path, capsys):
     assert "dataset_blob1 = rows=8 features=2 classes=2" in manifest
     assert f"numpy = {np.__version__}\n" in manifest
     assert f"python = {platform.python_version()}\n" in manifest
+    assert opfdist.distances.EXP_LOG in ("numpy-strided", "libm-per-element")
+    assert f"exp_log = {opfdist.distances.EXP_LOG}\n" in manifest
     rank_lines = (out / "rank.csv").read_text().splitlines()
     assert len(rank_lines) == 4  # header + one row per ranked measure
     summary_lines = (out / "summary.csv").read_text().splitlines()

@@ -1,7 +1,9 @@
 """File loading, normalization, the model archive, and report writers."""
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -484,6 +486,41 @@ def test_report_writing_is_byte_deterministic(tmp_path):
     for name in ("summary.csv", "summary_raw.csv", "wilcoxon.csv", "rank.csv",
                  "cells.csv", "timings.csv", "failures.csv", "manifest.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_report_cut_midway_leaves_previous_file_whole(tmp_path, monkeypatch):
+    matrix = cells_fixture()
+    write_reports({}, None, tmp_path, datasets=matrix.datasets,
+                  classifiers=matrix.classifiers, matrix=matrix)
+    before = (tmp_path / "cells.csv").read_bytes()
+
+    real_writer = csv.writer
+
+    class CutWriter:
+        # writes two rows, then half of the third, then fails
+        def __init__(self, fh, **kw):
+            self.fh, self.inner, self.rows = fh, real_writer(fh, **kw), 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 3:
+                self.fh.write("alpha,D3,1,0,0.92")
+                raise OSError("killed while writing cells.csv")
+            self.inner.writerow(row)
+
+    def writer(fh, **kw):
+        if Path(fh.name).name.startswith("cells.csv"):
+            return CutWriter(fh, **kw)
+        return real_writer(fh, **kw)
+
+    monkeypatch.setattr(csv, "writer", writer)
+    changed = cells_fixture()
+    changed.cells[("alpha", "D3", 1, 0)] = 0.9213483146067416
+    with pytest.raises(OSError, match="killed"):
+        write_reports({}, None, tmp_path, datasets=changed.datasets,
+                      classifiers=changed.classifiers, matrix=changed)
+    assert (tmp_path / "cells.csv").read_bytes() == before
+    assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
 def test_manifest_lines_are_sorted_key_value(tmp_path):

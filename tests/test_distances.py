@@ -20,6 +20,7 @@ from opfdist import (
     registry,
     resolve,
 )
+from opfdist import distances
 from opfdist.distances import pairwise
 from opfdist.errors import DimensionMismatch, DomainViolation, EmptyInput
 
@@ -410,8 +411,7 @@ def _oracle_inputs():
         rows(8, 3, lambda: rng.choice(ratios))
 
 
-@pytest.mark.filterwarnings("error")
-def test_pairwise_equals_scalar_kernels_bit_for_bit():
+def _assert_pairwise_equals_reference():
     for code in CODES:
         fn = distance_function(code)
         ref = distance_reference.distance_function(code)
@@ -429,6 +429,45 @@ def test_pairwise_equals_scalar_kernels_bit_for_bit():
                     diff = out.view(np.uint64) != want.view(np.uint64)
                     assert not diff.any(), \
                         (code, name, form, np.argwhere(diff)[:3])
+
+
+@pytest.mark.filterwarnings("error")
+def test_pairwise_equals_scalar_kernels_bit_for_bit():
+    # block exp/log on the path the import-time sentinel chose
+    _assert_pairwise_equals_reference()
+
+
+@pytest.mark.filterwarnings("error")
+def test_pairwise_equals_scalar_kernels_on_per_element_libm(monkeypatch):
+    # the fallback for hosts where numpy's strided exp/log is not libm's
+    monkeypatch.setattr(distances, "EXP_LOG", "libm-per-element")
+    _assert_pairwise_equals_reference()
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_exp_and_log_equal_math_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [
+        (distances._vexp, math.exp, rng.uniform(-745.0, 500.0, 600_000)),
+        (distances._vexp, math.exp, rng.uniform(-5.0, 5.0, 600_000)),
+        (distances._vlog, math.log, rng.uniform(0.5, 2.0, 150_000)),
+        (distances._vlog, math.log, 10.0 ** rng.uniform(-300.0, 300.0, 150_000)),
+    ]
+    for block, scalar, x in cases:
+        want = np.array(list(map(scalar, x.tolist())))
+        operands = [(x, want), (x[:89 * 64].reshape(64, 89),
+                                want[:89 * 64].reshape(64, 89))]
+        # short operands and the column/row shapes the block kernels pass
+        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65):
+            operands += [(x[:n], want[:n]),
+                         (x[:n, None], want[:n, None]),
+                         (x[None, :n], want[None, :n])]
+        for t, w in operands:
+            got = block(t)
+            assert got.dtype == np.float64 and got.shape == t.shape
+            diff = got.view(np.uint64) != w.view(np.uint64)
+            assert not diff.any(), (distances.EXP_LOG, scalar.__name__,
+                                    t.shape, t[diff][:3])
 
 
 def test_pairwise_rejects_mismatched_or_empty_widths():
