@@ -169,6 +169,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(v) -> bool:
+    # YAML's true/false load as bool, which is an int subclass
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_bench_config(path: Path, *, out_override=None,
                       parallelism_override=None) -> BenchConfig:
     try:
@@ -184,9 +189,9 @@ def load_bench_config(path: Path, *, out_override=None,
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be an integer >= 0")
+    _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0")
     runs = raw.get("runs", 25)
-    _require(isinstance(runs, int) and runs >= 1, "runs must be an integer >= 1")
+    _require(_is_int(runs) and runs >= 1, "runs must be an integer >= 1")
     normalization = raw.get("normalization", "none")
     _require(normalization in dataio.NORMALIZATION_MODES,
              f"normalization must be one of {dataio.NORMALIZATION_MODES}")
@@ -236,7 +241,7 @@ def load_bench_config(path: Path, *, out_override=None,
     if isinstance(par, str):
         _require(par == "auto", "parallelism must be an integer or 'auto'")
         par = os.cpu_count() or 1
-    _require(isinstance(par, int) and par >= 1, "parallelism must be >= 1")
+    _require(_is_int(par) and par >= 1, "parallelism must be >= 1")
 
     ext = raw.get("external_baselines")
     ext_path = None

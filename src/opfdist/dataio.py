@@ -448,7 +448,7 @@ def save_forest(
     payload = p.payload()
     digest = hashlib.sha256(payload).digest()
     header = ARCHIVE_MAGIC + struct.pack("<IQ", ARCHIVE_VERSION, len(payload))
-    with open(path, "wb") as fh:
+    with _replacing(Path(path), binary=True) as fh:
         fh.write(header + digest + payload)
 
 
@@ -475,6 +475,8 @@ def load_archive(path: str | Path) -> ForestArchive:
 
     u = _Unpacker(payload)
     n, nf, n_names = u.unpack("III")
+    if n < 1 or nf < 1:
+        raise CorruptArchive(f"{path}: {n} samples of {nf} features")
     names = []
     for _ in range(n_names):
         (ln,) = u.unpack("H")
@@ -505,6 +507,17 @@ def load_archive(path: str | Path) -> ForestArchive:
     ordered = u.unpack(f"{n}I")
     if not u.done():
         raise CorruptArchive(f"{path}: {len(payload) - u.off} trailing bytes")
+    # The checksum only shows the bytes are as written; indices that a
+    # crafted payload puts out of range would fail later, in classify.
+    if sorted(ordered) != list(range(n)):
+        raise CorruptArchive(f"{path}: ordered nodes are not a permutation "
+                             f"of 0..{n - 1}")
+    if any(a >= b for a, b in zip(protos, protos[1:])) or (
+            protos and protos[-1] >= n):
+        raise CorruptArchive(f"{path}: prototype indices are not strictly "
+                             f"ascending below {n}")
+    if any(not -1 <= v < n for v in preds):
+        raise CorruptArchive(f"{path}: predecessor outside -1..{n - 1}")
 
     samples = tuple(
         forest.Sample(feats[i], int(labels[i]), int(ids[i])) for i in range(n))
@@ -529,17 +542,20 @@ def load_forest(path: str | Path) -> tuple[forest.TrainedForest, NormalizationSp
 
 
 @contextlib.contextmanager
-def _replacing(path: Path):
-    """Text file handle whose contents replace ``path`` only once complete.
+def _replacing(path: Path, *, binary: bool = False):
+    """File handle (text, or bytes when ``binary``) whose contents replace
+    ``path`` only once complete.
 
     Writes go to ``<name>.tmp`` beside ``path``, which is flushed, fsynced
     and renamed over ``path`` on success and removed on failure.  A writer
     killed midway thus leaves the previous file whole: a row cut mid-number
-    could still parse, and ``--resume`` would adopt it.
+    could still parse, and ``--resume`` would adopt it; a cut archive
+    overwrite would lose the previous model.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with (open(tmp, "wb") if binary else
+              open(tmp, "w", newline="", encoding="utf-8")) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

@@ -5,7 +5,9 @@ The experiment grid is: for each dataset and each distance measure, run
 testing on the other, then swapping.  Per-run accuracy is the mean of the
 two fold accuracies.  Comparisons use a two-sided Wilcoxon signed-rank
 test per dataset pair, and a tie-corrected Friedman test over all
-(dataset, run) blocks followed by a Nemenyi critical difference.
+(dataset, run) blocks followed by a Nemenyi critical difference.  The
+Friedman p-value comes from the closed-form chi-square tail for an integer
+number of degrees of freedom (``_chi2_sf``), computed with ``math`` alone.
 
 The grid's unit of work is one (dataset, run, test fold): it draws that
 run's split, fits the normalization on the training half once, then fits
@@ -473,6 +475,41 @@ def critical_difference(k: int, n_blocks: int, alpha: float = 0.05) -> float:
     return q * math.sqrt(k * (k + 1) / (6.0 * n_blocks))
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X >= x) of a chi-square variable with integer ``dof``.
+
+    Closed form, with h = x/2: for even dof, exp(-h) * sum_{i<dof/2}
+    h^i / i!; for odd dof, erfc(sqrt(h)) + exp(-h) * sum_{i=1}^{(dof-1)/2}
+    h^(i-1/2) / Gamma(i+1/2).  Below the mean (x < dof) the tail is near
+    1, where the rounding of that sum lets it rise with x by up to about
+    1e-15; there it is 1 - P instead, with the lower tail P from its
+    series exp(-h) h^a / Gamma(a+1) * sum_n h^n / ((a+1)...(a+n)),
+    a = dof/2.  For dof <= 2 the closed form is one libm call and is kept
+    everywhere.  For x above about 1416 exp(-h) is subnormal, so the
+    tail (there below 1e-250 for dof < 60) loses relative precision and
+    reaches 0.
+    """
+    h = x / 2.0
+    if dof % 2:
+        q, term, k = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
+    else:
+        q, term, k = 0.0, 1.0, 1.0
+    total = 0.0
+    for _ in range(dof // 2):
+        total += term
+        term *= h / k
+        k += 1.0
+    if dof <= 2 or x >= dof:
+        return q + math.exp(-h) * total
+    # term is now h^a / Gamma(a+1) and k is a+1
+    series = t = 1.0
+    while t > series * 1e-17:
+        t *= h / k
+        k += 1.0
+        series += t
+    return 1.0 - math.exp(-h) * term * series
+
+
 @dataclass(frozen=True)
 class FriedmanResult:
     statistic: float
@@ -548,10 +585,7 @@ def friedman_nemenyi(matrix: BenchmarkMatrix, alpha: float = 0.05) -> StatReport
         stat = (12.0 / (n * k * (k + 1)) * ssq - 3.0 * n * (k + 1)) / c_factor
         if stat < 0.0:
             stat = 0.0
-        # imported here: scipy.stats is most of the package's import time,
-        # and only this p-value needs it
-        from scipy.stats import chi2
-        p = float(chi2.sf(stat, k - 1))
+        p = _chi2_sf(stat, k - 1)
     mean_ranks = {c: rank_sums[c] / n for c in matrix.classifiers}
 
     cd = critical_difference(k, n)

@@ -8,8 +8,10 @@ between the two routes is meaningful evidence of correctness.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -228,6 +230,15 @@ def make_dataset(features, labels, name="synthetic"):
     n_classes = len(set(labels))
     return Dataset(name=name, samples=samples, n_features=len(features[0]),
                    n_classes=n_classes, class_names=None)
+
+
+def resealed(blob, edit):
+    """The archive ``blob`` with ``edit(payload)`` applied and a valid
+    length and checksum, so only the structural checks can reject it."""
+    payload = bytearray(blob[48:])
+    edit(payload)
+    return (blob[:8] + struct.pack("<Q", len(payload))
+            + hashlib.sha256(payload).digest() + bytes(payload))
 
 
 # ---------------------------------------------------------------------------

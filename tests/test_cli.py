@@ -5,6 +5,7 @@ import os
 import platform
 import random
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,13 @@ import numpy as np
 import pytest
 
 import opfdist
-from opfdist.cli import main
+from opfdist.cli import load_bench_config, main
+from opfdist.errors import ConfigError
+
+from conftest import resealed
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+EXAMPLE_CONFIG = PYPROJECT.parent / "configs" / "bench_example.yaml"
 
 REPORT_FILES = ("summary.csv", "summary_raw.csv", "wilcoxon.csv", "rank.csv",
                 "cells.csv", "timings.csv", "failures.csv", "manifest.txt")
@@ -88,6 +93,16 @@ def assert_reports_version(proc):
     assert "opfdist" in proc.stdout
 
 
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that imports this opfdist."""
+    package_parent = str(Path(opfdist.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_parent] + ([inherited] if inherited else [])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+
+
 def test_console_script_is_installed():
     # Run what the wrapper that pip generates for the entry point runs:
     # import the target, set argv, exit with its return value.  This
@@ -98,13 +113,7 @@ def test_console_script_is_installed():
         f"from {module} import {attr}\n"
         "sys.argv = ['opfdist', '--version']\n"
         f"sys.exit({attr}())\n")
-    package_parent = str(Path(opfdist.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [package_parent] + ([inherited] if inherited else [])))
-    assert_reports_version(subprocess.run(
-        [sys.executable, "-c", wrapper], capture_output=True, text=True,
-        env=env))
+    assert_reports_version(run_fresh(wrapper))
 
     installed = shutil.which("opfdist")
     if installed is not None:
@@ -182,6 +191,28 @@ def test_predict_empty_input_writes_header_only(tmp_path, capsys):
     assert rc == 0
     assert preds.read_text() == "row,predicted_label,cost,conqueror\n"
     assert "predictions = 0" in capsys.readouterr().out
+
+
+def test_predict_rejects_resealed_out_of_range_node(tmp_path, capsys):
+    data = tmp_path / "line.csv"
+    write_line_dataset(data)
+    model = tmp_path / "model.opf"
+    main(["train", "--data", str(data), "--label-column", "1",
+          "--distance", "D3", "--out", str(model)])
+    capsys.readouterr()
+
+    def first_ordered_node_99(payload):
+        # ordered nodes (4 x uint32) are the payload's last field
+        struct.pack_into("<I", payload, len(payload) - 16, 99)
+
+    model.write_bytes(resealed(model.read_bytes(), first_ordered_node_99))
+    rc = main(["predict", "--model", str(model), "--data", str(data),
+               "--label-column", "1", "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CorruptArchive: ")
+    assert "ordered nodes" in err and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_dimension_mismatch_exits_one(tmp_path, capsys):
@@ -369,6 +400,36 @@ def test_bench_config_validation_exit_codes(tmp_path, capsys):
     no_out = bench_config(tmp_path)
     assert main(["bench", "--config", str(no_out)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["seed", "runs", "parallelism"])
+def test_bench_config_rejects_booleans_as_integers(tmp_path, capsys, key):
+    # YAML loads true as a bool, and bool is an int subclass: it must not
+    # pass as 1
+    cfg = bench_config(tmp_path, extra="parallelism: 1\n")
+    text = cfg.read_text()
+    cfg.write_text(text.replace(f"{key}: ", f"{key}: true  # was ", 1))
+    with pytest.raises(ConfigError, match=key):
+        load_bench_config(cfg)
+    assert main(["bench", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_runs_without_importing_scipy(tmp_path):
+    out = tmp_path / "r"
+    result = run_fresh(
+        "import sys\n"
+        "from opfdist.cli import main\n"
+        f"rc = main(['bench', '--config', {str(EXAMPLE_CONFIG)!r}, "
+        f"'--out', {str(out)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(rc)\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    # the run reached the rank statistics, whose p-value once needed scipy
+    assert len((out / "rank.csv").read_text().splitlines()) == 4
 
 
 def test_bench_records_failing_dataset_and_continues(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from opfdist.errors import (
     VersionMismatch,
 )
 
-from conftest import read_wine_table
+from conftest import read_wine_table, resealed
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +359,84 @@ def test_archive_rejects_corruption(tmp_path):
     bad.write_bytes(blob + b"extra")
     with pytest.raises(CorruptArchive):
         load_archive(bad)
+
+
+def test_archive_rejects_structurally_invalid_payloads(tmp_path):
+    forest, spec = trained_pair()
+    path = tmp_path / "m.opf"
+    save_forest(forest, spec, path)
+    blob = path.read_bytes()
+    n = len(forest.samples)
+    protos = sorted(forest.prototypes)
+    assert n == 4 and len(protos) == 2
+    # the payload ends with n_protos, protos, cost, pred, root, ordered
+    ordered_at = len(blob) - 48 - 4 * n
+    pred_at = ordered_at - 16 * n
+    protos_at = pred_at - 8 * n - 4 * len(protos)
+
+    def put(fmt, offset, *vals):
+        return lambda payload: struct.pack_into("<" + fmt, payload, offset,
+                                                *vals)
+
+    bad = tmp_path / "bad.opf"
+    size = "samples of"
+    order = "ordered nodes are not a permutation"
+    proto = "prototype indices are not strictly ascending"
+    pred = "predecessor outside"
+    cases = [
+        (put("I", 0, 0), size),
+        (put("I", 4, 0), size),
+        (put("I", ordered_at, 99), order),
+        (put("I", ordered_at, forest.ordered_nodes[1]), order),
+        (put("2I", protos_at, protos[1], protos[0]), proto),
+        (put("2I", protos_at, protos[0], protos[0]), proto),
+        (put("I", protos_at + 4, n), proto),
+        (put("q", pred_at, n), pred),
+        (put("q", pred_at, -2), pred),
+    ]
+    for edit, message in cases:
+        bad.write_bytes(resealed(blob, edit))
+        with pytest.raises(CorruptArchive, match=message):
+            load_archive(bad)
+    # the helper itself keeps an unedited archive loadable
+    bad.write_bytes(resealed(blob, lambda payload: None))
+    assert load_archive(bad).forest == forest
+
+
+def test_archive_overwrite_cut_midway_leaves_previous_file_whole(
+        tmp_path, monkeypatch):
+    forest, spec = trained_pair()
+    path = tmp_path / "m.opf"
+    save_forest(forest, spec, path)
+    before = path.read_bytes()
+
+    real_open = open
+
+    class CutFile:
+        # writes the first 20 bytes, then fails
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:20])
+            raise OSError("killed while writing the archive")
+
+    def cut_open(file, mode="r", *args, **kw):
+        fh = real_open(file, mode, *args, **kw)
+        return CutFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", cut_open)
+    with pytest.raises(OSError, match="killed"):
+        save_forest(forest, spec, path, class_names=("red", "blue"))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.opf"]
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,40 @@ def test_friedman_matches_scipy_on_untied_data():
     assert abs(stats.friedman.p_value - float(ref.pvalue)) <= 1e-9
 
 
+# x from 1e-12 to 31623: where the tail is near 1, around the mean, far
+# out, and past the point (x ~ 1416) where exp(-x/2) turns subnormal
+CHI2_XS = sorted({0.0, *(1e-12 * 10 ** (i / 60) for i in range(991)),
+                  *(i / 4 for i in range(1 + 300 * 4))})
+
+
+def test_chi2_tail_closed_forms():
+    for dof in range(1, 60):
+        assert evaluation._chi2_sf(0.0, dof) == 1.0
+    for x in CHI2_XS:
+        assert evaluation._chi2_sf(x, 2) == math.exp(-x / 2)
+        assert evaluation._chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+
+def test_chi2_tail_does_not_increase_with_x():
+    # neighbouring grid points are far apart next to rounding error; x
+    # values a few ulps apart can read a few ulps out of order, as they
+    # also do in scipy's chi2.sf
+    for dof in range(1, 60):
+        tail = [evaluation._chi2_sf(x, dof) for x in CHI2_XS]
+        assert all(b <= a for a, b in zip(tail, tail[1:])), dof
+        assert tail[0] == 1.0 and tail[-1] >= 0.0
+
+
+def test_chi2_tail_matches_scipy():
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for dof in range(1, 60):
+        for x, ref in zip(CHI2_XS, chi2.sf(CHI2_XS, dof)):
+            got = evaluation._chi2_sf(x, dof)
+            assert abs(got - ref) <= 1e-12, (dof, x)
+            if ref > 1e-250:
+                assert abs(got - ref) <= 1e-12 * ref, (dof, x)
+
+
 def test_clearly_ordered_classifiers_are_flagged_by_nemenyi():
     runs = 12
     values = {
