@@ -107,13 +107,9 @@ def cmd_predict(args) -> int:
         ds = _load_dataset(Path(args.data), args.format, label_column,
                            args.has_header)
     except EmptyFile:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write("row,predicted_label,cost,conqueror\n")
-        print("predictions = 0")
-        return 0
-
+        ds = None
     feats = [dataio.apply_normalization(arc.normalization, s.features)
-             for s in ds.samples]
+             for s in (ds.samples if ds is not None else ())]
     preds = forest.classify_batch(arc.forest, feats)
 
     def label_text(idx: int) -> str:
@@ -121,13 +117,13 @@ def cmd_predict(args) -> int:
             return arc.class_names[idx]
         return str(idx)
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with dataio._replacing(Path(args.out)) as fh:
         fh.write("row,predicted_label,cost,conqueror\n")
         for i, p in enumerate(preds, start=1):
             fh.write(f"{i},{label_text(p.label)},{p.cost!r},{p.conqueror}\n")
     print(f"predictions = {len(preds)}")
 
-    if label_column is not None:
+    if ds is not None and label_column is not None:
         if arc.class_names is not None and ds.class_names is not None:
             predicted = [label_text(p.label) for p in preds]
             truth = [ds.class_names[s.label] for s in ds.samples]
@@ -438,6 +434,8 @@ def cmd_axioms(args) -> int:
         raise ConfigError("--samples must be >= 2")
     if args.dim < 1:
         raise ConfigError("--dim must be >= 1")
+    if not args.tolerance > 0.0:
+        raise ConfigError("--tolerance must be > 0")
     rng = random.Random(args.seed)
     vectors = [tuple(rng.uniform(0.0, 1.0) for _ in range(args.dim))
                for _ in range(args.samples)]
@@ -469,6 +467,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError("--alpha must be in (0, 1)")
     rows = []
     for path in args.cells:
         rows.extend(dataio.read_cells_csv(path))

@@ -30,9 +30,10 @@ payload::
     i64[n_samples] root labels
     u32[n_samples] ordered node indices
 
-Floats are raw binary64, so a load reproduces a save bit for bit.  Report
-writers use fixed column orders, fixed "\\n" line endings, and repr float
-formatting, so identical inputs give byte-identical files.
+Array fields are numpy blocks (``tobytes``/``frombuffer``) of raw binary64
+or integers, so a load reproduces a save bit for bit, as Python floats and
+ints.  Report writers use fixed column orders, fixed "\\n" line endings,
+and repr float formatting, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import distances, forest
 from .errors import (
@@ -365,43 +368,9 @@ class ForestArchive:
     class_names: tuple[str, ...] | None
 
 
-class _Packer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def pack(self, fmt: str, *vals):
-        self.parts.append(struct.pack("<" + fmt, *vals))
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def payload(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class _Unpacker:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
-
-    def unpack(self, fmt: str):
-        fmt = "<" + fmt
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.buf):
-            raise CorruptArchive("payload ends mid-field")
-        vals = struct.unpack_from(fmt, self.buf, self.off)
-        self.off += size
-        return vals
-
-    def raw(self, size: int) -> bytes:
-        if self.off + size > len(self.buf):
-            raise CorruptArchive("payload ends mid-field")
-        out = self.buf[self.off:self.off + size]
-        self.off += size
-        return out
-
-    def done(self) -> bool:
-        return self.off == len(self.buf)
+def _block(dtype: str, values) -> bytes:
+    """``values`` as one little-endian block of ``dtype``, row-major."""
+    return np.asarray(values, dtype=dtype).tobytes()
 
 
 def save_forest(
@@ -412,40 +381,34 @@ def save_forest(
     class_names: Sequence[str] | None = None,
 ) -> None:
     """Write the documented versioned, checksummed binary archive."""
-    n = len(f.samples)
-    nf = f.n_features
-    p = _Packer()
     names = tuple(class_names) if class_names is not None else ()
-    p.pack("III", n, nf, len(names))
+    parts = [struct.pack("<III", len(f.samples), f.n_features, len(names))]
     for s in names:
         b = s.encode("utf-8")
-        p.pack("H", len(b))
-        p.raw(b)
+        parts += [struct.pack("<H", len(b)), b]
     code = f.distance.code.encode("ascii")
-    p.pack("B", len(code))
-    p.raw(code)
+    parts += [struct.pack("<B", len(code)), code]
     if spec.mode == "none":
-        p.pack("B", 0)
+        parts.append(struct.pack("<B", 0))
     elif spec.mode == "min_max_01":
-        p.pack("B", 1)
-        p.pack(f"{nf}d", *spec.feature_min)
-        p.pack(f"{nf}d", *spec.feature_max)
+        parts += [struct.pack("<B", 1), _block("<f8", spec.feature_min),
+                  _block("<f8", spec.feature_max)]
     else:
         raise ValueError(f"unknown normalization mode {spec.mode!r}")
-    for s in f.samples:
-        p.pack(f"{nf}d", *s.features)
-    p.pack(f"{n}q", *(s.label for s in f.samples))
-    p.pack(f"{n}q", *(s.id for s in f.samples))
     protos = sorted(f.prototypes)
-    p.pack("I", len(protos))
-    if protos:
-        p.pack(f"{len(protos)}I", *protos)
-    p.pack(f"{n}d", *f.cost)
-    p.pack(f"{n}q", *(-1 if v is None else v for v in f.predecessor))
-    p.pack(f"{n}q", *f.root_label)
-    p.pack(f"{n}I", *f.ordered_nodes)
+    parts += [
+        _block("<f8", [s.features for s in f.samples]),
+        _block("<i8", [s.label for s in f.samples]),
+        _block("<i8", [s.id for s in f.samples]),
+        struct.pack("<I", len(protos)),
+        _block("<u4", protos),
+        _block("<f8", f.cost),
+        _block("<i8", [-1 if v is None else v for v in f.predecessor]),
+        _block("<i8", f.root_label),
+        _block("<u4", f.ordered_nodes),
+    ]
 
-    payload = p.payload()
+    payload = b"".join(parts)
     digest = hashlib.sha256(payload).digest()
     header = ARCHIVE_MAGIC + struct.pack("<IQ", ARCHIVE_VERSION, len(payload))
     with _replacing(Path(path), binary=True) as fh:
@@ -466,47 +429,58 @@ def load_archive(path: str | Path) -> ForestArchive:
             f"{path}: archive format version {version}, supported "
             f"{ARCHIVE_VERSION}")
     digest = blob[16:48]
-    payload = blob[48:]
+    payload = memoryview(blob)[48:]  # slices below are views, not copies
     if len(payload) != payload_len:
         raise CorruptArchive(
             f"{path}: payload length {len(payload)}, header says {payload_len}")
     if hashlib.sha256(payload).digest() != digest:
         raise CorruptArchive(f"{path}: checksum mismatch")
 
-    u = _Unpacker(payload)
-    n, nf, n_names = u.unpack("III")
+    off = 0
+
+    def take(size: int) -> memoryview:
+        nonlocal off
+        if off + size > len(payload):
+            raise CorruptArchive("payload ends mid-field")
+        off += size
+        return payload[off - size:off]
+
+    def block(dtype: str, *shape: int) -> list:
+        # nested lists of Python scalars, as train() makes them
+        dt = np.dtype(dtype)
+        return np.frombuffer(take(math.prod(shape) * dt.itemsize),
+                             dt).reshape(shape).tolist()
+
+    n, nf, n_names = block("<u4", 3)
     if n < 1 or nf < 1:
         raise CorruptArchive(f"{path}: {n} samples of {nf} features")
-    names = []
-    for _ in range(n_names):
-        (ln,) = u.unpack("H")
-        names.append(u.raw(ln).decode("utf-8"))
-    (code_len,) = u.unpack("B")
-    code = u.raw(code_len).decode("ascii")
+    names = [str(take(block("<u2", 1)[0]), "utf-8") for _ in range(n_names)]
+    code = str(take(block("u1", 1)[0]), "ascii")
     try:
         distance = distances.resolve(code)
     except KeyError:
         raise CorruptArchive(f"{path}: unknown distance code {code!r}") from None
-    (mode,) = u.unpack("B")
+    (mode,) = block("u1", 1)
     if mode == 0:
         spec = NormalizationSpec("none")
     elif mode == 1:
-        lo = u.unpack(f"{nf}d")
-        hi = u.unpack(f"{nf}d")
-        spec = NormalizationSpec("min_max_01", lo, hi)
+        lo, hi = block("<f8", 2, nf)
+        spec = NormalizationSpec("min_max_01", tuple(lo), tuple(hi))
     else:
         raise CorruptArchive(f"{path}: unknown normalization tag {mode}")
-    feats = [u.unpack(f"{nf}d") for _ in range(n)]
-    labels = u.unpack(f"{n}q")
-    ids = u.unpack(f"{n}q")
-    (n_protos,) = u.unpack("I")
-    protos = u.unpack(f"{n_protos}I") if n_protos else ()
-    costs = u.unpack(f"{n}d")
-    preds = u.unpack(f"{n}q")
-    roots = u.unpack(f"{n}q")
-    ordered = u.unpack(f"{n}I")
-    if not u.done():
-        raise CorruptArchive(f"{path}: {len(payload) - u.off} trailing bytes")
+    samples = block("<f8", n, nf)
+    labels = block("<i8", n)
+    ids = block("<i8", n)
+    for i, row in enumerate(samples):  # each row list is freed once replaced
+        samples[i] = forest.Sample(tuple(row), labels[i], ids[i])
+    (n_protos,) = block("<u4", 1)
+    protos = block("<u4", n_protos)
+    costs = block("<f8", n)
+    preds = block("<i8", n)
+    roots = block("<i8", n)
+    ordered = block("<u4", n)
+    if off != len(payload):
+        raise CorruptArchive(f"{path}: {len(payload) - off} trailing bytes")
     # The checksum only shows the bytes are as written; indices that a
     # crafted payload puts out of range would fail later, in classify.
     if sorted(ordered) != list(range(n)):
@@ -519,16 +493,14 @@ def load_archive(path: str | Path) -> ForestArchive:
     if any(not -1 <= v < n for v in preds):
         raise CorruptArchive(f"{path}: predecessor outside -1..{n - 1}")
 
-    samples = tuple(
-        forest.Sample(feats[i], int(labels[i]), int(ids[i])) for i in range(n))
     model = forest.TrainedForest(
-        samples=samples,
+        samples=tuple(samples),
         distance=distance,
-        prototypes=frozenset(int(v) for v in protos),
+        prototypes=frozenset(protos),
         cost=tuple(costs),
-        predecessor=tuple(None if v == -1 else int(v) for v in preds),
-        root_label=tuple(int(v) for v in roots),
-        ordered_nodes=tuple(int(v) for v in ordered),
+        predecessor=tuple(None if v == -1 else v for v in preds),
+        root_label=tuple(roots),
+        ordered_nodes=tuple(ordered),
     )
     return ForestArchive(version, model, spec, tuple(names) if names else None)
 
@@ -549,8 +521,8 @@ def _replacing(path: Path, *, binary: bool = False):
     Writes go to ``<name>.tmp`` beside ``path``, which is flushed, fsynced
     and renamed over ``path`` on success and removed on failure.  A writer
     killed midway thus leaves the previous file whole: a row cut mid-number
-    could still parse, and ``--resume`` would adopt it; a cut archive
-    overwrite would lose the previous model.
+    could still parse, and ``--resume`` would adopt it; a cut archive or
+    predictions overwrite would lose the previous model or predictions.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -800,68 +800,56 @@ def check_axioms(
 
     Reports the first counterexample per violated axiom, scanning in
     sample-index order.  The triangle check is vacuously true with fewer
-    than three samples.
+    than three samples.  Arcs come from one ``pairwise`` matrix, bit for
+    bit ``distance_function(id)``'s.
     """
     entry = resolve(id)
     if len(samples) == 0:
         raise EmptyInput("check_axioms needs at least one sample")
     if tolerance <= 0.0:
         raise ValueError("tolerance must be > 0")
-    dim = len(samples[0])
-    for s in samples:
-        if len(s) != dim:
-            raise DimensionMismatch("samples disagree on dimension")
+    if len({len(s) for s in samples}) != 1:
+        raise DimensionMismatch("samples disagree on dimension")
 
-    n = len(samples)
-    fn = distance_function(entry)
-    d = [[fn(samples[i], samples[j]) for j in range(n)] for i in range(n)]
+    d = pairwise(entry, samples, samples)
+    v = d.tolist()  # Python floats, for the messages
+
+    def first(mask):  # first True entry in row-major order, or None
+        hits = np.argwhere(mask)
+        return hits[0].tolist() if len(hits) else None
 
     non_neg = AxiomCheck(True)
-    for i in range(n):
-        if not non_neg.passed:
-            break
-        for j in range(n):
-            if d[i][j] < -tolerance:
-                non_neg = AxiomCheck(False, (
-                    f"d(x, y) = {d[i][j]!r} < 0 for x={_fmt_vec(samples[i])}, "
-                    f"y={_fmt_vec(samples[j])}"))
-                break
+    if (hit := first(d < -tolerance)) is not None:
+        i, j = hit
+        non_neg = AxiomCheck(False, (
+            f"d(x, y) = {v[i][j]!r} < 0 for x={_fmt_vec(samples[i])}, "
+            f"y={_fmt_vec(samples[j])}"))
 
     identity = AxiomCheck(True)
-    for i in range(n):
-        if abs(d[i][i]) > tolerance:
-            identity = AxiomCheck(False, (
-                f"d(x, x) = {d[i][i]!r} for x={_fmt_vec(samples[i])}"))
-            break
+    if (hit := first(np.abs(np.diagonal(d)) > tolerance)) is not None:
+        (i,) = hit
+        identity = AxiomCheck(False, (
+            f"d(x, x) = {v[i][i]!r} for x={_fmt_vec(samples[i])}"))
 
     symmetry = AxiomCheck(True)
-    for i in range(n):
-        if not symmetry.passed:
-            break
-        for j in range(i + 1, n):
-            if abs(d[i][j] - d[j][i]) > tolerance:
-                symmetry = AxiomCheck(False, (
-                    f"d(x, y) = {d[i][j]!r} but d(y, x) = {d[j][i]!r} for "
-                    f"x={_fmt_vec(samples[i])}, y={_fmt_vec(samples[j])}"))
-                break
+    if (hit := first(np.triu(np.abs(d - d.T) > tolerance, 1))) is not None:
+        i, j = hit
+        symmetry = AxiomCheck(False, (
+            f"d(x, y) = {v[i][j]!r} but d(y, x) = {v[j][i]!r} for "
+            f"x={_fmt_vec(samples[i])}, y={_fmt_vec(samples[j])}"))
 
     triangle = AxiomCheck(True)
-    for i in range(n):
-        if not triangle.passed:
+    for i in range(len(samples)):
+        # over[j, k]: d(i, j) > d(i, k) + d(k, j) + tolerance; i, j, k distinct
+        over = d[i][:, None] > d[i] + d.T + tolerance
+        over[i, :] = over[:, i] = False
+        np.fill_diagonal(over, False)
+        if (hit := first(over)) is not None:
+            j, k = hit
+            triangle = AxiomCheck(False, (
+                f"d(x, z) = {v[i][j]!r} exceeds d(x, y) + d(y, z) = "
+                f"{v[i][k] + v[k][j]!r} for x={_fmt_vec(samples[i])}, "
+                f"y={_fmt_vec(samples[k])}, z={_fmt_vec(samples[j])}"))
             break
-        for j in range(n):
-            if not triangle.passed:
-                break
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if d[i][j] > d[i][k] + d[k][j] + tolerance:
-                    triangle = AxiomCheck(False, (
-                        f"d(x, z) = {d[i][j]!r} exceeds d(x, y) + d(y, z) = "
-                        f"{d[i][k] + d[k][j]!r} for x={_fmt_vec(samples[i])}, "
-                        f"y={_fmt_vec(samples[k])}, z={_fmt_vec(samples[j])}"))
-                    break
 
     return AxiomReport(entry.code, non_neg, identity, symmetry, triangle)

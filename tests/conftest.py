@@ -232,6 +232,33 @@ def make_dataset(features, labels, name="synthetic"):
                    n_classes=n_classes, class_names=None)
 
 
+def cut_writes(monkeypatch, message):
+    """Make each file opened for writing keep the first 20 bytes (or
+    characters) of its first write and then raise ``OSError(message)``,
+    as a writer killed midway would.  ``monkeypatch.undo()`` ends it."""
+    real_open = open
+
+    class CutFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:20])
+            raise OSError(message)
+
+    def cut_open(file, mode="r", *args, **kw):
+        fh = real_open(file, mode, *args, **kw)
+        return CutFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", cut_open)
+
+
 def resealed(blob, edit):
     """The archive ``blob`` with ``edit(payload)`` applied and a valid
     length and checksum, so only the structural checks can reject it."""

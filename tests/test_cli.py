@@ -17,7 +17,7 @@ import opfdist
 from opfdist.cli import load_bench_config, main
 from opfdist.errors import ConfigError
 
-from conftest import resealed
+from conftest import cut_writes, resealed
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 EXAMPLE_CONFIG = PYPROJECT.parent / "configs" / "bench_example.yaml"
@@ -191,6 +191,32 @@ def test_predict_empty_input_writes_header_only(tmp_path, capsys):
     assert rc == 0
     assert preds.read_text() == "row,predicted_label,cost,conqueror\n"
     assert "predictions = 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("queries", ["0.0\n4.0\n", ""],
+                         ids=["two-queries", "empty-input"])
+def test_predict_cut_midway_leaves_previous_predictions_whole(
+        tmp_path, capsys, monkeypatch, queries):
+    data = tmp_path / "line.csv"
+    write_line_dataset(data)
+    model = tmp_path / "model.opf"
+    main(["train", "--data", str(data), "--label-column", "1",
+          "--distance", "D3", "--out", str(model)])
+    preds = tmp_path / "p.csv"
+    before = "row,predicted_label,cost,conqueror\n1,A,1.0,1\n"
+    preds.write_text(before)
+    (tmp_path / "q.csv").write_text(queries)
+    capsys.readouterr()
+
+    cut_writes(monkeypatch, "killed while writing predictions")
+    rc = main(["predict", "--model", str(model), "--data",
+               str(tmp_path / "q.csv"), "--out", str(preds)])
+    monkeypatch.undo()
+    assert rc == 1
+    assert "killed while writing predictions" in capsys.readouterr().err
+    assert preds.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "line.csv", "model.opf", "p.csv", "q.csv"]
 
 
 def test_predict_rejects_resealed_out_of_range_node(tmp_path, capsys):
@@ -526,6 +552,11 @@ def test_axioms_argument_validation(capsys):
     assert main(["axioms", "--samples", "1"]) == 2
     assert main(["axioms", "--distance", "D0"]) == 2
     capsys.readouterr()
+    for tolerance in ("0", "-1", "nan"):
+        assert main(["axioms", "--tolerance", tolerance]) == 2, tolerance
+        captured = capsys.readouterr()
+        assert captured.err == "error: --tolerance must be > 0\n"
+        assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +622,17 @@ def test_rank_needs_three_complete_classifiers(tmp_path, capsys):
     p.write_text("\n".join(rows) + "\n")
     assert main(["rank", "--cells", str(p)]) == 2
     assert "need >= 3" in capsys.readouterr().err
+
+
+def test_rank_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys):
+    cells = rank_cells_file(tmp_path)
+    for alpha in ("1.5", "0", "1", "-0.05", "nan"):
+        assert main(["rank", "--cells", str(cells), "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --alpha must be in (0, 1)\n"
+        assert captured.out == ""
+    assert main(["rank", "--cells", str(cells), "--alpha", "0.1"]) == 0
+    capsys.readouterr()
 
 
 def test_rank_missing_file_exits_one(tmp_path, capsys):

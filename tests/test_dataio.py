@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import struct
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 from opfdist import (
     BenchmarkMatrix,
+    Sample,
+    TrainingGraph,
     apply_normalization,
     apply_to_samples,
     fit_normalization,
@@ -19,6 +22,7 @@ from opfdist import (
     load_csv,
     load_forest,
     load_svmlight,
+    resolve,
     save_forest,
     train,
     write_csv,
@@ -39,7 +43,7 @@ from opfdist.errors import (
     VersionMismatch,
 )
 
-from conftest import read_wine_table, resealed
+from conftest import cut_writes, read_wine_table, resealed
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,63 @@ def test_archive_round_trip_is_exact(tmp_path):
     assert loaded_spec == spec
 
 
+def golden_forest():
+    """Seven signed samples of three classes, with ids that are neither
+    positional nor small, under a three-character distance code."""
+    features = [
+        (0.1, -2.5, 3.0), (0.7, -1.0, 2.25), (1.3, 0.4, -0.6),
+        (2.2, 1.9, -1.1), (-0.4, 2.8, 0.05), (0.9, 3.3, 1.7),
+        (1.75, -0.35, 0.8)]
+    labels = [0, 0, 1, 1, 2, 2, 1]
+    ids = [7, 3, 2 ** 40, 11, 0, 5, 9]
+    samples = tuple(Sample(f, lab, i) for f, lab, i in zip(features, labels, ids))
+    return train(TrainingGraph(samples, resolve("D46")))
+
+
+# sha256 of the format-v1 archive of golden_forest(), pinned from the
+# struct-based writer that preceded the numpy block writer.
+GOLDEN_ARCHIVES = {
+    ("none", None):
+        "351fe0e76eda5bfae60114433962ffe5ad2ee4bcf4076cf81e61a0691b3a0368",
+    ("min_max_01", None):
+        "c468481f0e3e08c557f8d3a1248c1a1ceddea80f9c273077f1be502853bdc59d",
+    ("none", ("low", "mid", "high")):
+        "aa4d593c79dc7054029e76132198696ba92d0f77ef9c7a5be76119b2b9b02b92",
+    ("min_max_01", ("rouge", "grün", "青")):
+        "d8825d84107db41fe2ea92c8035514d9dad1e0f0dd641dea53e7ea26d53d43d2",
+}
+
+
+@pytest.mark.parametrize("mode,names", list(GOLDEN_ARCHIVES))
+def test_archive_bytes_match_format_v1_golden_digests(tmp_path, mode, names):
+    forest = golden_forest()
+    spec = fit_normalization(list(forest.samples), mode)
+    path = tmp_path / "golden.opf"
+    save_forest(forest, spec, path, class_names=names)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_ARCHIVES[mode, names]
+
+    arc = load_archive(path)
+    assert arc.forest == forest
+    assert arc.normalization == spec
+    assert arc.class_names == names
+    loaded = arc.forest
+    # plain Python scalars, not numpy ones: reprs (and so reports and
+    # prediction digests) depend on it
+    floats = [v for s in loaded.samples for v in s.features] + list(loaded.cost)
+    if mode == "min_max_01":
+        floats += [*arc.normalization.feature_min, *arc.normalization.feature_max]
+    ints = ([s.label for s in loaded.samples] + [s.id for s in loaded.samples]
+            + [v for v in loaded.predecessor if v is not None]
+            + list(loaded.root_label) + list(loaded.ordered_nodes)
+            + list(loaded.prototypes))
+    assert {type(v) for v in floats} == {float}
+    assert {type(v) for v in ints} == {int}
+    assert None in loaded.predecessor
+    assert type(loaded.samples[0].features) is tuple
+    assert type(loaded.cost) is tuple
+
+
 def test_archive_without_class_names(tmp_path):
     forest, spec = trained_pair()
     path = tmp_path / "m.opf"
@@ -410,28 +471,7 @@ def test_archive_overwrite_cut_midway_leaves_previous_file_whole(
     save_forest(forest, spec, path)
     before = path.read_bytes()
 
-    real_open = open
-
-    class CutFile:
-        # writes the first 20 bytes, then fails
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[:20])
-            raise OSError("killed while writing the archive")
-
-    def cut_open(file, mode="r", *args, **kw):
-        fh = real_open(file, mode, *args, **kw)
-        return CutFile(fh) if "w" in mode else fh
-
-    monkeypatch.setattr("builtins.open", cut_open)
+    cut_writes(monkeypatch, "killed while writing the archive")
     with pytest.raises(OSError, match="killed"):
         save_forest(forest, spec, path, class_names=("red", "blue"))
     monkeypatch.undo()

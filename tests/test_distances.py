@@ -24,6 +24,7 @@ from opfdist import distances
 from opfdist.distances import pairwise
 from opfdist.errors import DimensionMismatch, DomainViolation, EmptyInput
 
+import axioms_reference
 import distance_reference
 
 ALL = registry()
@@ -331,6 +332,28 @@ def test_axiom_check_requires_samples_and_positive_tolerance():
         check_axioms(resolve("D3"), [(1.0,)], tolerance=0.0)
     with pytest.raises(DimensionMismatch):
         check_axioms(resolve("D3"), [(1.0,), (1.0, 2.0)], tolerance=1e-9)
+    with pytest.raises(DimensionMismatch):
+        check_axioms(resolve("D3"), [(), ()], tolerance=1e-9)
+
+
+AXIOMS = ("non_negativity", "identity", "symmetry", "triangle_inequality")
+
+
+@pytest.mark.parametrize("low,tolerance", [(-2.0, 1e-9), (0.0, 1e-6)])
+def test_axiom_reports_equal_the_per_pair_reference(low, tolerance):
+    # signed inputs plus a repeated vector make every axiom fail for some
+    # code, so each first-counterexample scan and its message is compared
+    rng = random.Random(41)
+    samples = _random_vectors(rng, 12, low=low)
+    samples.append(samples[0])
+    failing = dict.fromkeys(AXIOMS, 0)
+    for code in CODES:
+        want = axioms_reference.check_axioms(code, samples, tolerance)
+        assert check_axioms(code, samples, tolerance) == want, code
+        for axiom in AXIOMS:
+            failing[axiom] += not getattr(want, axiom).passed
+    if low < 0.0:
+        assert all(failing.values()), failing
 
 
 def test_triangle_axiom_vacuously_true_with_two_samples():
