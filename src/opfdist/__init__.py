@@ -29,6 +29,7 @@ from .forest import (
     find_prototypes,
     graph_from_arrays,
     train,
+    train_measures,
 )
 from .dataio import (
     Dataset,

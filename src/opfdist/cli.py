@@ -301,6 +301,48 @@ def _submatrix(matrix: evaluation.BenchmarkMatrix,
     )
 
 
+def _read_baselines(cfg: BenchConfig) -> dict[tuple[str, str, int, int], float]:
+    """The external baseline cells that lie in the configured grid.
+
+    Rows for other datasets or for runs >= ``runs`` are skipped.  These
+    are ConfigErrors naming the file, raised before any fold task: a row
+    whose fold is not 0 or 1, whose run is negative or whose accuracy
+    lies outside [0, 1] (NaN included); a row repeating a cell with
+    another accuracy; a classifier named like a computed code; and a
+    listed classifier missing a cell of the grid.
+    """
+    path = cfg.external_baselines
+    if path is None:
+        return {}
+    datasets = [s.name for s in cfg.datasets]
+    cells = {}
+    for row in dataio.read_cells_csv(path):
+        ds, c, r, f, acc = row
+        if c in cfg.distance_codes:
+            raise ConfigError(
+                f"{path}: external baseline {c!r} collides with a computed "
+                f"column")
+        if f not in (0, 1) or r < 0 or not 0.0 <= acc <= 1.0:
+            raise ConfigError(
+                f"{path}: row {','.join(map(str, row))}: fold must be 0 or 1, "
+                f"run >= 0 and accuracy in [0, 1]")
+        if cells.setdefault((ds, c, r, f), acc) != acc:
+            raise ConfigError(
+                f"{path}: row {','.join(map(str, row))}: conflicts with an "
+                f"earlier row of the same cell")
+    cells = {key: acc for key, acc in cells.items()
+             if key[0] in datasets and key[2] < cfg.runs}
+    for c in dict.fromkeys(key[1] for key in cells):
+        for ds in datasets:
+            for r in range(cfg.runs):
+                for f in (0, 1):
+                    if (ds, c, r, f) not in cells:
+                        raise ConfigError(
+                            f"{path}: external baseline {c!r} has no cell for "
+                            f"dataset={ds!r} run={r} fold={f}")
+    return cells
+
+
 def cmd_bench(args) -> int:
     cfg = load_bench_config(Path(args.config), out_override=args.out,
                             parallelism_override=args.parallelism)
@@ -308,6 +350,7 @@ def cmd_bench(args) -> int:
         raise ConfigError("no output directory (config output_dir or --out)")
     out_dir = cfg.output_dir
     cfg_hash = _config_hash(cfg)
+    baselines = _read_baselines(cfg)
 
     datasets = [
         _load_dataset(s.path, s.format, s.label_column, s.has_header, name=s.name)
@@ -369,19 +412,10 @@ def cmd_bench(args) -> int:
         if key in old_timings:
             matrix.timings.setdefault(key, old_timings[key])
 
-    if cfg.external_baselines is not None:
-        ext_rows = dataio.read_cells_csv(cfg.external_baselines)
-        computed = set(matrix.classifiers)
-        known_datasets = set(matrix.datasets)
-        for ds, c, r, f, acc in ext_rows:
-            if c in computed:
-                raise ConfigError(
-                    f"external baseline {c!r} collides with a computed column")
-            if ds not in known_datasets or not (0 <= r < cfg.runs):
-                continue
-            if c not in matrix.classifiers:
-                matrix.classifiers = matrix.classifiers + (c,)
-            matrix.cells[(ds, c, r, f)] = acc
+    for key, acc in baselines.items():
+        if key[1] not in matrix.classifiers:
+            matrix.classifiers = matrix.classifiers + (key[1],)
+        matrix.cells[key] = acc
 
     summary = evaluation.summarize(matrix)
     ranked = _complete_classifiers(matrix)

@@ -806,7 +806,7 @@ def check_axioms(
     entry = resolve(id)
     if len(samples) == 0:
         raise EmptyInput("check_axioms needs at least one sample")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:  # NaN compares false either way
         raise ValueError("tolerance must be > 0")
     if len({len(s) for s in samples}) != 1:
         raise DimensionMismatch("samples disagree on dimension")

@@ -518,6 +518,42 @@ def test_bench_external_baseline_collision_exits_two(tmp_path, capsys):
     assert "collides" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,message", [
+    # 1-based folds: fold 2 lies outside the grid
+    (["blob1,SVM,0,1,0.9", "blob1,SVM,0,2,0.9"],
+     "row blob1,SVM,0,2,0.9: fold must be 0 or 1"),
+    # every cell of blob1, none of blob2
+    ([f"blob1,SVM,{r},{f},0.9" for r in (0, 1) for f in (0, 1)],
+     "'SVM' has no cell for dataset='blob2' run=0 fold=0"),
+    (["blob1,SVM,0,0,nan"], "row blob1,SVM,0,0,nan: fold must be 0 or 1"),
+    # one cell given twice with different accuracies
+    (["blob1,SVM,0,0,0.5", "blob1,SVM,0,0,0.9"],
+     "row blob1,SVM,0,0,0.9: conflicts with an earlier row"),
+])
+def test_bench_bad_external_baselines_exit_two_before_the_grid(
+        tmp_path, capsys, monkeypatch, rows, message):
+    cfg = bench_config(
+        tmp_path, runs=2, extra="external_baselines: baselines.csv\n")
+    baseline = tmp_path / "baselines.csv"
+    baseline.write_text(
+        "\n".join(["dataset,classifier,run,fold,accuracy", *rows]) + "\n")
+    tasks = []
+    real_task = opfdist.evaluation._fold_task
+
+    def counting_task(args):
+        tasks.append(args[2:4])
+        return real_task(args)
+
+    monkeypatch.setattr(opfdist.evaluation, "_fold_task", counting_task)
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{baseline}: " in err
+    assert message in err
+    assert tasks == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # axioms
 # ---------------------------------------------------------------------------

@@ -330,6 +330,9 @@ def test_axiom_check_requires_samples_and_positive_tolerance():
         check_axioms(resolve("D3"), [], tolerance=1e-9)
     with pytest.raises(ValueError):
         check_axioms(resolve("D3"), [(1.0,)], tolerance=0.0)
+    with pytest.raises(ValueError):
+        check_axioms(resolve("D4"), [(0.1, 0.2), (0.5, 0.9), (0.1, 0.2)],
+                     tolerance=float("nan"))
     with pytest.raises(DimensionMismatch):
         check_axioms(resolve("D3"), [(1.0,), (1.0, 2.0)], tolerance=1e-9)
     with pytest.raises(DimensionMismatch):

@@ -490,16 +490,17 @@ def test_a_code_failing_on_some_folds_fails_its_whole_column(monkeypatch):
         frozenset(datasets[0].samples[i].features
                   for i in plan.fold_indices(1 - f)): (plan.run_index, f)
         for plan in make_splits(datasets[0], seed=2, runs=3) for f in (0, 1)}
-    real_train = evaluation.forest.train
+    real_fill = evaluation.forest._fill_matrix
 
-    def flaky_train(graph):
-        key = fold_of.get(frozenset(s.features for s in graph.samples))
-        if graph.distance.code == "D6" and key in {(1, 1), (2, 0)}:
+    def flaky_fill(measure, X, out):
+        key = fold_of.get(frozenset(map(tuple, X.tolist())))
+        if measure.code == "D6" and key in {(1, 1), (2, 0)}:
             raise RuntimeError(f"boom at run {key[0]} fold {key[1]}")
-        return real_train(graph)
+        return real_fill(measure, X, out)
 
-    # the pool's workers are forked, so they inherit the patch
-    monkeypatch.setattr(evaluation.forest, "train", flaky_train)
+    # each measure's matrix fill, in a stack or alone; the pool's workers
+    # are forked, so they inherit the patch
+    monkeypatch.setattr(evaluation.forest, "_fill_matrix", flaky_fill)
     serial = run_benchmark(datasets, codes, seed=2, runs=3)
     parallel = run_benchmark(datasets, codes, seed=2, runs=3, parallelism=3)
 

@@ -8,13 +8,19 @@ import random
 import pytest
 
 from opfdist import (
+    TrainingGraph,
+    accuracy,
     classify,
     classify_batch,
     distance_function,
     find_prototypes,
     graph_from_arrays,
+    make_splits,
     registry,
+    resolve,
+    run_benchmark,
     train,
+    train_measures,
 )
 import opfdist.forest
 from opfdist.errors import DimensionMismatch, SingleClass
@@ -23,6 +29,7 @@ import distance_reference
 import forest_reference
 from conftest import (
     kruskal_cross_prototypes,
+    make_dataset,
     oracle_costs,
     pairwise_matrix,
     random_graph_spec,
@@ -349,3 +356,74 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
                     assert type(p.label) is int and type(p.conqueror) is int
                     assert type(p.cost) is float
                 assert preds == [classify(got, q) for q in queries], code
+
+
+@pytest.mark.parametrize("path", ["stack", "height_1", "on_demand"])
+def test_train_measures_equals_scalar_reference(monkeypatch, path):
+    if path == "height_1":
+        # a budget below one matrix leaves one measure per stack
+        monkeypatch.setattr(opfdist.forest, "_STACK_MAX_BYTES", 0)
+    elif path == "on_demand":
+        monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES", 0)
+    codes = [d.code for d in registry()]
+    for graph in _oracle_graphs("D3"):
+        seconds = []
+        got = train_measures(graph.samples, codes, seconds=seconds)
+        assert len(got) == len(seconds) == 47
+        assert all(type(t) is float and t >= 0.0 for t in seconds)
+        for code, model in zip(codes, got):
+            want = forest_reference.train(
+                TrainingGraph(graph.samples, resolve(code)))
+            for field in dataclasses.fields(want):
+                assert getattr(model, field.name) == \
+                    getattr(want, field.name), (path, code, field.name)
+            assert repr(model) == repr(want)
+            _assert_python_scalars(model)
+
+
+def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
+    graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 17)
+    codes = ["D3", "D7", "D15", "D37", "D46"]
+    stacks = []
+    real = opfdist.forest._train_stack
+
+    def spy(samples, measures, labels, stack):
+        stacks.append(stack.shape)
+        return real(samples, measures, labels, stack)
+
+    monkeypatch.setattr(opfdist.forest, "_train_stack", spy)
+    # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
+    monkeypatch.setattr(opfdist.forest, "_STACK_MAX_BYTES", 2 * 17 * 17 * 8)
+    got = train_measures(graph.samples, codes)
+    assert stacks == [(2, 17, 17), (2, 17, 17)]
+    assert got == [train(TrainingGraph(graph.samples, resolve(c)))
+                   for c in codes]
+    assert train_measures(graph.samples, []) == []
+
+
+def test_train_measures_rejects_what_train_rejects():
+    with pytest.raises(SingleClass):
+        train_measures(graph_from_arrays(
+            [[1.0], [2.0]], [0, 0], "D3").samples, ["D3", "D7"])
+
+
+def test_grid_cells_equal_separate_fits_and_all_carry_timings():
+    ds = make_dataset(
+        [[random.Random(i).uniform(0.0, 2.0) for _ in range(3)]
+         for i in range(24)], [i % 3 for i in range(24)], name="toy")
+    codes = [d.code for d in registry()]
+    matrix = run_benchmark([ds], codes, seed=4, runs=1)
+    assert not matrix.errors
+    assert set(matrix.timings) == set(matrix.cells)
+    assert len(matrix.cells) == 47 * 2
+    assert all(t_train > 0.0 and t_test > 0.0
+               for t_train, t_test in matrix.timings.values())
+    plan = make_splits(ds, seed=4, runs=1)[0]
+    for fold in (0, 1):
+        train_half = tuple(ds.samples[i] for i in plan.fold_indices(1 - fold))
+        test_half = [ds.samples[i] for i in plan.fold_indices(fold)]
+        for code in codes:
+            model = train(TrainingGraph(train_half, resolve(code)))
+            preds = classify_batch(model, [s.features for s in test_half])
+            assert matrix.cells[("toy", code, 0, fold)] == accuracy(
+                [p.label for p in preds], [s.label for s in test_half])
