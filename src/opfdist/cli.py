@@ -288,6 +288,17 @@ def _complete_classifiers(matrix: evaluation.BenchmarkMatrix) -> list[str]:
     return out
 
 
+def _ranks_blocked(matrix: evaluation.BenchmarkMatrix,
+                   ranked: list[str]) -> str | None:
+    """Why the rank statistics cannot run over ``ranked``, or None."""
+    if len(ranked) < 3:
+        return f"need >= 3 complete classifiers, got {len(ranked)}"
+    blocks = len(matrix.datasets) * matrix.runs
+    if blocks < 2:
+        return f"need >= 2 blocks (datasets x runs), got {blocks}"
+    return None
+
+
 def _submatrix(matrix: evaluation.BenchmarkMatrix,
                classifiers: list[str]) -> evaluation.BenchmarkMatrix:
     keep = set(classifiers)
@@ -420,11 +431,11 @@ def cmd_bench(args) -> int:
     summary = evaluation.summarize(matrix)
     ranked = _complete_classifiers(matrix)
     stats = None
-    if len(ranked) >= 3:
+    blocked = _ranks_blocked(matrix, ranked)
+    if blocked is None:
         stats = evaluation.friedman_nemenyi(_submatrix(matrix, ranked), cfg.alpha)
     else:
-        print(f"rank statistics skipped: {len(ranked)} complete classifiers "
-              f"(need 3)", file=sys.stderr)
+        print(f"rank statistics skipped: {blocked}", file=sys.stderr)
 
     manifest = {
         "config_hash": cfg_hash,
@@ -514,9 +525,9 @@ def cmd_rank(args) -> int:
     if dropped:
         print(f"warning: dropped incomplete classifiers: {' '.join(dropped)}",
               file=sys.stderr)
-    if len(ranked) < 3:
-        raise ConfigError(
-            f"rank statistics need >= 3 complete classifiers, got {len(ranked)}")
+    blocked = _ranks_blocked(matrix, ranked)
+    if blocked is not None:
+        raise ConfigError(f"rank statistics {blocked}")
     stats = evaluation.friedman_nemenyi(_submatrix(matrix, ranked), args.alpha)
 
     if args.out is not None:

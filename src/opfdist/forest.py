@@ -18,11 +18,13 @@ can improve on the best offer (Papa et al., Pattern Recognition 2012); the
 full scan and the batch path return the same cost, label and conqueror, so
 ``early_exit`` never changes a result.
 
-``train_measures`` fits several measures on the same samples in one fold:
-their matrices fill a (k, n, n) stack and Prim and the competition run
-once over it, on (k, n) state arrays whose per-measure rows follow the
-same steps as ``train``.  A stack of one measure keeps ``train``'s
-row-by-row loops, which are faster for a single matrix.
+Prim and the competition exist once, on (k, n) state arrays that fit k
+measures together: each reads arcs through ``rows(f) -> (k, n)``, where
+f = at * n + u names row u of measure ``at``.  A cached (k, n, n) stack of
+matrices serves its rows by flat index; above ``_CACHE_MAX_NODES`` nodes a
+measure is fitted alone (k = 1, f = u) on 1 x n rows evaluated on demand.
+``train`` is ``train_measures`` of one measure, and ``train_measures``
+fits every measure of a fold in stacks of at most ``_STACK_MAX_BYTES``.
 
 All tie-breaks are deterministic: minimum extraction prefers the lowest
 node index, and a node's conqueror changes only on a strict improvement.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,78 +172,72 @@ def _fill_matrix(measure: distances.DistanceId, X: np.ndarray,
     np.fill_diagonal(out, 0.0)
 
 
-def _row_getter(measure: distances.DistanceId,
-                X: np.ndarray) -> Callable[[int], np.ndarray]:
-    """Return row(i) -> distances from node i to every node (diagonal 0).
+def _arc_rows(chunk: Sequence[distances.DistanceId], X: np.ndarray,
+              stack: np.ndarray | None):
+    """Return ``rows(f) -> (k, n)`` for the k measures of ``chunk``, where
+    f = at * n + u names row u of measure ``at``, and the seconds of each
+    measure's matrix fill.
 
-    Up to ``_CACHE_MAX_NODES`` nodes the full matrix is materialized once
-    by ``_fill_matrix``.  Above it each row is evaluated on demand.
+    With a stack, the chunk's matrices are filled into its first k slots
+    and served by flat index.  Without one (a graph above
+    ``_CACHE_MAX_NODES``) the chunk holds one measure, so f == u, and each
+    row is a 1 x n ``pairwise`` call with a zeroed diagonal.
     """
-    n = len(X)
-    if n > _CACHE_MAX_NODES:
-        def row(i: int) -> np.ndarray:
-            r = distances.pairwise(measure, X[i:i + 1], X)[0]
-            r[i] = 0.0
-            return r
-        return row
-    mat = np.empty((n, n))
-    _fill_matrix(measure, X, mat)
-    return mat.__getitem__
+    fill = [0.0] * len(chunk)
+    if stack is None:
+        (measure,) = chunk
+
+        def rows(f: np.ndarray) -> np.ndarray:
+            out = distances.pairwise(measure, X[f], X)
+            out[0, f] = 0.0
+            return out
+        return rows, fill
+    for j, m in enumerate(chunk):
+        t = time.perf_counter()
+        _fill_matrix(m, X, stack[j])
+        fill[j] = time.perf_counter() - t
+    flat = stack[:len(chunk)].reshape(-1, len(X))
+    return (lambda f: flat.take(f, axis=0)), fill
 
 
-def _mst_parents(n: int, row_of) -> list[int]:
-    """Prim's algorithm from node 0; parent[i] = -1 for the root.
+def _mst_parents(k: int, n: int, rows) -> np.ndarray:
+    """Prim's algorithm from node 0 on k complete graphs at once, as a
+    (k, n) parent array with -1 at each root; ``rows(f)`` gives the arcs
+    from node u of graph ``at`` for f = at * n + u.
 
     Extraction takes the lowest-index node among minimum keys (argmin
     returns the first minimum); an equal competing key never displaces the
     recorded parent.
     """
-    key = np.full(n, np.inf)  # a node in the tree reads +inf
-    key[0] = -np.inf
-    parent = np.full(n, -1)
-    free = np.ones(n, dtype=bool)
-    for _ in range(n):
-        # every arc is finite, so after the root each free node has a
-        # finite key and the argmin is a free node
-        u = int(key.argmin())
-        free[u] = False
-        key[u] = np.inf
-        row = row_of(u)
-        closer = free & (row < key)
-        np.copyto(key, row, where=closer)
-        parent[closer] = u
-    return parent.tolist()
-
-
-def _mst_parents_stack(stack: np.ndarray) -> np.ndarray:
-    """``_mst_parents`` of every matrix of a (k, n, n) stack at once, as a
-    (k, n) array; each row is what ``_mst_parents`` returns for its
-    matrix."""
-    k, n, _ = stack.shape
-    at = np.arange(k)
-    key = np.full((k, n), np.inf)
+    base = np.arange(0, k * n, n)
+    key = np.full((k, n), np.inf)  # a node in the tree reads +inf
     key[:, 0] = -np.inf
     parent = np.full((k, n), -1)
     free = np.ones((k, n), dtype=bool)
+    closer = np.empty((k, n), dtype=bool)
+    flat_key, flat_free = key.reshape(-1), free.reshape(-1)
     for _ in range(n):
-        u = key.argmin(axis=1)  # per measure, the lowest index wins
-        free[at, u] = False
-        key[at, u] = np.inf
-        rows = stack[at, u]
-        closer = free & (rows < key)
-        np.copyto(key, rows, where=closer)
+        # every arc is finite, so after the root each free node has a
+        # finite key and the argmin is a free node
+        u = key.argmin(axis=1)
+        f = u + base
+        flat_free[f] = False
+        flat_key[f] = np.inf
+        arcs = rows(f)
+        np.less(arcs, key, out=closer)
+        closer &= free
+        np.copyto(key, arcs, where=closer)
         np.copyto(parent, u[:, None], where=closer)
     return parent
 
 
-def _prototypes_of(parent: Sequence[int], labels: Sequence[int]
-                   ) -> frozenset[int]:
-    protos: set[int] = set()
-    for child, par in enumerate(parent):
-        if par >= 0 and labels[child] != labels[par]:
-            protos.add(child)
-            protos.add(par)
-    return frozenset(protos)
+def _prototype_mask(parent: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(k, n) mask of the endpoints of inter-class MST edges."""
+    cross = (parent >= 0) & (labels[parent] != labels)
+    mask = cross.copy()
+    at, child = np.nonzero(cross)
+    mask[at, parent[at, child]] = True
+    return mask
 
 
 def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
@@ -251,99 +247,71 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     a spanning tree must connect each class's nodes to the rest of the
     graph through some inter-class edge.
     """
-    row_of = _row_getter(graph.distance, _feature_matrix(graph.samples))
-    return _prototypes_of(_mst_parents(len(graph.samples), row_of),
-                          [s.label for s in graph.samples])
+    X = _feature_matrix(graph.samples)
+    n = len(X)
+    stack = np.empty((1, n, n)) if n <= _CACHE_MAX_NODES else None
+    rows, _ = _arc_rows([graph.distance], X, stack)
+    labels = np.array([s.label for s in graph.samples])
+    mask = _prototype_mask(_mst_parents(1, n, rows), labels)
+    return frozenset(np.flatnonzero(mask[0]).tolist())
 
 
-def _forest(samples: tuple[Sample, ...], measure: distances.DistanceId,
-            labels: Sequence[int], prototypes: frozenset[int],
-            cost: np.ndarray, pred: np.ndarray, root: np.ndarray,
-            ordered: Sequence[int]) -> TrainedForest:
-    """A TrainedForest of Python scalars from one measure's 1-D state."""
-    if (cost == np.inf).any():
-        raise AssertionError("complete graph left nodes unreached")
-    return TrainedForest(
-        samples=samples,
-        distance=measure,
-        prototypes=prototypes,
-        cost=tuple(cost.tolist()),
-        predecessor=tuple(None if p < 0 else p for p in pred.tolist()),
-        root_label=tuple(labels[r] for r in root.tolist()),
-        ordered_nodes=tuple(ordered),
-    )
-
-
-def _train_rows(samples: tuple[Sample, ...], measure: distances.DistanceId,
-                labels: Sequence[int], row_of) -> TrainedForest:
-    """Prim and the competition of one measure, row by row."""
-    n = len(samples)
-    prototypes = _prototypes_of(_mst_parents(n, row_of), labels)
-    cost = np.full(n, np.inf)
-    pred = np.full(n, -1)
-    root = np.full(n, -1)  # index of the prototype whose tree holds the node
-    seeds = sorted(prototypes)
-    cost[seeds] = 0.0
-    root[seeds] = seeds
-    key = cost.copy()  # cost for extraction; a settled node reads +inf
-
-    ordered: list[int] = []
-    for _ in range(n):
-        s = int(key.argmin())
-        cs = key[s]
-        if cs == np.inf:
-            break  # unreached nodes keep cost +inf, which _forest rejects
-        key[s] = np.inf
-        ordered.append(s)
-        row = row_of(s)
-        offer = np.where(cs >= row, cs, row)
-        # a settled node t has cost[t] <= cs <= offer, so it never improves
-        better = offer < cost
-        np.copyto(cost, offer, where=better)
-        np.copyto(key, offer, where=better)
-        pred[better] = s
-        root[better] = root[s]
-    return _forest(samples, measure, labels, prototypes, cost, pred, root,
-                   ordered)
-
-
-def _train_stack(samples: tuple[Sample, ...],
-                 measures: Sequence[distances.DistanceId],
-                 labels: Sequence[int], stack: np.ndarray
-                 ) -> list[TrainedForest]:
-    """``_train_rows`` of every matrix of a (k, n, n) stack, with Prim and
-    the competition run once over (k, n) state arrays."""
-    k, n, _ = stack.shape
-    at = np.arange(k)
-    prototypes = [_prototypes_of(parent, labels)
-                  for parent in _mst_parents_stack(stack).tolist()]
-    cost = np.full((k, n), np.inf)
+def _fit(samples: tuple[Sample, ...],
+         measures: Sequence[distances.DistanceId], labels: np.ndarray,
+         rows) -> list[TrainedForest]:
+    """Prim and the competition of k measures at once, on (k, n) state
+    arrays; ``rows(f)`` gives row u of measure ``at`` for f = at * n + u."""
+    k, n = len(measures), len(samples)
+    base = np.arange(0, k * n, n)
+    proto = _prototype_mask(_mst_parents(k, n, rows), labels)
+    cost = np.where(proto, 0.0, np.inf)
     pred = np.full((k, n), -1)
-    root = np.full((k, n), -1)
-    for j, protos in enumerate(prototypes):
-        seeds = sorted(protos)
-        cost[j, seeds] = 0.0
-        root[j, seeds] = seeds
-    key = cost.copy()
-
+    key = cost.copy()  # cost for extraction; a settled node reads +inf
+    flat_key = key.reshape(-1)
     order = np.empty((k, n), dtype=np.intp)
+    offer = np.empty((k, n))
+    better = np.empty((k, n), dtype=bool)
     for step in range(n):
         s = key.argmin(axis=1)
+        f = s + base
         # a measure whose minimum key is +inf has unreached nodes: its
-        # offers are all +inf and change nothing, and _forest rejects it
-        cs = key[at, s][:, None]
-        key[at, s] = np.inf
+        # offers are all +inf and change nothing, and the check below
+        # rejects it
+        cs = flat_key[f][:, None]
+        flat_key[f] = np.inf
         order[:, step] = s
-        rows = stack[at, s]
-        offer = np.where(cs >= rows, cs, rows)
-        better = offer < cost
+        # arcs are never NaN, so this is max(cs, d); a settled node t has
+        # cost[t] <= cs <= offer, so it never improves
+        np.maximum(rows(f), cs, out=offer)
+        np.less(offer, cost, out=better)
         np.copyto(cost, offer, where=better)
         np.copyto(key, offer, where=better)
         np.copyto(pred, s[:, None], where=better)
-        np.copyto(root, root[at, s][:, None], where=better)
-    return [_forest(samples, m, labels, prototypes[j], cost[j], pred[j],
-                    root[j], order[j].tolist())
-            for j, m in enumerate(measures)]
+    if (cost == np.inf).any():
+        raise AssertionError("complete graph left nodes unreached")
+    # a node's root is its final predecessor's, which was fixed when the
+    # predecessor settled: follow flat predecessor links to the prototypes
+    up = np.where(proto, base[:, None] + np.arange(n), pred + base[:, None])
+    up = up.reshape(-1)
+    while (up[up] != up).any():
+        up = up[up]
+    root = up.reshape(k, n) - base[:, None]
+    # on d = -0.0 against cs = +0.0, np.maximum returns cs on x86 builds
+    # but is documented as where(x1 >= x2, x1, x2), which keeps d; adding
+    # +0.0 turns -0.0 into +0.0, the cost max(cs, d) gives, and leaves
+    # every other cost as it is
+    cost += 0.0
+    return [
+        TrainedForest(
+            samples=samples,
+            distance=m,
+            prototypes=frozenset(np.flatnonzero(proto[j]).tolist()),
+            cost=tuple(cost[j].tolist()),
+            predecessor=tuple(None if p < 0 else p for p in pred[j].tolist()),
+            root_label=tuple(labels[root[j]].tolist()),
+            ordered_nodes=tuple(order[j].tolist()),
+        )
+        for j, m in enumerate(measures)]
 
 
 def train(graph: TrainingGraph) -> TrainedForest:
@@ -355,9 +323,7 @@ def train(graph: TrainingGraph) -> TrainedForest:
     remaining node t the cost max(cost[s], d(s, t)) and t switches
     conqueror only when the offer is a strict improvement.
     """
-    row_of = _row_getter(graph.distance, _feature_matrix(graph.samples))
-    return _train_rows(graph.samples, graph.distance,
-                       [s.label for s in graph.samples], row_of)
+    return train_measures(graph.samples, [graph.distance])[0]
 
 
 def train_measures(
@@ -371,10 +337,9 @@ def train_measures(
     Each result equals ``train(TrainingGraph(samples, m))`` field for
     field.  The samples are validated and their feature matrix built
     once.  Up to ``_CACHE_MAX_NODES`` nodes the measures' matrices are
-    filled into stacks of at most ``_STACK_MAX_BYTES``, and Prim and the
-    competition run once per stack.  A stack of one measure, and every
-    measure of a larger graph, goes through ``train``'s row-by-row loops,
-    which are faster for a single matrix.
+    filled into stacks of at most ``_STACK_MAX_BYTES`` (at least one
+    matrix), and Prim and the competition run once per stack.  Above it
+    each measure is fitted alone, on rows evaluated on demand.
 
     If ``seconds`` is given, each measure's training seconds are appended
     to it: its own matrix fill plus an equal share of the rest of its
@@ -386,27 +351,19 @@ def train_measures(
     if not measures:
         return []
     samples = TrainingGraph(tuple(samples), measures[0]).samples
-    labels = [s.label for s in samples]
+    labels = np.array([s.label for s in samples])
     X = _feature_matrix(samples)
     n = len(X)
+    stack = None
     height = 1
     if n <= _CACHE_MAX_NODES:
         height = max(1, min(len(measures), _STACK_MAX_BYTES // (8 * n * n)))
-    stack = np.empty((height, n, n)) if height > 1 else None
+        stack = np.empty((height, n, n))
     forests: list[TrainedForest] = []
     for c0 in range(0, len(measures), height):
         chunk = measures[c0:c0 + height]
-        fill = [0.0] * len(chunk)
-        if len(chunk) == 1:
-            forests.append(
-                _train_rows(samples, chunk[0], labels, _row_getter(chunk[0], X)))
-        else:
-            for j, m in enumerate(chunk):
-                t = time.perf_counter()
-                _fill_matrix(m, X, stack[j])
-                fill[j] = time.perf_counter() - t
-            forests.extend(
-                _train_stack(samples, chunk, labels, stack[:len(chunk)]))
+        rows, fill = _arc_rows(chunk, X, stack)
+        forests.extend(_fit(samples, chunk, labels, rows))
         if seconds is not None:
             now = time.perf_counter()
             share = (now - start - sum(fill)) / len(chunk)

@@ -488,6 +488,29 @@ def test_bench_records_failing_dataset_and_continues(tmp_path, capsys):
         "classifier,mean_rank,critical_difference"]
 
 
+def test_bench_single_block_skips_rank_statistics_and_writes_reports(
+        tmp_path, capsys):
+    write_blob_dataset(tmp_path / "blob.csv", seed=1)
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text(
+        "runs: 1\n"
+        "distances: [D3, D6, D7]\n"
+        "datasets:\n"
+        "  - path: blob.csv\n"
+        "    label_column: -1\n")
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("rank statistics skipped: need >= 2 blocks (datasets x runs), "
+            "got 1") in err
+    for name in REPORT_FILES:
+        assert (out / name).exists(), name
+    assert len((out / "cells.csv").read_text().splitlines()) == 1 + 3 * 2
+    assert (out / "rank.csv").read_text().splitlines() == [
+        "classifier,mean_rank,critical_difference"]
+    assert "stats_classifiers = \n" in (out / "manifest.txt").read_text()
+
+
 def test_bench_merges_external_baselines(tmp_path, capsys):
     cfg = bench_config(
         tmp_path, runs=2, extra="external_baselines: baselines.csv\n")
@@ -658,6 +681,18 @@ def test_rank_needs_three_complete_classifiers(tmp_path, capsys):
     p.write_text("\n".join(rows) + "\n")
     assert main(["rank", "--cells", str(p)]) == 2
     assert "need >= 3" in capsys.readouterr().err
+
+
+def test_rank_needs_two_blocks(tmp_path, capsys):
+    p = tmp_path / "one_run.csv"
+    rows = ["dataset,classifier,run,fold,accuracy"]
+    for c in ("D3", "D6", "D7"):
+        for f in (0, 1):
+            rows.append(f"d,{c},0,{f},0.5")
+    p.write_text("\n".join(rows) + "\n")
+    assert main(["rank", "--cells", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rank statistics need >= 2 blocks (datasets x runs), got 1\n")
 
 
 def test_rank_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys):

@@ -332,10 +332,13 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
         kernel = distance_reference.distance_function(code)
         for graph in _oracle_graphs(code):
             want = forest_reference.train(graph)
+            want_protos = forest_reference.find_prototypes(
+                graph, forest_reference.distance_rows(graph))
             for cache in (True, False):
                 # a limit of 0 nodes forces rows computed on demand
                 monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES",
                                     limit if cache else 0)
+                assert find_prototypes(graph) == want_protos, (code, cache)
                 got = train(graph)
                 for field in dataclasses.fields(want):
                     assert getattr(got, field.name) == \
@@ -385,17 +388,17 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 17)
     codes = ["D3", "D7", "D15", "D37", "D46"]
     stacks = []
-    real = opfdist.forest._train_stack
+    real = opfdist.forest._mst_parents
 
-    def spy(samples, measures, labels, stack):
-        stacks.append(stack.shape)
-        return real(samples, measures, labels, stack)
+    def spy(k, n, rows):
+        stacks.append((k, n, n))
+        return real(k, n, rows)
 
-    monkeypatch.setattr(opfdist.forest, "_train_stack", spy)
+    monkeypatch.setattr(opfdist.forest, "_mst_parents", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
     monkeypatch.setattr(opfdist.forest, "_STACK_MAX_BYTES", 2 * 17 * 17 * 8)
     got = train_measures(graph.samples, codes)
-    assert stacks == [(2, 17, 17), (2, 17, 17)]
+    assert stacks == [(2, 17, 17), (2, 17, 17), (1, 17, 17)]
     assert got == [train(TrainingGraph(graph.samples, resolve(c)))
                    for c in codes]
     assert train_measures(graph.samples, []) == []
