@@ -12,11 +12,14 @@ non-decreasing cost order.
 The distance matrix, Prim's algorithm, the competition and
 ``classify_batch`` run on numpy: arcs come from the measures' block kernels
 (``distances.pairwise``), which equal the per-pair kernels bit for bit, and
-each extraction is a first-occurrence argmin.  Single-query ``classify``
-keeps the scalar ordered scan, which may stop early once no remaining node
-can improve on the best offer (Papa et al., Pattern Recognition 2012); the
-full scan and the batch path return the same cost, label and conqueror, so
-``early_exit`` never changes a result.
+each extraction is a first-occurrence argmin.  Classification scans nodes
+in cost order and may stop once no remaining node can improve on the best
+offer (Papa et al., Pattern Recognition 2012).  Single-query ``classify``
+keeps the scalar scan; ``classify_batch`` scans chunks of nodes against
+the queries still open, and closes a query once the next chunk's first
+cost reaches its best offer.  The full scan and both early exits return
+the same cost, label and conqueror, so ``early_exit`` never changes a
+result.
 
 Prim and the competition exist once, on (k, n) state arrays that fit k
 measures together: each reads arcs through ``rows(f) -> (k, n)``, where
@@ -45,8 +48,8 @@ from .errors import DimensionMismatch, SingleClass
 # Above this node count the full pairwise matrix is left uncomputed and
 # arcs are evaluated on demand (the matrix would dominate memory).
 _CACHE_MAX_NODES = 2048
-# Row blocks of the matrix and query blocks of classify_batch hold about
-# this many entries, which bounds the block kernels' temporaries.
+# Row blocks of the matrix and node x query chunks of classify_batch hold
+# about this many entries, which bounds the block kernels' temporaries.
 _BLOCK_ENTRIES = 1 << 16
 # A stack of matrices trained together holds at most the bytes of one
 # float64 matrix at the cache cap (32 MiB).
@@ -412,11 +415,15 @@ def classify_batch(
 ) -> list[Prediction]:
     """Classify queries independently; order preserved.
 
-    The whole batch is scored with the measure's block kernel: for each
-    query, the first node in ``ordered_nodes`` order that minimizes
-    max(cost, distance) wins, which is what the scan of ``classify``
-    returns.  ``early_exit`` is accepted for symmetry with ``classify``;
-    it never changes a result.
+    Nodes are scored in ``ordered_nodes`` order with the measure's block
+    kernel, one chunk of rows at a time against the queries still open,
+    each chunk holding about ``_BLOCK_ENTRIES`` entries.  A query's best
+    offer changes only on a strict improvement, so the first node that
+    minimizes max(cost, distance) wins, which is what the scan of
+    ``classify`` returns.  With ``early_exit`` a query closes once its
+    best offer is <= the cost of the next chunk's first node, the test
+    that stops ``classify``; ``early_exit=False`` scores every node.
+    Either way the results are the same.
     """
     queries = list(queries)
     for q in queries:
@@ -426,17 +433,42 @@ def classify_batch(
     if not queries:
         return []
     order = forest.ordered_nodes
+    n = len(order)
     nodes = _feature_matrix([forest.samples[s] for s in order])
-    cost = np.array([forest.cost[s] for s in order])[:, None]
+    cost = np.array([forest.cost[s] for s in order])
     Q = np.array(queries, dtype=np.float64)
+    best = np.empty(len(Q))
+    first = np.empty(len(Q), dtype=np.intp)
+    for q0 in range(0, len(Q), _BLOCK_ENTRIES):
+        active = np.arange(q0, min(len(Q), q0 + _BLOCK_ENTRIES))
+        block = Q[active]
+        r0 = 0
+        while r0 < n and len(active):
+            r1 = min(n, r0 + max(1, _BLOCK_ENTRIES // len(active)))
+            d = distances.pairwise(forest.distance, nodes[r0:r1], block)
+            c = cost[r0:r1, None]
+            offer = np.where(c >= d, c, d)
+            k = offer.argmin(axis=0)
+            b = offer[k, np.arange(len(k))]
+            if r0 == 0:
+                # every offer beats the initial +inf
+                best[active] = b
+                first[active] = k
+            else:
+                better = b < best[active]
+                won = active[better]
+                best[won] = b[better]
+                first[won] = k[better] + r0
+            r0 = r1
+            if early_exit and r0 < n:
+                # a later node offers max(cost, d) >= its cost, so a query
+                # whose best is <= the next cost can no longer improve
+                keep = best[active] > cost[r0]
+                if not keep.all():
+                    active = active[keep]
+                    block = block[keep]
     out: list[Prediction] = []
-    step = max(1, _BLOCK_ENTRIES // len(order))
-    for q0 in range(0, len(Q), step):
-        d = distances.pairwise(forest.distance, nodes, Q[q0:q0 + step])
-        offer = np.where(cost >= d, cost, d)
-        first = offer.argmin(axis=0)
-        best = offer[first, np.arange(len(first))]
-        for k, c in zip(first.tolist(), best.tolist()):
-            who = order[k]
-            out.append(Prediction(forest.root_label[who], c, who))
+    for k, c in zip(first.tolist(), best.tolist()):
+        who = order[k]
+        out.append(Prediction(forest.root_label[who], c, who))
     return out

@@ -285,6 +285,39 @@ def test_early_exit_equals_full_scan():
                     (label, cost, who)
 
 
+def test_classify_batch_early_exit_skips_entries_in_bounded_chunks(
+        monkeypatch):
+    rng = random.Random(79)
+    centres = ((0.0, 0.0), (10.0, 10.0), (-10.0, 5.0))
+
+    def near(c):
+        return [c[0] + rng.uniform(-0.5, 0.5), c[1] + rng.uniform(-0.5, 0.5)]
+
+    features = [near(c) for c in centres for _ in range(20)]
+    labels = [i // 20 for i in range(60)]
+    forest = train(graph_from_arrays(features, labels, "D3"))
+    queries = [near(c) for c in centres for _ in range(10)]
+    entries = []
+    real = opfdist.forest.distances.pairwise
+
+    def spy(measure, A, B):
+        entries.append(len(A) * len(B))
+        return real(measure, A, B)
+
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(opfdist.forest.distances, "pairwise", spy)
+    fast = classify_batch(forest, queries)
+    scanned = sum(entries)
+    assert max(entries) <= 64
+    entries.clear()
+    full = classify_batch(forest, queries, early_exit=False)
+    assert max(entries) <= 64
+    assert sum(entries) == 60 * 30
+    assert scanned < 60 * 30
+    assert fast == full
+    assert [p.label for p in fast] == [i // 10 for i in range(30)]
+
+
 def test_zero_training_error_on_well_separated_data():
     rng = random.Random(71)
     features = []
@@ -316,6 +349,28 @@ def _oracle_graphs(code):
     features = [base[i % 6] for i in range(30)]
     labels = [rng.randrange(3) for _ in range(30)]
     yield graph_from_arrays(features, labels, code)
+    # signed and duplicated: D7, D10 and D13 give -0.0 arcs between copies
+    # of a row whose features sum below zero, and a node reached first
+    # through such an arc from a zero-cost node must cost +0.0, as
+    # max(0.0, -0.0) does in the scan (the seed is one where all three
+    # measures reach that case; see the test below)
+    rng = random.Random(3)
+    base = [[rng.uniform(-1.0, 1.0) for _ in range(2)] for _ in range(8)]
+    features = [base[i % 8] for i in range(32)]
+    yield graph_from_arrays(features, [i % 3 for i in range(32)], code)
+
+
+def test_signed_oracle_graph_conquers_through_negative_zero_arcs():
+    for code in ("D7", "D10", "D13"):
+        graph = list(_oracle_graphs(code))[-1]
+        want = forest_reference.train(graph)
+        kernel = distance_reference.distance_function(code)
+        feats = [s.features for s in graph.samples]
+        arcs = [kernel(feats[p], feats[t])
+                for t, p in enumerate(want.predecessor)
+                if p is not None and want.cost[p] == 0.0]
+        assert any(a == 0.0 and math.copysign(1.0, a) < 0.0
+                   for a in arcs), code
 
 
 def _assert_python_scalars(model):
@@ -328,6 +383,7 @@ def _assert_python_scalars(model):
 
 def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
     limit = opfdist.forest._CACHE_MAX_NODES
+    block = opfdist.forest._BLOCK_ENTRIES
     for code in [d.code for d in registry()]:
         kernel = distance_reference.distance_function(code)
         for graph in _oracle_graphs(code):
@@ -350,15 +406,26 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
             queries = [s.features for s in graph.samples[:5]] + [
                 [float(rng.randint(0, 2)) for _ in range(dim)]
                 for _ in range(5)] + [
-                [rng.uniform(-0.5, 2.5) for _ in range(dim)] for _ in range(5)]
-            for early_exit in (True, False):
-                preds = classify_batch(got, queries, early_exit=early_exit)
-                for p, q in zip(preds, queries):
-                    assert (p.label, p.cost, p.conqueror) == \
-                        forest_reference.full_scan_reference(got, kernel, q), code
-                    assert type(p.label) is int and type(p.conqueror) is int
-                    assert type(p.cost) is float
-                assert preds == [classify(got, q) for q in queries], code
+                [rng.uniform(-0.5, 2.5) for _ in range(dim)] for _ in range(5)
+            ] + [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(5)]
+            want_preds = [forest_reference.full_scan_reference(got, kernel, q)
+                          for q in queries]
+            singles = [classify(got, q) for q in queries]
+            # chunks of one row; of a few rows, growing as queries close;
+            # and one chunk holding every node x query entry
+            for entries in (1, 40, len(graph.samples) * len(queries)):
+                monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", entries)
+                for early_exit in (True, False):
+                    preds = classify_batch(got, queries, early_exit=early_exit)
+                    for p, want_pred in zip(preds, want_preds):
+                        assert (p.label, p.cost, p.conqueror) == want_pred, \
+                            (code, entries, early_exit)
+                        assert type(p.label) is int and \
+                            type(p.conqueror) is int
+                        assert type(p.cost) is float
+                    assert preds == singles, (code, entries, early_exit)
+                    assert repr(preds) == repr(singles)
+            monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", block)
 
 
 @pytest.mark.parametrize("path", ["stack", "height_1", "on_demand"])
