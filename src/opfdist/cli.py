@@ -24,7 +24,7 @@ import yaml
 
 from . import __version__, distances, evaluation, forest
 from . import dataio
-from .errors import ConfigError, EmptyFile, OpfdistError
+from .errors import ConfigError, DataFormatError, EmptyFile, OpfdistError
 
 
 def _err(msg: str) -> None:
@@ -202,7 +202,8 @@ def load_bench_config(path: Path, *, out_override=None,
     specs = []
     for i, item in enumerate(ds_raw):
         _require(isinstance(item, dict), f"datasets[{i}] must be a mapping")
-        _require("path" in item, f"datasets[{i}] needs a path")
+        _require(isinstance(item.get("path"), str),
+                 f"datasets[{i}]: path must be a string")
         p = Path(item["path"])
         if not p.is_absolute():
             p = (base / p).resolve()
@@ -210,12 +211,20 @@ def load_bench_config(path: Path, *, out_override=None,
         _require(fmt in ("csv", "svmlight"),
                  f"datasets[{i}]: format must be csv or svmlight")
         name = item.get("name") or p.stem
+        label_column = item.get("label_column")
+        _require(label_column is None or _is_int(label_column)
+                 or isinstance(label_column, str),
+                 f"datasets[{i}]: label_column must be an integer or a "
+                 f"column name")
+        has_header = item.get("has_header", False)
+        _require(isinstance(has_header, bool),
+                 f"datasets[{i}]: has_header must be true or false")
         specs.append(DatasetSpec(
             name=str(name),
             path=p,
             format=fmt,
-            label_column=_coerce_label_column(item.get("label_column")),
-            has_header=bool(item.get("has_header", False)),
+            label_column=_coerce_label_column(label_column),
+            has_header=has_header,
         ))
         if fmt == "csv":
             _require(specs[-1].label_column is not None,
@@ -225,6 +234,9 @@ def load_bench_config(path: Path, *, out_override=None,
     paths = [str(s.path) for s in specs]
     _require(len(set(paths)) == len(paths), "dataset paths must be distinct")
 
+    for key in ("output_dir", "external_baselines"):
+        _require(raw.get(key) is None or isinstance(raw[key], str),
+                 f"{key} must be a string")
     out_dir = out_override or raw.get("output_dir")
     out_path = None
     if out_dir is not None:
@@ -293,6 +305,10 @@ def _ranks_blocked(matrix: evaluation.BenchmarkMatrix,
     """Why the rank statistics cannot run over ``ranked``, or None."""
     if len(ranked) < 3:
         return f"need >= 3 complete classifiers, got {len(ranked)}"
+    top = max(evaluation._NEMENYI_Q_05)
+    if len(ranked) > top:
+        return (f"need <= {top} classifiers (Nemenyi table), "
+                f"got {len(ranked)}")
     blocks = len(matrix.datasets) * matrix.runs
     if blocks < 2:
         return f"need >= 2 blocks (datasets x runs), got {blocks}"
@@ -317,40 +333,32 @@ def _read_baselines(cfg: BenchConfig) -> dict[tuple[str, str, int, int], float]:
 
     Rows for other datasets or for runs >= ``runs`` are skipped.  These
     are ConfigErrors naming the file, raised before any fold task: a row
-    whose fold is not 0 or 1, whose run is negative or whose accuracy
-    lies outside [0, 1] (NaN included); a row repeating a cell with
-    another accuracy; a classifier named like a computed code; and a
-    listed classifier missing a cell of the grid.
+    that ``dataio.read_cells_csv`` or ``BenchmarkMatrix.from_rows``
+    refuses, a classifier named like a computed code, and a listed
+    classifier missing a cell of the grid.
     """
     path = cfg.external_baselines
     if path is None:
         return {}
-    datasets = [s.name for s in cfg.datasets]
-    cells = {}
-    for row in dataio.read_cells_csv(path):
-        ds, c, r, f, acc = row
+    try:
+        given = evaluation.BenchmarkMatrix.from_rows(dataio.read_cells_csv(path))
+    except (DataFormatError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for c in given.classifiers:
         if c in cfg.distance_codes:
             raise ConfigError(
                 f"{path}: external baseline {c!r} collides with a computed "
                 f"column")
-        if f not in (0, 1) or r < 0 or not 0.0 <= acc <= 1.0:
+    wanted = evaluation.BenchmarkMatrix(
+        tuple(s.name for s in cfg.datasets), given.classifiers, cfg.runs)
+    keys = set(wanted.grid())
+    cells = {key: acc for key, acc in given.cells.items() if key in keys}
+    listed = dict.fromkeys(key[1] for key in cells)
+    for ds, c, r, f in wanted.grid(classifiers=listed):
+        if (ds, c, r, f) not in cells:
             raise ConfigError(
-                f"{path}: row {','.join(map(str, row))}: fold must be 0 or 1, "
-                f"run >= 0 and accuracy in [0, 1]")
-        if cells.setdefault((ds, c, r, f), acc) != acc:
-            raise ConfigError(
-                f"{path}: row {','.join(map(str, row))}: conflicts with an "
-                f"earlier row of the same cell")
-    cells = {key: acc for key, acc in cells.items()
-             if key[0] in datasets and key[2] < cfg.runs}
-    for c in dict.fromkeys(key[1] for key in cells):
-        for ds in datasets:
-            for r in range(cfg.runs):
-                for f in (0, 1):
-                    if (ds, c, r, f) not in cells:
-                        raise ConfigError(
-                            f"{path}: external baseline {c!r} has no cell for "
-                            f"dataset={ds!r} run={r} fold={f}")
+                f"{path}: external baseline {c!r} has no cell for "
+                f"dataset={ds!r} run={r} fold={f}")
     return cells
 
 
@@ -388,19 +396,17 @@ def cmd_bench(args) -> int:
             raise ConfigError(
                 f"{out_dir} holds results for a different configuration "
                 f"(manifest config_hash {recorded} != {cfg_hash})")
-        valid = set(seeded.classifiers)
-        valid_ds = set(seeded.datasets)
-        for ds, c, r, f, acc in dataio.read_cells_csv(cells_path):
-            if ds in valid_ds and c in valid and 0 <= r < cfg.runs and f in (0, 1):
-                seeded.cells[(ds, c, r, f)] = acc
+        keys = set(seeded.grid())
+        on_disk = evaluation.BenchmarkMatrix.from_rows(
+            dataio.read_cells_csv(cells_path)).cells
+        seeded.cells.update(
+            (key, acc) for key, acc in on_disk.items() if key in keys)
         if timings_path.exists():
             old_timings = dataio.read_timings_csv(timings_path)
 
     # one task per (dataset, run, test fold); fully reused folds count as done
     total = len(cfg.datasets) * cfg.runs * 2
-    done_count = total - len({(ds, r, f) for ds in seeded.datasets
-                              for c in seeded.classifiers
-                              for r in range(cfg.runs) for f in (0, 1)
+    done_count = total - len({(ds, r, f) for ds, c, r, f in seeded.grid()
                               if (ds, c, r, f) not in seeded.cells})
     print(f"grid: {total} tasks, {total - done_count} to compute, "
           f"{len(seeded.cells)} cells reused", file=sys.stderr)

@@ -46,7 +46,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -563,12 +563,12 @@ def write_distance_catalogue(path: str | Path) -> None:
 
 
 def _read_grid_csv(path: str | Path, value_names: Sequence[str]
-                   ) -> list[tuple]:
-    """Rows (dataset, classifier, run, fold, *values) of a per-cell file
-    whose header is dataset,classifier,run,fold followed by value_names."""
+                   ) -> Iterator[tuple[int, tuple]]:
+    """(line number, (dataset, classifier, run, fold, *values)) for each
+    row of a per-cell file whose header is dataset,classifier,run,fold
+    followed by value_names."""
     path = Path(path)
     expected = ["dataset", "classifier", "run", "fold", *value_names]
-    out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -585,16 +585,26 @@ def _read_grid_csv(path: str | Path, value_names: Sequence[str]
                     f"expected {len(expected)} fields, found {len(row)}",
                     path=path, row=line_no)
             try:
-                out.append((row[0], row[1], int(row[2]), int(row[3]),
-                            *(float(v) for v in row[4:])))
+                parsed = (row[0], row[1], int(row[2]), int(row[3]),
+                          *(float(v) for v in row[4:]))
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, row=line_no) from None
-    return out
+            yield line_no, parsed
 
 
 def read_cells_csv(path: str | Path) -> list[tuple[str, str, int, int, float]]:
-    """Rows of a cells file: (dataset, classifier, run, fold, accuracy)."""
-    return _read_grid_csv(path, ["accuracy"])
+    """Rows of a cells file: (dataset, classifier, run, fold, accuracy).
+    A row with a negative run, a fold other than 0 or 1, or an accuracy
+    outside [0, 1] (NaN included) raises ParseError naming file and row."""
+    rows = []
+    for line_no, row in _read_grid_csv(path, ["accuracy"]):
+        _, _, r, f, acc = row
+        if r < 0 or f not in (0, 1) or not 0.0 <= acc <= 1.0:
+            raise ParseError(
+                f"row {','.join(map(str, row))}: fold must be 0 or 1, "
+                f"run >= 0 and accuracy in [0, 1]", path=path, row=line_no)
+        rows.append(row)
+    return rows
 
 
 def read_timings_csv(
@@ -602,9 +612,8 @@ def read_timings_csv(
 ) -> dict[tuple[str, str, int, int], tuple[float, float]]:
     """A timings file as (dataset, classifier, run, fold) ->
     (train_seconds, test_seconds)."""
-    rows = _read_grid_csv(path, ["train_seconds", "test_seconds"])
-    return {(ds, c, r, f): (t_train, t_test)
-            for ds, c, r, f, t_train, t_test in rows}
+    return {row[:4]: row[4:]
+            for _, row in _read_grid_csv(path, ["train_seconds", "test_seconds"])}
 
 
 def write_stat_files(
@@ -705,16 +714,10 @@ def write_reports(
         written.append(path)
 
         path = out / "timings.csv"
-        rows = []
-        for ds in matrix.datasets:
-            for c in matrix.classifiers:
-                for r in range(matrix.runs):
-                    for fold in (0, 1):
-                        t = matrix.timings.get((ds, c, r, fold))
-                        if t is not None:
-                            rows.append([ds, c, r, fold, _f(t[0]), _f(t[1])])
         _write_rows(path, ["dataset", "classifier", "run", "fold",
-                           "train_seconds", "test_seconds"], rows)
+                           "train_seconds", "test_seconds"],
+                    [(*k, _f(t[0]), _f(t[1])) for k in matrix.grid()
+                     if (t := matrix.timings.get(k)) is not None])
         written.append(path)
 
         path = out / "failures.csv"

@@ -26,7 +26,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -152,10 +152,19 @@ class BenchmarkMatrix:
         default_factory=dict)
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
+    def grid(self, datasets: Iterable[str] | None = None,
+             classifiers: Iterable[str] | None = None
+             ) -> Iterator[tuple[str, str, int, int]]:
+        """The (dataset, classifier, run, fold) keys of the grid in report
+        order, over all datasets and classifiers unless given."""
+        for ds in self.datasets if datasets is None else datasets:
+            for c in self.classifiers if classifiers is None else classifiers:
+                for r in range(self.runs):
+                    for f in (0, 1):
+                        yield ds, c, r, f
+
     def is_complete(self, dataset: str, classifier: str) -> bool:
-        return all(
-            (dataset, classifier, r, f) in self.cells
-            for r in range(self.runs) for f in (0, 1))
+        return all(k in self.cells for k in self.grid([dataset], [classifier]))
 
     def run_values(self, dataset: str, classifier: str) -> list[float]:
         """Per-run accuracy (two folds averaged), in run order."""
@@ -172,25 +181,15 @@ class BenchmarkMatrix:
         return out
 
     def to_rows(self) -> list[tuple[str, str, int, int, float]]:
-        rows = []
-        for ds in self.datasets:
-            for cls in self.classifiers:
-                for r in range(self.runs):
-                    for f in (0, 1):
-                        key = (ds, cls, r, f)
-                        if key in self.cells:
-                            rows.append((ds, cls, r, f, self.cells[key]))
-        return rows
+        return [(*k, self.cells[k]) for k in self.grid() if k in self.cells]
 
     @classmethod
     def from_rows(
-        cls,
-        rows: Iterable[tuple[str, str, int, int, float]],
-        *,
-        runs: int | None = None,
+        cls, rows: Iterable[tuple[str, str, int, int, float]]
     ) -> "BenchmarkMatrix":
         """Rebuild a matrix from cell rows; dataset/classifier order is
-        first appearance, run count the highest run index + 1."""
+        first appearance, run count the highest run index + 1.  A row
+        repeating a cell with another accuracy raises ValueError."""
         datasets: list[str] = []
         classifiers: list[str] = []
         cells: dict[tuple[str, str, int, int], float] = {}
@@ -202,11 +201,11 @@ class BenchmarkMatrix:
                 classifiers.append(c)
             key = (ds, c, int(r), int(f))
             if key in cells and cells[key] != acc:
-                raise ValueError(f"conflicting duplicate cell {key}")
+                raise ValueError(f"row {ds},{c},{r},{f},{acc}: conflicts with "
+                                 f"an earlier row of the same cell")
             cells[key] = float(acc)
             max_run = max(max_run, int(r))
-        n_runs = runs if runs is not None else max_run + 1
-        return cls(tuple(datasets), tuple(classifiers), n_runs, cells)
+        return cls(tuple(datasets), tuple(classifiers), max_run + 1, cells)
 
 
 def _fold_task(args):
@@ -296,9 +295,9 @@ def run_benchmark(
         raise EmptyInput("need at least one dataset and one distance")
 
     matrix = BenchmarkMatrix(tuple(names), tuple(codes), runs)
-    grid_keys = {(r, f) for r in range(runs) for f in (0, 1)}
+    grid = set(matrix.grid())
     for key, acc in (done or {}).items():
-        if key[0] not in names or key[1] not in codes or key[2:] not in grid_keys:
+        if key not in grid:
             raise ValueError(f"done cell {key} lies outside the grid")
         matrix.cells[key] = acc
 

@@ -24,10 +24,10 @@ result.
 Prim and the competition exist once, on (k, n) state arrays that fit k
 measures together: each reads arcs through ``rows(f) -> (k, n)``, where
 f = at * n + u names row u of measure ``at``.  A cached (k, n, n) stack of
-matrices serves its rows by flat index; above ``_CACHE_MAX_NODES`` nodes a
-measure is fitted alone (k = 1, f = u) on 1 x n rows evaluated on demand.
-``train`` is ``train_measures`` of one measure, and ``train_measures``
-fits every measure of a fold in stacks of at most ``_STACK_MAX_BYTES``.
+matrices, as many as fit in ``_MATRIX_BYTES``, serves its rows by flat
+index; a graph whose one matrix exceeds it (n > 2048) fits each measure
+alone (k = 1, f = u) on 1 x n rows evaluated on demand.  ``train`` is
+``train_measures`` of one measure.
 
 All tie-breaks are deterministic: minimum extraction prefers the lowest
 node index, and a node's conqueror changes only on a strict improvement.
@@ -45,15 +45,13 @@ import numpy as np
 from . import distances
 from .errors import DimensionMismatch, SingleClass
 
-# Above this node count the full pairwise matrix is left uncomputed and
-# arcs are evaluated on demand (the matrix would dominate memory).
-_CACHE_MAX_NODES = 2048
+# A stack of float64 matrices trained together holds at most this many
+# bytes (32 MiB, one matrix of 2048 nodes).  A graph whose one matrix
+# exceeds it is left uncomputed and its arcs are evaluated on demand.
+_MATRIX_BYTES = 1 << 25
 # Row blocks of the matrix and node x query chunks of classify_batch hold
 # about this many entries, which bounds the block kernels' temporaries.
 _BLOCK_ENTRIES = 1 << 16
-# A stack of matrices trained together holds at most the bytes of one
-# float64 matrix at the cache cap (32 MiB).
-_STACK_MAX_BYTES = _CACHE_MAX_NODES ** 2 * 8
 
 
 @dataclass(frozen=True)
@@ -182,9 +180,9 @@ def _arc_rows(chunk: Sequence[distances.DistanceId], X: np.ndarray,
     measure's matrix fill.
 
     With a stack, the chunk's matrices are filled into its first k slots
-    and served by flat index.  Without one (a graph above
-    ``_CACHE_MAX_NODES``) the chunk holds one measure, so f == u, and each
-    row is a 1 x n ``pairwise`` call with a zeroed diagonal.
+    and served by flat index.  Without one (see ``_new_stack``) the chunk
+    holds one measure, so f == u, and each row is a 1 x n ``pairwise``
+    call with a zeroed diagonal.
     """
     fill = [0.0] * len(chunk)
     if stack is None:
@@ -201,6 +199,13 @@ def _arc_rows(chunk: Sequence[distances.DistanceId], X: np.ndarray,
         fill[j] = time.perf_counter() - t
     flat = stack[:len(chunk)].reshape(-1, len(X))
     return (lambda f: flat.take(f, axis=0)), fill
+
+
+def _new_stack(k: int, n: int) -> np.ndarray | None:
+    """An empty stack for up to k of the n x n matrices within
+    ``_MATRIX_BYTES``, or None when not even one fits."""
+    height = min(k, _MATRIX_BYTES // (8 * n * n))
+    return np.empty((height, n, n)) if height >= 1 else None
 
 
 def _mst_parents(k: int, n: int, rows) -> np.ndarray:
@@ -252,8 +257,7 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     """
     X = _feature_matrix(graph.samples)
     n = len(X)
-    stack = np.empty((1, n, n)) if n <= _CACHE_MAX_NODES else None
-    rows, _ = _arc_rows([graph.distance], X, stack)
+    rows, _ = _arc_rows([graph.distance], X, _new_stack(1, n))
     labels = np.array([s.label for s in graph.samples])
     mask = _prototype_mask(_mst_parents(1, n, rows), labels)
     return frozenset(np.flatnonzero(mask[0]).tolist())
@@ -339,10 +343,10 @@ def train_measures(
 
     Each result equals ``train(TrainingGraph(samples, m))`` field for
     field.  The samples are validated and their feature matrix built
-    once.  Up to ``_CACHE_MAX_NODES`` nodes the measures' matrices are
-    filled into stacks of at most ``_STACK_MAX_BYTES`` (at least one
-    matrix), and Prim and the competition run once per stack.  Above it
-    each measure is fitted alone, on rows evaluated on demand.
+    once.  The measures' matrices are filled into stacks of as many
+    matrices as fit in ``_MATRIX_BYTES``, and Prim and the competition
+    run once per stack.  When not even one matrix fits, each measure is
+    fitted alone, on rows evaluated on demand.
 
     If ``seconds`` is given, each measure's training seconds are appended
     to it: its own matrix fill plus an equal share of the rest of its
@@ -356,12 +360,8 @@ def train_measures(
     samples = TrainingGraph(tuple(samples), measures[0]).samples
     labels = np.array([s.label for s in samples])
     X = _feature_matrix(samples)
-    n = len(X)
-    stack = None
-    height = 1
-    if n <= _CACHE_MAX_NODES:
-        height = max(1, min(len(measures), _STACK_MAX_BYTES // (8 * n * n)))
-        stack = np.empty((height, n, n))
+    stack = _new_stack(len(measures), len(X))
+    height = 1 if stack is None else len(stack)
     forests: list[TrainedForest] = []
     for c0 in range(0, len(measures), height):
         chunk = measures[c0:c0 + height]

@@ -389,6 +389,30 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     assert set(reused) <= set(timings)
 
 
+def test_bench_resume_refuses_invalid_cells_before_the_grid(
+        tmp_path, capsys, monkeypatch):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, first, *rows = (out / "cells.csv").read_text().splitlines()
+    assert first.startswith("blob1,D3,0,0,")
+    (out / "cells.csv").write_text(
+        "\n".join([header, "blob1,D3,0,0,nan", *rows]) + "\n")
+    before = {n: (out / n).read_bytes() for n in REPORT_FILES}
+    tasks = []
+    monkeypatch.setattr(opfdist.evaluation, "_fold_task",
+                        lambda args: tasks.append(args))
+
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert "row blob1,D3,0,0,nan: fold must be 0 or 1" in err
+    assert f"({out / 'cells.csv'}, row 2)" in err
+    assert tasks == []
+    assert {n: (out / n).read_bytes() for n in REPORT_FILES} == before
+
+
 def test_bench_resume_refuses_cells_without_manifest(tmp_path, capsys):
     cfg = bench_config(tmp_path)
     out = tmp_path / "r"
@@ -440,6 +464,27 @@ def test_bench_config_rejects_booleans_as_integers(tmp_path, capsys, key):
     assert main(["bench", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("path: blob1.csv", "path: 123", "path"),
+    ("label_column: -1", "label_column: true", "label_column"),
+    ("label_column: -1", 'label_column: -1\n    has_header: "false"',
+     "has_header"),
+    ("runs:", "output_dir: 5\nruns:", "output_dir"),
+    ("runs:", "external_baselines: 5\nruns:", "external_baselines"),
+])
+def test_bench_config_rejects_values_of_the_wrong_type(
+        tmp_path, capsys, old, new, key):
+    cfg = bench_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    with pytest.raises(ConfigError, match=key):
+        load_bench_config(cfg)
+    assert main(["bench", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -509,6 +554,32 @@ def test_bench_single_block_skips_rank_statistics_and_writes_reports(
     assert (out / "rank.csv").read_text().splitlines() == [
         "classifier,mean_rank,critical_difference"]
     assert "stats_classifiers = \n" in (out / "manifest.txt").read_text()
+
+
+def test_bench_above_sixty_classifiers_skips_rank_statistics(tmp_path, capsys):
+    cfg = bench_config(
+        tmp_path, runs=2, extra="external_baselines: baselines.csv\n")
+    # 3 computed codes and 58 baselines: 61 classifiers, beyond the
+    # Nemenyi table
+    rows = ["dataset,classifier,run,fold,accuracy"]
+    for b in range(58):
+        for ds in ("blob1", "blob2"):
+            for r in (0, 1):
+                for f in (0, 1):
+                    rows.append(f"{ds},B{b},{r},{f},{(b + r + f) / 64!r}")
+    (tmp_path / "baselines.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("rank statistics skipped: need <= 60 classifiers (Nemenyi "
+            "table), got 61") in err
+    for name in REPORT_FILES:
+        assert (out / name).exists(), name
+    assert len((out / "summary.csv").read_text().splitlines()[0].split(",")) \
+        == 1 + 61
+    assert len((out / "cells.csv").read_text().splitlines()) == 1 + 61 * 8
+    assert (out / "rank.csv").read_text().splitlines() == [
+        "classifier,mean_rank,critical_difference"]
 
 
 def test_bench_merges_external_baselines(tmp_path, capsys):
@@ -693,6 +764,35 @@ def test_rank_needs_two_blocks(tmp_path, capsys):
     assert main(["rank", "--cells", str(p)]) == 2
     assert capsys.readouterr().err == (
         "error: rank statistics need >= 2 blocks (datasets x runs), got 1\n")
+
+
+def test_rank_needs_at_most_sixty_classifiers(tmp_path, capsys):
+    p = tmp_path / "wide.csv"
+    rng = random.Random(11)
+    rows = ["dataset,classifier,run,fold,accuracy"]
+    for c in range(61):
+        for r in range(2):
+            for f in (0, 1):
+                rows.append(f"d,C{c},{r},{f},{rng.random()!r}")
+    p.write_text("\n".join(rows) + "\n")
+    assert main(["rank", "--cells", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rank statistics need <= 60 classifiers (Nemenyi table), "
+        "got 61\n")
+
+
+@pytest.mark.parametrize("bad", ["d1,D6,2,0,nan", "d1,D6,2,7,0.5",
+                                 "d1,D6,-1,0,0.5", "d1,D6,2,0,-2.0"])
+def test_rank_refuses_invalid_cell_rows(tmp_path, capsys, bad):
+    cells = rank_cells_file(tmp_path)
+    lines = cells.read_text().splitlines()
+    cells.write_text("\n".join(lines[:10] + [bad] + lines[10:]) + "\n")
+    assert main(["rank", "--cells", str(cells)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: ParseError: row {bad}: fold must be 0 or 1, run >= 0 and "
+        f"accuracy in [0, 1] ({cells}, row 11)\n")
+    assert captured.out == ""
 
 
 def test_rank_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys):

@@ -541,6 +541,34 @@ def test_cells_csv_header_and_row_validation(tmp_path):
     p.write_text("dataset,classifier,run,fold,accuracy\nd,D3,0,0,x\n")
     with pytest.raises(ParseError):
         read_cells_csv(p)
+    # a cell outside the grid or an accuracy outside [0, 1] is refused,
+    # naming the file and the row
+    for bad in ("d,D3,0,1,nan", "d,D3,0,2,0.5", "d,D3,-1,0,0.5",
+                "d,D3,0,1,1.5"):
+        p.write_text(f"dataset,classifier,run,fold,accuracy\nd,D3,0,0,1.0\n"
+                     f"{bad}\n")
+        with pytest.raises(ParseError) as info:
+            read_cells_csv(p)
+        assert f"row {bad}: fold must be 0 or 1, run >= 0 and accuracy in " \
+            f"[0, 1] ({p}, row 3)" == str(info.value)
+
+
+def test_cells_and_timings_rows_follow_the_grid_order(tmp_path):
+    matrix = cells_fixture()
+    del matrix.cells[("alpha", "D6", 1, 0)], matrix.timings[("beta", "D3", 0, 1)]
+    keys = list(matrix.grid())
+    assert keys[:5] == [("alpha", "D3", 0, 0), ("alpha", "D3", 0, 1),
+                        ("alpha", "D3", 1, 0), ("alpha", "D3", 1, 1),
+                        ("alpha", "D6", 0, 0)]
+    assert len(keys) == len(set(keys)) == 2 * 3 * 2 * 2
+    write_reports({}, None, tmp_path, datasets=matrix.datasets,
+                  classifiers=matrix.classifiers, matrix=matrix)
+    for name, present in (("cells.csv", matrix.cells),
+                          ("timings.csv", matrix.timings)):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(ds, c, int(r), int(f)) for ds, c, r, f, *_ in rows] == \
+            [k for k in keys if k in present], name
 
 
 def test_summary_formats_and_blank_missing_columns(tmp_path):

@@ -204,11 +204,11 @@ def test_training_is_deterministic_and_cache_neutral(monkeypatch):
     rng = random.Random(61)
     features, labels = random_graph_spec(rng)
     g = graph_from_arrays(features, labels, "D7")
-    assert len(g.samples) <= opfdist.forest._CACHE_MAX_NODES
+    assert 8 * len(g.samples) ** 2 <= opfdist.forest._MATRIX_BYTES
     a = train(g)
     b = train(g)
-    # a limit of 0 nodes forces rows computed on demand
-    monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES", 0)
+    # a budget of 0 bytes forces rows computed on demand
+    monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 0)
     uncached = train(g)
     assert a == b
     assert uncached == a
@@ -382,7 +382,7 @@ def _assert_python_scalars(model):
 
 
 def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
-    limit = opfdist.forest._CACHE_MAX_NODES
+    budget = opfdist.forest._MATRIX_BYTES
     block = opfdist.forest._BLOCK_ENTRIES
     for code in [d.code for d in registry()]:
         kernel = distance_reference.distance_function(code)
@@ -391,9 +391,9 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
             want_protos = forest_reference.find_prototypes(
                 graph, forest_reference.distance_rows(graph))
             for cache in (True, False):
-                # a limit of 0 nodes forces rows computed on demand
-                monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES",
-                                    limit if cache else 0)
+                # a budget of 0 bytes forces rows computed on demand
+                monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES",
+                                    budget if cache else 0)
                 assert find_prototypes(graph) == want_protos, (code, cache)
                 got = train(graph)
                 for field in dataclasses.fields(want):
@@ -430,13 +430,14 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
 
 @pytest.mark.parametrize("path", ["stack", "height_1", "on_demand"])
 def test_train_measures_equals_scalar_reference(monkeypatch, path):
-    if path == "height_1":
-        # a budget below one matrix leaves one measure per stack
-        monkeypatch.setattr(opfdist.forest, "_STACK_MAX_BYTES", 0)
-    elif path == "on_demand":
-        monkeypatch.setattr(opfdist.forest, "_CACHE_MAX_NODES", 0)
+    if path == "on_demand":
+        monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 0)
     codes = [d.code for d in registry()]
     for graph in _oracle_graphs("D3"):
+        if path == "height_1":
+            # a budget of one matrix leaves one measure per stack
+            monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES",
+                                8 * len(graph.samples) ** 2)
         seconds = []
         got = train_measures(graph.samples, codes, seconds=seconds)
         assert len(got) == len(seconds) == 47
@@ -463,7 +464,7 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
 
     monkeypatch.setattr(opfdist.forest, "_mst_parents", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
-    monkeypatch.setattr(opfdist.forest, "_STACK_MAX_BYTES", 2 * 17 * 17 * 8)
+    monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 2 * 17 * 17 * 8)
     got = train_measures(graph.samples, codes)
     assert stacks == [(2, 17, 17), (2, 17, 17), (1, 17, 17)]
     assert got == [train(TrainingGraph(graph.samples, resolve(c)))
