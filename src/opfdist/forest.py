@@ -14,12 +14,15 @@ The distance matrix, Prim's algorithm, the competition and
 (``distances.pairwise``), which equal the per-pair kernels bit for bit, and
 each extraction is a first-occurrence argmin.  Classification scans nodes
 in cost order and may stop once no remaining node can improve on the best
-offer (Papa et al., Pattern Recognition 2012).  Single-query ``classify``
-keeps the scalar scan; ``classify_batch`` scans chunks of nodes against
-the queries still open, and closes a query once the next chunk's first
-cost reaches its best offer.  The full scan and both early exits return
-the same cost, label and conqueror, so ``early_exit`` never changes a
-result.
+offer (Papa et al., Pattern Recognition 2012).  ``classify_batch`` scans
+chunks of nodes against the queries still open, and closes a query once
+the next chunk's first cost reaches its best offer; its node features
+and costs in scan order are built once per forest, on first use.
+Single-query ``classify`` is a batch of one above ``_SCALAR_NODES``
+nodes, where one block call beats a node-by-node scan that stops early,
+and the scalar scan at or below it.  The full scan and both early exits
+return the same cost, label and conqueror, so ``early_exit`` never
+changes a result.
 
 Prim and the competition exist once, on (k, n) state arrays that fit k
 measures together: each reads arcs through ``rows(f) -> (k, n)``, where
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +56,12 @@ _MATRIX_BYTES = 1 << 25
 # Row blocks of the matrix and node x query chunks of classify_batch hold
 # about this many entries, which bounds the block kernels' temporaries.
 _BLOCK_ENTRIES = 1 << 16
+# ``classify`` scans a forest of at most this many nodes node by node with
+# the per-pair kernel and classifies a query on a larger one as a batch of
+# one.  Summed over the 47 measures, on uniform and clustered data with 13
+# and 50 features, one block call took 1.02-1.89x the scalar scan's time
+# at 64 nodes, 0.50-1.03x at 128 and 0.33-0.96x at 192 (BENCH_14.json).
+_SCALAR_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,24 @@ class TrainedForest:
     @property
     def n_features(self) -> int:
         return len(self.samples[0].features)
+
+    @cached_property
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node features, feature-major (d, n) so that a chunk of all
+        nodes reaches the block kernel without a copy, and the node costs,
+        both in ``ordered_nodes`` order: what ``classify_batch`` scans.
+
+        Built once, on first use, into the instance dict: not a field, so
+        equality, repr and the archive bytes do not see it.  Read-only, as
+        every scan shares them; threads racing on the first use build
+        equal arrays.
+        """
+        order = self.ordered_nodes
+        nodes = np.ascontiguousarray(
+            _feature_matrix([self.samples[s] for s in order]).T)
+        cost = np.array([self.cost[s] for s in order])
+        nodes.flags.writeable = cost.flags.writeable = False
+        return nodes, cost
 
 
 @dataclass(frozen=True)
@@ -383,10 +411,14 @@ def classify(
 ) -> Prediction:
     """Label a query by the training node offering the cheapest path.
 
-    Scans nodes in ``ordered_nodes`` order with the scalar kernel.
-    ``early_exit=False`` forces the full scan; the result is identical
-    because nodes later in the order cannot offer below their own cost.
+    On a forest of more than ``_SCALAR_NODES`` nodes this is
+    ``classify_batch`` of the one query.  Otherwise it scans nodes in
+    ``ordered_nodes`` order with the scalar kernel.  ``early_exit=False``
+    forces the full scan; the result is identical because nodes later in
+    the order cannot offer below their own cost.
     """
+    if len(forest.ordered_nodes) > _SCALAR_NODES:
+        return classify_batch(forest, [query], early_exit=early_exit)[0]
     if len(query) != forest.n_features:
         raise DimensionMismatch(
             f"query has dim {len(query)}, model expects {forest.n_features}")
@@ -434,8 +466,7 @@ def classify_batch(
         return []
     order = forest.ordered_nodes
     n = len(order)
-    nodes = _feature_matrix([forest.samples[s] for s in order])
-    cost = np.array([forest.cost[s] for s in order])
+    nodes, cost = forest._scan
     Q = np.array(queries, dtype=np.float64)
     best = np.empty(len(Q))
     first = np.empty(len(Q), dtype=np.intp)
@@ -445,7 +476,7 @@ def classify_batch(
         r0 = 0
         while r0 < n and len(active):
             r1 = min(n, r0 + max(1, _BLOCK_ENTRIES // len(active)))
-            d = distances.pairwise(forest.distance, nodes[r0:r1], block)
+            d = distances.pairwise(forest.distance, nodes[:, r0:r1].T, block)
             c = cost[r0:r1, None]
             offer = np.where(c >= d, c, d)
             k = offer.argmin(axis=0)

@@ -433,7 +433,10 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
     # the payload ends with n_protos, protos, cost, pred, root, ordered
     ordered_at = len(blob) - 48 - 4 * n
     pred_at = ordered_at - 16 * n
-    protos_at = pred_at - 8 * n - 4 * len(protos)
+    cost_at = pred_at - 8 * n
+    protos_at = cost_at - 4 * len(protos)
+    first, mid, last = (forest.ordered_nodes[i] for i in (0, 2, 3))
+    assert forest.cost[first] < forest.cost[mid] < forest.cost[last]
 
     def put(fmt, offset, *vals):
         return lambda payload: struct.pack_into("<" + fmt, payload, offset,
@@ -444,6 +447,8 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
     order = "ordered nodes are not a permutation"
     proto = "prototype indices are not strictly ascending"
     pred = "predecessor outside"
+    nan = "a node cost is NaN"
+    decrease = "node costs decrease along the ordered nodes"
     cases = [
         (put("I", 0, 0), size),
         (put("I", 4, 0), size),
@@ -454,6 +459,12 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
         (put("I", protos_at + 4, n), proto),
         (put("q", pred_at, n), pred),
         (put("q", pred_at, -2), pred),
+        # both early exits stop at the first node whose cost reaches the
+        # best offer, which a later, cheaper node would make wrong
+        (put("d", cost_at + 8 * last, math.nan), nan),
+        (put("d", cost_at + 8 * first, math.nan), nan),
+        (put("d", cost_at + 8 * last, forest.cost[mid] / 2), decrease),
+        (put("d", cost_at + 8 * first, forest.cost[last] + 1.0), decrease),
     ]
     for edit, message in cases:
         bad.write_bytes(resealed(blob, edit))

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from opfdist import (
+    NormalizationSpec,
     TrainingGraph,
     accuracy,
     classify,
@@ -19,6 +20,7 @@ from opfdist import (
     registry,
     resolve,
     run_benchmark,
+    save_forest,
     train,
     train_measures,
 )
@@ -267,22 +269,105 @@ def test_classifying_training_samples_moves_no_higher_than_own_cost():
         assert p.label == forest.root_label[i]
 
 
-def test_early_exit_equals_full_scan():
+# ``_SCALAR_NODES`` values that send single queries on every test graph
+# here through the batch-of-one block scan, and through the scalar scan
+CLASSIFY_PATHS = (("block", 0), ("scalar", 1 << 20))
+
+
+def _assert_predictions(preds, want_preds, where):
+    """Predictions equal to the reference's (label, cost, conqueror), as
+    Python scalars."""
+    assert len(preds) == len(want_preds), where
+    for p, want_pred in zip(preds, want_preds):
+        assert (p.label, p.cost, p.conqueror) == want_pred, where
+        assert type(p.label) is int and type(p.conqueror) is int, where
+        assert type(p.cost) is float, where
+
+
+def test_early_exit_equals_full_scan(monkeypatch):
     rng = random.Random(67)
     for code in ("D3", "D15", "D33", "D46"):
         kernel = distance_reference.distance_function(code)
         for _ in range(10):
             features, labels = random_graph_spec(rng)
             forest = train(graph_from_arrays(features, labels, code))
-            for _ in range(20):
-                q = [rng.random() for _ in range(5)]
-                fast = classify(forest, q, early_exit=True)
-                slow = classify(forest, q, early_exit=False)
+            queries = [[rng.random() for _ in range(5)] for _ in range(20)]
+            want = [forest_reference.full_scan_reference(forest, kernel, q)
+                    for q in queries]
+            for path, limit in CLASSIFY_PATHS:
+                monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", limit)
+                fast = [classify(forest, q, early_exit=True) for q in queries]
+                slow = [classify(forest, q, early_exit=False) for q in queries]
                 assert fast == slow
-                label, cost, who = forest_reference.full_scan_reference(
-                    forest, kernel, q)
-                assert (fast.label, fast.cost, fast.conqueror) == \
-                    (label, cost, who)
+                _assert_predictions(fast, want, (code, path, True))
+                _assert_predictions(slow, want, (code, path, False))
+
+
+def test_single_queries_above_the_scalar_limit_make_one_block_call(
+        monkeypatch):
+    rng = random.Random(83)
+    calls = []
+    real = opfdist.forest.distances.pairwise
+
+    def spy(measure, A, B):
+        calls.append((len(A), len(B)))
+        return real(measure, A, B)
+
+    def forest_of(n):
+        return train(graph_from_arrays(
+            [[rng.random() for _ in range(4)] for _ in range(n)],
+            [i % 3 for i in range(n)], "D3"))
+
+    big, wine_sized = forest_of(200), forest_of(89)
+    queries = [[rng.random() for _ in range(4)] for _ in range(10)]
+    monkeypatch.setattr(opfdist.forest.distances, "pairwise", spy)
+    got = [classify(big, q) for q in queries]
+    assert calls == [(200, 1)] * len(queries)
+    calls.clear()
+    small = [classify(wine_sized, q) for q in queries]
+    assert calls == []
+    # the limit is inclusive: a forest of exactly _SCALAR_NODES nodes
+    # still scans node by node
+    monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", 89)
+    classify(wine_sized, queries[0])
+    assert calls == []
+    monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", 88)
+    assert classify(wine_sized, queries[0]) == small[0]
+    assert calls == [(89, 1)]
+    monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", 200)
+    assert [classify(big, q) for q in queries] == got
+
+
+def test_scan_arrays_stay_out_of_equality_repr_and_archive(
+        monkeypatch, tmp_path):
+    rng = random.Random(89)
+    model = train(graph_from_arrays(
+        [[rng.random() for _ in range(3)] for _ in range(150)],
+        [i % 2 for i in range(150)], "D7"))
+    fresh = dataclasses.replace(model)
+    spec = NormalizationSpec("none")
+    save_forest(fresh, spec, tmp_path / "before.opf")
+    builds = []
+    real = opfdist.forest._feature_matrix
+
+    def spy(samples):
+        builds.append(len(samples))
+        return real(samples)
+
+    monkeypatch.setattr(opfdist.forest, "_feature_matrix", spy)
+    queries = [[rng.random() for _ in range(3)] for _ in range(4)]
+    classify_batch(model, queries)
+    classify_batch(model, queries)
+    classify(model, queries[0])
+    # built once, on first use, and kept on the forest, read-only
+    assert builds == [150]
+    assert not any(a.flags.writeable for a in model._scan)
+    assert "_scan" in vars(model) and "_scan" not in vars(fresh)
+    assert model == fresh and hash(model) == hash(fresh)
+    assert repr(model) == repr(fresh)
+    save_forest(model, spec, tmp_path / "after.opf")
+    assert (tmp_path / "after.opf").read_bytes() == \
+        (tmp_path / "before.opf").read_bytes()
 
 
 def test_classify_batch_early_exit_skips_entries_in_bounded_chunks(
@@ -410,19 +495,25 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
             ] + [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(5)]
             want_preds = [forest_reference.full_scan_reference(got, kernel, q)
                           for q in queries]
-            singles = [classify(got, q) for q in queries]
+            reprs = set()
+            for path, limit in CLASSIFY_PATHS:
+                monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", limit)
+                for early_exit in (True, False):
+                    singles = [classify(got, q, early_exit=early_exit)
+                               for q in queries]
+                    _assert_predictions(singles, want_preds,
+                                        (code, path, early_exit))
+                    reprs.add(repr(singles))
+            # repr, unlike ==, tells -0.0 from 0.0
+            assert len(reprs) == 1, code
             # chunks of one row; of a few rows, growing as queries close;
             # and one chunk holding every node x query entry
             for entries in (1, 40, len(graph.samples) * len(queries)):
                 monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", entries)
                 for early_exit in (True, False):
                     preds = classify_batch(got, queries, early_exit=early_exit)
-                    for p, want_pred in zip(preds, want_preds):
-                        assert (p.label, p.cost, p.conqueror) == want_pred, \
-                            (code, entries, early_exit)
-                        assert type(p.label) is int and \
-                            type(p.conqueror) is int
-                        assert type(p.cost) is float
+                    _assert_predictions(preds, want_preds,
+                                        (code, entries, early_exit))
                     assert preds == singles, (code, entries, early_exit)
                     assert repr(preds) == repr(singles)
             monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", block)
