@@ -492,10 +492,11 @@ def load_archive(path: str | Path) -> ForestArchive:
                              f"ascending below {n}")
     if any(not -1 <= v < n for v in preds):
         raise CorruptArchive(f"{path}: predecessor outside -1..{n - 1}")
-    # Both early exits stop at the first node whose cost reaches the best
-    # offer, which is exact only while costs never decrease in scan order.
-    if any(math.isnan(c) for c in costs):
-        raise CorruptArchive(f"{path}: a node cost is NaN")
+    # Training gives finite costs, non-decreasing in scan order.  The early
+    # exit stops at the first node whose cost reaches the best offer, which
+    # is exact only while costs never decrease in scan order.
+    if not all(math.isfinite(c) for c in costs):
+        raise CorruptArchive(f"{path}: a node cost is not finite")
     scan = [costs[s] for s in ordered]
     if any(a > b for a, b in zip(scan, scan[1:])):
         raise CorruptArchive(f"{path}: node costs decrease along the "

@@ -237,8 +237,9 @@ def _fold_task(args):
     cells, errors = {}, {}
     try:
         seconds: list[float] = []
-        models = forest.train_measures(train, codes, seconds=seconds)
-        fits = list(zip(codes, models, seconds))
+        fits = list(zip(codes, forest.train_measures(train, codes,
+                                                     seconds=seconds),
+                        seconds))
     except Exception:
         fits = []
         for code in codes:
@@ -248,7 +249,11 @@ def _fold_task(args):
                 fits.append((code, model, seconds[0]))
             except Exception as exc:  # recorded, never silently dropped
                 errors[code] = f"{type(exc).__name__}: {exc}"
-    for code, model, t_train in fits:
+    # each forest is dropped once tested: its scan arrays (n x d float64,
+    # built by classify_batch) would otherwise stay alive for every code
+    fits.reverse()
+    while fits:
+        code, model, t_train = fits.pop()
         try:
             t0 = time.perf_counter()
             preds = forest.classify_batch(model, queries)

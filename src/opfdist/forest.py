@@ -18,10 +18,8 @@ offer (Papa et al., Pattern Recognition 2012).  ``classify_batch`` scans
 chunks of nodes against the queries still open, and closes a query once
 the next chunk's first cost reaches its best offer; its node features
 and costs in scan order are built once per forest, on first use.
-Single-query ``classify`` is a batch of one above ``_SCALAR_NODES``
-nodes, where one block call beats a node-by-node scan that stops early,
-and the scalar scan at or below it.  The full scan and both early exits
-return the same cost, label and conqueror, so ``early_exit`` never
+Single-query ``classify`` is a batch of one.  The full scan and the early
+exit return the same cost, label and conqueror, so ``early_exit`` never
 changes a result.
 
 Prim and the competition exist once, on (k, n) state arrays that fit k
@@ -38,7 +36,6 @@ node index, and a node's conqueror changes only on a strict improvement.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,12 +53,6 @@ _MATRIX_BYTES = 1 << 25
 # Row blocks of the matrix and node x query chunks of classify_batch hold
 # about this many entries, which bounds the block kernels' temporaries.
 _BLOCK_ENTRIES = 1 << 16
-# ``classify`` scans a forest of at most this many nodes node by node with
-# the per-pair kernel and classifies a query on a larger one as a batch of
-# one.  Summed over the 47 measures, on uniform and clustered data with 13
-# and 50 features, one block call took 1.02-1.89x the scalar scan's time
-# at 64 nodes, 0.50-1.03x at 128 and 0.33-0.96x at 192 (BENCH_14.json).
-_SCALAR_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -145,7 +136,8 @@ class TrainedForest:
         both in ``ordered_nodes`` order: what ``classify_batch`` scans.
 
         Built once, on first use, into the instance dict: not a field, so
-        equality, repr and the archive bytes do not see it.  Read-only, as
+        equality, repr and the archive bytes do not see it.  They hold
+        (d + 1) x n float64 for as long as the forest lives.  Read-only, as
         every scan shares them; threads racing on the first use build
         equal arrays.
         """
@@ -409,34 +401,12 @@ def classify(
     *,
     early_exit: bool = True,
 ) -> Prediction:
-    """Label a query by the training node offering the cheapest path.
-
-    On a forest of more than ``_SCALAR_NODES`` nodes this is
-    ``classify_batch`` of the one query.  Otherwise it scans nodes in
-    ``ordered_nodes`` order with the scalar kernel.  ``early_exit=False``
-    forces the full scan; the result is identical because nodes later in
-    the order cannot offer below their own cost.
+    """Label a query by the training node offering the cheapest path:
+    ``classify_batch`` of the one query.  ``early_exit=False`` forces the
+    full scan; the result is identical because nodes later in the order
+    cannot offer below their own cost.
     """
-    if len(forest.ordered_nodes) > _SCALAR_NODES:
-        return classify_batch(forest, [query], early_exit=early_exit)[0]
-    if len(query) != forest.n_features:
-        raise DimensionMismatch(
-            f"query has dim {len(query)}, model expects {forest.n_features}")
-    kernel = distances.distance_function(forest.distance)
-    samples = forest.samples
-    cost = forest.cost
-    best = math.inf
-    who = -1
-    for s in forest.ordered_nodes:
-        cs = cost[s]
-        if early_exit and cs >= best:
-            break
-        d = kernel(samples[s].features, query)
-        offer = cs if cs >= d else d
-        if offer < best:
-            best = offer
-            who = s
-    return Prediction(forest.root_label[who], best, who)
+    return classify_batch(forest, [query], early_exit=early_exit)[0]
 
 
 def classify_batch(
@@ -451,10 +421,9 @@ def classify_batch(
     kernel, one chunk of rows at a time against the queries still open,
     each chunk holding about ``_BLOCK_ENTRIES`` entries.  A query's best
     offer changes only on a strict improvement, so the first node that
-    minimizes max(cost, distance) wins, which is what the scan of
-    ``classify`` returns.  With ``early_exit`` a query closes once its
-    best offer is <= the cost of the next chunk's first node, the test
-    that stops ``classify``; ``early_exit=False`` scores every node.
+    minimizes max(cost, distance) wins.  With ``early_exit`` a query
+    closes once its best offer is <= the cost of the next chunk's first
+    node; ``early_exit=False`` scores every node.
     Either way the results are the same.
     """
     queries = list(queries)

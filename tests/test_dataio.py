@@ -447,7 +447,7 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
     order = "ordered nodes are not a permutation"
     proto = "prototype indices are not strictly ascending"
     pred = "predecessor outside"
-    nan = "a node cost is NaN"
+    infinite = "a node cost is not finite"
     decrease = "node costs decrease along the ordered nodes"
     cases = [
         (put("I", 0, 0), size),
@@ -459,10 +459,12 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
         (put("I", protos_at + 4, n), proto),
         (put("q", pred_at, n), pred),
         (put("q", pred_at, -2), pred),
-        # both early exits stop at the first node whose cost reaches the
+        # the early exit stops at the first node whose cost reaches the
         # best offer, which a later, cheaper node would make wrong
-        (put("d", cost_at + 8 * last, math.nan), nan),
-        (put("d", cost_at + 8 * first, math.nan), nan),
+        (put("d", cost_at + 8 * last, math.nan), infinite),
+        (put("d", cost_at + 8 * first, math.nan), infinite),
+        # +inf on the last settled node keeps the order non-decreasing
+        (put("d", cost_at + 8 * last, math.inf), infinite),
         (put("d", cost_at + 8 * last, forest.cost[mid] / 2), decrease),
         (put("d", cost_at + 8 * first, forest.cost[last] + 1.0), decrease),
     ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import weakref
 
 import pytest
 
@@ -269,11 +270,6 @@ def test_classifying_training_samples_moves_no_higher_than_own_cost():
         assert p.label == forest.root_label[i]
 
 
-# ``_SCALAR_NODES`` values that send single queries on every test graph
-# here through the batch-of-one block scan, and through the scalar scan
-CLASSIFY_PATHS = (("block", 0), ("scalar", 1 << 20))
-
-
 def _assert_predictions(preds, want_preds, where):
     """Predictions equal to the reference's (label, cost, conqueror), as
     Python scalars."""
@@ -284,7 +280,7 @@ def _assert_predictions(preds, want_preds, where):
         assert type(p.cost) is float, where
 
 
-def test_early_exit_equals_full_scan(monkeypatch):
+def test_early_exit_equals_full_scan():
     rng = random.Random(67)
     for code in ("D3", "D15", "D33", "D46"):
         kernel = distance_reference.distance_function(code)
@@ -294,17 +290,14 @@ def test_early_exit_equals_full_scan(monkeypatch):
             queries = [[rng.random() for _ in range(5)] for _ in range(20)]
             want = [forest_reference.full_scan_reference(forest, kernel, q)
                     for q in queries]
-            for path, limit in CLASSIFY_PATHS:
-                monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", limit)
-                fast = [classify(forest, q, early_exit=True) for q in queries]
-                slow = [classify(forest, q, early_exit=False) for q in queries]
-                assert fast == slow
-                _assert_predictions(fast, want, (code, path, True))
-                _assert_predictions(slow, want, (code, path, False))
+            fast = [classify(forest, q, early_exit=True) for q in queries]
+            slow = [classify(forest, q, early_exit=False) for q in queries]
+            assert fast == slow
+            _assert_predictions(fast, want, (code, True))
+            _assert_predictions(slow, want, (code, False))
 
 
-def test_single_queries_above_the_scalar_limit_make_one_block_call(
-        monkeypatch):
+def test_single_queries_make_one_block_call(monkeypatch):
     rng = random.Random(83)
     calls = []
     real = opfdist.forest.distances.pairwise
@@ -313,29 +306,17 @@ def test_single_queries_above_the_scalar_limit_make_one_block_call(
         calls.append((len(A), len(B)))
         return real(measure, A, B)
 
-    def forest_of(n):
-        return train(graph_from_arrays(
-            [[rng.random() for _ in range(4)] for _ in range(n)],
-            [i % 3 for i in range(n)], "D3"))
-
-    big, wine_sized = forest_of(200), forest_of(89)
     queries = [[rng.random() for _ in range(4)] for _ in range(10)]
+    # a wine-sized forest and a larger one: n x 1 entries fit one chunk
+    models = {n: train(graph_from_arrays(
+        [[rng.random() for _ in range(4)] for _ in range(n)],
+        [i % 3 for i in range(n)], "D3")) for n in (89, 200)}
+    batches = {n: classify_batch(m, queries) for n, m in models.items()}
     monkeypatch.setattr(opfdist.forest.distances, "pairwise", spy)
-    got = [classify(big, q) for q in queries]
-    assert calls == [(200, 1)] * len(queries)
-    calls.clear()
-    small = [classify(wine_sized, q) for q in queries]
-    assert calls == []
-    # the limit is inclusive: a forest of exactly _SCALAR_NODES nodes
-    # still scans node by node
-    monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", 89)
-    classify(wine_sized, queries[0])
-    assert calls == []
-    monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", 88)
-    assert classify(wine_sized, queries[0]) == small[0]
-    assert calls == [(89, 1)]
-    monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", 200)
-    assert [classify(big, q) for q in queries] == got
+    for n, model in models.items():
+        assert [classify(model, q) for q in queries] == batches[n]
+        assert calls == [(n, 1)] * len(queries), n
+        calls.clear()
 
 
 def test_scan_arrays_stay_out_of_equality_repr_and_archive(
@@ -496,14 +477,11 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
             want_preds = [forest_reference.full_scan_reference(got, kernel, q)
                           for q in queries]
             reprs = set()
-            for path, limit in CLASSIFY_PATHS:
-                monkeypatch.setattr(opfdist.forest, "_SCALAR_NODES", limit)
-                for early_exit in (True, False):
-                    singles = [classify(got, q, early_exit=early_exit)
-                               for q in queries]
-                    _assert_predictions(singles, want_preds,
-                                        (code, path, early_exit))
-                    reprs.add(repr(singles))
+            for early_exit in (True, False):
+                singles = [classify(got, q, early_exit=early_exit)
+                           for q in queries]
+                _assert_predictions(singles, want_preds, (code, early_exit))
+                reprs.add(repr(singles))
             # repr, unlike ==, tells -0.0 from 0.0
             assert len(reprs) == 1, code
             # chunks of one row; of a few rows, growing as queries close;
@@ -567,6 +545,24 @@ def test_train_measures_rejects_what_train_rejects():
     with pytest.raises(SingleClass):
         train_measures(graph_from_arrays(
             [[1.0], [2.0]], [0, 0], "D3").samples, ["D3", "D7"])
+
+
+def test_fold_task_drops_each_forest_once_tested(monkeypatch):
+    ds = make_dataset(
+        [[random.Random(i).uniform(0.0, 2.0) for _ in range(3)]
+         for i in range(24)], [i % 3 for i in range(24)], name="toy")
+    tested = []
+    real = opfdist.forest.classify_batch
+
+    def spy(model, queries):
+        # a tested forest keeps its scan arrays while it lives
+        assert all(ref() is None for ref in tested)
+        tested.append(weakref.ref(model))
+        return real(model, queries)
+
+    monkeypatch.setattr(opfdist.forest, "classify_batch", spy)
+    matrix = run_benchmark([ds], ["D3", "D7", "D15"], seed=4, runs=1)
+    assert not matrix.errors and len(tested) == 3 * 2
 
 
 def test_grid_cells_equal_separate_fits_and_all_carry_timings():
