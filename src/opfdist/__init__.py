@@ -60,6 +60,7 @@ from .evaluation import (
     critical_difference,
     friedman_nemenyi,
     make_splits,
+    rank_complete,
     run_benchmark,
     summarize,
     wilcoxon_signed_rank,

@@ -117,20 +117,17 @@ def cmd_predict(args) -> int:
             return arc.class_names[idx]
         return str(idx)
 
-    with dataio._replacing(Path(args.out)) as fh:
-        fh.write("row,predicted_label,cost,conqueror\n")
-        for i, p in enumerate(preds, start=1):
-            fh.write(f"{i},{label_text(p.label)},{p.cost!r},{p.conqueror}\n")
+    dataio._write_rows(
+        Path(args.out), ["row", "predicted_label", "cost", "conqueror"],
+        [(i, label_text(p.label), repr(p.cost), p.conqueror)
+         for i, p in enumerate(preds, start=1)])
     print(f"predictions = {len(preds)}")
 
     if ds is not None and label_column is not None:
-        if arc.class_names is not None and ds.class_names is not None:
-            predicted = [label_text(p.label) for p in preds]
-            truth = [ds.class_names[s.label] for s in ds.samples]
-        else:
-            predicted = [p.label for p in preds]
-            truth = [s.label for s in ds.samples]
-        acc = evaluation.accuracy(predicted, truth)
+        # labels are compared as text: the file numbers its labels by
+        # first appearance, the model by its own training file
+        acc = evaluation.accuracy([label_text(p.label) for p in preds],
+                                  [ds.class_names[s.label] for s in ds.samples])
         print(f"accuracy = {acc:.4f}")
     return 0
 
@@ -290,44 +287,6 @@ def _config_hash(cfg: BenchConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _complete_classifiers(matrix: evaluation.BenchmarkMatrix) -> list[str]:
-    out = []
-    for c in matrix.classifiers:
-        if any((ds, c) in matrix.errors for ds in matrix.datasets):
-            continue
-        if all(matrix.is_complete(ds, c) for ds in matrix.datasets):
-            out.append(c)
-    return out
-
-
-def _ranks_blocked(matrix: evaluation.BenchmarkMatrix,
-                   ranked: list[str]) -> str | None:
-    """Why the rank statistics cannot run over ``ranked``, or None."""
-    if len(ranked) < 3:
-        return f"need >= 3 complete classifiers, got {len(ranked)}"
-    top = max(evaluation._NEMENYI_Q_05)
-    if len(ranked) > top:
-        return (f"need <= {top} classifiers (Nemenyi table), "
-                f"got {len(ranked)}")
-    blocks = len(matrix.datasets) * matrix.runs
-    if blocks < 2:
-        return f"need >= 2 blocks (datasets x runs), got {blocks}"
-    return None
-
-
-def _submatrix(matrix: evaluation.BenchmarkMatrix,
-               classifiers: list[str]) -> evaluation.BenchmarkMatrix:
-    keep = set(classifiers)
-    return evaluation.BenchmarkMatrix(
-        matrix.datasets,
-        tuple(c for c in matrix.classifiers if c in keep),
-        matrix.runs,
-        {k: v for k, v in matrix.cells.items() if k[1] in keep},
-        {},
-        {},
-    )
-
-
 def _read_baselines(cfg: BenchConfig) -> dict[tuple[str, str, int, int], float]:
     """The external baseline cells that lie in the configured grid.
 
@@ -435,12 +394,8 @@ def cmd_bench(args) -> int:
         matrix.cells[key] = acc
 
     summary = evaluation.summarize(matrix)
-    ranked = _complete_classifiers(matrix)
-    stats = None
-    blocked = _ranks_blocked(matrix, ranked)
-    if blocked is None:
-        stats = evaluation.friedman_nemenyi(_submatrix(matrix, ranked), cfg.alpha)
-    else:
+    ranked, stats, blocked = evaluation.rank_complete(matrix, cfg.alpha)
+    if blocked is not None:
         print(f"rank statistics skipped: {blocked}", file=sys.stderr)
 
     manifest = {
@@ -465,10 +420,8 @@ def cmd_bench(args) -> int:
             f"rows={len(d.samples)} features={d.n_features} "
             f"classes={d.n_classes}")
 
-    dataio.write_reports(summary, stats, out_dir,
-                         datasets=matrix.datasets,
-                         classifiers=matrix.classifiers,
-                         matrix=matrix, manifest=manifest)
+    dataio.write_reports(summary, stats, out_dir, matrix=matrix,
+                         manifest=manifest)
     if matrix.errors:
         print(f"warning: {len(matrix.errors)} column(s) failed; see "
               f"failures.csv", file=sys.stderr)
@@ -526,18 +479,16 @@ def cmd_rank(args) -> int:
     if not rows:
         raise ConfigError("no cells found in the given files")
     matrix = evaluation.BenchmarkMatrix.from_rows(rows)
-    ranked = _complete_classifiers(matrix)
+    ranked, stats, blocked = evaluation.rank_complete(matrix, args.alpha)
     dropped = [c for c in matrix.classifiers if c not in ranked]
     if dropped:
         print(f"warning: dropped incomplete classifiers: {' '.join(dropped)}",
               file=sys.stderr)
-    blocked = _ranks_blocked(matrix, ranked)
     if blocked is not None:
         raise ConfigError(f"rank statistics {blocked}")
-    stats = evaluation.friedman_nemenyi(_submatrix(matrix, ranked), args.alpha)
 
     if args.out is not None:
-        dataio.write_stat_files(stats, Path(args.out), matrix.datasets)
+        dataio.write_stat_files(stats, Path(args.out))
         print(f"reports written to {args.out}")
     fr = stats.friedman
     print(f"friedman_statistic = {fr.statistic!r}")

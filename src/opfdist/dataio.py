@@ -625,42 +625,26 @@ def read_timings_csv(
             for _, row in _read_grid_csv(path, ["train_seconds", "test_seconds"])}
 
 
-def write_stat_files(
-    stats, out_dir: str | Path, datasets: Sequence[str]
-) -> list[Path]:
+def write_stat_files(stats, out_dir: str | Path) -> list[Path]:
     """wilcoxon.csv and rank.csv for a StatReport; header-only when
     ``stats`` is None (grid too small to rank) or a test was skipped.
-    Row order follows the stats' own classifier order, which may be a
-    subset of the full report columns."""
+    Rows follow the stats' own order (datasets, then classifier pairs, as
+    ``friedman_nemenyi`` lists them), whose classifiers may be a subset of
+    the full report columns."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    cls_order = list(stats.friedman.mean_ranks) if stats is not None else []
-    ds_order = list(datasets)
-
-    path = out / "wilcoxon.csv"
-    rows = []
-    if stats is not None:
-        for (ds, a, b), res in sorted(
-                stats.wilcoxon.items(),
-                key=lambda kv: (ds_order.index(kv[0][0]),
-                                cls_order.index(kv[0][1]),
-                                cls_order.index(kv[0][2]))):
-            rows.append([ds, a, b, _f(res.statistic), _f(res.p_value),
-                         "false" if res.reject else "true"])
-    _write_rows(path, ["dataset", "classifier_a", "classifier_b", "statistic",
-                       "p_value", "equivalent"], rows)
-    written.append(path)
-
-    path = out / "rank.csv"
-    rows = []
-    if stats is not None:
-        cd = stats.nemenyi.critical_difference
-        for c, mean_rank in stats.friedman.mean_ranks.items():
-            rows.append([c, _f(mean_rank), _f(cd)])
-    _write_rows(path, ["classifier", "mean_rank", "critical_difference"], rows)
-    written.append(path)
-    return written
+    wilcoxon, rank = out / "wilcoxon.csv", out / "rank.csv"
+    _write_rows(wilcoxon, ["dataset", "classifier_a", "classifier_b",
+                           "statistic", "p_value", "equivalent"],
+                [] if stats is None else
+                [[ds, a, b, _f(res.statistic), _f(res.p_value),
+                  "false" if res.reject else "true"]
+                 for (ds, a, b), res in stats.wilcoxon.items()])
+    _write_rows(rank, ["classifier", "mean_rank", "critical_difference"],
+                [] if stats is None else
+                [[c, _f(mean_rank), _f(stats.nemenyi.critical_difference)]
+                 for c, mean_rank in stats.friedman.mean_ranks.items()])
+    return [wilcoxon, rank]
 
 
 def write_reports(
@@ -668,25 +652,35 @@ def write_reports(
     stats,
     out_dir: str | Path,
     *,
-    datasets: Sequence[str],
-    classifiers: Sequence[str],
-    matrix=None,
+    matrix,
     manifest: Mapping[str, str] | None = None,
+    datasets: Sequence[str] | None = None,
+    classifiers: Sequence[str] | None = None,
 ) -> list[Path]:
-    """Emit the full report set into ``out_dir`` and list what was written.
+    """Emit the full report set of ``matrix`` into ``out_dir`` and list
+    what was written.
 
     Files: summary.csv (mean ± std, 4 decimals, one column per classifier),
     summary_raw.csv (binary64 mean/std companion), wilcoxon.csv,
     rank.csv (mean rank + the critical difference repeated per row),
-    manifest.txt (sorted key = value lines), and, when ``matrix`` is given,
-    cells.csv / timings.csv / failures.csv.  ``stats`` may be None (for
-    grids too small to rank); the statistic files are then header-only.
-    Identical inputs produce byte-identical files; timing data never goes
-    into any byte-compared report, only into timings.csv.
+    cells.csv, timings.csv, failures.csv and manifest.txt (sorted
+    key = value lines).  Rows and columns follow the matrix's datasets and
+    classifiers.  ``datasets`` and ``classifiers`` must equal the matrix's
+    own; they are accepted because the traced run of ``perfbench/wine.py``
+    still passes them.
+    ``stats`` may be None (for grids too small to rank); the statistic
+    files are then header-only.  Identical inputs produce byte-identical
+    files; timing data never goes into any byte-compared report, only into
+    timings.csv.
     """
+    if ((datasets is not None and tuple(datasets) != matrix.datasets)
+            or (classifiers is not None
+                and tuple(classifiers) != matrix.classifiers)):
+        raise ValueError("datasets and classifiers must be the matrix's own")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    datasets, classifiers = matrix.datasets, matrix.classifiers
 
     path = out / "summary.csv"
     rows = []
@@ -713,31 +707,27 @@ def write_reports(
     _write_rows(path, header, rows)
     written.append(path)
 
-    written += write_stat_files(stats, out, datasets)
+    written += write_stat_files(stats, out)
 
-    if matrix is not None:
-        path = out / "cells.csv"
-        _write_rows(path, ["dataset", "classifier", "run", "fold", "accuracy"],
-                    [(ds, c, r, f, _f(acc))
-                     for ds, c, r, f, acc in matrix.to_rows()])
-        written.append(path)
+    path = out / "cells.csv"
+    _write_rows(path, ["dataset", "classifier", "run", "fold", "accuracy"],
+                [(ds, c, r, f, _f(acc))
+                 for ds, c, r, f, acc in matrix.to_rows()])
+    written.append(path)
 
-        path = out / "timings.csv"
-        _write_rows(path, ["dataset", "classifier", "run", "fold",
-                           "train_seconds", "test_seconds"],
-                    [(*k, _f(t[0]), _f(t[1])) for k in matrix.grid()
-                     if (t := matrix.timings.get(k)) is not None])
-        written.append(path)
+    path = out / "timings.csv"
+    _write_rows(path, ["dataset", "classifier", "run", "fold",
+                       "train_seconds", "test_seconds"],
+                [(*k, _f(t[0]), _f(t[1])) for k in matrix.grid()
+                 if (t := matrix.timings.get(k)) is not None])
+    written.append(path)
 
-        path = out / "failures.csv"
-        rows = []
-        for ds in matrix.datasets:
-            for c in matrix.classifiers:
-                err = matrix.errors.get((ds, c))
-                if err is not None:
-                    rows.append([ds, c, err])
-        _write_rows(path, ["dataset", "classifier", "error"], rows)
-        written.append(path)
+    path = out / "failures.csv"
+    _write_rows(path, ["dataset", "classifier", "error"],
+                [(ds, c, matrix.errors[(ds, c)])
+                 for ds in datasets for c in classifiers
+                 if (ds, c) in matrix.errors])
+    written.append(path)
 
     path = out / "manifest.txt"
     fields = dict(manifest or {})

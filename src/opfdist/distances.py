@@ -26,12 +26,12 @@ evaluation of identical inputs is identical bit for bit.  All functions are
 pure; there is no shared state.
 
 Each formula is written once, over a table of arithmetic operations, and
-built twice: as a per-pair kernel over Python floats (``distance_function``,
-``evaluate``, single-query classification) and as a numpy block kernel that
-evaluates every pair of rows of two matrices (``pairwise``).  Both forms
-accumulate feature by feature in component order and decide every
-conditional on the same comparison, so each ``pairwise`` entry equals the
-per-pair result bit for bit.  ``exp`` and ``log`` are libm's in both
+built twice: as a per-pair kernel over Python floats (``distance_function``
+and ``evaluate``) and as a numpy block kernel that evaluates every pair of
+rows of two matrices (``pairwise``, used by training and classification).
+Both forms accumulate feature by feature in component order and decide
+every conditional on the same comparison, so each ``pairwise`` entry
+equals the per-pair result bit for bit.  ``exp`` and ``log`` are libm's in both
 forms.  The per-pair form calls ``math.exp``/``math.log``.  The block form
 calls ``np.exp``/``np.log`` on a reversed (negative-stride) view.  On
 such a view numpy skips its SIMD kernels, which round differently from
@@ -694,7 +694,7 @@ def distance_function(id_or_code: DistanceId | str) -> Kernel:
 
     def call(x: FeatureVector, y: FeatureVector) -> float:
         v = kernel(x, y)
-        # finite results skip the _finite call, which classify pays per node
+        # finite results skip the _finite call
         return v if -_FMAX <= v <= _FMAX else _finite(v)
 
     return call

@@ -8,6 +8,8 @@ test per dataset pair, and a tie-corrected Friedman test over all
 (dataset, run) blocks followed by a Nemenyi critical difference.  The
 Friedman p-value comes from the closed-form chi-square tail for an integer
 number of degrees of freedom (``_chi2_sf``), computed with ``math`` alone.
+``rank_complete`` is the one step after the grid, for ``bench`` and
+``rank`` alike: it picks the classifiers that can be ranked and ranks them.
 
 The grid's unit of work is one (dataset, run, test fold): it draws that
 run's split, fits the normalization on the training half once, fits every
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -394,6 +397,12 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
+def _tie_term(values: Iterable[float]) -> int:
+    """sum(t^3 - t) over the groups of t equal values: the tie term of
+    Wilcoxon's normal approximation and of the Friedman correction."""
+    return sum(t ** 3 - t for t in Counter(values).values())
+
+
 # Midranks over <= 25 observations are multiples of 1/2, so doubling makes
 # them integers and the null distribution can be enumerated exactly.
 _EXACT_MAX_N = 25
@@ -420,13 +429,7 @@ def _exact_two_sided_p(ranks: Sequence[float], w: float) -> float:
 def _approx_two_sided_p(ranks: Sequence[float], w: float) -> float:
     n = len(ranks)
     mean = n * (n + 1) / 4.0
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for r in ranks:
-        seen[r] = seen.get(r, 0) + 1
-    for count in seen.values():
-        tie_term += count ** 3 - count
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(ranks) / 48.0
     if var <= 0.0:
         return 1.0
     z = (w - mean + 0.5) / math.sqrt(var)
@@ -486,10 +489,9 @@ _NEMENYI_Q_05: dict[int, float] = {
 }
 
 
-def critical_difference(k: int, n_blocks: int, alpha: float = 0.05) -> float:
-    """Nemenyi critical difference for k classifiers over n_blocks blocks."""
-    if alpha != 0.05:
-        raise ValueError("critical difference table is available for alpha=0.05 only")
+def critical_difference(k: int, n_blocks: int) -> float:
+    """Nemenyi critical difference at alpha = 0.05, the only level the
+    table holds, for k classifiers over n_blocks blocks."""
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     q = _NEMENYI_Q_05.get(k)
@@ -592,11 +594,7 @@ def friedman_nemenyi(matrix: BenchmarkMatrix, alpha: float = 0.05) -> StatReport
             ranks = _midranks(values)
             for c, r in zip(matrix.classifiers, ranks):
                 rank_sums[c] += r
-            seen: dict[float, int] = {}
-            for v in values:
-                seen[v] = seen.get(v, 0) + 1
-            for count in seen.values():
-                tie_correction_sum += count ** 3 - count
+            tie_correction_sum += _tie_term(values)
 
     n = n_blocks
     c_factor = 1.0 - tie_correction_sum / (k * (k * k - 1) * n)
@@ -632,3 +630,30 @@ def friedman_nemenyi(matrix: BenchmarkMatrix, alpha: float = 0.05) -> StatReport
         friedman=FriedmanResult(stat, p, n_blocks, mean_ranks),
         nemenyi=NemenyiResult(cd, tuple(significant)),
     )
+
+
+def rank_complete(
+    matrix: BenchmarkMatrix, alpha: float = 0.05
+) -> tuple[list[str], StatReport | None, str | None]:
+    """Rank statistics over the classifiers that ``matrix`` holds in full.
+
+    Returns (ranked, stats, blocked).  ``ranked`` lists, in matrix order,
+    the classifiers with every cell and no failed column.  ``stats`` is
+    ``friedman_nemenyi`` over them alone, or None when they cannot be
+    ranked; ``blocked`` then says why: fewer than 3 of them, more than the
+    60 of the Nemenyi table, or fewer than 2 (dataset, run) blocks.
+    """
+    ranked = [c for c in matrix.classifiers
+              if all((ds, c) not in matrix.errors and matrix.is_complete(ds, c)
+                     for ds in matrix.datasets)]
+    k, top = len(ranked), max(_NEMENYI_Q_05)
+    blocks = len(matrix.datasets) * matrix.runs
+    if k < 3:
+        return ranked, None, f"need >= 3 complete classifiers, got {k}"
+    if k > top:
+        return ranked, None, (f"need <= {top} classifiers (Nemenyi table), "
+                              f"got {k}")
+    if blocks < 2:
+        return ranked, None, f"need >= 2 blocks (datasets x runs), got {blocks}"
+    stats = friedman_nemenyi(replace(matrix, classifiers=tuple(ranked)), alpha)
+    return ranked, stats, None

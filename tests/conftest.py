@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import opfdist
 from opfdist import Dataset, Sample
 
 WINE_CSV = Path(__file__).resolve().parent.parent / "data" / "wine.csv"
@@ -295,8 +294,3 @@ def wine_dataset():
 @pytest.fixture()
 def rng():
     return random.Random(20260815)
-
-
-@pytest.fixture(scope="session")
-def all_codes():
-    return [d.code for d in opfdist.registry()]

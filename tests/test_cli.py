@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, including exit codes and reports."""
 from __future__ import annotations
 
+import csv
 import os
 import platform
 import random
@@ -152,6 +153,42 @@ def test_train_then_predict_on_hand_traceable_data(tmp_path, capsys):
         "3,B,0.0,2",
         "4,B,1.0,2",
     ]
+
+
+def test_predict_compares_labels_as_text_without_class_names(tmp_path, capsys):
+    # an archive without class names predicts its integer labels, while
+    # the file numbers "1" and "0" by first appearance: 0 and 1
+    model = opfdist.train(opfdist.graph_from_arrays(
+        [[0.0], [0.1], [1.0], [1.1]], [0, 0, 1, 1], "D3"))
+    path = tmp_path / "model.opf"
+    opfdist.save_forest(model, opfdist.NormalizationSpec("none"), path)
+    data = tmp_path / "q.csv"
+    data.write_text("f1,label\n1.05,1\n0.05,0\n")
+    preds = tmp_path / "p.csv"
+    rc = main(["predict", "--model", str(path), "--data", str(data),
+               "--label-column", "label", "--has-header", "--out", str(preds)])
+    assert rc == 0
+    assert "accuracy = 1.0000" in capsys.readouterr().out
+    assert [line.split(",")[1] for line in
+            preds.read_text().splitlines()[1:]] == ["1", "0"]
+
+
+def test_predict_quotes_labels_with_commas_and_quotes(tmp_path, capsys):
+    data = tmp_path / "quoted.csv"
+    data.write_text('0.0,"a,b"\n1.0,"a,b"\n3.0,"say ""hi"""\n'
+                    '4.0,"say ""hi"""\n')
+    model = tmp_path / "model.opf"
+    assert main(["train", "--data", str(data), "--label-column", "1",
+                 "--distance", "D3", "--out", str(model)]) == 0
+    preds = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--label-column", "1", "--out", str(preds)]) == 0
+    assert "accuracy = 1.0000" in capsys.readouterr().out
+    with open(preds, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["row", "predicted_label", "cost", "conqueror"]
+    assert [len(r) for r in rows] == [4] * 5
+    assert [r[1] for r in rows[1:]] == ["a,b", "a,b", 'say "hi"', 'say "hi"']
 
 
 def test_predict_without_labels_skips_accuracy(tmp_path, capsys):

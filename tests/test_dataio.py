@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import random
 import struct
 from pathlib import Path
 
@@ -530,14 +531,22 @@ def cells_fixture():
 
 def test_cells_csv_round_trip(tmp_path):
     matrix = cells_fixture()
-    written = write_reports(
-        {}, None, tmp_path, datasets=matrix.datasets,
-        classifiers=matrix.classifiers, matrix=matrix)
+    written = write_reports({}, None, tmp_path, matrix=matrix)
     cells_path = tmp_path / "cells.csv"
     assert cells_path in written
     rows = read_cells_csv(cells_path)
     rebuilt = BenchmarkMatrix.from_rows(rows)
     assert rebuilt.cells == matrix.cells
+
+
+def test_reports_take_rows_and_columns_from_the_matrix_alone(tmp_path):
+    matrix = cells_fixture()
+    write_reports({}, None, tmp_path, matrix=matrix,
+                  datasets=list(matrix.datasets),
+                  classifiers=list(matrix.classifiers))
+    for given in ({"datasets": ("beta", "alpha")}, {"classifiers": ("D3",)}):
+        with pytest.raises(ValueError, match="the matrix's own"):
+            write_reports({}, None, tmp_path, matrix=matrix, **given)
 
 
 def test_cells_csv_header_and_row_validation(tmp_path):
@@ -574,8 +583,7 @@ def test_cells_and_timings_rows_follow_the_grid_order(tmp_path):
                         ("alpha", "D3", 1, 0), ("alpha", "D3", 1, 1),
                         ("alpha", "D6", 0, 0)]
     assert len(keys) == len(set(keys)) == 2 * 3 * 2 * 2
-    write_reports({}, None, tmp_path, datasets=matrix.datasets,
-                  classifiers=matrix.classifiers, matrix=matrix)
+    write_reports({}, None, tmp_path, matrix=matrix)
     for name, present in (("cells.csv", matrix.cells),
                           ("timings.csv", matrix.timings)):
         with open(tmp_path / name, newline="") as fh:
@@ -590,7 +598,7 @@ def test_summary_formats_and_blank_missing_columns(tmp_path):
         ("beta", "D3"): (0.93304, 0.020601),
     }
     write_reports(summary, None, tmp_path,
-                  datasets=("alpha", "beta"), classifiers=("D3", "D6"))
+                  matrix=BenchmarkMatrix(("alpha", "beta"), ("D3", "D6"), 1))
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert lines[0] == "dataset,D3,D6"
     assert lines[1] == "alpha,0.5000 ± 0.2500,"
@@ -604,7 +612,7 @@ def test_summary_formats_and_blank_missing_columns(tmp_path):
 def test_stat_files_orders_and_repeated_cd(tmp_path):
     matrix = cells_fixture()
     stats = friedman_nemenyi(matrix)
-    paths = write_stat_files(stats, tmp_path, matrix.datasets)
+    paths = write_stat_files(stats, tmp_path)
     rank_lines = (tmp_path / "rank.csv").read_text().splitlines()
     assert rank_lines[0] == "classifier,mean_rank,critical_difference"
     assert len(rank_lines) == 4
@@ -620,8 +628,21 @@ def test_stat_files_orders_and_repeated_cd(tmp_path):
     assert all(p.exists() for p in paths)
 
 
+def test_wilcoxon_rows_follow_the_matrix_order(tmp_path):
+    datasets, classifiers = ("zeta", "alpha"), ("D9", "D3", "D1")
+    rng = random.Random(7)
+    matrix = BenchmarkMatrix(datasets, classifiers, 5, {
+        key: rng.random() for key in
+        BenchmarkMatrix(datasets, classifiers, 5).grid()})
+    write_stat_files(friedman_nemenyi(matrix), tmp_path)
+    rows = (tmp_path / "wilcoxon.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        [ds, a, b] for ds in datasets
+        for a, b in (("D9", "D3"), ("D9", "D1"), ("D3", "D1"))]
+
+
 def test_stat_files_header_only_when_stats_missing(tmp_path):
-    write_stat_files(None, tmp_path, ("alpha",))
+    write_stat_files(None, tmp_path)
     assert (tmp_path / "rank.csv").read_text().splitlines() == [
         "classifier,mean_rank,critical_difference"]
     assert len((tmp_path / "wilcoxon.csv").read_text().splitlines()) == 1
@@ -639,10 +660,7 @@ def test_report_writing_is_byte_deterministic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
-        write_reports(summary, stats, out,
-                      datasets=matrix.datasets,
-                      classifiers=matrix.classifiers,
-                      matrix=matrix, manifest=manifest)
+        write_reports(summary, stats, out, matrix=matrix, manifest=manifest)
     for name in ("summary.csv", "summary_raw.csv", "wilcoxon.csv", "rank.csv",
                  "cells.csv", "timings.csv", "failures.csv", "manifest.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
@@ -650,8 +668,7 @@ def test_report_writing_is_byte_deterministic(tmp_path):
 
 def test_report_cut_midway_leaves_previous_file_whole(tmp_path, monkeypatch):
     matrix = cells_fixture()
-    write_reports({}, None, tmp_path, datasets=matrix.datasets,
-                  classifiers=matrix.classifiers, matrix=matrix)
+    write_reports({}, None, tmp_path, matrix=matrix)
     before = (tmp_path / "cells.csv").read_bytes()
 
     real_writer = csv.writer
@@ -677,14 +694,13 @@ def test_report_cut_midway_leaves_previous_file_whole(tmp_path, monkeypatch):
     changed = cells_fixture()
     changed.cells[("alpha", "D3", 1, 0)] = 0.9213483146067416
     with pytest.raises(OSError, match="killed"):
-        write_reports({}, None, tmp_path, datasets=changed.datasets,
-                      classifiers=changed.classifiers, matrix=changed)
+        write_reports({}, None, tmp_path, matrix=changed)
     assert (tmp_path / "cells.csv").read_bytes() == before
     assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
 def test_manifest_lines_are_sorted_key_value(tmp_path):
-    write_reports({}, None, tmp_path, datasets=(), classifiers=(),
+    write_reports({}, None, tmp_path, matrix=BenchmarkMatrix((), (), 1),
                   manifest={"zeta": "1", "alpha": "2"})
     assert (tmp_path / "manifest.txt").read_text() == \
         "alpha = 2\nzeta = 1\n"
@@ -693,8 +709,7 @@ def test_manifest_lines_are_sorted_key_value(tmp_path):
 def test_failures_file_lists_errored_columns(tmp_path):
     matrix = cells_fixture()
     matrix.errors[("alpha", "D6")] = "SomeError: boom"
-    write_reports({}, None, tmp_path, datasets=matrix.datasets,
-                  classifiers=matrix.classifiers, matrix=matrix)
+    write_reports({}, None, tmp_path, matrix=matrix)
     lines = (tmp_path / "failures.csv").read_text().splitlines()
     assert lines[0] == "dataset,classifier,error"
     assert lines[1] == "alpha,D6,SomeError: boom"

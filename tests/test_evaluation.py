@@ -242,8 +242,6 @@ def test_critical_difference_two_classifiers_uses_normal_quantile():
 
 def test_critical_difference_validation():
     with pytest.raises(ValueError):
-        critical_difference(3, 10, alpha=0.01)
-    with pytest.raises(ValueError):
         critical_difference(1, 10)
     with pytest.raises(ValueError):
         critical_difference(61, 10)
@@ -412,6 +410,46 @@ def test_rank_statistics_validation():
     with pytest.raises(ValueError):
         friedman_nemenyi(
             grid_matrix({"d": {c: [0.1, 0.2] for c in "ABC"}}), alpha=1.5)
+
+
+def test_rank_complete_leaves_out_failed_and_incomplete_classifiers():
+    rng = random.Random(109)
+    values = {ds: {c: [rng.random() for _ in range(5)] for c in "ABCDE"}
+              for ds in ("d1", "d2")}
+    matrix = grid_matrix(values)
+    for key in [k for k in matrix.cells if k[:2] == ("d2", "B")]:
+        del matrix.cells[key]
+    matrix.errors[("d2", "B")] = "SomeError: boom"
+    del matrix.cells[("d1", "D", 4, 1)]
+    ranked, stats, blocked = evaluation.rank_complete(matrix, 0.1)
+    assert ranked == ["A", "C", "E"] and blocked is None
+    hand = BenchmarkMatrix(
+        ("d1", "d2"), ("A", "C", "E"), 5,
+        {k: v for k, v in matrix.cells.items() if k[1] in "ACE"})
+    assert stats == friedman_nemenyi(hand, 0.1)
+    # a failed column is left out even when every cell stands
+    matrix = grid_matrix(values)
+    matrix.errors[("d1", "C")] = "SomeError: boom"
+    assert evaluation.rank_complete(matrix)[0] == ["A", "B", "D", "E"]
+
+
+def test_rank_complete_says_why_it_cannot_rank():
+    rng = random.Random(113)
+
+    def refusal(classifiers, runs):
+        matrix = grid_matrix({"d": {c: [rng.random() for _ in range(runs)]
+                                    for c in classifiers}})
+        ranked, stats, blocked = evaluation.rank_complete(matrix)
+        assert ranked == sorted(classifiers) and stats is None
+        return blocked
+
+    assert refusal(["A", "B"], 5) == "need >= 3 complete classifiers, got 2"
+    assert refusal([f"C{i:02d}" for i in range(61)], 2) == (
+        "need <= 60 classifiers (Nemenyi table), got 61")
+    assert refusal(["A", "B", "C"], 1) == (
+        "need >= 2 blocks (datasets x runs), got 1")
+    # the classifier count is checked first
+    assert refusal(["A", "B"], 1) == "need >= 3 complete classifiers, got 2"
 
 
 # ---------------------------------------------------------------------------
