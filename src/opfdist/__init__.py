@@ -15,7 +15,6 @@ from .distances import (
     check_axioms,
     distance_function,
     evaluate,
-    evaluate_batch,
     registry,
     resolve,
 )

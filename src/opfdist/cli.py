@@ -52,7 +52,8 @@ def _parse_codes(spec) -> list[str]:
     return codes
 
 
-def _coerce_label_column(value):
+def _int_or_text(value):
+    # a label column or --parallelism: an index or count, else a name
     if value is None:
         return None
     if isinstance(value, int):
@@ -73,14 +74,23 @@ def _load_dataset(path: Path, fmt: str, label_column, has_header: bool,
     raise ConfigError(f"unknown dataset format {fmt!r}")
 
 
+def _load_data_flag(args) -> dataio.Dataset:
+    """The dataset named by ``--data``/``--format``/``--label-column``/
+    ``--has-header``; svmlight rows carry their own labels, so a label
+    column is refused there."""
+    if args.format == "svmlight" and args.label_column is not None:
+        raise ConfigError("--label-column applies to csv only: svmlight "
+                          "rows carry their own labels")
+    return _load_dataset(Path(args.data), args.format,
+                         _int_or_text(args.label_column), args.has_header)
+
+
 # --- train ---------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
     code = _parse_codes([args.distance])[0]
-    ds = _load_dataset(Path(args.data), args.format,
-                       _coerce_label_column(args.label_column),
-                       args.has_header)
+    ds = _load_data_flag(args)
     spec = dataio.fit_normalization(ds.samples, args.normalization)
     samples = dataio.apply_to_samples(spec, ds.samples)
     t0 = time.perf_counter()
@@ -102,10 +112,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     arc = dataio.load_archive(args.model)
-    label_column = _coerce_label_column(args.label_column)
     try:
-        ds = _load_dataset(Path(args.data), args.format, label_column,
-                           args.has_header)
+        ds = _load_data_flag(args)
     except EmptyFile:
         ds = None
     feats = [dataio.apply_normalization(arc.normalization, s.features)
@@ -123,7 +131,8 @@ def cmd_predict(args) -> int:
          for i, p in enumerate(preds, start=1)])
     print(f"predictions = {len(preds)}")
 
-    if ds is not None and label_column is not None:
+    if ds is not None and (args.format == "svmlight"
+                           or args.label_column is not None):
         # labels are compared as text: the file numbers its labels by
         # first appearance, the model by its own training file
         acc = evaluation.accuracy([label_text(p.label) for p in preds],
@@ -220,7 +229,7 @@ def load_bench_config(path: Path, *, out_override=None,
             name=str(name),
             path=p,
             format=fmt,
-            label_column=_coerce_label_column(label_column),
+            label_column=_int_or_text(label_column),
             has_header=has_header,
         ))
         if fmt == "csv":
@@ -532,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=("csv", "svmlight"), default="csv")
     p.add_argument("--label-column", default=None,
-                   help="optional; when given, accuracy is printed")
+                   help="csv only; when given, accuracy is printed (it "
+                        "always is for svmlight)")
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--out", required=True, help="predictions CSV path")
     p.set_defaults(func=cmd_predict)
@@ -540,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the benchmark grid from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override config output_dir")
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--parallelism", type=_int_or_text, default=None,
+                   help="worker processes, or 'auto' for one per CPU; "
+                        "overrides the config's parallelism")
     p.add_argument("--resume", action="store_true",
                    help="reuse completed cells found in the output directory")
     p.set_defaults(func=cmd_bench)

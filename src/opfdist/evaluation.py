@@ -218,11 +218,17 @@ def _fold_task(args):
     fold, cells, errors) with code -> (accuracy, train s, test s) and code
     -> error text; a failing split or normalization fails every code.
 
-    A code's train seconds are its own matrix time plus an equal share of
-    the time its stack of measures spent in Prim and the competition (see
-    ``forest.train_measures``); a code fitted alone is timed alone.  When
-    the stacked fit raises, the codes are refitted one at a time, so that
-    a failing code fails alone, with its own message.
+    When each forest's node x query rectangle fits one ``classify_batch``
+    chunk (``forest.one_chunk``), the forests are tested together by
+    ``forest.classify_measures``, whose measures share their sums.
+
+    A code's train seconds are an equal share of its stack's time: the
+    shared matrix fill, Prim and the competition (see
+    ``forest.train_measures``).  Its test seconds are likewise an equal
+    share of its stack of rectangles, or its own ``classify_batch`` time
+    when tested alone.  When the stacked fit or the shared test raises,
+    the codes are fitted or tested one at a time, so that a failing code
+    fails alone, with its own message.
     """
     dataset, seed, run, fold, normalization, codes = args
     try:
@@ -252,6 +258,19 @@ def _fold_task(args):
                 fits.append((code, model, seconds[0]))
             except Exception as exc:  # recorded, never silently dropped
                 errors[code] = f"{type(exc).__name__}: {exc}"
+    if fits and forest.one_chunk(len(train), len(queries)):
+        try:
+            seconds = []
+            tested = forest.classify_measures([m for _, m, _ in fits],
+                                              queries, seconds=seconds)
+        except Exception:
+            pass  # each code is tested alone below
+        else:
+            for (code, _, t_train), preds, t_test in zip(fits, tested,
+                                                         seconds):
+                cells[code] = (accuracy([p.label for p in preds], truth),
+                               t_train, t_test)
+            fits = []
     # each forest is dropped once tested: its scan arrays (n x d float64,
     # built by classify_batch) would otherwise stay alive for every code
     fits.reverse()

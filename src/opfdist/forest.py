@@ -15,20 +15,25 @@ The distance matrix, Prim's algorithm, the competition and
 each extraction is a first-occurrence argmin.  Classification scans nodes
 in cost order and may stop once no remaining node can improve on the best
 offer (Papa et al., Pattern Recognition 2012).  ``classify_batch`` scans
-chunks of nodes against the queries still open, and closes a query once
-the next chunk's first cost reaches its best offer; its node features
-and costs in scan order are built once per forest, on first use.
-Single-query ``classify`` is a batch of one.  The full scan and the early
-exit return the same cost, label and conqueror, so ``early_exit`` never
-changes a result.
+chunks of nodes against the queries still open, reading their arcs
+through ``arcs(r0, r1, active)``, and closes a query once the next
+chunk's first cost reaches its best offer; its node features and costs
+in scan order are built once per forest, on first use.  Single-query
+``classify`` is a batch of one.  The full scan and the early exit return
+the same cost, label and conqueror, so ``early_exit`` never changes a
+result.
 
 Prim and the competition exist once, on (k, n) state arrays that fit k
 measures together: each reads arcs through ``rows(f) -> (k, n)``, where
 f = at * n + u names row u of measure ``at``.  A cached (k, n, n) stack of
-matrices, as many as fit in ``_MATRIX_BYTES``, serves its rows by flat
-index; a graph whose one matrix exceeds it (n > 2048) fits each measure
-alone (k = 1, f = u) on 1 x n rows evaluated on demand.  ``train`` is
-``train_measures`` of one measure.
+matrices, as many as fit in ``_MATRIX_BYTES``, is filled one row block
+at a time by ``distances.pairwise_many``, so its measures share their
+sums, and serves its rows by flat index; a graph whose one matrix exceeds
+it (n > 2048) fits each measure alone (k = 1, f = u) on 1 x n rows
+evaluated on demand.  ``train`` is ``train_measures`` of one measure.
+``classify_measures`` tests the forests of one ``train_measures`` call
+the same way, from shared node x query rectangles, where each rectangle
+fits one ``classify_batch`` chunk.
 
 All tie-breaks are deterministic: minimum extraction prefers the lowest
 node index, and a node's conqueror changes only on a strict improvement.
@@ -162,49 +167,57 @@ def _feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
     return np.array([s.features for s in samples], dtype=np.float64)
 
 
-def _fill_matrix(measure: distances.DistanceId, X: np.ndarray,
-                 out: np.ndarray) -> None:
-    """Write the distances between the rows of ``X`` into ``out`` (n x n,
-    zero diagonal), in row blocks.
+def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
+                stack: np.ndarray) -> None:
+    """Write the distances between the rows of ``X`` under the k measures
+    of ``chunk`` into ``stack[:k]`` (n x n each, zero diagonal).
 
-    Symmetric measures fill the upper triangle and mirror it without
-    re-evaluating (their kernels are bit-for-bit symmetric under the
-    sequential accumulation order); measures in ``ASYMMETRIC_CODES``
-    evaluate full rows.
+    Rows are filled in blocks of about ``_BLOCK_ENTRIES`` entries, so a
+    matrix that fits in one block is one block of full rows.  Each block
+    is one ``pairwise_many`` call over its columns from the diagonal on,
+    in which the measures share their sums.  Measures in
+    ``ASYMMETRIC_CODES`` get the columns left of the block from a second
+    shared call.  Symmetric measures mirror the rows above instead,
+    without re-evaluating (their kernels are bit-for-bit symmetric under
+    the sequential accumulation order), and overwrite the lower triangle
+    of the block's own square with its upper one.
     """
     n = len(X)
-    symmetric = measure.code not in distances.ASYMMETRIC_CODES
-    # Up to four row blocks even when the matrix fits in one, so that a
-    # symmetric fill skips most of the lower triangle; blocks of at least
-    # 16 rows keep small graphs in one kernel call.
-    step = max(16, min(_BLOCK_ENTRIES // n, -(-n // 4)))
-    below = np.tri(step, k=-1, dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // n)
+    left = [j for j, m in enumerate(chunk)
+            if m.code in distances.ASYMMETRIC_CODES]
+    mirror = [j for j in range(len(chunk)) if j not in left]
+    below = np.tri(min(step, n), k=-1, dtype=bool)
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
-        c0 = r0 if symmetric else 0
-        out[r0:r1, c0:] = distances.pairwise(measure, X[r0:r1], X[c0:])
-        if symmetric:
-            # rows above this block are done: mirror their columns here,
-            # then the upper triangle of the block's own square
+        rows = X[r0:r1]
+        for out, d in zip(stack, distances.pairwise_many(chunk, rows, X[r0:])):
+            out[r0:r1, r0:] = d
+        if r0 and left:
+            parts = distances.pairwise_many([chunk[j] for j in left], rows,
+                                            X[:r0])
+            for j, d in zip(left, parts):
+                stack[j, r0:r1, :r0] = d
+        m = r1 - r0
+        for j in mirror:
+            out = stack[j]
             out[r0:r1, :r0] = out[:r0, r0:r1].T
             square = out[r0:r1, r0:r1]
-            m = r1 - r0
             square[...] = np.where(below[:m, :m], square.T, square)
-    np.fill_diagonal(out, 0.0)
+    for out in stack[:len(chunk)]:
+        np.fill_diagonal(out, 0.0)
 
 
 def _arc_rows(chunk: Sequence[distances.DistanceId], X: np.ndarray,
               stack: np.ndarray | None):
     """Return ``rows(f) -> (k, n)`` for the k measures of ``chunk``, where
-    f = at * n + u names row u of measure ``at``, and the seconds of each
-    measure's matrix fill.
+    f = at * n + u names row u of measure ``at``.
 
     With a stack, the chunk's matrices are filled into its first k slots
     and served by flat index.  Without one (see ``_new_stack``) the chunk
     holds one measure, so f == u, and each row is a 1 x n ``pairwise``
     call with a zeroed diagonal.
     """
-    fill = [0.0] * len(chunk)
     if stack is None:
         (measure,) = chunk
 
@@ -212,13 +225,10 @@ def _arc_rows(chunk: Sequence[distances.DistanceId], X: np.ndarray,
             out = distances.pairwise(measure, X[f], X)
             out[0, f] = 0.0
             return out
-        return rows, fill
-    for j, m in enumerate(chunk):
-        t = time.perf_counter()
-        _fill_matrix(m, X, stack[j])
-        fill[j] = time.perf_counter() - t
+        return rows
+    _fill_stack(chunk, X, stack)
     flat = stack[:len(chunk)].reshape(-1, len(X))
-    return (lambda f: flat.take(f, axis=0)), fill
+    return lambda f: flat.take(f, axis=0)
 
 
 def _new_stack(k: int, n: int) -> np.ndarray | None:
@@ -277,7 +287,7 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     """
     X = _feature_matrix(graph.samples)
     n = len(X)
-    rows, _ = _arc_rows([graph.distance], X, _new_stack(1, n))
+    rows = _arc_rows([graph.distance], X, _new_stack(1, n))
     labels = np.array([s.label for s in graph.samples])
     mask = _prototype_mask(_mst_parents(1, n, rows), labels)
     return frozenset(np.flatnonzero(mask[0]).tolist())
@@ -364,13 +374,13 @@ def train_measures(
     Each result equals ``train(TrainingGraph(samples, m))`` field for
     field.  The samples are validated and their feature matrix built
     once.  The measures' matrices are filled into stacks of as many
-    matrices as fit in ``_MATRIX_BYTES``, and Prim and the competition
-    run once per stack.  When not even one matrix fits, each measure is
-    fitted alone, on rows evaluated on demand.
+    matrices as fit in ``_MATRIX_BYTES``, sharing their sums, and Prim
+    and the competition run once per stack.  When not even one matrix
+    fits, each measure is fitted alone, on rows evaluated on demand.
 
     If ``seconds`` is given, each measure's training seconds are appended
-    to it: its own matrix fill plus an equal share of the rest of its
-    stack's time (Prim and the competition; the first stack also carries
+    to it: an equal share of its stack's time, which covers the shared
+    matrix fill, Prim and the competition (the first stack also carries
     the shared validation).
     """
     start = time.perf_counter()
@@ -385,12 +395,11 @@ def train_measures(
     forests: list[TrainedForest] = []
     for c0 in range(0, len(measures), height):
         chunk = measures[c0:c0 + height]
-        rows, fill = _arc_rows(chunk, X, stack)
-        forests.extend(_fit(samples, chunk, labels, rows))
+        forests.extend(_fit(samples, chunk, labels,
+                            _arc_rows(chunk, X, stack)))
         if seconds is not None:
             now = time.perf_counter()
-            share = (now - start - sum(fill)) / len(chunk)
-            seconds.extend(f + share for f in fill)
+            seconds.extend([(now - start) / len(chunk)] * len(chunk))
             start = now
     return forests
 
@@ -426,26 +435,43 @@ def classify_batch(
     node; ``early_exit=False`` scores every node.
     Either way the results are the same.
     """
+    Q = _query_matrix(forest, queries)
+    if not len(Q):
+        return []
+    nodes, cost = forest._scan
+
+    def arcs(r0: int, r1: int, active: np.ndarray) -> np.ndarray:
+        return distances.pairwise(forest.distance, nodes[:, r0:r1].T,
+                                  Q[active])
+    return _scan_queries(forest, cost, len(Q), arcs, early_exit)
+
+
+def _query_matrix(forest: TrainedForest,
+                  queries: Sequence[Sequence[float]]) -> np.ndarray:
     queries = list(queries)
     for q in queries:
         if len(q) != forest.n_features:
             raise DimensionMismatch(
                 f"query has dim {len(q)}, model expects {forest.n_features}")
-    if not queries:
-        return []
+    return np.array(queries, dtype=np.float64).reshape(len(queries),
+                                                       forest.n_features)
+
+
+def _scan_queries(forest: TrainedForest, cost: np.ndarray, m: int, arcs,
+                  early_exit: bool) -> list[Prediction]:
+    """The scan of ``classify_batch`` over m queries, with node costs
+    ``cost`` in scan order; ``arcs(r0, r1, active)`` gives the distances
+    from the nodes at scan positions r0:r1 to the queries ``active``."""
     order = forest.ordered_nodes
     n = len(order)
-    nodes, cost = forest._scan
-    Q = np.array(queries, dtype=np.float64)
-    best = np.empty(len(Q))
-    first = np.empty(len(Q), dtype=np.intp)
-    for q0 in range(0, len(Q), _BLOCK_ENTRIES):
-        active = np.arange(q0, min(len(Q), q0 + _BLOCK_ENTRIES))
-        block = Q[active]
+    best = np.empty(m)
+    first = np.empty(m, dtype=np.intp)
+    for q0 in range(0, m, _BLOCK_ENTRIES):
+        active = np.arange(q0, min(m, q0 + _BLOCK_ENTRIES))
         r0 = 0
         while r0 < n and len(active):
             r1 = min(n, r0 + max(1, _BLOCK_ENTRIES // len(active)))
-            d = distances.pairwise(forest.distance, nodes[:, r0:r1].T, block)
+            d = arcs(r0, r1, active)
             c = cost[r0:r1, None]
             offer = np.where(c >= d, c, d)
             k = offer.argmin(axis=0)
@@ -466,9 +492,70 @@ def classify_batch(
                 keep = best[active] > cost[r0]
                 if not keep.all():
                     active = active[keep]
-                    block = block[keep]
     out: list[Prediction] = []
     for k, c in zip(first.tolist(), best.tolist()):
         who = order[k]
         out.append(Prediction(forest.root_label[who], c, who))
+    return out
+
+
+def _rectangle_arcs(rect: np.ndarray):
+    """``arcs`` for ``_scan_queries`` from a whole node x query rectangle,
+    its rows in scan order."""
+    return lambda r0, r1, active: rect[r0:r1, active]
+
+
+def one_chunk(n_nodes: int, n_queries: int) -> bool:
+    """Whether ``classify_batch`` scores an n_nodes x n_queries rectangle
+    in one chunk: one kernel call, with no early exit."""
+    return n_nodes * n_queries <= _BLOCK_ENTRIES
+
+
+def classify_measures(
+    forests: Sequence[TrainedForest],
+    queries: Sequence[Sequence[float]],
+    *,
+    seconds: list[float] | None = None,
+) -> list[list[Prediction]]:
+    """``classify_batch`` of each forest, in order, for forests fitted on
+    the same samples (one ``train_measures`` call) whose node x query
+    rectangle fits one chunk (``one_chunk``); ValueError otherwise.
+
+    Each forest's whole rectangle is then what ``classify_batch`` scores
+    in its one kernel call.  Here the rectangles come in stacks of as many
+    as fit in ``_MATRIX_BYTES``, each stack from one ``pairwise_many``
+    call over the samples and the queries, so the measures share their
+    sums; each forest then scans its own rectangle in its node order.
+    The predictions equal ``classify_batch``'s.
+
+    If ``seconds`` is given, each forest's test seconds are appended to
+    it: an equal share of its stack's time (the first stack also carries
+    the shared validation).
+    """
+    start = time.perf_counter()
+    if not forests:
+        return []
+    samples = forests[0].samples
+    if any(f.samples is not samples and f.samples != samples
+           for f in forests):
+        raise ValueError("forests were fitted on different samples")
+    Q = _query_matrix(forests[0], queries)
+    n, m = len(samples), len(Q)
+    if not one_chunk(n, m):
+        raise ValueError(f"a {n} x {m} node x query rectangle exceeds one "
+                         f"chunk of {_BLOCK_ENTRIES} entries")
+    X = _feature_matrix(samples)
+    height = max(1, _MATRIX_BYTES // (8 * max(1, n * m)))
+    out: list[list[Prediction]] = []
+    for c0 in range(0, len(forests), height):
+        chunk = forests[c0:c0 + height]
+        rects = distances.pairwise_many([f.distance for f in chunk], X, Q)
+        for f, d in zip(chunk, rects):
+            order = np.array(f.ordered_nodes)
+            out.append(_scan_queries(f, np.array(f.cost)[order], m,
+                                     _rectangle_arcs(d[order]), False))
+        if seconds is not None:
+            now = time.perf_counter()
+            seconds.extend([(now - start) / len(chunk)] * len(chunk))
+            start = now
     return out

@@ -212,6 +212,31 @@ def test_predict_without_labels_skips_accuracy(tmp_path, capsys):
     assert lines[2].startswith("2,B,")
 
 
+def test_predict_svmlight_prints_accuracy_and_refuses_a_label_column(
+        tmp_path, capsys):
+    data = tmp_path / "line.svm"
+    data.write_text("A 1:0.0\nA 1:1.0\nB 1:3.0\nB 1:4.0\n")
+    queries = tmp_path / "queries.svm"
+    queries.write_text("A 1:0.5\nB 1:1.9\nB 1:3.5\n")
+    model = tmp_path / "model.opf"
+    assert main(["train", "--data", str(data), "--format", "svmlight",
+                 "--distance", "D3", "--out", str(model)]) == 0
+    capsys.readouterr()
+    preds = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(queries),
+                 "--format", "svmlight", "--out", str(preds)]) == 0
+    out = capsys.readouterr().out
+    # 1.9 lies nearer the A side: two of the three labels are right
+    assert "predictions = 3" in out and "accuracy = 0.6667" in out
+    assert [r.split(",")[1] for r in preds.read_text().splitlines()[1:]] \
+        == ["A", "A", "B"]
+    for cmd in (["predict", "--model", str(model), "--out", str(preds)],
+                ["train", "--distance", "D3", "--out", str(model)]):
+        assert main(cmd + ["--data", str(queries), "--format", "svmlight",
+                           "--label-column", "0"]) == 2
+        assert "--label-column applies to csv only" in capsys.readouterr().err
+
+
 def test_predict_empty_input_writes_header_only(tmp_path, capsys):
     data = tmp_path / "line.csv"
     write_line_dataset(data)
@@ -361,6 +386,26 @@ def test_bench_reports_identical_across_parallelism(tmp_path):
                  "--parallelism", "3"]) == 0
     for name in BYTE_STABLE:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_bench_parallelism_flag_takes_auto_like_the_config_key(
+        tmp_path, capsys):
+    cfg = bench_config(tmp_path)
+    out1 = tmp_path / "r1"
+    out2 = tmp_path / "r2"
+    assert main(["bench", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["bench", "--config", str(cfg), "--out", str(out2),
+                 "--parallelism", "auto"]) == 0
+    for name in BYTE_STABLE:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert load_bench_config(cfg, parallelism_override="auto").parallelism \
+        == (os.cpu_count() or 1)
+    capsys.readouterr()
+    for bad, why in (("0", "parallelism must be >= 1"),
+                     ("many", "parallelism must be an integer or 'auto'")):
+        assert main(["bench", "--config", str(cfg), "--out", str(out2),
+                     "--parallelism", bad]) == 2
+        assert why in capsys.readouterr().err
 
 
 def test_bench_resume_reuses_cells_and_reproduces_reports(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Distance registry, worked values, metadata, axiom checks, edge policy."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import sys
@@ -16,7 +17,6 @@ from opfdist import (
     check_axioms,
     distance_function,
     evaluate,
-    evaluate_batch,
     registry,
     resolve,
 )
@@ -133,30 +133,6 @@ def test_manhattan_and_half_relation():
     d12 = evaluate(resolve("D12"), x, y)
     assert d6 == 4.0
     assert d12 == 2.0
-
-
-# ---------------------------------------------------------------------------
-# Batch evaluation
-# ---------------------------------------------------------------------------
-
-def test_batch_matches_scalar_and_preserves_order():
-    out = evaluate_batch(resolve("D3"), (0.0, 0.0), [(3.0, 4.0), (0.0, 0.0)])
-    assert out == [5.0, 0.0]
-
-
-def test_batch_empty_corpus_gives_empty_list():
-    assert evaluate_batch(resolve("D3"), (0.0, 0.0), []) == []
-
-
-def test_batch_manhattan_example():
-    out = evaluate_batch(
-        resolve("D6"), (1.0, 1.0), [(2.0, 2.0), (0.0, 0.0), (1.0, 1.0)])
-    assert out == [2.0, 2.0, 0.0]
-
-
-def test_batch_rejects_mismatched_corpus_vector():
-    with pytest.raises(DimensionMismatch):
-        evaluate_batch(resolve("D3"), (0.0, 0.0), [(1.0, 2.0), (1.0,)])
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +479,70 @@ def test_pairwise_rejects_mismatched_or_empty_widths():
         pairwise("D3", np.zeros((2, 0)), np.zeros((2, 0)))
     with pytest.raises(DimensionMismatch):
         pairwise("D3", np.zeros(3), np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Shared sums: pairwise_many against per-code pairwise
+# ---------------------------------------------------------------------------
+
+def _assert_bits_equal(got, want, context):
+    assert got.dtype == want.dtype and got.shape == want.shape, context
+    diff = got.view(np.uint64) != want.view(np.uint64)
+    assert not diff.any(), (context, np.argwhere(diff)[:3])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exp_log", ["numpy-strided", "libm-per-element"])
+def test_pairwise_many_equals_per_code_pairwise_bit_for_bit(monkeypatch,
+                                                            exp_log):
+    if exp_log != distances.EXP_LOG:
+        monkeypatch.setattr(distances, "EXP_LOG", exp_log)
+    rng = random.Random(47)
+    sparse = np.array([[rng.choice((0.0, 0.0, 0.0, -0.0, 0.5, 2.0))
+                        for _ in range(6)] for _ in range(12)])
+    inputs = list(_oracle_inputs()) + [("zero_heavy", sparse, sparse[::-1])]
+    for name, A, B in inputs:
+        for X, Y in ((A, B), (B, A)):
+            want = [pairwise(c, X, Y) for c in CODES]
+            # the first measure to read a sum computes it, in either order
+            for codes in (CODES, CODES[::-1]):
+                got = distances.pairwise_many(codes, X, Y)
+                assert len(got) == len(codes)
+                for c, out in zip(codes, got):
+                    _assert_bits_equal(out, want[CODES.index(c)], (name, c))
+            assert distances._shared.sums is None
+
+
+def test_pairwise_many_keeps_no_sums_after_a_raising_measure(monkeypatch):
+    A = np.array([[0.5, 1.0], [2.0, 0.25]])
+    d3 = resolve("D3")
+
+    def boom(X, Y):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(distances._BY_CODE, "D3",
+                        dataclasses.replace(d3, block=boom))
+    with pytest.raises(RuntimeError):
+        distances.pairwise_many(["D32", "D3", "D4"], A, A[::-1])
+    assert distances._shared.sums is None
+    # the next call computes its own sums, of its own rows
+    _assert_bits_equal(distances.pairwise_many(["D32"], A, A)[0],
+                       pairwise("D32", A, A), "D32")
+    assert distances.pairwise_many([], A, A) == []
+    with pytest.raises(DimensionMismatch):
+        distances.pairwise_many(["D32"], A, np.zeros((2, 3)))
+
+
+def test_pairwise_many_keeps_each_threads_sums_apart():
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(5)
+    pairs = [(rng.uniform(0.0, 2.0, (30, 5)), rng.uniform(0.0, 2.0, (20, 5)))
+             for _ in range(4)]
+    want = [[pairwise(c, A, B) for c in CODES] for A, B in pairs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda p: distances.pairwise_many(CODES, *p),
+                            pairs * 2))
+    for k, outs in enumerate(got):
+        for c, out, w in zip(CODES, outs, want[k % len(pairs)]):
+            _assert_bits_equal(out, w, (k, c))

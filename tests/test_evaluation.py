@@ -1,9 +1,11 @@
 """Splits, metrics, the benchmark grid, and the rank statistics."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from opfdist import (
@@ -11,6 +13,7 @@ from opfdist import (
     accuracy,
     balanced_accuracy,
     critical_difference,
+    distances,
     evaluation,
     friedman_nemenyi,
     make_splits,
@@ -528,17 +531,19 @@ def test_a_code_failing_on_some_folds_fails_its_whole_column(monkeypatch):
         frozenset(datasets[0].samples[i].features
                   for i in plan.fold_indices(1 - f)): (plan.run_index, f)
         for plan in make_splits(datasets[0], seed=2, runs=3) for f in (0, 1)}
-    real_fill = evaluation.forest._fill_matrix
+    d6 = distances.resolve("D6")
 
-    def flaky_fill(measure, X, out):
-        key = fold_of.get(frozenset(map(tuple, X.tolist())))
-        if measure.code == "D6" and key in {(1, 1), (2, 0)}:
+    def flaky_block(A, B):
+        key = fold_of.get(frozenset(map(tuple, A.tolist())))
+        if key in {(1, 1), (2, 0)}:
             raise RuntimeError(f"boom at run {key[0]} fold {key[1]}")
-        return real_fill(measure, X, out)
+        return d6.block(A, B)
 
-    # each measure's matrix fill, in a stack or alone; the pool's workers
-    # are forked, so they inherit the patch
-    monkeypatch.setattr(evaluation.forest, "_fill_matrix", flaky_fill)
+    # D6's kernel, in a shared fill or alone: these 8-row training halves
+    # fill in one block of full rows.  The pool's workers are forked, so
+    # they inherit the patch.
+    monkeypatch.setitem(distances._BY_CODE, "D6",
+                        dataclasses.replace(d6, block=flaky_block))
     serial = run_benchmark(datasets, codes, seed=2, runs=3)
     parallel = run_benchmark(datasets, codes, seed=2, runs=3, parallelism=3)
 
@@ -551,6 +556,39 @@ def test_a_code_failing_on_some_folds_fails_its_whole_column(monkeypatch):
     assert len(serial.cells) == 5 * 3 * 2
     assert parallel.cells == serial.cells
     assert parallel.errors == serial.errors
+
+
+def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
+    datasets = [toy_dataset("t1", seed=5)]
+    codes = ["D3", "D7", "D28", "D35"]
+    clean = run_benchmark(datasets, codes, seed=2, runs=2)
+    d7 = distances.resolve("D7")
+    calls = []
+
+    def test_only_block(A, B):
+        # an 8-row training half fills in one block of full rows, so
+        # A equals B; a test rectangle pairs it with the test half
+        calls.append(np.array_equal(A, B))
+        if not calls[-1]:
+            raise RuntimeError("boom in test")
+        return d7.block(A, B)
+
+    monkeypatch.setitem(distances._BY_CODE, "D7",
+                        dataclasses.replace(d7, block=test_only_block))
+    tested = []
+    real = evaluation.forest.classify_measures
+
+    def spy(forests, queries, **kw):
+        tested.append(len(forests))
+        return real(forests, queries, **kw)
+
+    monkeypatch.setattr(evaluation.forest, "classify_measures", spy)
+    got = run_benchmark(datasets, codes, seed=2, runs=2)
+    # the shared test of each fold raised, and each code was tested alone
+    assert tested == [4] * 4
+    assert calls.count(False) == 4 * 2
+    assert got.errors == {("t1", "D7"): "RuntimeError: boom in test"}
+    assert got.cells == {k: v for k, v in clean.cells.items() if k[1] != "D7"}
 
 
 def test_serial_grid_normalizes_once_per_fold(monkeypatch):

@@ -6,6 +6,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from opfdist import (
@@ -541,6 +542,68 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     assert train_measures(graph.samples, []) == []
 
 
+def test_multi_block_stack_of_mixed_measures_equals_separate_trains(
+        monkeypatch):
+    graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 40)
+    # symmetric and asymmetric codes that share sums, and two that share none
+    codes = ["D28", "D39", "D3", "D29", "D40", "D36", "D35", "D33", "D37",
+             "D17", "D47", "D1"]
+    want = [train(TrainingGraph(graph.samples, resolve(c))) for c in codes]
+    X = opfdist.forest._feature_matrix(graph.samples)
+    fills = []
+    real = opfdist.forest._fill_stack
+
+    def spy(chunk, X, stack):
+        real(chunk, X, stack)
+        fills.extend(stack[:len(chunk)].copy())
+
+    monkeypatch.setattr(opfdist.forest, "_fill_stack", spy)
+    # blocks of 7 rows (the last one 5) and stacks of 5, 5 and 2 matrices
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 7 * 40)
+    monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 5 * 40 * 40 * 8)
+    got = train_measures(graph.samples, codes)
+    for code, model, w in zip(codes, got, want):
+        for field in dataclasses.fields(w):
+            assert getattr(model, field.name) == getattr(w, field.name), \
+                (code, field.name)
+        assert repr(model) == repr(w)
+    assert len(fills) == len(codes)
+    for code, matrix in zip(codes, fills):
+        full = opfdist.forest.distances.pairwise(code, X, X)
+        np.fill_diagonal(full, 0.0)
+        assert (matrix.view(np.uint64) == full.view(np.uint64)).all(), code
+
+
+def test_classify_measures_equals_classify_batch(monkeypatch):
+    codes = [d.code for d in registry()]
+    for graph in _oracle_graphs("D3"):
+        forests = train_measures(graph.samples, codes)
+        rng = random.Random(len(graph.samples))
+        dim = graph.n_features
+        queries = [s.features for s in graph.samples[:3]] + [
+            [rng.uniform(-1.0, 2.5) for _ in range(dim)] for _ in range(6)]
+        want = [classify_batch(f, queries) for f in forests]
+        n = len(graph.samples)
+        # one stack of 47 rectangles, then stacks of 10 (the last of 7)
+        for budget in (opfdist.forest._MATRIX_BYTES, 10 * n * 9 * 8):
+            monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", budget)
+            seconds = []
+            got = opfdist.forest.classify_measures(forests, queries,
+                                                   seconds=seconds)
+            assert got == want
+            assert repr(got) == repr(want)
+            assert len(seconds) == 47 and all(t >= 0.0 for t in seconds)
+        assert opfdist.forest.classify_measures(forests, []) == [[]] * 47
+    assert opfdist.forest.classify_measures([], queries) == []
+    # rectangles above one chunk, and forests of other samples, are refused
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", n * 9 - 1)
+    with pytest.raises(ValueError):
+        opfdist.forest.classify_measures(forests, queries)
+    other = train(line_graph())
+    with pytest.raises(ValueError):
+        opfdist.forest.classify_measures([forests[0], other], [[0.5]])
+
+
 def test_train_measures_rejects_what_train_rejects():
     with pytest.raises(SingleClass):
         train_measures(graph_from_arrays(
@@ -561,6 +624,8 @@ def test_fold_task_drops_each_forest_once_tested(monkeypatch):
         return real(model, queries)
 
     monkeypatch.setattr(opfdist.forest, "classify_batch", spy)
+    # 12 x 12 rectangles above one chunk are tested forest by forest
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
     matrix = run_benchmark([ds], ["D3", "D7", "D15"], seed=4, runs=1)
     assert not matrix.errors and len(tested) == 3 * 2
 
