@@ -235,6 +235,11 @@ def load_bench_config(path: Path, *, out_override=None,
         if fmt == "csv":
             _require(specs[-1].label_column is not None,
                      f"datasets[{i}]: csv datasets need a label_column")
+        else:
+            # it would be ignored, yet enter the config hash
+            _require(label_column is None,
+                     f"datasets[{i}]: label_column applies to csv only: "
+                     f"svmlight rows carry their own labels")
     names = [s.name for s in specs]
     _require(len(set(names)) == len(names), "dataset names must be unique")
     paths = [str(s.path) for s in specs]
@@ -413,6 +418,7 @@ def cmd_bench(args) -> int:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "exp_log": distances.EXP_LOG,
+        "kernels": distances.KERNELS,
         "archive_format": str(dataio.ARCHIVE_VERSION),
         "seed": str(cfg.seed),
         "runs": str(cfg.runs),

@@ -59,6 +59,15 @@ change.  Training fills a stack of matrices, and the grid tests its
 forests, through such calls (see ``forest``); in ``timings.csv`` each
 measure of a stack that shares its sums gets an equal share of the
 stack's seconds.
+
+The block form's per-feature loops (the 31 functions of ``_measures``
+that hold ``for a, b in pairs(x, y)``) are also compiled to C from their
+source (``kernelgen``, ``kernels``).  At import each compiled loop is
+compared, bit for bit, with the numpy loop it replaces on a sentinel
+block; where they match, the block kernels run the compiled loops and
+everything else as before.  ``KERNELS`` names the path in use:
+"compiled", or "numpy" where there is no compiler, the cache cannot be
+written, the build fails or a bit differs.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import kernels as _kernels
 from .errors import DimensionMismatch, DomainViolation, EmptyInput
 
 FeatureVector = Sequence[float]
@@ -283,6 +293,7 @@ def _share(*halves):
                     sums.update((h, v) for h, v in zip(halves, sums[name])
                                 if h is not None)
             return sums[name]
+        shared.__name__ = name
         return shared
     return mark
 
@@ -668,7 +679,8 @@ class Taxonomy(str, Enum):
 @dataclass(frozen=True)
 class DistanceId:
     """Registry entry: identifying code, metadata, and the measure's one
-    definition run as a per-pair ``kernel`` and a numpy ``block`` kernel."""
+    definition run as a per-pair ``kernel``.  Its block kernel is
+    ``_BLOCKS[KERNELS][code]``."""
 
     code: str
     name: str
@@ -676,7 +688,6 @@ class DistanceId:
     requires_nonnegative_input: bool
     satisfies_identity: bool
     kernel: Kernel = field(repr=False, compare=False)
-    block: BlockKernel = field(repr=False, compare=False)
 
 
 def _entries():
@@ -732,9 +743,7 @@ def _entries():
         ("D47", "Chi-Squared Statistic", T.OTHER, False, True),
     ]
     kernels = _measures(**_SCALAR)
-    blocks = _measures(**_BLOCK)
-    return tuple(DistanceId(*row, kernel=kernels[row[0]], block=blocks[row[0]])
-                 for row in rows)
+    return tuple(DistanceId(*row, kernel=kernels[row[0]]) for row in rows)
 
 
 _REGISTRY: tuple[DistanceId, ...] = _entries()
@@ -743,6 +752,87 @@ _BY_CODE: dict[str, DistanceId] = {d.code: d for d in _REGISTRY}
 # Measures whose printed formula is not symmetric in (x, y).  Everything
 # else is bit-for-bit symmetric given the sequential accumulation order.
 ASYMMETRIC_CODES = frozenset({"D28", "D29", "D33", "D36", "D37", "D47"})
+
+
+# --- block kernels: numpy, or compiled loops -----------------------------
+
+
+def _compiled_blocks(
+        loops: dict[str, BlockKernel]) -> dict[str, BlockKernel] | None:
+    """The block form with each loop function's compiled loop
+    (``kernels.load``) in its place, or None where a compiled loop differs
+    from the numpy loop it replaces on the sentinel rows.  ``share`` marks
+    the compiled named sums, and the loops no ``share`` takes are measures
+    of their own.  Everything else (the loop-free measures, the sharing,
+    the finite clamp) runs as in the numpy block form."""
+    replaced = {}
+
+    def compiled(fn):
+        if fn.__name__ not in loops:
+            return fn
+        replaced[fn.__name__] = fn
+        return loops[fn.__name__]
+
+    def share(*halves):
+        return lambda named_sum: _share(*halves)(compiled(named_sum))
+    blocks = _measures(**dict(_BLOCK, share=share))
+    # a shared sum's wrapper carries its name, and is already in place
+    blocks = {code: fn if fn.__name__ in replaced else compiled(fn)
+              for code, fn in blocks.items()}
+    return blocks if _same_bits(loops, replaced) else None
+
+
+def _sentinel_rows() -> tuple[np.ndarray, np.ndarray]:
+    # zeros of both signs, negatives, ties (B repeats rows of A), and
+    # exponents at and past EXP_MAX: a/b, 2a/(a+b), 1 + |a-b| and a
+    v = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 1e-3, 499.0, 500.0, 501.0,
+         1e-300)
+    A = np.array([[v[(3 * i + 5 * j) % 12] for j in range(3)]
+                  for i in range(5)])
+    B = np.vstack([A[::2], [[v[(7 * i + j) % 12] for j in range(3)]
+                            for i in range(6)]])
+    return A, B
+
+
+def _same_bits(got: dict[str, BlockKernel],
+               want: dict[str, BlockKernel]) -> bool:
+    """Whether each loop in ``got`` returns the shapes and bits of its
+    namesake in ``want`` on the sentinel rows A (5 rows) and B (9 rows),
+    and on A and B's first row, which tiles the other side.  NaN equals
+    NaN: the finite clamp maps every NaN alike."""
+    A, B = _sentinel_rows()
+    with np.errstate(all="ignore"):
+        for name, fn in want.items():
+            w = fn(A, B)
+            cases = ((got[name](A, B), w),
+                     # the entries of B's first column, and the column
+                     # sums of A (already (m, 1))
+                     (got[name](A, B[:1]),
+                      tuple(u[:, :1] for u in w) if isinstance(w, tuple)
+                      else w[:, :1]))
+            for g, u in cases:
+                g, u = (g, u) if isinstance(g, tuple) else ((g,), (u,))
+                for x, y in zip(g, u, strict=True):
+                    if x.shape != y.shape or not (
+                            (x.view(np.uint64) == y.view(np.uint64))
+                            | (np.isnan(x) & np.isnan(y))).all():
+                        return False
+    return True
+
+
+def _select_blocks() -> tuple[str, dict[str, dict[str, BlockKernel]]]:
+    blocks = {"numpy": _measures(**_BLOCK)}
+    loops = _kernels.load(_measures, [__file__], eps=EPS, exp_max=EXP_MAX)
+    compiled = None if loops is None else _compiled_blocks(loops)
+    if compiled is not None:
+        blocks["compiled"] = compiled
+    return ("compiled" if compiled is not None else "numpy"), blocks
+
+
+# The block kernels, by path and code.  KERNELS names the path in use:
+# "compiled" where the loops built, loaded and matched the numpy block form
+# on the sentinel rows, else "numpy".
+KERNELS, _BLOCKS = _select_blocks()
 
 
 def registry() -> tuple[DistanceId, ...]:
@@ -802,7 +892,14 @@ def pairwise_many(ids_or_codes: Sequence[DistanceId | str], A,
     that sum's array, so a measure listed twice gives one array twice.
     The sums live only during the call.
     """
-    blocks = [resolve(m).block for m in ids_or_codes]
+    return _pairwise_many(KERNELS, ids_or_codes, A, B)
+
+
+def _pairwise_many(path: str, ids_or_codes: Sequence[DistanceId | str], A,
+                   B) -> list[np.ndarray]:
+    # pairwise_many on the block kernels of ``path``
+    table = _BLOCKS[path]
+    blocks = [table[resolve(m).code] for m in ids_or_codes]
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:

@@ -266,10 +266,9 @@ def _fold_task(args):
         except Exception:
             pass  # each code is tested alone below
         else:
-            for (code, _, t_train), preds, t_test in zip(fits, tested,
-                                                         seconds):
-                cells[code] = (accuracy([p.label for p in preds], truth),
-                               t_train, t_test)
+            for (code, _, t_train), labels, t_test in zip(fits, tested,
+                                                          seconds):
+                cells[code] = (accuracy(labels, truth), t_train, t_test)
             fits = []
     # each forest is dropped once tested: its scan arrays (n x d float64,
     # built by classify_batch) would otherwise stay alive for every code

@@ -19,7 +19,7 @@ chunks of nodes against the queries still open, reading their arcs
 through ``arcs(r0, r1, active)``, and closes a query once the next
 chunk's first cost reaches its best offer; its node features and costs
 in scan order are built once per forest, on first use.  Single-query
-``classify`` is a batch of one.  The full scan and the early exit return
+``classify`` is a batch of one, on the numpy block kernels.  The full scan and the early exit return
 the same cost, label and conqueror, so ``early_exit`` never changes a
 result.
 
@@ -154,7 +154,7 @@ class TrainedForest:
         return nodes, cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """Classification outcome: label, offered path cost, conquering node."""
 
@@ -411,11 +411,20 @@ def classify(
     early_exit: bool = True,
 ) -> Prediction:
     """Label a query by the training node offering the cheapest path:
-    ``classify_batch`` of the one query.  ``early_exit=False`` forces the
-    full scan; the result is identical because nodes later in the order
-    cannot offer below their own cost.
+    ``classify_batch`` of the one query, on the numpy block kernels.
+    ``early_exit=False`` forces the full scan; the result is identical
+    because nodes later in the order cannot offer below their own cost.
     """
-    return classify_batch(forest, [query], early_exit=early_exit)[0]
+    # The compiled loops answer a wine query about 3x faster.  The
+    # benchmark's closed-loop client keeps every answer and latency, so it
+    # then keeps 3x as many, which grew wine-grid's peak RSS by about 35%:
+    # single queries stay on numpy until that client keeps only what it
+    # checks (ROADMAP items 1 and 9).  Both paths give the same bits.
+    return _classify(forest, [query], early_exit, _numpy_pairwise)[0]
+
+
+def _numpy_pairwise(measure, A, B) -> np.ndarray:
+    return distances._pairwise_many("numpy", [measure], A, B)[0]
 
 
 def classify_batch(
@@ -435,15 +444,26 @@ def classify_batch(
     node; ``early_exit=False`` scores every node.
     Either way the results are the same.
     """
+    return _classify(forest, queries, early_exit, distances.pairwise)
+
+
+def _classify(forest: TrainedForest, queries: Sequence[Sequence[float]],
+              early_exit: bool, pairwise) -> list[Prediction]:
+    # classify_batch with the block kernel ``pairwise(measure, A, B)``
     Q = _query_matrix(forest, queries)
     if not len(Q):
         return []
     nodes, cost = forest._scan
 
     def arcs(r0: int, r1: int, active: np.ndarray) -> np.ndarray:
-        return distances.pairwise(forest.distance, nodes[:, r0:r1].T,
-                                  Q[active])
-    return _scan_queries(forest, cost, len(Q), arcs, early_exit)
+        return pairwise(forest.distance, nodes[:, r0:r1].T, Q[active])
+    first, best = _scan_queries(cost, len(Q), arcs, early_exit)
+    order, label = forest.ordered_nodes, forest.root_label
+    out: list[Prediction] = []
+    for k, c in zip(first.tolist(), best.tolist()):
+        who = order[k]
+        out.append(Prediction(label[who], c, who))
+    return out
 
 
 def _query_matrix(forest: TrainedForest,
@@ -457,13 +477,13 @@ def _query_matrix(forest: TrainedForest,
                                                        forest.n_features)
 
 
-def _scan_queries(forest: TrainedForest, cost: np.ndarray, m: int, arcs,
-                  early_exit: bool) -> list[Prediction]:
+def _scan_queries(cost: np.ndarray, m: int, arcs,
+                  early_exit: bool) -> tuple[np.ndarray, np.ndarray]:
     """The scan of ``classify_batch`` over m queries, with node costs
     ``cost`` in scan order; ``arcs(r0, r1, active)`` gives the distances
-    from the nodes at scan positions r0:r1 to the queries ``active``."""
-    order = forest.ordered_nodes
-    n = len(order)
+    from the nodes at scan positions r0:r1 to the queries ``active``.
+    Returns each query's winning scan position and its offer."""
+    n = len(cost)
     best = np.empty(m)
     first = np.empty(m, dtype=np.intp)
     for q0 in range(0, m, _BLOCK_ENTRIES):
@@ -492,11 +512,7 @@ def _scan_queries(forest: TrainedForest, cost: np.ndarray, m: int, arcs,
                 keep = best[active] > cost[r0]
                 if not keep.all():
                     active = active[keep]
-    out: list[Prediction] = []
-    for k, c in zip(first.tolist(), best.tolist()):
-        who = order[k]
-        out.append(Prediction(forest.root_label[who], c, who))
-    return out
+    return first, best
 
 
 def _rectangle_arcs(rect: np.ndarray):
@@ -516,17 +532,18 @@ def classify_measures(
     queries: Sequence[Sequence[float]],
     *,
     seconds: list[float] | None = None,
-) -> list[list[Prediction]]:
-    """``classify_batch`` of each forest, in order, for forests fitted on
-    the same samples (one ``train_measures`` call) whose node x query
-    rectangle fits one chunk (``one_chunk``); ValueError otherwise.
+) -> list[list[int]]:
+    """The labels of ``classify_batch`` of each forest, in order, for
+    forests fitted on the same samples (one ``train_measures`` call) whose
+    node x query rectangle fits one chunk (``one_chunk``); ValueError
+    otherwise.
 
     Each forest's whole rectangle is then what ``classify_batch`` scores
     in its one kernel call.  Here the rectangles come in stacks of as many
     as fit in ``_MATRIX_BYTES``, each stack from one ``pairwise_many``
     call over the samples and the queries, so the measures share their
-    sums; each forest then scans its own rectangle in its node order.
-    The predictions equal ``classify_batch``'s.
+    sums; each forest then scans its own rectangle in its node order,
+    into labels, without a ``Prediction`` per query.
 
     If ``seconds`` is given, each forest's test seconds are appended to
     it: an equal share of its stack's time (the first stack also carries
@@ -546,14 +563,15 @@ def classify_measures(
                          f"chunk of {_BLOCK_ENTRIES} entries")
     X = _feature_matrix(samples)
     height = max(1, _MATRIX_BYTES // (8 * max(1, n * m)))
-    out: list[list[Prediction]] = []
+    out: list[list[int]] = []
     for c0 in range(0, len(forests), height):
         chunk = forests[c0:c0 + height]
         rects = distances.pairwise_many([f.distance for f in chunk], X, Q)
         for f, d in zip(chunk, rects):
             order = np.array(f.ordered_nodes)
-            out.append(_scan_queries(f, np.array(f.cost)[order], m,
-                                     _rectangle_arcs(d[order]), False))
+            first, _ = _scan_queries(np.array(f.cost)[order], m,
+                                     _rectangle_arcs(d[order]), False)
+            out.append(np.array(f.root_label)[order[first]].tolist())
         if seconds is not None:
             now = time.perf_counter()
             seconds.extend([(now - start) / len(chunk)] * len(chunk))

@@ -22,6 +22,17 @@ WINE_CSV = Path(__file__).resolve().parent.parent / "data" / "wine.csv"
 
 
 # ---------------------------------------------------------------------------
+# Block kernel paths
+# ---------------------------------------------------------------------------
+
+def kernel_paths():
+    """The paths of the block kernels to test here: the numpy block form,
+    and the compiled loops where they built and matched."""
+    from opfdist import distances
+    return [p for p in ("numpy", "compiled") if p in distances._BLOCKS]
+
+
+# ---------------------------------------------------------------------------
 # Minimax bottleneck-path oracle
 # ---------------------------------------------------------------------------
 

@@ -370,6 +370,8 @@ def test_bench_writes_full_report_set(tmp_path, capsys):
     assert f"python = {platform.python_version()}\n" in manifest
     assert opfdist.distances.EXP_LOG in ("numpy-strided", "libm-per-element")
     assert f"exp_log = {opfdist.distances.EXP_LOG}\n" in manifest
+    assert opfdist.distances.KERNELS in ("compiled", "numpy")
+    assert f"kernels = {opfdist.distances.KERNELS}\n" in manifest
     rank_lines = (out / "rank.csv").read_text().splitlines()
     assert len(rank_lines) == 4  # header + one row per ranked measure
     summary_lines = (out / "summary.csv").read_text().splitlines()
@@ -568,6 +570,27 @@ def test_bench_config_rejects_values_of_the_wrong_type(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{key} must be" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_bench_config_refuses_a_label_column_on_svmlight(tmp_path, capsys):
+    # svmlight rows carry their labels: the key would be ignored, yet enter
+    # the config hash
+    cfg = bench_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "  - path: blob2.csv\n", "  - path: blob2.svm\n"
+        "    format: svmlight\n", 1))
+    with pytest.raises(ConfigError, match=r"datasets\[1\]: label_column "
+                       "applies to csv only"):
+        load_bench_config(cfg)
+    assert main(["bench", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "datasets[1]: label_column" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # without the key the svmlight dataset is accepted
+    cfg.write_text(cfg.read_text().replace(
+        "    format: svmlight\n    label_column: -1\n",
+        "    format: svmlight\n", 1))
+    assert load_bench_config(cfg).datasets[1].format == "svmlight"
 
 
 def test_bench_runs_without_importing_scipy(tmp_path):

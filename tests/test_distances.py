@@ -1,7 +1,6 @@
 """Distance registry, worked values, metadata, axiom checks, edge policy."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import sys
@@ -26,6 +25,7 @@ from opfdist.errors import DimensionMismatch, DomainViolation, EmptyInput
 
 import axioms_reference
 import distance_reference
+from conftest import kernel_paths
 
 ALL = registry()
 CODES = [d.code for d in ALL]
@@ -434,14 +434,18 @@ def _assert_pairwise_equals_reference():
 
 
 @pytest.mark.filterwarnings("error")
-def test_pairwise_equals_scalar_kernels_bit_for_bit():
-    # block exp/log on the path the import-time sentinel chose
-    _assert_pairwise_equals_reference()
+def test_pairwise_equals_scalar_kernels_bit_for_bit(monkeypatch):
+    # both block kernel paths; numpy's on the exp/log path that the
+    # import-time sentinel chose
+    for path in kernel_paths():
+        monkeypatch.setattr(distances, "KERNELS", path)
+        _assert_pairwise_equals_reference()
 
 
 @pytest.mark.filterwarnings("error")
 def test_pairwise_equals_scalar_kernels_on_per_element_libm(monkeypatch):
     # the fallback for hosts where numpy's strided exp/log is not libm's
+    monkeypatch.setattr(distances, "KERNELS", "numpy")
     monkeypatch.setattr(distances, "EXP_LOG", "libm-per-element")
     _assert_pairwise_equals_reference()
 
@@ -492,11 +496,18 @@ def _assert_bits_equal(got, want, context):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("exp_log", ["numpy-strided", "libm-per-element"])
+@pytest.mark.parametrize("path", ["numpy-strided", "libm-per-element",
+                                  "compiled"])
 def test_pairwise_many_equals_per_code_pairwise_bit_for_bit(monkeypatch,
-                                                            exp_log):
-    if exp_log != distances.EXP_LOG:
-        monkeypatch.setattr(distances, "EXP_LOG", exp_log)
+                                                            path):
+    # the numpy block form on either exp/log, or the compiled loops, which
+    # call libm's exp/log themselves
+    if path == "compiled" and path not in distances._BLOCKS:
+        pytest.skip("the compiled loops are not in use on this host")
+    monkeypatch.setattr(distances, "KERNELS",
+                        "compiled" if path == "compiled" else "numpy")
+    if path != "compiled" and path != distances.EXP_LOG:
+        monkeypatch.setattr(distances, "EXP_LOG", path)
     rng = random.Random(47)
     sparse = np.array([[rng.choice((0.0, 0.0, 0.0, -0.0, 0.5, 2.0))
                         for _ in range(6)] for _ in range(12)])
@@ -515,13 +526,11 @@ def test_pairwise_many_equals_per_code_pairwise_bit_for_bit(monkeypatch,
 
 def test_pairwise_many_keeps_no_sums_after_a_raising_measure(monkeypatch):
     A = np.array([[0.5, 1.0], [2.0, 0.25]])
-    d3 = resolve("D3")
 
     def boom(X, Y):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(distances._BY_CODE, "D3",
-                        dataclasses.replace(d3, block=boom))
+    monkeypatch.setitem(distances._BLOCKS[distances.KERNELS], "D3", boom)
     with pytest.raises(RuntimeError):
         distances.pairwise_many(["D32", "D3", "D4"], A, A[::-1])
     assert distances._shared.sums is None

@@ -1,7 +1,6 @@
 """Splits, metrics, the benchmark grid, and the rank statistics."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -531,19 +530,19 @@ def test_a_code_failing_on_some_folds_fails_its_whole_column(monkeypatch):
         frozenset(datasets[0].samples[i].features
                   for i in plan.fold_indices(1 - f)): (plan.run_index, f)
         for plan in make_splits(datasets[0], seed=2, runs=3) for f in (0, 1)}
-    d6 = distances.resolve("D6")
+    blocks = distances._BLOCKS[distances.KERNELS]
+    d6 = blocks["D6"]
 
     def flaky_block(A, B):
         key = fold_of.get(frozenset(map(tuple, A.tolist())))
         if key in {(1, 1), (2, 0)}:
             raise RuntimeError(f"boom at run {key[0]} fold {key[1]}")
-        return d6.block(A, B)
+        return d6(A, B)
 
     # D6's kernel, in a shared fill or alone: these 8-row training halves
     # fill in one block of full rows.  The pool's workers are forked, so
     # they inherit the patch.
-    monkeypatch.setitem(distances._BY_CODE, "D6",
-                        dataclasses.replace(d6, block=flaky_block))
+    monkeypatch.setitem(blocks, "D6", flaky_block)
     serial = run_benchmark(datasets, codes, seed=2, runs=3)
     parallel = run_benchmark(datasets, codes, seed=2, runs=3, parallelism=3)
 
@@ -562,7 +561,8 @@ def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
     datasets = [toy_dataset("t1", seed=5)]
     codes = ["D3", "D7", "D28", "D35"]
     clean = run_benchmark(datasets, codes, seed=2, runs=2)
-    d7 = distances.resolve("D7")
+    blocks = distances._BLOCKS[distances.KERNELS]
+    d7 = blocks["D7"]
     calls = []
 
     def test_only_block(A, B):
@@ -571,10 +571,9 @@ def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
         calls.append(np.array_equal(A, B))
         if not calls[-1]:
             raise RuntimeError("boom in test")
-        return d7.block(A, B)
+        return d7(A, B)
 
-    monkeypatch.setitem(distances._BY_CODE, "D7",
-                        dataclasses.replace(d7, block=test_only_block))
+    monkeypatch.setitem(blocks, "D7", test_only_block)
     tested = []
     real = evaluation.forest.classify_measures
 

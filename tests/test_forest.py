@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import random
 import weakref
 
@@ -11,6 +12,7 @@ import pytest
 
 from opfdist import (
     NormalizationSpec,
+    Prediction,
     TrainingGraph,
     accuracy,
     classify,
@@ -32,6 +34,7 @@ from opfdist.errors import DimensionMismatch, SingleClass
 import distance_reference
 import forest_reference
 from conftest import (
+    kernel_paths,
     kruskal_cross_prototypes,
     make_dataset,
     oracle_costs,
@@ -249,6 +252,19 @@ def test_classify_prototype_replica_costs_zero():
     assert p.conqueror == 2
 
 
+def test_prediction_is_a_slotted_frozen_value():
+    p = Prediction(2, 0.5, 7)
+    assert not hasattr(p, "__dict__")
+    assert p == Prediction(2, 0.5, 7) and p != Prediction(2, 0.5, 8)
+    assert hash(p) == hash(Prediction(2, 0.5, 7)) == hash((2, 0.5, 7))
+    assert repr(p) == "Prediction(label=2, cost=0.5, conqueror=7)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert back == p and repr(back) == repr(p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.label = 3
+
+
 def test_classify_rejects_wrong_dimension():
     forest = train(line_graph())
     with pytest.raises(DimensionMismatch):
@@ -301,11 +317,11 @@ def test_early_exit_equals_full_scan():
 def test_single_queries_make_one_block_call(monkeypatch):
     rng = random.Random(83)
     calls = []
-    real = opfdist.forest.distances.pairwise
+    real = opfdist.forest.distances._pairwise_many
 
-    def spy(measure, A, B):
-        calls.append((len(A), len(B)))
-        return real(measure, A, B)
+    def spy(path, measures, A, B):
+        calls.append((path, len(A), len(B)))
+        return real(path, measures, A, B)
 
     queries = [[rng.random() for _ in range(4)] for _ in range(10)]
     # a wine-sized forest and a larger one: n x 1 entries fit one chunk
@@ -313,10 +329,11 @@ def test_single_queries_make_one_block_call(monkeypatch):
         [[rng.random() for _ in range(4)] for _ in range(n)],
         [i % 3 for i in range(n)], "D3")) for n in (89, 200)}
     batches = {n: classify_batch(m, queries) for n, m in models.items()}
-    monkeypatch.setattr(opfdist.forest.distances, "pairwise", spy)
+    monkeypatch.setattr(opfdist.forest.distances, "_pairwise_many", spy)
     for n, model in models.items():
         assert [classify(model, q) for q in queries] == batches[n]
-        assert calls == [(n, 1)] * len(queries), n
+        # on the numpy block kernels, whatever KERNELS names
+        assert calls == [("numpy", n, 1)] * len(queries), n
         calls.clear()
 
 
@@ -451,6 +468,14 @@ def _assert_python_scalars(model):
 def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
     budget = opfdist.forest._MATRIX_BYTES
     block = opfdist.forest._BLOCK_ENTRIES
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        _assert_train_and_classify_batch_equal_scalar_reference(
+            monkeypatch, budget, block)
+
+
+def _assert_train_and_classify_batch_equal_scalar_reference(monkeypatch,
+                                                            budget, block):
     for code in [d.code for d in registry()]:
         kernel = distance_reference.distance_function(code)
         for graph in _oracle_graphs(code):
@@ -500,6 +525,12 @@ def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
 
 @pytest.mark.parametrize("path", ["stack", "height_1", "on_demand"])
 def test_train_measures_equals_scalar_reference(monkeypatch, path):
+    for kernels in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", kernels)
+        _assert_train_measures_equal_scalar_reference(monkeypatch, path)
+
+
+def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
     if path == "on_demand":
         monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 0)
     codes = [d.code for d in registry()]
@@ -582,7 +613,8 @@ def test_classify_measures_equals_classify_batch(monkeypatch):
         dim = graph.n_features
         queries = [s.features for s in graph.samples[:3]] + [
             [rng.uniform(-1.0, 2.5) for _ in range(dim)] for _ in range(6)]
-        want = [classify_batch(f, queries) for f in forests]
+        want = [[p.label for p in classify_batch(f, queries)]
+                for f in forests]
         n = len(graph.samples)
         # one stack of 47 rectangles, then stacks of 10 (the last of 7)
         for budget in (opfdist.forest._MATRIX_BYTES, 10 * n * 9 * 8):
@@ -591,7 +623,8 @@ def test_classify_measures_equals_classify_batch(monkeypatch):
             got = opfdist.forest.classify_measures(forests, queries,
                                                    seconds=seconds)
             assert got == want
-            assert repr(got) == repr(want)
+            assert all(type(label) is int for labels in got
+                       for label in labels)
             assert len(seconds) == 47 and all(t >= 0.0 for t in seconds)
         assert opfdist.forest.classify_measures(forests, []) == [[]] * 47
     assert opfdist.forest.classify_measures([], queries) == []
