@@ -42,8 +42,6 @@ from .dataio import (
     load_forest,
     load_svmlight,
     save_forest,
-    write_csv,
-    write_distance_catalogue,
     write_reports,
     write_stat_files,
 )
@@ -55,7 +53,6 @@ from .evaluation import (
     StatReport,
     WilcoxonResult,
     accuracy,
-    balanced_accuracy,
     critical_difference,
     friedman_nemenyi,
     make_splits,

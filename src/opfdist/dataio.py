@@ -268,19 +268,6 @@ def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
                    len(class_names), class_names)
 
 
-def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Canonical dataset writer: header f1..fN,label; repr floats; label
-    text from class_names.  Reloading reproduces the dataset exactly."""
-    path = Path(path)
-    names = dataset.class_names or tuple(
-        str(c) for c in range(dataset.n_classes))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"f{j + 1}" for j in range(dataset.n_features)] + ["label"])
-        for s in dataset.samples:
-            w.writerow([repr(v) for v in s.features] + [names[s.label]])
-
-
 # --- normalization --------------------------------------------------------
 
 NORMALIZATION_MODES = ("none", "min_max_01")
@@ -556,19 +543,6 @@ def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> 
 
 def _f(v: float) -> str:
     return repr(float(v))
-
-
-def write_distance_catalogue(path: str | Path) -> None:
-    """Registry metadata as CSV, same writer conventions as the reports."""
-    rows = [
-        (e.code, e.name, e.taxonomy.value,
-         "true" if e.requires_nonnegative_input else "false",
-         "true" if e.satisfies_identity else "false")
-        for e in distances.registry()
-    ]
-    _write_rows(Path(path),
-                ["code", "name", "taxonomy", "requires_nonnegative_input",
-                 "satisfies_identity"], rows)
 
 
 def _read_grid_csv(path: str | Path, value_names: Sequence[str]

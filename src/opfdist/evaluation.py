@@ -12,9 +12,9 @@ number of degrees of freedom (``_chi2_sf``), computed with ``math`` alone.
 ``rank`` alike: it picks the classifiers that can be ranked and ranks them.
 
 The grid's unit of work is one (dataset, run, test fold): it draws that
-run's split, fits the normalization on the training half once, fits every
-distance code on it with one ``forest.train_measures`` call, and tests
-each forest.
+run's split, fits the normalization on the training half once, and fits
+and tests every distance code on it with one ``forest.fit_and_label``
+call, which owns how the forests are fitted, tested and timed.
 
 Everything is deterministic given (seed, runs): split shuffles derive from
 a per-run seed sequence, results are keyed by grid position, and a failed
@@ -25,7 +25,6 @@ parallelism cannot change any reported number.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
@@ -120,21 +119,6 @@ def accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
     return hits / len(truth)
 
 
-def balanced_accuracy(predicted: Sequence[int], truth: Sequence[int]) -> float:
-    """Mean of per-class recalls; a secondary metric, never substituted
-    for plain accuracy in reports."""
-    if len(predicted) != len(truth):
-        raise LengthMismatch(
-            f"{len(predicted)} predictions against {len(truth)} labels")
-    if len(truth) == 0:
-        raise EmptyInput("balanced accuracy over zero samples is undefined")
-    per_class: dict[int, list[int]] = {}
-    for p, t in zip(predicted, truth):
-        per_class.setdefault(t, []).append(1 if p == t else 0)
-    recalls = [sum(v) / len(v) for _, v in sorted(per_class.items())]
-    return sum(recalls) / len(recalls)
-
-
 # --- benchmark grid -----------------------------------------------------
 
 
@@ -212,23 +196,15 @@ class BenchmarkMatrix:
 
 
 def _fold_task(args):
-    """One (dataset, run, test fold): split and normalize once, fit every
-    code in ``codes`` with one ``forest.train_measures`` call, then test
-    each forest with ``classify_batch``.  Returns (dataset name, run,
-    fold, cells, errors) with code -> (accuracy, train s, test s) and code
-    -> error text; a failing split or normalization fails every code.
+    """One (dataset, run, test fold): split and normalize once, then fit
+    and test every code in ``codes`` with one ``forest.fit_and_label``
+    call.  Returns (dataset name, run, fold, cells, errors) with code ->
+    (accuracy, train s, test s) and code -> error text; a failing split or
+    normalization fails every code.
 
-    When each forest's node x query rectangle fits one ``classify_batch``
-    chunk (``forest.one_chunk``), the forests are tested together by
-    ``forest.classify_measures``, whose measures share their sums.
-
-    A code's train seconds are an equal share of its stack's time: the
-    shared matrix fill, Prim and the competition (see
-    ``forest.train_measures``).  Its test seconds are likewise an equal
-    share of its stack of rectangles, or its own ``classify_batch`` time
-    when tested alone.  When the stacked fit or the shared test raises,
-    the codes are fitted or tested one at a time, so that a failing code
-    fails alone, with its own message.
+    If the call raises, it is made once per code, so that a failing code
+    fails alone, with its own message.  Each code is then refitted alone,
+    a cost that only a call that raised pays.
     """
     dataset, seed, run, fold, normalization, codes = args
     try:
@@ -244,45 +220,18 @@ def _fold_task(args):
     queries = [s.features for s in test]
     truth = [s.label for s in test]
     cells, errors = {}, {}
-    try:
-        seconds: list[float] = []
-        fits = list(zip(codes, forest.train_measures(train, codes,
-                                                     seconds=seconds),
-                        seconds))
-    except Exception:
-        fits = []
-        for code in codes:
-            try:
-                seconds = []
-                [model] = forest.train_measures(train, [code], seconds=seconds)
-                fits.append((code, model, seconds[0]))
-            except Exception as exc:  # recorded, never silently dropped
-                errors[code] = f"{type(exc).__name__}: {exc}"
-    if fits and forest.one_chunk(len(train), len(queries)):
+    groups = [list(codes)]
+    for group in groups:  # grows by one group per code if the first raises
         try:
-            seconds = []
-            tested = forest.classify_measures([m for _, m, _ in fits],
-                                              queries, seconds=seconds)
-        except Exception:
-            pass  # each code is tested alone below
-        else:
-            for (code, _, t_train), labels, t_test in zip(fits, tested,
-                                                          seconds):
-                cells[code] = (accuracy(labels, truth), t_train, t_test)
-            fits = []
-    # each forest is dropped once tested: its scan arrays (n x d float64,
-    # built by classify_batch) would otherwise stay alive for every code
-    fits.reverse()
-    while fits:
-        code, model, t_train = fits.pop()
-        try:
-            t0 = time.perf_counter()
-            preds = forest.classify_batch(model, queries)
-            t1 = time.perf_counter()
-            cells[code] = (accuracy([p.label for p in preds], truth),
-                           t_train, t1 - t0)
+            tested = forest.fit_and_label(train, group, queries)
+            cells.update({code: (accuracy(labels, truth), t_train, t_test)
+                          for code, (labels, t_train, t_test)
+                          in zip(group, tested)})
         except Exception as exc:  # recorded, never silently dropped
-            errors[code] = f"{type(exc).__name__}: {exc}"
+            if len(group) > 1:
+                groups += [[code] for code in group]
+            else:
+                errors[group[0]] = f"{type(exc).__name__}: {exc}"
     return dataset.name, run, fold, cells, errors
 
 

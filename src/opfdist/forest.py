@@ -19,9 +19,9 @@ chunks of nodes against the queries still open, reading their arcs
 through ``arcs(r0, r1, active)``, and closes a query once the next
 chunk's first cost reaches its best offer; its node features and costs
 in scan order are built once per forest, on first use.  Single-query
-``classify`` is a batch of one, on the numpy block kernels.  The full scan and the early exit return
-the same cost, label and conqueror, so ``early_exit`` never changes a
-result.
+``classify`` is a batch of one, on the numpy block kernels.  The full
+scan and the early exit return the same cost, label and conqueror, so
+``early_exit`` never changes a result.
 
 Prim and the competition exist once, on (k, n) state arrays that fit k
 measures together: each reads arcs through ``rows(f) -> (k, n)``, where
@@ -31,9 +31,12 @@ at a time by ``distances.pairwise_many``, so its measures share their
 sums, and serves its rows by flat index; a graph whose one matrix exceeds
 it (n > 2048) fits each measure alone (k = 1, f = u) on 1 x n rows
 evaluated on demand.  ``train`` is ``train_measures`` of one measure.
-``classify_measures`` tests the forests of one ``train_measures`` call
-the same way, from shared node x query rectangles, where each rectangle
-fits one ``classify_batch`` chunk.
+
+``fit_and_label`` is a benchmark fold's one call: each measure's
+``classify_batch`` labels of the test queries, with its train and test
+seconds.  It hides the chunk rule: where a node x query rectangle fits
+one chunk, the forests are tested from shared rectangles; otherwise
+each is scanned from arrays built for it alone.
 
 All tie-breaks are deterministic: minimum extraction prefers the lowest
 node index, and a node's conqueror changes only on a strict improvement.
@@ -136,9 +139,7 @@ class TrainedForest:
 
     @cached_property
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node features, feature-major (d, n) so that a chunk of all
-        nodes reaches the block kernel without a copy, and the node costs,
-        both in ``ordered_nodes`` order: what ``classify_batch`` scans.
+        """``_scan_arrays`` of this forest, for ``classify_batch``.
 
         Built once, on first use, into the instance dict: not a field, so
         equality, repr and the archive bytes do not see it.  They hold
@@ -146,10 +147,7 @@ class TrainedForest:
         every scan shares them; threads racing on the first use build
         equal arrays.
         """
-        order = self.ordered_nodes
-        nodes = np.ascontiguousarray(
-            _feature_matrix([self.samples[s] for s in order]).T)
-        cost = np.array([self.cost[s] for s in order])
+        nodes, cost = _scan_arrays(self, _feature_matrix(self.samples))
         nodes.flags.writeable = cost.flags.writeable = False
         return nodes, cost
 
@@ -165,6 +163,16 @@ class Prediction:
 
 def _feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
     return np.array([s.features for s in samples], dtype=np.float64)
+
+
+def _scan_arrays(forest: TrainedForest,
+                 X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``classify_batch`` scans, from the forest's feature matrix X:
+    the node features, feature-major (d, n) so that a chunk of all nodes
+    reaches the block kernel without a copy, and the node costs, both in
+    ``ordered_nodes`` order."""
+    order = list(forest.ordered_nodes)
+    return X.T.take(order, axis=1), np.array(forest.cost)[order]
 
 
 def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
@@ -363,11 +371,25 @@ def train(graph: TrainingGraph) -> TrainedForest:
     return train_measures(graph.samples, [graph.distance])[0]
 
 
+def _fit_stacks(samples: Sequence[Sample],
+                measures: Sequence[distances.DistanceId]):
+    """Validate the samples and build their feature matrix X once, then
+    yield (X, forests) for each stack of ``measures`` in order: as many as
+    fit in ``_MATRIX_BYTES``, or one alone, on rows evaluated on demand,
+    when not even one matrix fits."""
+    samples = TrainingGraph(tuple(samples), measures[0]).samples
+    labels = np.array([s.label for s in samples])
+    X = _feature_matrix(samples)
+    stack = _new_stack(len(measures), len(X))
+    height = 1 if stack is None else len(stack)
+    for c0 in range(0, len(measures), height):
+        chunk = measures[c0:c0 + height]
+        yield X, _fit(samples, chunk, labels, _arc_rows(chunk, X, stack))
+
+
 def train_measures(
     samples: Sequence[Sample],
     measures: Sequence[distances.DistanceId | str],
-    *,
-    seconds: list[float] | None = None,
 ) -> list[TrainedForest]:
     """One forest per measure on the same samples, in ``measures`` order.
 
@@ -377,31 +399,11 @@ def train_measures(
     matrices as fit in ``_MATRIX_BYTES``, sharing their sums, and Prim
     and the competition run once per stack.  When not even one matrix
     fits, each measure is fitted alone, on rows evaluated on demand.
-
-    If ``seconds`` is given, each measure's training seconds are appended
-    to it: an equal share of its stack's time, which covers the shared
-    matrix fill, Prim and the competition (the first stack also carries
-    the shared validation).
     """
-    start = time.perf_counter()
     measures = [distances.resolve(m) for m in measures]
     if not measures:
         return []
-    samples = TrainingGraph(tuple(samples), measures[0]).samples
-    labels = np.array([s.label for s in samples])
-    X = _feature_matrix(samples)
-    stack = _new_stack(len(measures), len(X))
-    height = 1 if stack is None else len(stack)
-    forests: list[TrainedForest] = []
-    for c0 in range(0, len(measures), height):
-        chunk = measures[c0:c0 + height]
-        forests.extend(_fit(samples, chunk, labels,
-                            _arc_rows(chunk, X, stack)))
-        if seconds is not None:
-            now = time.perf_counter()
-            seconds.extend([(now - start) / len(chunk)] * len(chunk))
-            start = now
-    return forests
+    return [f for _, fits in _fit_stacks(samples, measures) for f in fits]
 
 
 def classify(
@@ -454,16 +456,24 @@ def _classify(forest: TrainedForest, queries: Sequence[Sequence[float]],
     if not len(Q):
         return []
     nodes, cost = forest._scan
-
-    def arcs(r0: int, r1: int, active: np.ndarray) -> np.ndarray:
-        return pairwise(forest.distance, nodes[:, r0:r1].T, Q[active])
-    first, best = _scan_queries(cost, len(Q), arcs, early_exit)
+    first, best = _scan_queries(
+        cost, len(Q), _node_arcs(forest.distance, nodes, Q, pairwise),
+        early_exit)
     order, label = forest.ordered_nodes, forest.root_label
     out: list[Prediction] = []
     for k, c in zip(first.tolist(), best.tolist()):
         who = order[k]
         out.append(Prediction(label[who], c, who))
     return out
+
+
+def _node_arcs(measure: distances.DistanceId, nodes: np.ndarray,
+               Q: np.ndarray, pairwise):
+    """``arcs`` for ``_scan_queries`` from the block kernel
+    ``pairwise(measure, A, B)``, over the (d, n) node features of
+    ``_scan_arrays`` and the query rows Q."""
+    return lambda r0, r1, active: pairwise(measure, nodes[:, r0:r1].T,
+                                           Q[active])
 
 
 def _query_matrix(forest: TrainedForest,
@@ -515,65 +525,67 @@ def _scan_queries(cost: np.ndarray, m: int, arcs,
     return first, best
 
 
-def _rectangle_arcs(rect: np.ndarray):
-    """``arcs`` for ``_scan_queries`` from a whole node x query rectangle,
-    its rows in scan order."""
-    return lambda r0, r1, active: rect[r0:r1, active]
+def _labels(forest: TrainedForest, X: np.ndarray, Q: np.ndarray,
+            rect: np.ndarray | None) -> list[int]:
+    """The labels ``classify_batch`` gives the query rows Q: from the
+    forest's whole node x query rectangle ``rect``, rows in sample order,
+    when given; otherwise by the early-exit scan over ``_scan_arrays``
+    built from its feature matrix X, which live only in this call."""
+    order = np.array(forest.ordered_nodes)
+    if rect is None:
+        nodes, cost = _scan_arrays(forest, X)
+        arcs = _node_arcs(forest.distance, nodes, Q, distances.pairwise)
+    else:
+        cost, rect = np.array(forest.cost)[order], rect[order]
+
+        def arcs(r0, r1, active):
+            return rect[r0:r1, active]
+    first, _ = _scan_queries(cost, len(Q), arcs, True)
+    return np.array(forest.root_label)[order[first]].tolist()
 
 
-def one_chunk(n_nodes: int, n_queries: int) -> bool:
-    """Whether ``classify_batch`` scores an n_nodes x n_queries rectangle
-    in one chunk: one kernel call, with no early exit."""
-    return n_nodes * n_queries <= _BLOCK_ENTRIES
-
-
-def classify_measures(
-    forests: Sequence[TrainedForest],
+def fit_and_label(
+    samples: Sequence[Sample],
+    measures: Sequence[distances.DistanceId | str],
     queries: Sequence[Sequence[float]],
-    *,
-    seconds: list[float] | None = None,
-) -> list[list[int]]:
-    """The labels of ``classify_batch`` of each forest, in order, for
-    forests fitted on the same samples (one ``train_measures`` call) whose
-    node x query rectangle fits one chunk (``one_chunk``); ValueError
-    otherwise.
+) -> list[tuple[list[int], float, float]]:
+    """For each measure, in order: the labels that ``classify_batch`` of
+    its ``train_measures`` forest gives ``queries``, its train seconds and
+    its test seconds.
 
-    Each forest's whole rectangle is then what ``classify_batch`` scores
-    in its one kernel call.  Here the rectangles come in stacks of as many
-    as fit in ``_MATRIX_BYTES``, each stack from one ``pairwise_many``
-    call over the samples and the queries, so the measures share their
-    sums; each forest then scans its own rectangle in its node order,
-    into labels, without a ``Prediction`` per query.
+    The forests are fitted in the stacks of ``train_measures``.  Where a
+    node x query rectangle fits one ``classify_batch`` chunk, which
+    ``classify_batch`` would score whole, the rectangles come in stacks
+    within ``_MATRIX_BYTES``, each from one ``pairwise_many`` call in
+    which the measures share their sums.  Otherwise each forest is
+    scanned as ``classify_batch`` scans it, with early exit, from scan
+    arrays built for it alone and dropped once it is tested.
 
-    If ``seconds`` is given, each forest's test seconds are appended to
-    it: an equal share of its stack's time (the first stack also carries
-    the shared validation).
+    A measure's seconds are an equal share of its stack's time: the
+    matrix fill, Prim and the competition (the first stack also carries
+    the validation), then its stack of rectangles or its own scan.
     """
     start = time.perf_counter()
-    if not forests:
+    measures = [distances.resolve(m) for m in measures]
+    if not measures:
         return []
-    samples = forests[0].samples
-    if any(f.samples is not samples and f.samples != samples
-           for f in forests):
-        raise ValueError("forests were fitted on different samples")
+    forests, train_s = [], []
+    for X, fits in _fit_stacks(samples, measures):
+        now = time.perf_counter()
+        forests += fits
+        train_s += [(now - start) / len(fits)] * len(fits)
+        start = now
     Q = _query_matrix(forests[0], queries)
-    n, m = len(samples), len(Q)
-    if not one_chunk(n, m):
-        raise ValueError(f"a {n} x {m} node x query rectangle exceeds one "
-                         f"chunk of {_BLOCK_ENTRIES} entries")
-    X = _feature_matrix(samples)
-    height = max(1, _MATRIX_BYTES // (8 * max(1, n * m)))
-    out: list[list[int]] = []
+    entries = len(X) * len(Q)
+    whole = entries <= _BLOCK_ENTRIES
+    height = max(1, _MATRIX_BYTES // (8 * max(1, entries))) if whole else 1
+    labels, test_s = [], []
     for c0 in range(0, len(forests), height):
         chunk = forests[c0:c0 + height]
-        rects = distances.pairwise_many([f.distance for f in chunk], X, Q)
-        for f, d in zip(chunk, rects):
-            order = np.array(f.ordered_nodes)
-            first, _ = _scan_queries(np.array(f.cost)[order], m,
-                                     _rectangle_arcs(d[order]), False)
-            out.append(np.array(f.root_label)[order[first]].tolist())
-        if seconds is not None:
-            now = time.perf_counter()
-            seconds.extend([(now - start) / len(chunk)] * len(chunk))
-            start = now
-    return out
+        rects = (distances.pairwise_many([f.distance for f in chunk], X, Q)
+                 if whole else [None])
+        labels += [_labels(f, X, Q, r) for f, r in zip(chunk, rects)]
+        now = time.perf_counter()
+        test_s += [(now - start) / len(chunk)] * len(chunk)
+        start = now
+    return list(zip(labels, train_s, test_s))

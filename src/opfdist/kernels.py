@@ -20,7 +20,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import os
+import platform
 import sys
 from pathlib import Path
 from typing import Callable
@@ -41,7 +41,9 @@ def cache_path(sources) -> Path:
     h = hashlib.sha256()
     for path in (_HERE, _HERE.with_name("kernelgen.py"), *sources):
         h.update(Path(path).read_bytes())
-    h.update(repr((FLAGS, TILE, sys.platform, os.uname().machine)).encode())
+    # platform.machine() is os.uname().machine on POSIX and also exists
+    # where os.uname does not (Windows)
+    h.update(repr((FLAGS, TILE, sys.platform, platform.machine())).encode())
     return (_HERE.parent / "__pycache__"
             / f"opfdist_kernels.{h.hexdigest()[:24]}.so")
 

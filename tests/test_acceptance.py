@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import shutil
 import time
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from opfdist import (
     summarize,
     train,
     wilcoxon_signed_rank,
-    write_csv,
 )
 from opfdist.cli import main as cli_main
 from opfdist.evaluation import BenchmarkMatrix
@@ -315,10 +315,8 @@ def test_criterion_7_sonar_jaccard_accuracy(capsys):
 # 8. byte-identical reports across repeats and parallelism
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_reports_are_byte_identical(wine_dataset, tmp_path,
-                                                capsys):
-    data_path = tmp_path / "wine.csv"
-    write_csv(wine_dataset, data_path)
+def test_criterion_8_reports_are_byte_identical(tmp_path, capsys):
+    shutil.copyfile(DATA_DIR / "wine.csv", tmp_path / "wine.csv")
     cfg = tmp_path / "repro.yaml"
     cfg.write_text(
         "seed: 0\n"

@@ -26,8 +26,6 @@ from opfdist import (
     resolve,
     save_forest,
     train,
-    write_csv,
-    write_distance_catalogue,
     write_reports,
     write_stat_files,
 )
@@ -199,26 +197,6 @@ def test_svmlight_empty_and_malformed(tmp_path):
     p.write_text("1 1:xyz\n")
     with pytest.raises(ParseError):
         load_svmlight(p)
-
-
-# ---------------------------------------------------------------------------
-# Canonical CSV writer
-# ---------------------------------------------------------------------------
-
-def test_write_csv_round_trip_and_fixed_point(tmp_path):
-    src = tmp_path / "src.csv"
-    src.write_text("0.1,0.2,A\n0.30000000000000004,4e-08,B\n0.5,0.6,A\n")
-    ds = load_csv(src, label_column=-1)
-    out1 = tmp_path / "out1.csv"
-    write_csv(ds, out1)
-    again = load_csv(out1, label_column="label", has_header=True)
-    assert [s.features for s in again.samples] == \
-        [s.features for s in ds.samples]
-    assert [s.label for s in again.samples] == [s.label for s in ds.samples]
-    assert again.class_names == ds.class_names
-    out2 = tmp_path / "out2.csv"
-    write_csv(again, out2)
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +472,8 @@ def test_archive_overwrite_cut_midway_leaves_previous_file_whole(
 
 
 # ---------------------------------------------------------------------------
-# Catalogue, cells, reports
+# Cells, reports
 # ---------------------------------------------------------------------------
-
-def test_distance_catalogue_lists_all_measures(tmp_path):
-    path = tmp_path / "catalogue.csv"
-    write_distance_catalogue(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("code,name,taxonomy,requires_nonnegative_input,"
-                        "satisfies_identity")
-    assert len(lines) == 48
-    d7 = next(l for l in lines if l.startswith("D7,"))
-    assert "Bray-Curtis" in d7
-    d18 = next(l for l in lines if l.startswith("D18,"))
-    assert d18.endswith("true,false")
-
 
 def cells_fixture():
     values = {

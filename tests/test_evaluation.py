@@ -10,7 +10,6 @@ import pytest
 from opfdist import (
     BenchmarkMatrix,
     accuracy,
-    balanced_accuracy,
     critical_difference,
     distances,
     evaluation,
@@ -128,12 +127,6 @@ def test_accuracy_validation():
         accuracy([1], [1, 2])
     with pytest.raises(EmptyInput):
         accuracy([], [])
-
-
-def test_balanced_accuracy_averages_per_class_recall():
-    # class 0: 2/2 right, class 1: 0/2 right
-    assert balanced_accuracy([0, 0, 0, 0], [0, 0, 1, 1]) == 0.5
-    assert balanced_accuracy([0, 1], [0, 1]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +568,17 @@ def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
 
     monkeypatch.setitem(blocks, "D7", test_only_block)
     tested = []
-    real = evaluation.forest.classify_measures
+    real = evaluation.forest.fit_and_label
 
-    def spy(forests, queries, **kw):
-        tested.append(len(forests))
-        return real(forests, queries, **kw)
+    def spy(samples, measures, queries):
+        tested.append(len(measures))
+        return real(samples, measures, queries)
 
-    monkeypatch.setattr(evaluation.forest, "classify_measures", spy)
+    monkeypatch.setattr(evaluation.forest, "fit_and_label", spy)
     got = run_benchmark(datasets, codes, seed=2, runs=2)
-    # the shared test of each fold raised, and each code was tested alone
-    assert tested == [4] * 4
+    # the shared test of each fold raised, and each code was then fitted
+    # and tested alone
+    assert tested == [4, 1, 1, 1, 1] * 4
     assert calls.count(False) == 4 * 2
     assert got.errors == {("t1", "D7"): "RuntimeError: boom in test"}
     assert got.cells == {k: v for k, v in clean.cells.items() if k[1] != "D7"}

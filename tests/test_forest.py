@@ -539,11 +539,14 @@ def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
             # a budget of one matrix leaves one measure per stack
             monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES",
                                 8 * len(graph.samples) ** 2)
-        seconds = []
-        got = train_measures(graph.samples, codes, seconds=seconds)
-        assert len(got) == len(seconds) == 47
-        assert all(type(t) is float and t >= 0.0 for t in seconds)
-        for code, model in zip(codes, got):
+        got = train_measures(graph.samples, codes)
+        # the one fold call fits the same stacks, and times each measure
+        queries = [s.features for s in graph.samples[:3]]
+        tested = opfdist.forest.fit_and_label(graph.samples, codes, queries)
+        assert len(got) == len(tested) == 47
+        assert all(type(t) is float and t >= 0.0
+                   for _, t_train, t_test in tested for t in (t_train, t_test))
+        for code, model, (labels, _, _) in zip(codes, got, tested):
             want = forest_reference.train(
                 TrainingGraph(graph.samples, resolve(code)))
             for field in dataclasses.fields(want):
@@ -551,6 +554,7 @@ def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
                     getattr(want, field.name), (path, code, field.name)
             assert repr(model) == repr(want)
             _assert_python_scalars(model)
+            assert labels == [p.label for p in classify_batch(want, queries)]
 
 
 def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
@@ -605,36 +609,47 @@ def test_multi_block_stack_of_mixed_measures_equals_separate_trains(
         assert (matrix.view(np.uint64) == full.view(np.uint64)).all(), code
 
 
-def test_classify_measures_equals_classify_batch(monkeypatch):
+def test_fit_and_label_equals_classify_batch(monkeypatch):
     codes = [d.code for d in registry()]
+    fit_and_label = opfdist.forest.fit_and_label
+    budget, block = opfdist.forest._MATRIX_BYTES, opfdist.forest._BLOCK_ENTRIES
+    scans = []
+    real = opfdist.forest._scan_arrays
+
+    def spy(model, X):
+        scans.append(model.distance.code)
+        return real(model, X)
+
     for graph in _oracle_graphs("D3"):
-        forests = train_measures(graph.samples, codes)
         rng = random.Random(len(graph.samples))
         dim = graph.n_features
         queries = [s.features for s in graph.samples[:3]] + [
             [rng.uniform(-1.0, 2.5) for _ in range(dim)] for _ in range(6)]
         want = [[p.label for p in classify_batch(f, queries)]
-                for f in forests]
+                for f in train_measures(graph.samples, codes)]
         n = len(graph.samples)
-        # one stack of 47 rectangles, then stacks of 10 (the last of 7)
-        for budget in (opfdist.forest._MATRIX_BYTES, 10 * n * 9 * 8):
-            monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", budget)
-            seconds = []
-            got = opfdist.forest.classify_measures(forests, queries,
-                                                   seconds=seconds)
-            assert got == want
-            assert all(type(label) is int for labels in got
+        monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
+        # shared rectangles in one stack of 47, then in stacks of 10 (the
+        # last of 7); then, above one chunk, each forest's own scan
+        for matrix_bytes, entries, scanned in (
+                (budget, block, []), (10 * n * 9 * 8, block, []),
+                (budget, 7, codes)):
+            monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", matrix_bytes)
+            monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", entries)
+            scans.clear()
+            got = fit_and_label(graph.samples, codes, queries)
+            assert [labels for labels, _, _ in got] == want, entries
+            assert scans == scanned
+            assert all(type(label) is int for labels, _, _ in got
                        for label in labels)
-            assert len(seconds) == 47 and all(t >= 0.0 for t in seconds)
-        assert opfdist.forest.classify_measures(forests, []) == [[]] * 47
-    assert opfdist.forest.classify_measures([], queries) == []
-    # rectangles above one chunk, and forests of other samples, are refused
-    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", n * 9 - 1)
-    with pytest.raises(ValueError):
-        opfdist.forest.classify_measures(forests, queries)
-    other = train(line_graph())
-    with pytest.raises(ValueError):
-        opfdist.forest.classify_measures([forests[0], other], [[0.5]])
+            assert all(type(t) is float and t >= 0.0 for _, t_train, t_test
+                       in got for t in (t_train, t_test))
+            assert [labels for labels, _, _ in
+                    fit_and_label(graph.samples, codes, [])] == [[]] * 47
+        monkeypatch.undo()
+    assert fit_and_label(graph.samples, [], queries) == []
+    with pytest.raises(DimensionMismatch):
+        fit_and_label(graph.samples, codes, [[0.5]])
 
 
 def test_train_measures_rejects_what_train_rejects():
@@ -647,39 +662,45 @@ def test_fold_task_drops_each_forest_once_tested(monkeypatch):
     ds = make_dataset(
         [[random.Random(i).uniform(0.0, 2.0) for _ in range(3)]
          for i in range(24)], [i % 3 for i in range(24)], name="toy")
-    tested = []
-    real = opfdist.forest.classify_batch
+    scans = []
+    real = opfdist.forest._scan_arrays
 
-    def spy(model, queries):
-        # a tested forest keeps its scan arrays while it lives
-        assert all(ref() is None for ref in tested)
-        tested.append(weakref.ref(model))
-        return real(model, queries)
+    def spy(model, X):
+        # at most one forest's scan arrays are alive at a time
+        assert all(ref() is None for ref in scans)
+        nodes, cost = real(model, X)
+        scans.extend([weakref.ref(nodes), weakref.ref(cost)])
+        return nodes, cost
 
-    monkeypatch.setattr(opfdist.forest, "classify_batch", spy)
+    monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
     # 12 x 12 rectangles above one chunk are tested forest by forest
     monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
     matrix = run_benchmark([ds], ["D3", "D7", "D15"], seed=4, runs=1)
-    assert not matrix.errors and len(tested) == 3 * 2
+    assert not matrix.errors and len(scans) == 2 * 3 * 2
+    assert all(ref() is None for ref in scans)
 
 
-def test_grid_cells_equal_separate_fits_and_all_carry_timings():
+def test_grid_cells_equal_separate_fits_and_all_carry_timings(monkeypatch):
     ds = make_dataset(
         [[random.Random(i).uniform(0.0, 2.0) for _ in range(3)]
          for i in range(24)], [i % 3 for i in range(24)], name="toy")
     codes = [d.code for d in registry()]
-    matrix = run_benchmark([ds], codes, seed=4, runs=1)
-    assert not matrix.errors
-    assert set(matrix.timings) == set(matrix.cells)
-    assert len(matrix.cells) == 47 * 2
-    assert all(t_train > 0.0 and t_test > 0.0
-               for t_train, t_test in matrix.timings.values())
     plan = make_splits(ds, seed=4, runs=1)[0]
+    want = {}
     for fold in (0, 1):
         train_half = tuple(ds.samples[i] for i in plan.fold_indices(1 - fold))
         test_half = [ds.samples[i] for i in plan.fold_indices(fold)]
         for code in codes:
             model = train(TrainingGraph(train_half, resolve(code)))
             preds = classify_batch(model, [s.features for s in test_half])
-            assert matrix.cells[("toy", code, 0, fold)] == accuracy(
+            want[("toy", code, 0, fold)] = accuracy(
                 [p.label for p in preds], [s.label for s in test_half])
+    # 12 x 12 rectangles: shared ones of one chunk, then forest by forest
+    for entries in (opfdist.forest._BLOCK_ENTRIES, 64):
+        monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", entries)
+        matrix = run_benchmark([ds], codes, seed=4, runs=1)
+        assert not matrix.errors
+        assert set(matrix.timings) == set(matrix.cells)
+        assert matrix.cells == want, entries
+        assert all(t_train > 0.0 and t_test > 0.0
+                   for t_train, t_test in matrix.timings.values())

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -142,14 +143,14 @@ def _rows():
     return rng.choice([0.0, -0.0, 0.25, 1.0, 3.0, -2.0, 499.0], (11, 4))
 
 
-def _import_copy(tmp_path, src, path_dirs):
+def _import_copy(tmp_path, src, path_dirs, prelude=""):
     rows = tmp_path / "rows.npy"
     out = tmp_path / "out.npy"
     np.save(rows, _rows())
     env = dict(os.environ, PATH=os.pathsep.join(map(str, path_dirs)))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(src), str(rows),
-                           str(out)], capture_output=True, text=True, env=env,
-                          timeout=600)
+    done = subprocess.run([sys.executable, "-c", prelude + CHILD, str(src),
+                           str(rows), str(out)], capture_output=True,
+                          text=True, env=env, timeout=600)
     assert done.returncode == 0, done.stderr
     kernels_used, popen = done.stdout.split()
     return kernels_used, int(popen), np.load(out)
@@ -198,6 +199,31 @@ def test_no_compiled_loops_leave_numpy_and_identical_matrices(
     kernels_used, popen, got = _import_copy(tmp_path, src, path)
     assert kernels_used == "numpy"
     assert popen == (1 if case == "failing_cc" else 0)
+    want = _numpy_matrices(monkeypatch)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def test_cache_path_and_import_work_without_os_uname(tmp_path, monkeypatch):
+    # os.uname exists on POSIX only; on Windows the import must still reach
+    # the numpy fallback
+    if hasattr(os, "uname"):
+        # the same string, so a warm cache keeps its library's name
+        assert platform.machine() == os.uname().machine
+    want = kernels.cache_path([distances.__file__])
+    monkeypatch.delattr(os, "uname", raising=False)
+    monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
+    path = kernels.cache_path([distances.__file__])
+    assert path.parent == want.parent
+    assert path.name.startswith("opfdist_kernels.")
+    monkeypatch.undo()
+    src = _copy_package(tmp_path, library=False)
+    (tmp_path / "empty").mkdir()
+    # numpy reads os.uname on Linux at import, so it is imported first
+    kernels_used, popen, got = _import_copy(
+        tmp_path, src, [tmp_path / "empty"],
+        prelude="import numpy, os, platform\ndel os.uname\n"
+                "platform._uname_cache = None\n")
+    assert (kernels_used, popen) == ("numpy", 0)
     want = _numpy_matrices(monkeypatch)
     assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
