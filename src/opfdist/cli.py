@@ -116,8 +116,12 @@ def cmd_predict(args) -> int:
         ds = _load_data_flag(args)
     except EmptyFile:
         ds = None
-    feats = [dataio.apply_normalization(arc.normalization, s.features)
-             for s in (ds.samples if ds is not None else ())]
+    feats = [s.features for s in (ds.samples if ds is not None else ())]
+    if args.format == "svmlight":
+        # svmlight omits zeros, so a file densifies only to its own highest
+        # index, which may lie below the model's width
+        feats = [f + (0.0,) * (arc.forest.n_features - len(f)) for f in feats]
+    feats = [dataio.apply_normalization(arc.normalization, f) for f in feats]
     preds = forest.classify_batch(arc.forest, feats)
 
     def label_text(idx: int) -> str:

@@ -143,7 +143,7 @@ def load_csv(
     Rows and columns in error messages are 1-based file positions.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
                 if len(row) > 0 and any(field.strip() for field in row)]
     header: list[str] | None = None
@@ -218,7 +218,7 @@ def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
     Text after ``#`` is a comment.  Blank lines are skipped.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         raw_lines = fh.readlines()
     entries: list[tuple[str, list[tuple[int, float]]]] = []
     max_index = 0
@@ -552,7 +552,7 @@ def _read_grid_csv(path: str | Path, value_names: Sequence[str]
     followed by value_names."""
     path = Path(path)
     expected = ["dataset", "classifier", "run", "fold", *value_names]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

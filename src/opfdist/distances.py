@@ -62,7 +62,7 @@ stack's seconds.
 
 The block form's per-feature loops (the 31 functions of ``_measures``
 that hold ``for a, b in pairs(x, y)``) are also compiled to C from their
-source (``kernelgen``, ``kernels``).  At import each compiled loop is
+source (``kernels``).  At import each compiled loop is
 compared, bit for bit, with the numpy loop it replaces on a sentinel
 block; where they match, the block kernels run the compiled loops and
 everything else as before.  ``KERNELS`` names the path in use:
@@ -822,7 +822,7 @@ def _same_bits(got: dict[str, BlockKernel],
 
 def _select_blocks() -> tuple[str, dict[str, dict[str, BlockKernel]]]:
     blocks = {"numpy": _measures(**_BLOCK)}
-    loops = _kernels.load(_measures, [__file__], eps=EPS, exp_max=EXP_MAX)
+    loops = _kernels.load(_measures, eps=EPS, exp_max=EXP_MAX)
     compiled = None if loops is None else _compiled_blocks(loops)
     if compiled is not None:
         blocks["compiled"] = compiled

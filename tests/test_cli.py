@@ -237,6 +237,30 @@ def test_predict_svmlight_prints_accuracy_and_refuses_a_label_column(
         assert "--label-column applies to csv only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("normalization", ["none", "min_max_01"])
+def test_predict_svmlight_pads_rows_to_the_model_width(
+        tmp_path, capsys, normalization):
+    # svmlight omits zeros: queries that never name index 3 are still
+    # 3-dimensional, while a query that names index 4 is not
+    data = tmp_path / "train.svm"
+    data.write_text("A 1:0.0 3:0.5\nA 1:1.0\nB 1:3.0 2:1.0\nB 1:4.0 3:1.0\n")
+    queries = tmp_path / "queries.svm"
+    queries.write_text("A 1:0.5\nB 1:3.5 2:1.0\n")
+    model = tmp_path / "model.opf"
+    assert main(["train", "--data", str(data), "--format", "svmlight",
+                 "--distance", "D3", "--normalization", normalization,
+                 "--out", str(model)]) == 0
+    preds = tmp_path / "p.csv"
+    predict = ["predict", "--model", str(model), "--format", "svmlight",
+               "--out", str(preds), "--data"]
+    capsys.readouterr()
+    assert main(predict + [str(queries)]) == 0
+    assert "accuracy = 1.0000" in capsys.readouterr().out
+    queries.write_text("A 1:0.5 4:1.0\n")
+    assert main(predict + [str(queries)]) == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+
+
 def test_predict_empty_input_writes_header_only(tmp_path, capsys):
     data = tmp_path / "line.csv"
     write_line_dataset(data)

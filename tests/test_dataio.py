@@ -156,6 +156,22 @@ def test_bundled_wine_table_equals_sklearn_load_wine():
 # svmlight loading
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("read,text", [
+    (lambda p: load_csv(p, "label", True), "label,f1,f2\n0,0.1,0.2\n1,0,1\n"),
+    (lambda p: load_csv(p, 0), "0,0.1,0.2\n1,0.3,0.4\n"),
+    (load_svmlight, "1 1:0.1\n0 1:0.3 2:0.5\n"),
+    (read_cells_csv, "dataset,classifier,run,fold,accuracy\nw,D3,0,1,0.5\n"),
+], ids=["csv_header", "csv", "svmlight", "cells"])
+def test_readers_skip_a_utf8_byte_order_mark(tmp_path, read, text):
+    # as Excel's "CSV UTF-8" writes it
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    plain, marked = tmp_path / "plain" / "f.txt", tmp_path / "marked" / "f.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert read(marked) == read(plain)
+
+
 def test_svmlight_densifies_to_global_max_index(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text(

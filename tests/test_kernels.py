@@ -15,13 +15,10 @@ import pytest
 
 import opfdist
 from opfdist import distances, kernels, registry
-from opfdist.kernelgen import Refused, generate
+from opfdist.kernels import Refused, generate
 
 CODES = [d.code for d in registry()]
 PACKAGE = Path(opfdist.__file__).resolve().parent
-SHARED = {"sq_diff", "abs_diff", "inner", "sqrt_diff", "sq_over_sum", "chi2",
-          "shannon", "exp_ratio", "neyman_chi2", "pearson_chi2",
-          "k_divergence"}
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in distances._BLOCKS,
@@ -34,21 +31,34 @@ def _generate(body):
               "order, width, share):\n"
               + textwrap.indent(textwrap.dedent(body), "    ")
               + "    return {}\n")
-    return generate(source, eps=distances.EPS, exp_max=distances.EXP_MAX,
-                    tile=kernels.TILE)
+    return generate(source, eps=distances.EPS, exp_max=distances.EXP_MAX)
 
 
 def test_generator_lowers_the_31_loop_functions():
     _, table = generate(inspect.getsource(distances._measures),
-                        eps=distances.EPS, exp_max=distances.EXP_MAX,
-                        tile=kernels.TILE)
+                        eps=distances.EPS, exp_max=distances.EXP_MAX)
     assert len(table) == 31
-    assert {e["name"] for e in table if e["shared"]} == SHARED
     shapes = {e["name"]: (e["shapes"], e["tuple"]) for e in table}
     # sum a^2 is a column and sum b^2 a row, as numpy broadcasts them
     assert shapes["inner"] == (["full", "col", "row"], True)
     assert shapes["chi2"] == (["full", "full"], True)
     assert shapes["chebyshev"] == (["full"], False)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_generated_c_compiles_without_warnings(tmp_path):
+    # not in FLAGS: a warning from another compiler would then silently
+    # drop the compiled path
+    units, _ = generate(inspect.getsource(distances._measures),
+                        eps=distances.EPS, exp_max=distances.EXP_MAX)
+    for i, unit in enumerate(units):
+        c_file = tmp_path / f"unit{i}.c"
+        c_file.write_text(unit)
+        done = subprocess.run(
+            ["cc", *kernels.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+             "-o", str(c_file.with_suffix(".o")), str(c_file)],
+            capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, (i, done.stderr)
 
 
 @pytest.mark.parametrize("body,what", [
@@ -209,10 +219,10 @@ def test_cache_path_and_import_work_without_os_uname(tmp_path, monkeypatch):
     if hasattr(os, "uname"):
         # the same string, so a warm cache keeps its library's name
         assert platform.machine() == os.uname().machine
-    want = kernels.cache_path([distances.__file__])
+    want = kernels.cache_path(distances._measures)
     monkeypatch.delattr(os, "uname", raising=False)
     monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
-    path = kernels.cache_path([distances.__file__])
+    path = kernels.cache_path(distances._measures)
     assert path.parent == want.parent
     assert path.name.startswith("opfdist_kernels.")
     monkeypatch.undo()
