@@ -820,19 +820,23 @@ def _same_bits(got: dict[str, BlockKernel],
     return True
 
 
-def _select_blocks() -> tuple[str, dict[str, dict[str, BlockKernel]]]:
+def _select_blocks() -> tuple[str, dict[str, dict[str, BlockKernel]],
+                              tuple[Callable, Callable] | None]:
     blocks = {"numpy": _measures(**_BLOCK)}
     loops = _kernels.load(_measures, eps=EPS, exp_max=EXP_MAX)
+    fit = None if loops is None else (loops.pop("prim"), loops.pop("compete"))
     compiled = None if loops is None else _compiled_blocks(loops)
-    if compiled is not None:
-        blocks["compiled"] = compiled
-    return ("compiled" if compiled is not None else "numpy"), blocks
+    if compiled is None:
+        return "numpy", blocks, None
+    blocks["compiled"] = compiled
+    return "compiled", blocks, fit
 
 
 # The block kernels, by path and code.  KERNELS names the path in use:
 # "compiled" where the loops built, loaded and matched the numpy block form
-# on the sentinel rows, else "numpy".
-KERNELS, _BLOCKS = _select_blocks()
+# on the sentinel rows, else "numpy".  _FIT holds the compiled Prim and
+# competition (``kernels.load``) of the same library, where it is in use.
+KERNELS, _BLOCKS, _FIT = _select_blocks()
 
 
 def registry() -> tuple[DistanceId, ...]:

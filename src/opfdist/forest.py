@@ -9,10 +9,9 @@ that reached it.  A query is classified by the training node that minimizes
 max(node cost, distance(node, query)), the first such node in
 non-decreasing cost order.
 
-The distance matrix, Prim's algorithm, the competition and
-``classify_batch`` run on numpy: arcs come from the measures' block kernels
-(``distances.pairwise``), which equal the per-pair kernels bit for bit, and
-each extraction is a first-occurrence argmin.  Classification scans nodes
+The distance matrix and ``classify_batch`` read their arcs from the
+measures' block kernels (``distances.pairwise``), which equal the
+per-pair kernels bit for bit.  Classification scans nodes
 in cost order and may stop once no remaining node can improve on the best
 offer (Papa et al., Pattern Recognition 2012).  ``classify_batch`` scans
 chunks of nodes against the queries still open, reading their arcs
@@ -23,14 +22,26 @@ in scan order are built once per forest, on first use.  Single-query
 scan and the early exit return the same cost, label and conqueror, so
 ``early_exit`` never changes a result.
 
-Prim and the competition exist once, on (k, n) state arrays that fit k
-measures together: each reads arcs through ``rows(f) -> (k, n)``, where
-f = at * n + u names row u of measure ``at``.  A cached (k, n, n) stack of
-matrices, as many as fit in ``_MATRIX_BYTES``, is filled one row block
-at a time by ``distances.pairwise_many``, so its measures share their
-sums, and serves its rows by flat index; a graph whose one matrix exceeds
-it (n > 2048) fits each measure alone (k = 1, f = u) on 1 x n rows
-evaluated on demand.  ``train`` is ``train_measures`` of one measure.
+A fit runs Prim and then the competition for k measures together.  A
+cached (k, n, n) stack of matrices, as many as fit in ``_MATRIX_BYTES``,
+is filled one row block at a time by ``distances.pairwise_many``, so its
+measures share their sums; a graph whose one matrix exceeds it
+(n > 2048) fits each measure alone (k = 1) on 1 x n rows evaluated on
+demand.  Which loops run (``_loops``):
+
+* a cached stack, where ``distances.KERNELS`` reads "compiled": the C
+  Prim and competition of ``kernels``, over the stack itself, one measure
+  after another;
+* otherwise (the numpy kernels, or rows on demand): the numpy loops
+  ``_mst_parents`` and ``_compete``, on (k, n) state arrays that step the
+  k measures together, reading arcs through ``rows(f) -> (k, n)``, where
+  f = at * n + u names row u of measure ``at``.
+
+The numpy loops are the reference: both take the first minimum key, and
+change a node only on a strict improvement, so both give the same
+forests, bit for bit.  The prototype mask, the roots and the unreached
+check run on numpy either way, and ``find_prototypes`` uses the same
+Prim.  ``train`` is ``train_measures`` of one measure.
 
 ``fit_and_label`` is a benchmark fold's one call: each measure's
 ``classify_batch`` labels of the test queries, with its train and test
@@ -46,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -110,7 +121,7 @@ def graph_from_arrays(
     if len(features) != len(labels):
         raise DimensionMismatch("features and labels disagree on length")
     samples = tuple(
-        Sample(tuple(float(v) for v in f), int(l), i)
+        Sample(tuple(map(float, f)), int(l), i)
         for i, (f, l) in enumerate(zip(features, labels))
     )
     return TrainingGraph(samples, distances.resolve(distance))
@@ -286,6 +297,18 @@ def _prototype_mask(parent: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _loops(k: int, n: int, rows, stack: np.ndarray | None):
+    """Prim and the competition of k measures, as ``prim() -> parent`` and
+    ``compete(proto) -> (cost, pred, order)``, all (k, n): compiled
+    (``kernels``) over the first k matrices of a filled ``stack`` where
+    ``distances.KERNELS`` reads "compiled"; otherwise ``_mst_parents`` and
+    ``_compete`` on ``rows``, which are their reference."""
+    if stack is not None and distances.KERNELS == "compiled":
+        prim, compete = distances._FIT
+        return partial(prim, stack, k), partial(compete, stack, k)
+    return partial(_mst_parents, k, n, rows), partial(_compete, k, n, rows)
+
+
 def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     """Endpoint pairs of inter-class MST edges.
 
@@ -295,20 +318,18 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     """
     X = _feature_matrix(graph.samples)
     n = len(X)
-    rows = _arc_rows([graph.distance], X, _new_stack(1, n))
+    stack = _new_stack(1, n)
+    prim, _ = _loops(1, n, _arc_rows([graph.distance], X, stack), stack)
     labels = np.array([s.label for s in graph.samples])
-    mask = _prototype_mask(_mst_parents(1, n, rows), labels)
+    mask = _prototype_mask(prim(), labels)
     return frozenset(np.flatnonzero(mask[0]).tolist())
 
 
-def _fit(samples: tuple[Sample, ...],
-         measures: Sequence[distances.DistanceId], labels: np.ndarray,
-         rows) -> list[TrainedForest]:
-    """Prim and the competition of k measures at once, on (k, n) state
-    arrays; ``rows(f)`` gives row u of measure ``at`` for f = at * n + u."""
-    k, n = len(measures), len(samples)
+def _compete(k: int, n: int, rows, proto: np.ndarray):
+    """The competition of k measures at once from their (k, n) prototype
+    mask, as (k, n) costs, predecessors (-1 at the prototypes) and settling
+    order; ``rows(f)`` gives row u of measure ``at`` for f = at * n + u."""
     base = np.arange(0, k * n, n)
-    proto = _prototype_mask(_mst_parents(k, n, rows), labels)
     cost = np.where(proto, 0.0, np.inf)
     pred = np.full((k, n), -1)
     key = cost.copy()  # cost for extraction; a settled node reads +inf
@@ -320,8 +341,7 @@ def _fit(samples: tuple[Sample, ...],
         s = key.argmin(axis=1)
         f = s + base
         # a measure whose minimum key is +inf has unreached nodes: its
-        # offers are all +inf and change nothing, and the check below
-        # rejects it
+        # offers are all +inf and change nothing, and _fit rejects it
         cs = flat_key[f][:, None]
         flat_key[f] = np.inf
         order[:, step] = s
@@ -332,6 +352,20 @@ def _fit(samples: tuple[Sample, ...],
         np.copyto(cost, offer, where=better)
         np.copyto(key, offer, where=better)
         np.copyto(pred, s[:, None], where=better)
+    return cost, pred, order
+
+
+def _fit(samples: tuple[Sample, ...],
+         measures: Sequence[distances.DistanceId], labels: np.ndarray,
+         rows, stack: np.ndarray | None) -> list[TrainedForest]:
+    """Prim and the competition of k measures at once (``_loops``), then
+    their forests; the prototype mask, the unreached check and the roots
+    run here, on (k, n) arrays, whichever loops ran."""
+    k, n = len(measures), len(samples)
+    base = np.arange(0, k * n, n)
+    prim, compete = _loops(k, n, rows, stack)
+    proto = _prototype_mask(prim(), labels)
+    cost, pred, order = compete(proto)
     if (cost == np.inf).any():
         raise AssertionError("complete graph left nodes unreached")
     # a node's root is its final predecessor's, which was fixed when the
@@ -384,7 +418,8 @@ def _fit_stacks(samples: Sequence[Sample],
     height = 1 if stack is None else len(stack)
     for c0 in range(0, len(measures), height):
         chunk = measures[c0:c0 + height]
-        yield X, _fit(samples, chunk, labels, _arc_rows(chunk, X, stack))
+        yield X, _fit(samples, chunk, labels, _arc_rows(chunk, X, stack),
+                      stack)
 
 
 def train_measures(

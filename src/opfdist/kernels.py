@@ -27,11 +27,17 @@ features, where numpy makes one pass per operation.  Terms of one
 argument alone are computed once per entry of that argument, not once
 per pair.
 
+One more unit, ``FIT_C``, is written by hand, since it does not depend
+on the measures: Prim and the competition over a cached stack of
+matrices, which ``forest`` runs in place of its numpy loops where the
+compiled loops are in use.  It only compares and selects finite
+doubles, so no rounding can change its result.
+
 ``load`` builds the C once with the system ``cc`` (``FLAGS``: ``-O2
 -fno-fast-math -ffp-contract=off``, and ``exp``/``log`` from libm), into
-this package's ``__pycache__``, under a name that hashes the source of
-this module and of the measures' module with the machine, and calls it
-through ctypes.  The library is written to a temporary name
+this package's ``__pycache__``, as one library under a name that hashes
+the source of this module and of the measures' module with the machine,
+and calls it through ctypes.  The library is written to a temporary name
 and renamed into place, so a reader never sees a partial file.  An
 import that finds it parses, generates and compiles nothing.
 
@@ -559,6 +565,107 @@ def generate(source: str, *, eps: float,
     return units, table
 
 
+# Prim and the competition (``forest._mst_parents`` and ``forest._compete``)
+# over the first k matrices of a C-ordered (k', n, n) stack, k <= k', each
+# matrix alone.  Extraction takes the first minimum key (strict <), a
+# settled node reads +inf, and a node changes only on a strict
+# improvement.  The next extraction is found in the pass that relaxes the
+# row, once every key of that step is final.  Arcs are finite, so the
+# comparisons are the numpy loops' comparisons.
+FIT_C = """\
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+int opf_prim(const double *stack, int64_t k, int64_t n, int64_t *parent)
+{
+    double *key = malloc(sizeof(double) * n);
+    char *open = malloc(n);
+    if (!key || !open) {
+        free(key);
+        free(open);
+        return -1;
+    }
+    for (int64_t at = 0; at < k; at++) {
+        const double *arcs = stack + at * n * n;
+        int64_t *par = parent + at * n;
+        for (int64_t v = 0; v < n; v++) {
+            key[v] = INFINITY;
+            open[v] = 1;
+            par[v] = -1;
+        }
+        int64_t u = 0;  /* the root */
+        for (int64_t step = 0; step < n; step++) {
+            const double *row = arcs + u * n;
+            int64_t next = 0;
+            double best = INFINITY;
+            open[u] = 0;
+            key[u] = INFINITY;
+            for (int64_t v = 0; v < n; v++) {
+                if (open[v] && row[v] < key[v]) {
+                    key[v] = row[v];
+                    par[v] = u;
+                }
+                if (key[v] < best) {
+                    best = key[v];
+                    next = v;
+                }
+            }
+            u = next;
+        }
+    }
+    free(key);
+    free(open);
+    return 0;
+}
+
+/* cost holds the starting costs (0 at prototypes, +inf elsewhere) */
+int opf_compete(const double *stack, int64_t k, int64_t n, double *cost,
+                int64_t *pred, int64_t *order)
+{
+    double *key = malloc(sizeof(double) * n);
+    if (!key)
+        return -1;
+    for (int64_t at = 0; at < k; at++) {
+        const double *arcs = stack + at * n * n;
+        double *c = cost + at * n;
+        int64_t *p = pred + at * n;
+        int64_t *o = order + at * n;
+        int64_t s = 0;
+        for (int64_t v = 0; v < n; v++) {
+            key[v] = c[v];
+            p[v] = -1;
+            if (key[v] < key[s])
+                s = v;
+        }
+        for (int64_t step = 0; step < n; step++) {
+            const double *row = arcs + s * n;
+            const double cs = key[s];
+            int64_t next = 0;
+            double best = INFINITY;
+            key[s] = INFINITY;
+            o[step] = s;
+            for (int64_t t = 0; t < n; t++) {
+                const double offer = row[t] > cs ? row[t] : cs;
+                if (offer < c[t]) {
+                    c[t] = offer;
+                    key[t] = offer;
+                    p[t] = s;
+                }
+                if (key[t] < best) {
+                    best = key[t];
+                    next = t;
+                }
+            }
+            s = next;
+        }
+    }
+    free(key);
+    return 0;
+}
+"""
+
+
 # --- build, cache and load ---------------------------------------------------
 
 
@@ -594,6 +701,7 @@ def _build(measures: Callable, path: Path, *, eps: float,
     try:
         units, _ = generate(inspect.getsource(measures), eps=eps,
                             exp_max=exp_max)
+        units.append(FIT_C)
         path.parent.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
             objects = []
@@ -619,12 +727,19 @@ def _build(measures: Callable, path: Path, *, eps: float,
 def load(measures: Callable, *, eps: float,
          exp_max: float) -> dict[str, Callable] | None:
     """name -> compiled block function of every loop function of
-    ``measures`` (``distances._measures``), built on first use; None where
-    there is no compiler, the cache cannot be written or the build fails.
+    ``measures`` (``distances._measures``), and "prim" and "compete" (see
+    ``FIT_C``), built on first use; None where there is no compiler, the
+    cache cannot be written or the build fails.
 
     A block function takes two float64 row matrices A (m, d) and B (k, d),
     of any strides, and returns what the numpy block form returns: the
     (m, k) matrix, a column (m, 1) or a row (1, k), or a tuple of these.
+
+    ``prim(stack, k)`` returns the (k, n) Prim parents, -1 at each root,
+    of the first k matrices of a C-ordered float64 (k', n, n) stack, and
+    ``compete(stack, k, proto)`` the (k, n) costs, predecessors (-1 at the
+    prototypes) and settling order of their competition from the (k, n)
+    prototype mask ``proto``, as ``forest``'s numpy loops return them.
     """
     try:
         path = cache_path(measures)
@@ -635,8 +750,9 @@ def load(measures: Callable, *, eps: float,
         table = json.loads(ctypes.c_char_p.in_dll(lib, "opf_meta").value)
     except OSError:
         return None
-    return {e["name"]: _wrap(getattr(lib, "opf_" + e["name"]), e)
-            for e in table}
+    loops = {e["name"]: _wrap(getattr(lib, "opf_" + e["name"]), e)
+             for e in table}
+    return {**loops, **_fit_functions(lib)}
 
 
 _OUT = {"full": lambda m, k: (m, k), "col": lambda m, k: (m, 1),
@@ -667,3 +783,40 @@ def _wrap(fn, entry) -> Callable:
 
     block.__name__ = block.__qualname__ = entry["name"]
     return block
+
+
+def _fit_functions(lib) -> dict[str, Callable]:
+    """"prim" and "compete" of ``load``, on ``FIT_C``'s two functions."""
+    ptr, index = ctypes.c_void_p, ctypes.c_int64
+    c_prim, c_compete = lib.opf_prim, lib.opf_compete
+    c_prim.argtypes = [ptr, index, index, ptr]
+    c_compete.argtypes = [ptr, index, index, ptr, ptr, ptr]
+    c_prim.restype = c_compete.restype = ctypes.c_int
+
+    def arcs(stack: np.ndarray, k: int) -> int:
+        if (stack.dtype != np.float64 or not stack.flags.c_contiguous
+                or stack.ndim != 3 or stack.shape[1] != stack.shape[2]
+                or not 1 <= k <= len(stack)):
+            raise ValueError("expected a C-ordered float64 stack of at "
+                             "least k n x n matrices")
+        return stack.shape[1]
+
+    def prim(stack: np.ndarray, k: int) -> np.ndarray:
+        n = arcs(stack, k)
+        parent = np.empty((k, n), dtype=np.int64)
+        if c_prim(stack.ctypes.data, k, n, parent.ctypes.data):
+            raise MemoryError("prim: no memory for the keys")
+        return parent
+
+    def compete(stack: np.ndarray, k: int, proto: np.ndarray):
+        n = arcs(stack, k)
+        cost = np.where(proto, 0.0, np.inf)
+        if cost.shape != (k, n):
+            raise ValueError("expected a (k, n) prototype mask")
+        pred = np.empty((k, n), dtype=np.int64)
+        order = np.empty((k, n), dtype=np.int64)
+        if c_compete(stack.ctypes.data, k, n, cost.ctypes.data,
+                     pred.ctypes.data, order.ctypes.data):
+            raise MemoryError("compete: no memory for the keys")
+        return cost, pred, order
+    return {"prim": prim, "compete": compete}

@@ -5,6 +5,8 @@ import csv
 import os
 import platform
 import random
+import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -13,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import opfdist
+import opfdist.cli
 from opfdist.cli import load_bench_config, main
 from opfdist.errors import ConfigError
 
@@ -938,3 +942,46 @@ def test_rank_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys):
 def test_rank_missing_file_exits_one(tmp_path, capsys):
     assert main(["rank", "--cells", str(tmp_path / "nope.csv")]) == 1
     capsys.readouterr()
+
+
+# --- the CI workflow's commands ----------------------------------------------
+
+REPO = PYPROJECT.parent
+WORKFLOW = REPO / ".github" / "workflows" / "tests.yml"
+# a token naming a file or directory of the repository: relative, with a
+# slash, and no variable, option, URL or action reference in it
+_REPO_PATH = re.compile(r"[A-Za-z_][\w.-]*(/[\w.-]+)+/?")
+
+
+def _workflow_lines():
+    """Each line that the workflow's steps run, with the lines of every
+    repository script they run (``bash <script>``), as (where, line)."""
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    for job_name, job in workflow["jobs"].items():
+        for step in job["steps"]:
+            for line in step.get("run", "").splitlines():
+                yield f"{job_name}: {step.get('name')}", line
+                words = shlex.split(line, comments=True)
+                if words[:1] == ["bash"] and _REPO_PATH.fullmatch(words[1]):
+                    for inner in (REPO / words[1]).read_text().splitlines():
+                        yield words[1], inner
+
+
+def test_ci_workflow_commands_parse_and_name_existing_paths():
+    cli_lines, paths = 0, set()
+    for where, line in _workflow_lines():
+        words = shlex.split(line, comments=True)
+        paths |= {w for w in words if _REPO_PATH.fullmatch(w)}
+        if "opfdist.cli" in words:
+            cli_lines += 1
+            args = words[words.index("opfdist.cli") + 1:]
+            try:
+                opfdist.cli.build_parser().parse_args(args)
+            except SystemExit:
+                pytest.fail(f"{where}: the parser refuses {line.strip()}")
+    # two jobs run the shipped example's seven CLI commands, from one script
+    assert cli_lines == 2 * 7, cli_lines
+    assert {"scripts/smoke.sh", "configs/demo.csv", "perfbench/run.py",
+            "tests/test_kernels.py"} <= paths
+    missing = sorted(p for p in paths if not (REPO / p).exists())
+    assert not missing, missing

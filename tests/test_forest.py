@@ -561,13 +561,14 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 17)
     codes = ["D3", "D7", "D15", "D37", "D46"]
     stacks = []
-    real = opfdist.forest._mst_parents
+    real = opfdist.forest._loops
 
-    def spy(k, n, rows):
+    # every fit picks its Prim and competition here, compiled or numpy
+    def spy(k, n, rows, stack):
         stacks.append((k, n, n))
-        return real(k, n, rows)
+        return real(k, n, rows, stack)
 
-    monkeypatch.setattr(opfdist.forest, "_mst_parents", spy)
+    monkeypatch.setattr(opfdist.forest, "_loops", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 2 * 17 * 17 * 8)
     got = train_measures(graph.samples, codes)
@@ -575,6 +576,63 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     assert got == [train(TrainingGraph(graph.samples, resolve(c)))
                    for c in codes]
     assert train_measures(graph.samples, []) == []
+
+
+def _adversarial_stacks():
+    """(case, stack, k, labels): stacks of finite arcs as the fills can
+    give them, each with two extra slots of NaN past its k matrices."""
+    fmax = np.finfo(np.float64).max
+    kinds = {
+        "small_int_ties": (0.0, 1.0, 2.0),
+        "signed_zeros": (0.0, -0.0, 1.0),
+        "negative_and_fmax": (-fmax, -3.0, -0.0, 0.0, 0.5, 0.5, fmax),
+    }
+    rng = np.random.default_rng(21)
+    for kind, values in kinds.items():
+        for k in range(1, 6):
+            for n in (2, 3, 9, 33):
+                for symmetric in (False, True):
+                    stack = np.full((k + 2, n, n), np.nan)
+                    arcs = rng.choice(values, (k, n, n))
+                    if symmetric:
+                        # the upper triangle mirrored, signed zeros kept
+                        arcs = np.where(np.tri(n, dtype=bool),
+                                        arcs.swapaxes(1, 2), arcs)
+                    stack[:k] = arcs
+                    labels = rng.integers(0, 3, n)
+                    labels[rng.permutation(n)[:2]] = [0, 1]
+                    yield (kind, k, n, symmetric), stack, k, labels
+
+
+def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
+    if "compiled" not in kernel_paths():
+        pytest.skip("the compiled loops are not in use on this host")
+    fit, loops = opfdist.forest._fit, opfdist.forest._loops
+    for case, stack, k, labels in _adversarial_stacks():
+        n = stack.shape[1]
+        samples = tuple(opfdist.forest.Sample((float(i),), int(c), i)
+                        for i, c in enumerate(labels))
+        measures = list(registry()[:k])
+        flat = stack[:k].reshape(-1, n)
+
+        def rows(f):
+            return flat.take(f, axis=0)
+        got = {}
+        for path in ("numpy", "compiled"):
+            monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+            prim, _ = loops(k, n, rows, stack)
+            got[path] = (prim(), fit(samples, measures, labels, rows, stack))
+        (want_parent, want), (parent, forests) = got["numpy"], got["compiled"]
+        assert parent.dtype == np.int64, case
+        assert (parent == want_parent).all(), case
+        for a, b in zip(forests, want, strict=True):
+            assert a.prototypes == b.prototypes, case
+            assert a.predecessor == b.predecessor, case
+            assert a.ordered_nodes == b.ordered_nodes, case
+            # repr, unlike ==, tells -0.0 from 0.0
+            assert repr(a.cost) == repr(b.cost), case
+            assert a == b and repr(a) == repr(b), case
+        assert np.isnan(stack[k:]).all()
 
 
 def test_multi_block_stack_of_mixed_measures_equals_separate_trains(

@@ -51,7 +51,7 @@ def test_generated_c_compiles_without_warnings(tmp_path):
     # drop the compiled path
     units, _ = generate(inspect.getsource(distances._measures),
                         eps=distances.EPS, exp_max=distances.EXP_MAX)
-    for i, unit in enumerate(units):
+    for i, unit in enumerate([*units, kernels.FIT_C]):
         c_file = tmp_path / f"unit{i}.c"
         c_file.write_text(unit)
         done = subprocess.run(
@@ -144,8 +144,20 @@ assert opfdist.__file__.startswith(sys.argv[1]), opfdist.__file__
 A = np.load(sys.argv[2])
 np.save(sys.argv[3], np.stack(distances.pairwise_many(
     [d.code for d in distances.registry()], A, A[::-1])))
-print(distances.KERNELS, len(popen))
+print(distances.KERNELS, len(popen), _fits(A))
 """
+
+
+def _fits(A):
+    """A digest of the forests of every measure on the rows A; repr tells
+    -0.0 from 0.0.  The child runs this function's source too."""
+    import hashlib
+    from opfdist import distances, forest
+    samples = [forest.Sample(tuple(r), i % 3, i)
+               for i, r in enumerate(A.tolist())]
+    forests = forest.train_measures(
+        samples, [d.code for d in distances.registry()])
+    return hashlib.sha256(repr(forests).encode()).hexdigest()
 
 
 def _rows():
@@ -158,12 +170,13 @@ def _import_copy(tmp_path, src, path_dirs, prelude=""):
     out = tmp_path / "out.npy"
     np.save(rows, _rows())
     env = dict(os.environ, PATH=os.pathsep.join(map(str, path_dirs)))
-    done = subprocess.run([sys.executable, "-c", prelude + CHILD, str(src),
-                           str(rows), str(out)], capture_output=True,
-                          text=True, env=env, timeout=600)
+    code = prelude + inspect.getsource(_fits) + CHILD
+    done = subprocess.run([sys.executable, "-c", code, str(src), str(rows),
+                           str(out)], capture_output=True, text=True,
+                          env=env, timeout=600)
     assert done.returncode == 0, done.stderr
-    kernels_used, popen = done.stdout.split()
-    return kernels_used, int(popen), np.load(out)
+    kernels_used, popen, fits = done.stdout.split()
+    return kernels_used, int(popen), np.load(out), fits
 
 
 def _copy_package(tmp_path, *, library: bool):
@@ -188,9 +201,10 @@ def _failing_cc(tmp_path):
 
 
 def _numpy_matrices(monkeypatch):
+    """The matrices and the forests' digest of the child, on numpy."""
     monkeypatch.setattr(distances, "KERNELS", "numpy")
     A = _rows()
-    return np.stack(distances.pairwise_many(CODES, A, A[::-1]))
+    return np.stack(distances.pairwise_many(CODES, A, A[::-1])), _fits(A)
 
 
 @pytest.mark.parametrize("case", ["failing_cc", "no_cc", "unwritable_cache"])
@@ -206,11 +220,12 @@ def test_no_compiled_loops_leave_numpy_and_identical_matrices(
     else:
         # a file where the cache directory should be
         (src / "opfdist" / "__pycache__").write_text("")
-    kernels_used, popen, got = _import_copy(tmp_path, src, path)
+    kernels_used, popen, got, fits = _import_copy(tmp_path, src, path)
     assert kernels_used == "numpy"
     assert popen == (1 if case == "failing_cc" else 0)
-    want = _numpy_matrices(monkeypatch)
+    want, want_fits = _numpy_matrices(monkeypatch)
     assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert fits == want_fits
 
 
 def test_cache_path_and_import_work_without_os_uname(tmp_path, monkeypatch):
@@ -229,13 +244,14 @@ def test_cache_path_and_import_work_without_os_uname(tmp_path, monkeypatch):
     src = _copy_package(tmp_path, library=False)
     (tmp_path / "empty").mkdir()
     # numpy reads os.uname on Linux at import, so it is imported first
-    kernels_used, popen, got = _import_copy(
+    kernels_used, popen, got, fits = _import_copy(
         tmp_path, src, [tmp_path / "empty"],
         prelude="import numpy, os, platform\ndel os.uname\n"
                 "platform._uname_cache = None\n")
     assert (kernels_used, popen) == ("numpy", 0)
-    want = _numpy_matrices(monkeypatch)
+    want, want_fits = _numpy_matrices(monkeypatch)
     assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert fits == want_fits
 
 
 @needs_compiled
@@ -243,11 +259,12 @@ def test_an_import_with_a_warm_cache_never_calls_the_compiler(
         tmp_path, monkeypatch):
     src = _copy_package(tmp_path, library=True)
     # a cc on PATH that would fail, were it called
-    kernels_used, popen, got = _import_copy(tmp_path, src,
+    kernels_used, popen, got, fits = _import_copy(tmp_path, src,
                                             [_failing_cc(tmp_path)])
     assert (kernels_used, popen) == ("compiled", 0)
-    want = _numpy_matrices(monkeypatch)
+    want, want_fits = _numpy_matrices(monkeypatch)
     assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert fits == want_fits
 
 
 @needs_compiled
@@ -257,9 +274,10 @@ def test_a_cold_cache_builds_once_and_replaces_stale_libraries(tmp_path):
     cache.mkdir()
     (cache / "opfdist_kernels.0123.so").write_text("stale")
     path = os.environ.get("PATH", "").split(os.pathsep)
-    kernels_used, popen, _ = _import_copy(tmp_path, src, path)
-    # one compile per loop function and one for the table, then the link
-    assert (kernels_used, popen) == ("compiled", 31 + 2)
+    kernels_used, popen, _, _ = _import_copy(tmp_path, src, path)
+    # one compile per loop function, one for the table and one for Prim
+    # and the competition, then the link
+    assert (kernels_used, popen) == ("compiled", 31 + 3)
     built = sorted(p.name for p in cache.glob("opfdist_kernels.*"))
     assert built == [p.name for p in
                      (PACKAGE / "__pycache__").glob("opfdist_kernels.*.so")]
