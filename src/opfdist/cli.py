@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
 import random
 import sys
@@ -263,7 +262,7 @@ def load_bench_config(path: Path, *, out_override=None,
         "parallelism", 1)
     if isinstance(par, str):
         _require(par == "auto", "parallelism must be an integer or 'auto'")
-        par = os.cpu_count() or 1
+        par = forest._cpus()
     _require(_is_int(par) and par >= 1, "parallelism must be >= 1")
 
     ext = raw.get("external_baselines")
@@ -561,8 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override config output_dir")
     p.add_argument("--parallelism", type=_int_or_text, default=None,
-                   help="worker processes, or 'auto' for one per CPU; "
-                        "overrides the config's parallelism")
+                   help="worker processes, or 'auto' for one per CPU "
+                        "this process may run on; each worker splits a "
+                        "large fit or test over max(1, CPUs // workers) "
+                        "threads; overrides the config's parallelism")
     p.add_argument("--resume", action="store_true",
                    help="reuse completed cells found in the output directory")
     p.set_defaults(func=cmd_bench)

@@ -28,6 +28,8 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -235,6 +237,12 @@ def _fold_task(args):
     return dataset.name, run, fold, cells, errors
 
 
+def _init_worker(threads: int) -> None:
+    # a grid worker's share of the CPUs, for forest's threaded fills and
+    # scans
+    forest._THREADS = threads
+
+
 def run_benchmark(
     datasets: Sequence[Dataset],
     distance_codes: Sequence[str | distances.DistanceId],
@@ -255,6 +263,12 @@ def run_benchmark(
     fold fails its (dataset, code) column: the column keeps no cell from
     this call, and ``errors`` holds its lowest failing (run, fold)'s
     message.  Results are identical for any ``parallelism`` >= 1.
+
+    With ``parallelism`` 1 the tasks run in this process, and a fit or
+    test that spans more than one block splits its blocks over the
+    process's CPUs (see ``forest``).  Otherwise each of the worker
+    processes splits them over its share of the CPUs: max(1, CPUs //
+    workers) threads, so two workers on two CPUs run one thread each.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -300,7 +314,10 @@ def run_benchmark(
         for task in tasks:
             record(*_fold_task(task))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        workers = min(parallelism, len(tasks))
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(max(1, forest._cpus() // workers),)) as pool:
             for fut in as_completed([pool.submit(_fold_task, t) for t in tasks]):
                 record(*fut.result())
 
@@ -375,21 +392,27 @@ def _tie_term(values: Iterable[float]) -> int:
 _EXACT_MAX_N = 25
 
 
-def _exact_two_sided_p(ranks: Sequence[float], w: float) -> float:
-    scaled = [int(round(2.0 * r)) for r in ranks]
+@lru_cache(maxsize=256)
+def _null_cdf(scaled: tuple[int, ...]) -> tuple[int, ...]:
+    """For the doubled ranks ``scaled``, sorted: entry j counts the sign
+    assignments whose doubled W+ is <= j.  A grid's tests repeat rank
+    patterns: wine's 1058 exact tests over 47 codes hold 22 distinct ones
+    at 5 runs and 460 at 25, where this memo halves ``friedman_nemenyi``'s
+    time (1.30 -> 0.65 s in process, 2-vCPU x86_64 VM).
+    """
     total = sum(scaled)
     counts = [0] * (total + 1)
     counts[0] = 1
     for s in scaled:
         for j in range(total, s - 1, -1):
             counts[j] += counts[j - s]
-    w2 = int(round(2.0 * w))
-    if w2 < 0:
-        w2 = 0
-    if w2 > total:
-        w2 = total
-    below = sum(counts[: w2 + 1])
-    p = 2.0 * below / (1 << len(ranks))
+    return tuple(accumulate(counts))
+
+
+def _exact_two_sided_p(ranks: Sequence[float], w: float) -> float:
+    cdf = _null_cdf(tuple(sorted(int(round(2.0 * r)) for r in ranks)))
+    w2 = min(max(int(round(2.0 * w)), 0), len(cdf) - 1)
+    p = 2.0 * cdf[w2] / (1 << len(ranks))
     return p if p < 1.0 else 1.0
 
 

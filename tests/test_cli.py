@@ -429,13 +429,27 @@ def test_bench_parallelism_flag_takes_auto_like_the_config_key(
     for name in BYTE_STABLE:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     assert load_bench_config(cfg, parallelism_override="auto").parallelism \
-        == (os.cpu_count() or 1)
+        == opfdist.forest._cpus()
     capsys.readouterr()
     for bad, why in (("0", "parallelism must be >= 1"),
                      ("many", "parallelism must be an integer or 'auto'")):
         assert main(["bench", "--config", str(cfg), "--out", str(out2),
                      "--parallelism", bad]) == 2
         assert why in capsys.readouterr().err
+
+
+def test_parallelism_auto_counts_the_cpus_this_process_may_run_on(
+        tmp_path, monkeypatch):
+    cfg = bench_config(tmp_path)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert load_bench_config(cfg, parallelism_override="auto").parallelism \
+        == 1
+    # where the platform has no affinity mask, the machine's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert load_bench_config(cfg, parallelism_override="auto").parallelism \
+        == 8
 
 
 def test_bench_resume_reuses_cells_and_reproduces_reports(tmp_path, capsys):

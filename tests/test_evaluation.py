@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from opfdist import (
     critical_difference,
     distances,
     evaluation,
+    forest,
     friedman_nemenyi,
     make_splits,
     run_benchmark,
@@ -150,6 +153,39 @@ def test_signed_rank_matches_exhaustive_enumeration():
             assert got.p_value == 1.0 and got.statistic == 0.0
         else:
             assert abs(got.p_value - expected) <= 1e-12, (a, b)
+
+
+def _dp_two_sided_p(ranks, w):
+    """The exact p of the subset-sum DP over doubled ranks, run afresh."""
+    scaled = [int(round(2.0 * r)) for r in ranks]
+    total = sum(scaled)
+    counts = [0] * (total + 1)
+    counts[0] = 1
+    for s in scaled:
+        for j in range(total, s - 1, -1):
+            counts[j] += counts[j - s]
+    w2 = min(max(int(round(2.0 * w)), 0), total)
+    p = 2.0 * sum(counts[: w2 + 1]) / (1 << len(ranks))
+    return p if p < 1.0 else 1.0
+
+
+def test_exact_p_memo_equals_the_dp_on_tied_rank_patterns():
+    rng = random.Random(1081)
+    evaluation._null_cdf.cache_clear()
+    for _ in range(300):
+        n = rng.randint(1, 25)
+        # magnitudes from a few levels, so most patterns hold ties
+        values = [rng.randint(1, rng.randint(1, n)) for _ in range(n)]
+        ranks = evaluation._midranks(values)
+        total = sum(ranks)
+        shuffled = rng.sample(ranks, n)
+        for w in (-1.0, 0.0, rng.randint(0, int(2 * total)) / 2.0,
+                  total / 2.0, total, total + 3.0):
+            want = _dp_two_sided_p(ranks, w)
+            assert evaluation._exact_two_sided_p(ranks, w) == want, (ranks, w)
+            # the memo is keyed by the sorted pattern, not the rank order
+            assert evaluation._exact_two_sided_p(shuffled, w) == want
+    assert evaluation._null_cdf.cache_info().hits > 0
 
 
 def test_signed_rank_single_positive_rank_eight_of_ten():
@@ -482,6 +518,48 @@ def test_benchmark_results_do_not_depend_on_parallelism():
     with pytest.raises(ValueError):
         run_benchmark(datasets, ["D3", "D7"], seed=2, runs=2,
                       done={("t1", "D3", 2, 0): 0.5})
+
+
+def test_grid_workers_after_threads_in_the_parent_give_the_same_cells(
+        monkeypatch):
+    datasets = [toy_dataset("t1", seed=5), toy_dataset("t2", seed=6)]
+    codes = ["D3", "D7", "D33"]
+    monkeypatch.setattr(forest, "_THREADS", 1)
+    serial = run_benchmark(datasets, codes, seed=2, runs=2)
+    # the parent first fits and tests on three threads (8 x 8 folds in
+    # blocks of 16 entries), and joins them; then the workers fork from it
+    monkeypatch.setattr(forest, "_BLOCK_ENTRIES", 16)
+    monkeypatch.setattr(forest, "_THREADS", 3)
+    before = threading.active_count()
+    threaded = run_benchmark(datasets, codes, seed=2, runs=2)
+    assert threading.active_count() == before
+    parallel = run_benchmark(datasets, codes, seed=2, runs=2, parallelism=2)
+    assert not serial.errors and not threaded.errors and not parallel.errors
+    assert threaded.cells == serial.cells
+    assert parallel.cells == serial.cells
+
+
+def test_grid_workers_split_the_cpus_between_them(monkeypatch):
+    pools = []
+    real = evaluation.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, max_workers, **kwargs):
+            pools.append((max_workers, kwargs["initargs"]))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)),
+                        raising=False)
+    ds = toy_dataset("t1", seed=5)
+    # two runs make four tasks: at most four workers
+    for parallelism in (2, 3, 8):
+        run_benchmark([ds], ["D3"], seed=1, runs=2, parallelism=parallelism)
+    assert pools == [(2, (2,)), (3, (1,)), (4, (1,))]
+    # a worker's initializer sets its threads
+    monkeypatch.setattr(forest, "_THREADS", 5)
+    evaluation._init_worker(2)
+    assert forest._THREADS == 2
 
 
 def test_benchmark_records_per_column_failures():

@@ -1,10 +1,12 @@
 """Training-graph construction, prototypes, training, classification."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import pickle
 import random
+import threading
 import weakref
 
 import numpy as np
@@ -762,3 +764,163 @@ def test_grid_cells_equal_separate_fits_and_all_carry_timings(monkeypatch):
         assert matrix.cells == want, entries
         assert all(t_train > 0.0 and t_test > 0.0
                    for t_train, t_test in matrix.timings.values())
+
+
+# ---------------------------------------------------------------------------
+# Threads: a fill's row blocks and a batch's query groups
+# ---------------------------------------------------------------------------
+
+THREADS = (1, 2, 3)
+
+
+class _BlockThreads:
+    """Spy on the block kernels' one entry point: ``idents`` collects the
+    threads that call it.  Inside ``split(threads)``, the calling thread's
+    calls wait (up to 30 s) until another thread has made one, so that a
+    call split over threads shows another thread's ident, and one that
+    runs inline only the caller's.  The thread count and the caller's CPUs
+    must be the same after the call as before it.  With ``fail`` set, each
+    call off the caller raises ZeroDivisionError."""
+
+    def __init__(self, monkeypatch):
+        self.idents: set[int] = set()
+        self.caller = threading.get_ident()
+        self.fail = False
+        self._helped = threading.Event()
+        self._hold = False
+        real = opfdist.forest.distances._pairwise_many
+
+        def spy(*args):
+            me = threading.get_ident()
+            self.idents.add(me)
+            if me != self.caller:
+                self._helped.set()
+                if self.fail:
+                    raise ZeroDivisionError("raised in a thread")
+            elif self._hold:
+                self._helped.wait(timeout=30)
+            return real(*args)
+        monkeypatch.setattr(opfdist.forest.distances, "_pairwise_many", spy)
+
+    @contextlib.contextmanager
+    def split(self, threads: int):
+        self.idents.clear()
+        self._helped.clear()
+        self._hold = threads > 1
+        before = threading.active_count()
+        cpus = opfdist.forest._own_cpus()
+        try:
+            yield
+        finally:
+            self._hold = False
+        assert threading.active_count() == before
+        # a call that pinned its threads gives the caller its CPUs back
+        assert opfdist.forest._own_cpus() == cpus
+        if threads == 1:
+            assert self.idents == {self.caller}
+        else:
+            assert self.idents - {self.caller}
+
+
+def test_threaded_fill_gives_the_same_stacks_for_all_codes(monkeypatch):
+    rng = np.random.default_rng(22)
+    X = rng.uniform(-0.5, 2.0, (40, 4))
+    X[20:25] = X[:5]  # duplicated rows: zero and tied arcs
+    codes = list(registry())
+    # blocks of 7 rows (the last of 5): six row blocks, five of them with
+    # left parts for the asymmetric codes
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 7 * 40)
+    spy = _BlockThreads(monkeypatch)
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        want = np.stack([opfdist.forest.distances.pairwise(c, X, X)
+                         for c in codes])
+        for matrix in want:
+            np.fill_diagonal(matrix, 0.0)
+        for threads in THREADS:
+            monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
+            stack = np.full((len(codes) + 1, 40, 40), np.nan)
+            with spy.split(threads):
+                opfdist.forest._fill_stack(codes, X, stack)
+            assert (stack[:-1].view(np.uint64) == want.view(np.uint64)).all(), \
+                (path, threads)
+            assert np.isnan(stack[-1]).all()
+
+
+def test_threaded_batch_scan_gives_the_same_predictions(monkeypatch):
+    rng = random.Random(97)
+    features = [[rng.uniform(0.0, 2.0) for _ in range(4)] for _ in range(60)]
+    labels = [i % 3 for i in range(60)]
+    queries = features[:5] + [[rng.uniform(-0.5, 2.5) for _ in range(4)]
+                              for _ in range(25)]
+    # 60 x 30 entries, in chunks of at most 64 // threads
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
+    spy = _BlockThreads(monkeypatch)
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        for code in ("D3", "D15", "D33", "D46"):
+            kernel = distance_reference.distance_function(code)
+            model = train(graph_from_arrays(features, labels, code))
+            want = [forest_reference.full_scan_reference(model, kernel, q)
+                    for q in queries]
+            for threads in THREADS:
+                monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
+                for early_exit in (True, False):
+                    with spy.split(threads):
+                        got = classify_batch(model, queries,
+                                             early_exit=early_exit)
+                    _assert_predictions(got, want,
+                                        (path, code, threads, early_exit))
+                    # a single query stays inline
+                    with spy.split(1):
+                        assert classify(model, queries[7]) == got[7]
+
+
+def test_threaded_fit_and_label_gives_the_same_labels_forest_by_forest(
+        monkeypatch):
+    graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 40)
+    rng = random.Random(40)
+    queries = [s.features for s in graph.samples[:3]] + [
+        [rng.uniform(-1.0, 2.5) for _ in range(4)] for _ in range(6)]
+    codes = [d.code for d in registry()]
+    scans = []
+    real = opfdist.forest._scan_arrays
+
+    def spy(model, X):
+        scans.append(model.distance.code)
+        return real(model, X)
+
+    monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
+    # 40 x 9 rectangles above one chunk: each forest is scanned alone
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
+    blocks = _BlockThreads(monkeypatch)
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        monkeypatch.setattr(opfdist.forest, "_THREADS", 1)
+        want = [[p.label for p in classify_batch(f, queries)]
+                for f in train_measures(graph.samples, codes)]
+        for threads in THREADS:
+            monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
+            scans.clear()
+            with blocks.split(threads):
+                got = opfdist.forest.fit_and_label(graph.samples, codes,
+                                                   queries)
+            assert scans == codes
+            assert [labels for labels, _, _ in got] == want, (path, threads)
+
+
+def test_an_exception_in_a_thread_reaches_the_caller(monkeypatch):
+    rng = random.Random(98)
+    features = [[rng.uniform(0.0, 2.0) for _ in range(3)] for _ in range(30)]
+    labels = [i % 2 for i in range(30)]
+    model = train(graph_from_arrays(features, labels, "D7"))
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
+    spy = _BlockThreads(monkeypatch)
+    spy.fail = True
+    for run in (lambda: train_measures(model.samples, ["D7", "D3"]),
+                lambda: classify_batch(model, features)):
+        for threads in (2, 3):
+            monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
+            with spy.split(threads):
+                with pytest.raises(ZeroDivisionError, match="in a thread"):
+                    run()
