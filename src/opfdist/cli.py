@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", type=_int_or_text, default=None,
                    help="worker processes, or 'auto' for one per CPU "
                         "this process may run on; each worker splits a "
-                        "large fit or test over max(1, CPUs // workers) "
+                        "large test over max(1, CPUs // workers) "
                         "threads; overrides the config's parallelism")
     p.add_argument("--resume", action="store_true",
                    help="reuse completed cells found in the output directory")

@@ -238,8 +238,7 @@ def _fold_task(args):
 
 
 def _init_worker(threads: int) -> None:
-    # a grid worker's share of the CPUs, for forest's threaded fills and
-    # scans
+    # a grid worker's share of the CPUs, for forest's threaded scans
     forest._THREADS = threads
 
 
@@ -264,11 +263,11 @@ def run_benchmark(
     this call, and ``errors`` holds its lowest failing (run, fold)'s
     message.  Results are identical for any ``parallelism`` >= 1.
 
-    With ``parallelism`` 1 the tasks run in this process, and a fit or
-    test that spans more than one block splits its blocks over the
-    process's CPUs (see ``forest``).  Otherwise each of the worker
-    processes splits them over its share of the CPUs: max(1, CPUs //
-    workers) threads, so two workers on two CPUs run one thread each.
+    With ``parallelism`` 1 the tasks run in this process, and a test
+    that spans more than one chunk splits its queries over the process's
+    CPUs (see ``forest``).  Otherwise each of the worker processes splits
+    them over its share of the CPUs: max(1, CPUs // workers) threads, so
+    two workers on two CPUs run one thread each.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -43,16 +43,14 @@ forests, bit for bit.  The prototype mask, the roots and the unreached
 check run on numpy either way, and ``find_prototypes`` uses the same
 Prim.  ``train`` is ``train_measures`` of one measure.
 
-A stack's fill and a batch's scan are made of independent blocks: the
-fill's row blocks write disjoint rows, and the scan's queries do not
-depend on each other.  Where such a call spans more than one
-``_BLOCK_ENTRIES`` block, the calling thread and threads made for the
-call take its blocks (``_each``), ``_THREADS`` in all, and the threads
-are joined before it returns; the compiled loops and most numpy loops run
-without the GIL.  ``_THREADS`` counts the CPUs the process may run on
-(``_cpus``), and a grid worker gets its share of them
-(``evaluation.run_benchmark``).  Each entry and each query's scan is
-computed as on one thread, so the bits do not change.  Single queries,
+A batch's scan is made of independent query groups.  Where it spans
+more than one ``_BLOCK_ENTRIES`` chunk, the calling thread and threads
+made for the call take its groups (``_each``), ``_THREADS`` in all, and
+the threads are joined before it returns; the compiled loops and most
+numpy loops run without the GIL.  ``_THREADS`` counts the CPUs the
+process may run on (``_cpus``), and a grid worker gets its share of them
+(``evaluation.run_benchmark``).  Each query's scan is computed as on one
+thread, so the bits do not change.  Single queries, the fill of a stack,
 Prim and the competition run on the calling thread alone.
 
 ``fit_and_label`` is a benchmark fold's one call: each measure's
@@ -104,9 +102,9 @@ def _cpus() -> int:
     return len(_own_cpus()) or os.cpu_count() or 1
 
 
-# The threads a fill or a batch scan that spans more than one block splits
-# its blocks over (``_each``): the process's CPUs, or a grid worker's share
-# of them (``evaluation.run_benchmark``).
+# The threads a batch scan that spans more than one chunk splits its
+# query groups over (``_each``): the process's CPUs, or a grid worker's
+# share of them (``evaluation.run_benchmark``).
 _THREADS = _cpus()
 
 
@@ -289,20 +287,26 @@ def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
     is one ``pairwise_many`` call over its columns from the diagonal on,
     in which the measures share their sums.  Measures in
     ``ASYMMETRIC_CODES`` get the columns left of the block from a second
-    shared call.  Once all are written, symmetric measures mirror the
-    rows above each block instead, without re-evaluating (their kernels
-    are bit-for-bit symmetric under the sequential accumulation order),
-    and overwrite the lower triangle of the block's own square with its
-    upper one.  The blocks write disjoint rows, and where there is more
-    than one, the threads of ``_each`` fill them, then mirror them.
+    shared call.  Symmetric measures mirror the rows above instead,
+    without re-evaluating (their kernels are bit-for-bit symmetric under
+    the sequential accumulation order), and overwrite the lower triangle
+    of the block's own square with its upper one.
+
+    The fill runs on the calling thread.  Its blocks' kernel calls are
+    independent, and split over two threads a 2000-node D3 fill took
+    about 40% less time on a 2-vCPU x86_64 VM; but the fit's time then
+    followed the speed of both vCPUs, which drift apart there by tens of
+    percent, and the interquartile range of perfbench noise-fit's
+    ``cells_per_s`` reached about 1.5/s in two of five sets of runs,
+    against 0.4-0.8/s with the fill on one thread.
     """
     n = len(X)
     step = max(1, _BLOCK_ENTRIES // n)
     left = [j for j, m in enumerate(chunk)
             if m.code in distances.ASYMMETRIC_CODES]
     mirror = [j for j in range(len(chunk)) if j not in left]
-
-    def fill(r0: int) -> None:
+    below = np.tri(min(step, n), k=-1, dtype=bool)
+    for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
         rows = X[r0:r1]
         for out, d in zip(stack, distances.pairwise_many(chunk, rows, X[r0:])):
@@ -312,20 +316,12 @@ def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
                                             X[:r0])
             for j, d in zip(left, parts):
                 stack[j, r0:r1, :r0] = d
-    below = np.tri(min(step, n), k=-1, dtype=bool)
-
-    def mirror_rows(r0: int) -> None:
-        r1 = min(n, r0 + step)
         m = r1 - r0
         for j in mirror:
             out = stack[j]
             out[r0:r1, :r0] = out[:r0, r0:r1].T
             square = out[r0:r1, r0:r1]
             square[...] = np.where(below[:m, :m], square.T, square)
-    blocks = range(0, n, step)
-    _each(fill, blocks)
-    # a block's mirror reads the rows above it, which other blocks wrote
-    _each(mirror_rows, blocks)
     for out in stack[:len(chunk)]:
         np.fill_diagonal(out, 0.0)
 

@@ -767,7 +767,7 @@ def test_grid_cells_equal_separate_fits_and_all_carry_timings(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Threads: a fill's row blocks and a batch's query groups
+# Threads: a batch's query groups; a fill stays on the calling thread
 # ---------------------------------------------------------------------------
 
 THREADS = (1, 2, 3)
@@ -775,12 +775,13 @@ THREADS = (1, 2, 3)
 
 class _BlockThreads:
     """Spy on the block kernels' one entry point: ``idents`` collects the
-    threads that call it.  Inside ``split(threads)``, the calling thread's
-    calls wait (up to 30 s) until another thread has made one, so that a
-    call split over threads shows another thread's ident, and one that
-    runs inline only the caller's.  The thread count and the caller's CPUs
-    must be the same after the call as before it.  With ``fail`` set, each
-    call off the caller raises ZeroDivisionError."""
+    threads that call it.  Inside ``split(threads)``, while more threads
+    are alive than when it began, the calling thread's calls wait (up to
+    30 s) until another thread has made one, so that a call split over
+    threads shows another thread's ident, and one that runs inline only
+    the caller's.  The thread count and the caller's CPUs must be the same
+    after the call as before it.  With ``fail`` set, each call off the
+    caller raises ZeroDivisionError."""
 
     def __init__(self, monkeypatch):
         self.idents: set[int] = set()
@@ -788,6 +789,7 @@ class _BlockThreads:
         self.fail = False
         self._helped = threading.Event()
         self._hold = False
+        self._alive = threading.active_count()
         real = opfdist.forest.distances._pairwise_many
 
         def spy(*args):
@@ -797,7 +799,7 @@ class _BlockThreads:
                 self._helped.set()
                 if self.fail:
                     raise ZeroDivisionError("raised in a thread")
-            elif self._hold:
+            elif self._hold and threading.active_count() > self._alive:
                 self._helped.wait(timeout=30)
             return real(*args)
         monkeypatch.setattr(opfdist.forest.distances, "_pairwise_many", spy)
@@ -807,7 +809,7 @@ class _BlockThreads:
         self.idents.clear()
         self._helped.clear()
         self._hold = threads > 1
-        before = threading.active_count()
+        before = self._alive = threading.active_count()
         cpus = opfdist.forest._own_cpus()
         try:
             yield
@@ -822,7 +824,8 @@ class _BlockThreads:
             assert self.idents - {self.caller}
 
 
-def test_threaded_fill_gives_the_same_stacks_for_all_codes(monkeypatch):
+def test_fill_stays_on_the_calling_thread_with_the_same_stacks(
+        monkeypatch):
     rng = np.random.default_rng(22)
     X = rng.uniform(-0.5, 2.0, (40, 4))
     X[20:25] = X[:5]  # duplicated rows: zero and tied arcs
@@ -840,7 +843,8 @@ def test_threaded_fill_gives_the_same_stacks_for_all_codes(monkeypatch):
         for threads in THREADS:
             monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
             stack = np.full((len(codes) + 1, 40, 40), np.nan)
-            with spy.split(threads):
+            # at any thread budget, the six blocks run inline
+            with spy.split(1):
                 opfdist.forest._fill_stack(codes, X, stack)
             assert (stack[:-1].view(np.uint64) == want.view(np.uint64)).all(), \
                 (path, threads)
@@ -917,7 +921,10 @@ def test_an_exception_in_a_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
     spy = _BlockThreads(monkeypatch)
     spy.fail = True
-    for run in (lambda: train_measures(model.samples, ["D7", "D3"]),
+    # 30 x 30 entries: fit_and_label scans each forest alone, split over
+    # the threads like classify_batch
+    for run in (lambda: opfdist.forest.fit_and_label(model.samples,
+                                                     ["D7", "D3"], features),
                 lambda: classify_batch(model, features)):
         for threads in (2, 3):
             monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
