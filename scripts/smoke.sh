@@ -16,6 +16,8 @@ python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" 
 python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" --resume
 python -m opfdist.cli rank --cells "$out/ex/cells.csv"
 python -m opfdist.cli train --data configs/demo.csv --label-column label --has-header --distance D3 --normalization min_max_01 --out "$out/demo.opf"
+# the archive's bytes are pinned: either kernel path must write these
+python -c "import hashlib, sys; d = hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest(); sys.exit(None if d == sys.argv[2] else f'demo.opf sha256 {d}, expected {sys.argv[2]}')" "$out/demo.opf" ee8c4c23fa09c8d4a180bf63a363b7e78e0a428987b06ce9911078a5331db5d9
 python -m opfdist.cli predict --model "$out/demo.opf" --data configs/demo.csv --label-column label --has-header --out "$out/predictions.csv"
 # svmlight omits zeros: the queries never name index 3
 printf 'A 1:0.0 3:0.5\nA 1:1.0\nB 1:3.0 2:1.0\nB 1:4.0 3:1.0\n' > "$out/train.svm"

@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     model = forest.train(graph)
     elapsed = time.perf_counter() - t0
     dataio.save_forest(model, spec, args.out, class_names=ds.class_names)
-    print(f"samples = {len(model.samples)}")
+    print(f"samples = {len(model.features)}")
     print(f"prototypes = {len(model.prototypes)}")
     print(f"distance = {code}")
     print(f"normalization = {spec.mode}")

@@ -30,10 +30,15 @@ payload::
     i64[n_samples] root labels
     u32[n_samples] ordered node indices
 
-Array fields are numpy blocks (``tobytes``/``frombuffer``) of raw binary64
-or integers, so a load reproduces a save bit for bit, as Python floats and
-ints.  Report writers use fixed column orders, fixed "\\n" line endings,
-and repr float formatting, so identical inputs give byte-identical files.
+Array fields are numpy blocks of raw binary64 or integers, written from
+a forest's arrays with ``tobytes`` and read back as read-only
+``frombuffer`` views, which the loaded forest keeps; a load thus
+reproduces a save bit for bit, and the forest's views give the same
+Python floats and ints.  The prototypes block is checked against the
+predecessors (-1 exactly at the prototypes) and not kept: a forest
+derives its prototypes from its predecessors.  Report writers use fixed
+column orders, fixed "\\n" line endings, and repr float formatting, so
+identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -367,9 +372,10 @@ def save_forest(
     *,
     class_names: Sequence[str] | None = None,
 ) -> None:
-    """Write the documented versioned, checksummed binary archive."""
+    """Write the documented versioned, checksummed binary archive, one
+    block per array of the forest."""
     names = tuple(class_names) if class_names is not None else ()
-    parts = [struct.pack("<III", len(f.samples), f.n_features, len(names))]
+    parts = [struct.pack("<III", *f.features.shape, len(names))]
     for s in names:
         b = s.encode("utf-8")
         parts += [struct.pack("<H", len(b)), b]
@@ -382,17 +388,17 @@ def save_forest(
                   _block("<f8", spec.feature_max)]
     else:
         raise ValueError(f"unknown normalization mode {spec.mode!r}")
-    protos = sorted(f.prototypes)
+    protos = np.flatnonzero(f.preds < 0)
     parts += [
-        _block("<f8", [s.features for s in f.samples]),
-        _block("<i8", [s.label for s in f.samples]),
-        _block("<i8", [s.id for s in f.samples]),
+        _block("<f8", f.features),
+        _block("<i8", f.labels),
+        _block("<i8", f.ids),
         struct.pack("<I", len(protos)),
         _block("<u4", protos),
-        _block("<f8", f.cost),
-        _block("<i8", [-1 if v is None else v for v in f.predecessor]),
-        _block("<i8", f.root_label),
-        _block("<u4", f.ordered_nodes),
+        _block("<f8", f.costs),
+        _block("<i8", f.preds),
+        _block("<i8", f.root_labels),
+        _block("<u4", f.order),
     ]
 
     payload = b"".join(parts)
@@ -403,7 +409,14 @@ def save_forest(
 
 
 def load_archive(path: str | Path) -> ForestArchive:
-    """Read and verify an archive; bit-exact inverse of ``save_forest``."""
+    """Read and verify an archive; bit-exact inverse of ``save_forest``.
+
+    Beyond the header and checksum, the blocks are checked as numpy
+    expressions: the scan order is a permutation, the prototypes ascend
+    below n and are exactly the nodes whose predecessor is -1, the
+    predecessors lie in -1..n-1, and the costs are finite and never
+    decrease along the scan order.  Each failure raises CorruptArchive.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 48:
@@ -432,72 +445,68 @@ def load_archive(path: str | Path) -> ForestArchive:
         off += size
         return payload[off - size:off]
 
-    def block(dtype: str, *shape: int) -> list:
-        # nested lists of Python scalars, as train() makes them
+    def block(dtype: str, *shape: int) -> np.ndarray:
+        # a read-only view of the payload
         dt = np.dtype(dtype)
         return np.frombuffer(take(math.prod(shape) * dt.itemsize),
-                             dt).reshape(shape).tolist()
+                             dt).reshape(shape)
 
-    n, nf, n_names = block("<u4", 3)
+    def scalar(dtype: str) -> int:
+        return block(dtype, 1).item()
+
+    n, nf, n_names = block("<u4", 3).tolist()
     if n < 1 or nf < 1:
         raise CorruptArchive(f"{path}: {n} samples of {nf} features")
-    names = [str(take(block("<u2", 1)[0]), "utf-8") for _ in range(n_names)]
-    code = str(take(block("u1", 1)[0]), "ascii")
+    names = [str(take(scalar("<u2")), "utf-8") for _ in range(n_names)]
+    code = str(take(scalar("u1")), "ascii")
     try:
         distance = distances.resolve(code)
     except KeyError:
         raise CorruptArchive(f"{path}: unknown distance code {code!r}") from None
-    (mode,) = block("u1", 1)
+    mode = scalar("u1")
     if mode == 0:
         spec = NormalizationSpec("none")
     elif mode == 1:
-        lo, hi = block("<f8", 2, nf)
+        lo, hi = block("<f8", 2, nf).tolist()
         spec = NormalizationSpec("min_max_01", tuple(lo), tuple(hi))
     else:
         raise CorruptArchive(f"{path}: unknown normalization tag {mode}")
-    samples = block("<f8", n, nf)
+    features = block("<f8", n, nf)
     labels = block("<i8", n)
     ids = block("<i8", n)
-    for i, row in enumerate(samples):  # each row list is freed once replaced
-        samples[i] = forest.Sample(tuple(row), labels[i], ids[i])
-    (n_protos,) = block("<u4", 1)
-    protos = block("<u4", n_protos)
+    protos = block("<u4", scalar("<u4")).astype(np.int64)
     costs = block("<f8", n)
     preds = block("<i8", n)
     roots = block("<i8", n)
-    ordered = block("<u4", n)
+    ordered = block("<u4", n).astype(np.int64)
     if off != len(payload):
         raise CorruptArchive(f"{path}: {len(payload) - off} trailing bytes")
     # The checksum only shows the bytes are as written; indices that a
     # crafted payload puts out of range would fail later, in classify.
-    if sorted(ordered) != list(range(n)):
+    if not np.array_equal(np.sort(ordered), np.arange(n)):
         raise CorruptArchive(f"{path}: ordered nodes are not a permutation "
                              f"of 0..{n - 1}")
-    if any(a >= b for a, b in zip(protos, protos[1:])) or (
-            protos and protos[-1] >= n):
+    if (protos[1:] <= protos[:-1]).any() or (protos >= n).any():
         raise CorruptArchive(f"{path}: prototype indices are not strictly "
                              f"ascending below {n}")
-    if any(not -1 <= v < n for v in preds):
+    if ((preds < -1) | (preds >= n)).any():
         raise CorruptArchive(f"{path}: predecessor outside -1..{n - 1}")
+    # A forest has no predecessor exactly at its prototypes.
+    if not np.array_equal(np.flatnonzero(preds == -1), protos):
+        raise CorruptArchive(f"{path}: the nodes without a predecessor are "
+                             f"not the prototypes")
     # Training gives finite costs, non-decreasing in scan order.  The early
     # exit stops at the first node whose cost reaches the best offer, which
     # is exact only while costs never decrease in scan order.
-    if not all(math.isfinite(c) for c in costs):
+    if not np.isfinite(costs).all():
         raise CorruptArchive(f"{path}: a node cost is not finite")
-    scan = [costs[s] for s in ordered]
-    if any(a > b for a, b in zip(scan, scan[1:])):
+    scan = costs[ordered]
+    if (scan[1:] < scan[:-1]).any():
         raise CorruptArchive(f"{path}: node costs decrease along the "
                              f"ordered nodes")
 
-    model = forest.TrainedForest(
-        samples=tuple(samples),
-        distance=distance,
-        prototypes=frozenset(protos),
-        cost=tuple(costs),
-        predecessor=tuple(None if v == -1 else v for v in preds),
-        root_label=tuple(roots),
-        ordered_nodes=tuple(ordered),
-    )
+    model = forest.TrainedForest(features, labels, ids, distance, costs,
+                                 preds, roots, ordered)
     return ForestArchive(version, model, spec, tuple(names) if names else None)
 
 

@@ -689,6 +689,10 @@ class DistanceId:
     satisfies_identity: bool
     kernel: Kernel = field(repr=False, compare=False)
 
+    def __reduce__(self):
+        # the kernel is a closure, so an entry pickles as its code
+        return resolve, (self.code,)
+
 
 def _entries():
     T = Taxonomy

@@ -9,6 +9,14 @@ that reached it.  A query is classified by the training node that minimizes
 max(node cost, distance(node, query)), the first such node in
 non-decreasing cost order.
 
+A ``TrainingGraph`` and a ``TrainedForest`` hold arrays: a read-only
+float64 (n, d) feature matrix and int64 labels and ids, which a forest
+shares with its graph, and a forest's read-only (n,) fit arrays
+``costs``, ``preds`` (-1 at the prototypes), ``root_labels`` and
+``order``.  Training, ``classify_batch``, the archive, ``==`` and
+``hash`` read the arrays; the ``Sample`` rows and the tuple fields of
+earlier versions are views built on first read (``_Arrays``).
+
 The distance matrix and ``classify_batch`` read their arcs from the
 measures' block kernels (``distances.pairwise``), which equal the
 per-pair kernels bit for bit.  Classification scans nodes
@@ -18,7 +26,8 @@ chunks of nodes against the queries still open, reading their arcs
 through ``arcs(r0, r1, active)``, and closes a query once the next
 chunk's first cost reaches its best offer; its node features and costs
 in scan order are built once per forest, on first use.  Single-query
-``classify`` is a batch of one, on the numpy block kernels.  The full
+``classify`` is a batch of one, on the numpy block kernels, and reads
+its answer from the cached tuple views.  The full
 scan and the early exit return the same cost, label and conqueror, so
 ``early_exit`` never changes a result.
 
@@ -41,7 +50,8 @@ The numpy loops are the reference: both take the first minimum key, and
 change a node only on a strict improvement, so both give the same
 forests, bit for bit.  The prototype mask, the roots and the unreached
 check run on numpy either way, and ``find_prototypes`` uses the same
-Prim.  ``train`` is ``train_measures`` of one measure.
+Prim.  ``train`` fits its graph's arrays under one measure, as
+``train_measures`` fits one measure of many.
 
 A batch's scan is made of independent query groups.  Where it spans
 more than one ``_BLOCK_ENTRIES`` chunk, the calling thread and threads
@@ -69,7 +79,7 @@ import contextlib
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -170,7 +180,9 @@ class Sample:
     """A training point: immutable features, integer label, stable id.
 
     ``id`` is carried for traceability back to the source dataset; graph
-    algorithms address samples by position.
+    algorithms address samples by position.  A graph and a forest hold
+    their samples as arrays and give them as ``Sample`` rows on request
+    (``samples``).
     """
 
     features: tuple[float, ...]
@@ -178,29 +190,130 @@ class Sample:
     id: int
 
 
-@dataclass(frozen=True)
-class TrainingGraph:
-    """Complete graph over training samples under one distance measure."""
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: an array that is
+    already read-only and aligned is kept, a freshly converted one is
+    frozen in place, and anything else (a caller's writeable array or a
+    view of one, an unaligned buffer) is copied first."""
+    a = np.asarray(values, dtype)
+    if not a.flags.aligned or (a.flags.writeable
+                               and (a is values or a.base is not None)):
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
-    samples: tuple[Sample, ...]
-    distance: distances.DistanceId
 
-    def __post_init__(self):
-        if len(self.samples) < 2:
-            raise ValueError("a training graph needs at least 2 samples")
-        dim = len(self.samples[0].features)
+def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
+    """The feature rows of a training graph as one read-only (n, d)
+    float64 array.  Fewer than 2 rows raise ValueError, and d = 0 or a row
+    whose length differs from the first's raise DimensionMismatch naming
+    the row's id."""
+    if len(rows) < 2:
+        raise ValueError("a training graph needs at least 2 samples")
+    try:
+        X = _frozen(rows, np.float64)
+    except ValueError:
+        # numpy refuses ragged rows: name the first, after the first row's
+        # own dim, as a row-by-row check would
+        dim = len(rows[0])
         if dim < 1:
-            raise DimensionMismatch("feature vectors must have dim >= 1")
-        for s in self.samples:
-            if len(s.features) != dim:
+            raise DimensionMismatch("feature vectors must have dim >= 1") \
+                from None
+        for row, i in zip(rows, ids):
+            if len(row) != dim:
                 raise DimensionMismatch(
-                    f"sample id {s.id} has dim {len(s.features)}, expected {dim}")
-        if len({s.label for s in self.samples}) < 2:
-            raise SingleClass("training data contains a single class label")
+                    f"sample id {i} has dim {len(row)}, expected {dim}"
+                ) from None
+        raise
+    if X.ndim != 2:
+        raise DimensionMismatch(
+            f"features of shape {X.shape} are not one row per sample")
+    if X.shape[1] < 1:
+        raise DimensionMismatch("feature vectors must have dim >= 1")
+    return X
+
+
+class _Arrays:
+    """What a graph and a forest share: ``features`` (n, d) float64 and
+    ``labels`` and ``ids`` (n,) int64, all read-only, beside a
+    ``distance``.  Equality, hash, repr and pickling read the fields; the
+    ``Sample`` rows are a view, built on first read."""
+
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self):
+        # -0.0 == +0.0, so both hash as +0.0: adding +0.0 turns one into
+        # the other and leaves every other value as it is
+        return hash(tuple(
+            (v.shape, (v + 0.0 if v.dtype.kind == "f" else v).tobytes())
+            if isinstance(v, np.ndarray) else v for v in self._values()))
+
+    def __repr__(self):
+        # lists of Python scalars: full precision, and -0.0 shows its sign
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f.name}={v.tolist() if isinstance(v, np.ndarray) else v!r}"
+            for f, v in zip(fields(self), self._values())) + ")"
 
     @property
     def n_features(self) -> int:
-        return len(self.samples[0].features)
+        return self.features.shape[1]
+
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        return tuple(map(Sample, map(tuple, self.features.tolist()),
+                         self.labels.tolist(), self.ids.tolist()))
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class TrainingGraph(_Arrays):
+    """Complete graph over training samples under one distance measure.
+
+    ``TrainingGraph(samples, distance)`` converts the ``Sample`` rows once
+    and keeps them as its ``samples``; ``graph_from_arrays`` builds one
+    from a feature matrix and labels without making rows.  Either way it
+    needs at least 2 samples (ValueError) of one dim d >= 1
+    (DimensionMismatch) and of at least two labels (SingleClass).
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    ids: np.ndarray
+    distance: distances.DistanceId
+
+    def __init__(self, samples: Sequence[Sample],
+                 distance: distances.DistanceId | str):
+        samples = tuple(samples)
+        ids = [s.id for s in samples]
+        self._init(_matrix([s.features for s in samples], ids),
+                   [s.label for s in samples], ids, distance)
+        object.__setattr__(self, "samples", samples)
+
+    def _init(self, X: np.ndarray, labels, ids, distance) -> None:
+        labels = _frozen(labels, np.int64)
+        if not (labels != labels[0]).any():
+            raise SingleClass("training data contains a single class label")
+        for name, value in (("features", X), ("labels", labels),
+                            ("ids", _frozen(ids, np.int64)),
+                            ("distance", distances.resolve(distance))):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return _graph, tuple(self._values())
+
+
+def _graph(X, labels, ids, distance) -> TrainingGraph:
+    """A TrainingGraph of the validated (n, d) matrix X (``_matrix``)."""
+    graph = TrainingGraph.__new__(TrainingGraph)
+    graph._init(_frozen(X, np.float64), labels, ids, distance)
+    return graph
 
 
 def graph_from_arrays(
@@ -208,36 +321,70 @@ def graph_from_arrays(
     labels: Sequence[int],
     distance: distances.DistanceId | str,
 ) -> TrainingGraph:
-    """Convenience constructor; sample ids are positional."""
+    """A graph of the rows of ``features`` (one ``np.asarray``) and their
+    labels; sample ids are positional."""
     if len(features) != len(labels):
         raise DimensionMismatch("features and labels disagree on length")
-    samples = tuple(
-        Sample(tuple(map(float, f)), int(l), i)
-        for i, (f, l) in enumerate(zip(features, labels))
-    )
-    return TrainingGraph(samples, distances.resolve(distance))
+    n = len(features)
+    return _graph(_matrix(features, range(n)), labels, np.arange(n), distance)
 
 
-@dataclass(frozen=True)
-class TrainedForest:
+@dataclass(frozen=True, eq=False, repr=False)
+class TrainedForest(_Arrays):
     """Result of training: per-node cost, conquering structure, scan order.
 
-    ``predecessor[i]`` is None exactly for prototypes; ``root_label[i]`` is
-    the label of the tree that conquered node i; ``ordered_nodes`` lists
-    node indices in the (non-decreasing cost) order they were settled.
+    Besides the graph's arrays, a forest holds the fit's read-only (n,)
+    arrays: ``costs`` (float64), ``preds`` (int64, the conquering
+    predecessor, -1 exactly at the prototypes), ``root_labels`` (int64,
+    the label of the tree that conquered each node) and ``order`` (int64,
+    node indices in the non-decreasing cost order they were settled).
+
+    Their tuple forms are views of plain Python scalars, each built on
+    first read and then kept: ``cost``, ``predecessor`` (None at the
+    prototypes), ``root_label``, ``ordered_nodes``, ``prototypes`` (a
+    frozenset) and ``samples``.  Training, ``classify_batch``,
+    ``save_forest``, ``==`` and ``hash`` build none of them; single-query
+    ``classify`` reads ``ordered_nodes`` and ``root_label``.
     """
 
-    samples: tuple[Sample, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    ids: np.ndarray
     distance: distances.DistanceId
-    prototypes: frozenset[int]
-    cost: tuple[float, ...]
-    predecessor: tuple[int | None, ...]
-    root_label: tuple[int, ...]
-    ordered_nodes: tuple[int, ...]
+    costs: np.ndarray
+    preds: np.ndarray
+    root_labels: np.ndarray
+    order: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return len(self.samples[0].features)
+    def __post_init__(self):
+        for name, dtype in (("features", np.float64), ("labels", np.int64),
+                            ("ids", np.int64), ("costs", np.float64),
+                            ("preds", np.int64), ("root_labels", np.int64),
+                            ("order", np.int64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def __reduce__(self):
+        return TrainedForest, tuple(self._values())
+
+    @cached_property
+    def cost(self) -> tuple[float, ...]:
+        return tuple(self.costs.tolist())
+
+    @cached_property
+    def predecessor(self) -> tuple[int | None, ...]:
+        return tuple(None if p < 0 else p for p in self.preds.tolist())
+
+    @cached_property
+    def root_label(self) -> tuple[int, ...]:
+        return tuple(self.root_labels.tolist())
+
+    @cached_property
+    def ordered_nodes(self) -> tuple[int, ...]:
+        return tuple(self.order.tolist())
+
+    @cached_property
+    def prototypes(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.preds < 0).tolist())
 
     @cached_property
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +396,7 @@ class TrainedForest:
         every scan shares them; threads racing on the first use build
         equal arrays.
         """
-        nodes, cost = _scan_arrays(self, _feature_matrix(self.samples))
+        nodes, cost = _scan_arrays(self, self.features)
         nodes.flags.writeable = cost.flags.writeable = False
         return nodes, cost
 
@@ -263,18 +410,13 @@ class Prediction:
     conqueror: int
 
 
-def _feature_matrix(samples: Sequence[Sample]) -> np.ndarray:
-    return np.array([s.features for s in samples], dtype=np.float64)
-
-
 def _scan_arrays(forest: TrainedForest,
                  X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What ``classify_batch`` scans, from the forest's feature matrix X:
     the node features, feature-major (d, n) so that a chunk of all nodes
     reaches the block kernel without a copy, and the node costs, both in
-    ``ordered_nodes`` order."""
-    order = list(forest.ordered_nodes)
-    return X.T.take(order, axis=1), np.array(forest.cost)[order]
+    ``order``."""
+    return X.T.take(forest.order, axis=1), forest.costs[forest.order]
 
 
 def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
@@ -415,12 +557,11 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     a spanning tree must connect each class's nodes to the rest of the
     graph through some inter-class edge.
     """
-    X = _feature_matrix(graph.samples)
+    X = graph.features
     n = len(X)
     stack = _new_stack(1, n)
     prim, _ = _loops(1, n, _arc_rows([graph.distance], X, stack), stack)
-    labels = np.array([s.label for s in graph.samples])
-    mask = _prototype_mask(prim(), labels)
+    mask = _prototype_mask(prim(), graph.labels)
     return frozenset(np.flatnonzero(mask[0]).tolist())
 
 
@@ -454,16 +595,17 @@ def _compete(k: int, n: int, rows, proto: np.ndarray):
     return cost, pred, order
 
 
-def _fit(samples: tuple[Sample, ...],
-         measures: Sequence[distances.DistanceId], labels: np.ndarray,
+def _fit(graph: TrainingGraph, measures: Sequence[distances.DistanceId],
          rows, stack: np.ndarray | None) -> list[TrainedForest]:
-    """Prim and the competition of k measures at once (``_loops``), then
-    their forests; the prototype mask, the unreached check and the roots
-    run here, on (k, n) arrays, whichever loops ran."""
-    k, n = len(measures), len(samples)
+    """Prim and the competition of k measures at once (``_loops``) on the
+    graph's nodes, then their forests; the prototype mask, the unreached
+    check and the roots run here, on (k, n) arrays, whichever loops ran.
+    The forests share the graph's arrays, and each holds its own row of
+    the fit's (k, n) arrays."""
+    k, n = len(measures), len(graph.labels)
     base = np.arange(0, k * n, n)
     prim, compete = _loops(k, n, rows, stack)
-    proto = _prototype_mask(prim(), labels)
+    proto = _prototype_mask(prim(), graph.labels)
     cost, pred, order = compete(proto)
     if (cost == np.inf).any():
         raise AssertionError("complete graph left nodes unreached")
@@ -473,23 +615,18 @@ def _fit(samples: tuple[Sample, ...],
     up = up.reshape(-1)
     while (up[up] != up).any():
         up = up[up]
-    root = up.reshape(k, n) - base[:, None]
+    root = graph.labels[up.reshape(k, n) - base[:, None]]
     # on d = -0.0 against cs = +0.0, np.maximum returns cs on x86 builds
     # but is documented as where(x1 >= x2, x1, x2), which keeps d; adding
     # +0.0 turns -0.0 into +0.0, the cost max(cs, d) gives, and leaves
     # every other cost as it is
     cost += 0.0
-    return [
-        TrainedForest(
-            samples=samples,
-            distance=m,
-            prototypes=frozenset(np.flatnonzero(proto[j]).tolist()),
-            cost=tuple(cost[j].tolist()),
-            predecessor=tuple(None if p < 0 else p for p in pred[j].tolist()),
-            root_label=tuple(labels[root[j]].tolist()),
-            ordered_nodes=tuple(order[j].tolist()),
-        )
-        for j, m in enumerate(measures)]
+    # frozen whole, so that each forest's rows are read-only views
+    for a in (cost, pred, root, order):
+        a.flags.writeable = False
+    return [TrainedForest(graph.features, graph.labels, graph.ids, m,
+                          cost[j], pred[j], root[j], order[j])
+            for j, m in enumerate(measures)]
 
 
 def train(graph: TrainingGraph) -> TrainedForest:
@@ -501,24 +638,21 @@ def train(graph: TrainingGraph) -> TrainedForest:
     remaining node t the cost max(cost[s], d(s, t)) and t switches
     conqueror only when the offer is a strict improvement.
     """
-    return train_measures(graph.samples, [graph.distance])[0]
+    (fits,) = _fit_stacks(graph, [graph.distance])
+    return fits[0]
 
 
-def _fit_stacks(samples: Sequence[Sample],
+def _fit_stacks(graph: TrainingGraph,
                 measures: Sequence[distances.DistanceId]):
-    """Validate the samples and build their feature matrix X once, then
-    yield (X, forests) for each stack of ``measures`` in order: as many as
-    fit in ``_MATRIX_BYTES``, or one alone, on rows evaluated on demand,
-    when not even one matrix fits."""
-    samples = TrainingGraph(tuple(samples), measures[0]).samples
-    labels = np.array([s.label for s in samples])
-    X = _feature_matrix(samples)
+    """Yield the forests of each stack of ``measures`` on the graph's
+    nodes, in order: as many as fit in ``_MATRIX_BYTES``, or one alone, on
+    rows evaluated on demand, when not even one matrix fits."""
+    X = graph.features
     stack = _new_stack(len(measures), len(X))
     height = 1 if stack is None else len(stack)
     for c0 in range(0, len(measures), height):
         chunk = measures[c0:c0 + height]
-        yield X, _fit(samples, chunk, labels, _arc_rows(chunk, X, stack),
-                      stack)
+        yield _fit(graph, chunk, _arc_rows(chunk, X, stack), stack)
 
 
 def train_measures(
@@ -528,16 +662,17 @@ def train_measures(
     """One forest per measure on the same samples, in ``measures`` order.
 
     Each result equals ``train(TrainingGraph(samples, m))`` field for
-    field.  The samples are validated and their feature matrix built
-    once.  The measures' matrices are filled into stacks of as many
-    matrices as fit in ``_MATRIX_BYTES``, sharing their sums, and Prim
-    and the competition run once per stack.  When not even one matrix
-    fits, each measure is fitted alone, on rows evaluated on demand.
+    field.  The samples are validated and converted to arrays once.  The
+    measures' matrices are filled into stacks of as many matrices as fit
+    in ``_MATRIX_BYTES``, sharing their sums, and Prim and the competition
+    run once per stack.  When not even one matrix fits, each measure is
+    fitted alone, on rows evaluated on demand.
     """
     measures = [distances.resolve(m) for m in measures]
     if not measures:
         return []
-    return [f for _, fits in _fit_stacks(samples, measures) for f in fits]
+    graph = TrainingGraph(samples, measures[0])
+    return [f for fits in _fit_stacks(graph, measures) for f in fits]
 
 
 def classify(
@@ -556,7 +691,10 @@ def classify(
     # then keeps 3x as many, which grew wine-grid's peak RSS by about 35%:
     # single queries stay on numpy until that client keeps only what it
     # checks (ROADMAP items 1 and 9).  Both paths give the same bits.
-    return _classify(forest, [query], early_exit, _numpy_pairwise)[0]
+    first, best = _classify(forest, [query], early_exit, _numpy_pairwise)
+    # the cached tuples: a query reads two entries, not two arrays
+    who = forest.ordered_nodes[first.item()]
+    return Prediction(forest.root_label[who], best.item(), who)
 
 
 def _numpy_pairwise(measure, A, B) -> np.ndarray:
@@ -583,25 +721,24 @@ def classify_batch(
     over the threads, each scanned in chunks of ``_BLOCK_ENTRIES`` //
     threads entries (see the module docstring).
     """
-    return _classify(forest, queries, early_exit, distances.pairwise)
+    first, best = _classify(forest, queries, early_exit, distances.pairwise)
+    who = forest.order[first]
+    return list(map(Prediction, forest.root_labels[who].tolist(),
+                    best.tolist(), who.tolist()))
 
 
 def _classify(forest: TrainedForest, queries: Sequence[Sequence[float]],
-              early_exit: bool, pairwise) -> list[Prediction]:
-    # classify_batch with the block kernel ``pairwise(measure, A, B)``
+              early_exit: bool, pairwise) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan_queries`` of the queries over the forest's ``_scan``, with
+    the block kernel ``pairwise(measure, A, B)``: each query's winning
+    scan position and its offer."""
     Q = _query_matrix(forest, queries)
     if not len(Q):
-        return []
+        return np.empty(0, dtype=np.intp), np.empty(0)
     nodes, cost = forest._scan
-    first, best = _scan_queries(
+    return _scan_queries(
         cost, len(Q), _node_arcs(forest.distance, nodes, Q, pairwise),
         early_exit)
-    order, label = forest.ordered_nodes, forest.root_label
-    out: list[Prediction] = []
-    for k, c in zip(first.tolist(), best.tolist()):
-        who = order[k]
-        out.append(Prediction(label[who], c, who))
-    return out
 
 
 def _node_arcs(measure: distances.DistanceId, nodes: np.ndarray,
@@ -696,17 +833,17 @@ def _labels(forest: TrainedForest, X: np.ndarray, Q: np.ndarray,
     forest's whole node x query rectangle ``rect``, rows in sample order,
     when given; otherwise by the early-exit scan over ``_scan_arrays``
     built from its feature matrix X, which live only in this call."""
-    order = np.array(forest.ordered_nodes)
+    order = forest.order
     if rect is None:
         nodes, cost = _scan_arrays(forest, X)
         arcs = _node_arcs(forest.distance, nodes, Q, distances.pairwise)
     else:
-        cost, rect = np.array(forest.cost)[order], rect[order]
+        cost, rect = forest.costs[order], rect[order]
 
         def arcs(r0, r1, active):
             return rect[r0:r1, active]
     first, _ = _scan_queries(cost, len(Q), arcs, True)
-    return np.array(forest.root_label)[order[first]].tolist()
+    return forest.root_labels[order[first]].tolist()
 
 
 def fit_and_label(
@@ -734,8 +871,9 @@ def fit_and_label(
     measures = [distances.resolve(m) for m in measures]
     if not measures:
         return []
-    forests, train_s = [], []
-    for X, fits in _fit_stacks(samples, measures):
+    graph = TrainingGraph(samples, measures[0])
+    X, forests, train_s = graph.features, [], []
+    for fits in _fit_stacks(graph, measures):
         now = time.perf_counter()
         forests += fits
         train_s += [(now - start) / len(fits)] * len(fits)

@@ -115,14 +115,17 @@ def train(graph):
                 pred[t] = s
                 root_label[t] = rl
     assert len(ordered) == n
+    # a forest records its prototypes as the nodes without a predecessor
+    assert {t for t in range(n) if pred[t] is None} == prototypes
     return TrainedForest(
-        samples=graph.samples,
+        features=[s.features for s in graph.samples],
+        labels=labels,
+        ids=[s.id for s in graph.samples],
         distance=graph.distance,
-        prototypes=prototypes,
-        cost=tuple(cost),
-        predecessor=tuple(pred),
-        root_label=tuple(root_label),
-        ordered_nodes=tuple(ordered),
+        costs=cost,
+        preds=[-1 if p is None else p for p in pred],
+        root_labels=root_label,
+        order=ordered,
     )
 
 

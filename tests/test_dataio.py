@@ -442,6 +442,8 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
     order = "ordered nodes are not a permutation"
     proto = "prototype indices are not strictly ascending"
     pred = "predecessor outside"
+    rootless = "the nodes without a predecessor are not the prototypes"
+    inner = next(i for i in range(n) if i not in protos)
     infinite = "a node cost is not finite"
     decrease = "node costs decrease along the ordered nodes"
     cases = [
@@ -454,6 +456,10 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
         (put("I", protos_at + 4, n), proto),
         (put("q", pred_at, n), pred),
         (put("q", pred_at, -2), pred),
+        # in range, but a prototype with a predecessor, or another node
+        # without one
+        (put("q", pred_at + 8 * protos[0], inner), rootless),
+        (put("q", pred_at + 8 * inner, -1), rootless),
         # the early exit stops at the first node whose cost reaches the
         # best offer, which a later, cheaper node would make wrong
         (put("d", cost_at + 8 * last, math.nan), infinite),

@@ -1,6 +1,7 @@
 """Splits, metrics, the benchmark grid, and the rank statistics."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -155,17 +156,23 @@ def test_signed_rank_matches_exhaustive_enumeration():
             assert abs(got.p_value - expected) <= 1e-12, (a, b)
 
 
-def _dp_two_sided_p(ranks, w):
-    """The exact p of the subset-sum DP over doubled ranks, run afresh."""
-    scaled = [int(round(2.0 * r)) for r in ranks]
+def _loop_cdf(scaled):
+    """The cumulative subset-sum counts over the doubled ranks ``scaled``,
+    as a pure-Python loop over the counts from the top down."""
     total = sum(scaled)
     counts = [0] * (total + 1)
     counts[0] = 1
     for s in scaled:
         for j in range(total, s - 1, -1):
             counts[j] += counts[j - s]
-    w2 = min(max(int(round(2.0 * w)), 0), total)
-    p = 2.0 * sum(counts[: w2 + 1]) / (1 << len(ranks))
+    return tuple(itertools.accumulate(counts))
+
+
+def _dp_two_sided_p(ranks, w):
+    """The exact p of the subset-sum DP over doubled ranks, run afresh."""
+    cdf = _loop_cdf([int(round(2.0 * r)) for r in ranks])
+    w2 = min(max(int(round(2.0 * w)), 0), len(cdf) - 1)
+    p = 2.0 * cdf[w2] / (1 << len(ranks))
     return p if p < 1.0 else 1.0
 
 
@@ -179,6 +186,11 @@ def test_exact_p_memo_equals_the_dp_on_tied_rank_patterns():
         ranks = evaluation._midranks(values)
         total = sum(ranks)
         shuffled = rng.sample(ranks, n)
+        # the numpy DP's counts are the loop's, as Python ints
+        scaled = tuple(sorted(int(round(2.0 * r)) for r in ranks))
+        cdf = evaluation._null_cdf(scaled)
+        assert cdf == _loop_cdf(scaled), ranks
+        assert {type(c) for c in cdf} == {int}
         for w in (-1.0, 0.0, rng.randint(0, int(2 * total)) / 2.0,
                   total / 2.0, total, total + 3.0):
             want = _dp_two_sided_p(ranks, w)

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import threading
 import weakref
 
@@ -15,6 +16,7 @@ import pytest
 from opfdist import (
     NormalizationSpec,
     Prediction,
+    Sample,
     TrainingGraph,
     accuracy,
     classify,
@@ -22,6 +24,7 @@ from opfdist import (
     distance_function,
     find_prototypes,
     graph_from_arrays,
+    load_forest,
     make_splits,
     registry,
     resolve,
@@ -85,6 +88,176 @@ def test_graph_assigns_positional_ids():
     g = line_graph()
     assert [s.id for s in g.samples] == [0, 1, 2, 3]
     assert g.n_features == 1
+
+
+# (features, labels, error, message); "{}" stands for the id of row 1 or 2
+GRAPH_ERRORS = [
+    ([], [], ValueError, "a training graph needs at least 2 samples"),
+    ([[1.0]], [0], ValueError, "a training graph needs at least 2 samples"),
+    ([[], []], [0, 1], DimensionMismatch,
+     "feature vectors must have dim >= 1"),
+    # the first row's dim is checked before the others'
+    ([[], [1.0]], [0, 1], DimensionMismatch,
+     "feature vectors must have dim >= 1"),
+    ([[1.0], [2.0, 3.0]], [0, 1], DimensionMismatch,
+     "sample id {1} has dim 2, expected 1"),
+    ([[1.0, 2.0], [3.0, 4.0], [5.0]], [0, 1, 0], DimensionMismatch,
+     "sample id {2} has dim 1, expected 2"),
+    ([[1.0], [2.0]], [0, 0], SingleClass,
+     "training data contains a single class label"),
+]
+
+
+@pytest.mark.parametrize("features,labels,error,message", GRAPH_ERRORS)
+def test_graph_errors_keep_their_types_and_messages(features, labels, error,
+                                                    message):
+    def raises(ids):
+        text = message.replace("{1}", str(ids[1] if len(ids) > 1 else ""))
+        text = text.replace("{2}", str(ids[2] if len(ids) > 2 else ""))
+        return pytest.raises(error, match=f"^{re.escape(text)}$")
+
+    with raises(range(len(features))):
+        graph_from_arrays(features, labels, "D3")
+    ids = [7 * i + 5 for i in range(len(features))]
+    with raises(ids):
+        TrainingGraph(tuple(Sample(tuple(f), l, i)
+                            for f, l, i in zip(features, labels, ids)),
+                      resolve("D3"))
+    with raises(ids):
+        train_measures([Sample(tuple(f), l, i)
+                        for f, l, i in zip(features, labels, ids)],
+                       ["D3", "D7"])
+
+
+def test_graph_from_arrays_checks_lengths_first_and_copies_writeable_input():
+    with pytest.raises(DimensionMismatch,
+                       match="^features and labels disagree on length$"):
+        graph_from_arrays([[1.0], [2.0]], [0], "D3")
+    with pytest.raises(DimensionMismatch,
+                       match="^features and labels disagree on length$"):
+        graph_from_arrays([[1.0]], [], "D3")
+    X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    y = np.array([0, 1, 1])
+    g = graph_from_arrays(X, y, "D3")
+    # the caller's arrays stay theirs, writeable; the graph's are frozen
+    assert X.flags.writeable and y.flags.writeable
+    assert not np.shares_memory(g.features, X)
+    assert not any(a.flags.writeable for a in (g.features, g.labels, g.ids))
+    assert (g.features.dtype, g.labels.dtype, g.ids.dtype) == (
+        np.float64, np.int64, np.int64)
+    X[0, 0] = 9.0
+    assert g.features[0, 0] == 0.0
+    assert g == graph_from_arrays([[0, 1], [2, 3], [4, 5]], [0, 1, 1], "D3")
+
+
+# A forest's cached views: the tuple fields it held before its arrays.
+CACHED_VIEWS = ("samples", "cost", "predecessor", "root_label",
+                "ordered_nodes", "prototypes")
+
+
+def _views_built(model) -> set[str]:
+    return set(CACHED_VIEWS) & set(vars(model))
+
+
+def test_forest_views_are_python_scalars_built_on_first_read(
+        monkeypatch, tmp_path):
+    rng = random.Random(101)
+    features = [[rng.uniform(-1.0, 2.0) for _ in range(3)]
+                for _ in range(40)]
+    labels = [i % 3 for i in range(40)]
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        graph = graph_from_arrays(features, labels, "D7")
+        model, twin = train(graph), train(graph)
+        classify_batch(model, features[:9])
+        classify_batch(model, features[:9], early_exit=False)
+        save_forest(model, NormalizationSpec("none"), tmp_path / "m.opf")
+        assert model == twin and hash(model) == hash(twin)
+        (other,) = train_measures(graph.samples, ["D7"])
+        assert other == model
+        assert not _views_built(model) and not _views_built(other), path
+        # the arrays: read-only, of the documented dtypes
+        for name, dtype in (("features", np.float64), ("labels", np.int64),
+                            ("ids", np.int64), ("costs", np.float64),
+                            ("preds", np.int64), ("root_labels", np.int64),
+                            ("order", np.int64)):
+            a = getattr(model, name)
+            assert a.dtype == dtype and not a.flags.writeable, (path, name)
+        # a single query reads the cached scan-order tuples
+        classify(model, features[0])
+        assert _views_built(model) == {"ordered_nodes", "root_label"}
+        # the views: plain Python scalars, built once and kept
+        _assert_python_scalars(model)
+        assert {type(v) for s in model.samples for v in s.features} == {float}
+        assert {type(v) for s in model.samples for v in (s.label, s.id)} \
+            == {int}
+        assert type(model.n_features) is int and model.n_features == 3
+        assert model.prototypes == {i for i, p in enumerate(model.predecessor)
+                                    if p is None}
+        assert model.prototypes == set(np.flatnonzero(model.preds < 0))
+        assert model.samples == graph.samples
+        for name in CACHED_VIEWS:
+            assert getattr(model, name) is getattr(model, name), name
+        assert _views_built(model) == set(CACHED_VIEWS)
+
+
+def test_forest_equality_hash_replace_and_pickle_read_the_arrays(
+        monkeypatch, tmp_path):
+    rng = random.Random(103)
+    features = [[rng.choice((-1.0, 0.0, 0.5, 2.0)) for _ in range(2)]
+                for _ in range(30)]
+    labels = [i % 2 for i in range(30)]
+    spec = NormalizationSpec("none")
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        model = train(graph_from_arrays(features, labels, "D13"))
+        save_forest(model, spec, tmp_path / "m.opf")
+        loaded = load_forest(tmp_path / "m.opf")[0]
+        fresh = dataclasses.replace(model)
+        assert loaded == model and hash(loaded) == hash(model), path
+        assert fresh == model and hash(fresh) == hash(model), path
+        assert repr(loaded) == repr(model) == repr(fresh), path
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(model, protocol))
+            assert back == model and hash(back) == hash(model), protocol
+            assert repr(back) == repr(model)
+            assert not any(a.flags.writeable for a in (
+                back.features, back.costs, back.preds, back.order))
+            graph = pickle.loads(pickle.dumps(
+                graph_from_arrays(features, labels, "D13"), protocol))
+            assert graph == graph_from_arrays(features, labels, "D13")
+        assert not _views_built(model) and not _views_built(loaded)
+        # -0.0 == 0.0, so a forest that differs only there is equal and
+        # hashes alike; repr tells them apart
+        zero = np.flatnonzero(model.costs == 0.0)[0]
+        signed = model.costs.copy()
+        signed[zero] = -0.0
+        negative = dataclasses.replace(model, costs=signed)
+        assert negative == model and hash(negative) == hash(model)
+        assert repr(negative) != repr(model)
+        assert dataclasses.replace(model, costs=model.costs + 1.0) != model
+        assert dataclasses.replace(model, distance=resolve("D3")) != model
+        assert loaded != train(graph_from_arrays(features[::-1], labels,
+                                                 "D13"))
+        assert model != graph_from_arrays(features, labels, "D13")
+
+
+def test_scan_equals_scan_arrays_of_the_sample_matrix(monkeypatch):
+    rng = random.Random(107)
+    features = [[rng.uniform(0.0, 2.0) for _ in range(4)] for _ in range(50)]
+    labels = [i % 3 for i in range(50)]
+    for path in kernel_paths():
+        monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
+        for code in ("D3", "D33", "D46"):
+            model = train(graph_from_arrays(features, labels, code))
+            nodes, cost = model._scan
+            # the matrix a fit used to rebuild from the Sample rows
+            X = np.array([s.features for s in model.samples])
+            want_nodes, want_cost = opfdist.forest._scan_arrays(model, X)
+            assert nodes.shape == (4, 50) and cost.shape == (50,)
+            assert (nodes.view(np.uint64) == want_nodes.view(np.uint64)).all()
+            assert (cost.view(np.uint64) == want_cost.view(np.uint64)).all()
+            assert cost.tolist() == [model.cost[i] for i in model.ordered_nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +522,13 @@ def test_scan_arrays_stay_out_of_equality_repr_and_archive(
     spec = NormalizationSpec("none")
     save_forest(fresh, spec, tmp_path / "before.opf")
     builds = []
-    real = opfdist.forest._feature_matrix
+    real = opfdist.forest._scan_arrays
 
-    def spy(samples):
-        builds.append(len(samples))
-        return real(samples)
+    def spy(forest, X):
+        builds.append(len(X))
+        return real(forest, X)
 
-    monkeypatch.setattr(opfdist.forest, "_feature_matrix", spy)
+    monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
     queries = [[rng.random() for _ in range(3)] for _ in range(4)]
     classify_batch(model, queries)
     classify_batch(model, queries)
@@ -459,6 +632,19 @@ def test_signed_oracle_graph_conquers_through_negative_zero_arcs():
                    for a in arcs), code
 
 
+# The fields a forest had when it held tuples, now its views.
+VIEWS = ("samples", "distance", "prototypes", "cost", "predecessor",
+         "root_label", "ordered_nodes")
+
+
+def _assert_same_forest(got, want, where):
+    """Field for field through the views, then bit for bit through repr,
+    which, unlike ==, tells -0.0 from 0.0."""
+    for name in VIEWS:
+        assert getattr(got, name) == getattr(want, name), (where, name)
+    assert repr(got) == repr(want), where
+
+
 def _assert_python_scalars(model):
     assert all(type(i) is int for i in model.prototypes)
     assert all(type(c) is float for c in model.cost)
@@ -490,10 +676,7 @@ def _assert_train_and_classify_batch_equal_scalar_reference(monkeypatch,
                                     budget if cache else 0)
                 assert find_prototypes(graph) == want_protos, (code, cache)
                 got = train(graph)
-                for field in dataclasses.fields(want):
-                    assert getattr(got, field.name) == \
-                        getattr(want, field.name), (code, cache, field.name)
-                assert repr(got) == repr(want)
+                _assert_same_forest(got, want, (code, cache))
                 _assert_python_scalars(got)
             dim = graph.n_features
             rng = random.Random(len(graph.samples))
@@ -551,10 +734,7 @@ def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
         for code, model, (labels, _, _) in zip(codes, got, tested):
             want = forest_reference.train(
                 TrainingGraph(graph.samples, resolve(code)))
-            for field in dataclasses.fields(want):
-                assert getattr(model, field.name) == \
-                    getattr(want, field.name), (path, code, field.name)
-            assert repr(model) == repr(want)
+            _assert_same_forest(model, want, (path, code))
             _assert_python_scalars(model)
             assert labels == [p.label for p in classify_batch(want, queries)]
 
@@ -612,9 +792,8 @@ def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
     fit, loops = opfdist.forest._fit, opfdist.forest._loops
     for case, stack, k, labels in _adversarial_stacks():
         n = stack.shape[1]
-        samples = tuple(opfdist.forest.Sample((float(i),), int(c), i)
-                        for i, c in enumerate(labels))
         measures = list(registry()[:k])
+        graph = graph_from_arrays(np.arange(n)[:, None], labels, measures[0])
         flat = stack[:k].reshape(-1, n)
 
         def rows(f):
@@ -623,7 +802,7 @@ def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
         for path in ("numpy", "compiled"):
             monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
             prim, _ = loops(k, n, rows, stack)
-            got[path] = (prim(), fit(samples, measures, labels, rows, stack))
+            got[path] = (prim(), fit(graph, measures, rows, stack))
         (want_parent, want), (parent, forests) = got["numpy"], got["compiled"]
         assert parent.dtype == np.int64, case
         assert (parent == want_parent).all(), case
@@ -644,7 +823,7 @@ def test_multi_block_stack_of_mixed_measures_equals_separate_trains(
     codes = ["D28", "D39", "D3", "D29", "D40", "D36", "D35", "D33", "D37",
              "D17", "D47", "D1"]
     want = [train(TrainingGraph(graph.samples, resolve(c))) for c in codes]
-    X = opfdist.forest._feature_matrix(graph.samples)
+    X = graph.features
     fills = []
     real = opfdist.forest._fill_stack
 
@@ -658,10 +837,7 @@ def test_multi_block_stack_of_mixed_measures_equals_separate_trains(
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 5 * 40 * 40 * 8)
     got = train_measures(graph.samples, codes)
     for code, model, w in zip(codes, got, want):
-        for field in dataclasses.fields(w):
-            assert getattr(model, field.name) == getattr(w, field.name), \
-                (code, field.name)
-        assert repr(model) == repr(w)
+        _assert_same_forest(model, w, code)
     assert len(fills) == len(codes)
     for code, matrix in zip(codes, fills):
         full = opfdist.forest.distances.pairwise(code, X, X)
