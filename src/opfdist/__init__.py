@@ -41,6 +41,7 @@ from .dataio import (
     load_csv,
     load_forest,
     load_svmlight,
+    normalize,
     save_forest,
     write_reports,
     write_stat_files,

@@ -32,12 +32,13 @@ def _err(msg: str) -> None:
 
 def _parse_codes(spec) -> list[str]:
     """A distance list from config/flags: 'all', a code, or a code list."""
-    if spec is None:
-        raise ConfigError("no distances given")
     if isinstance(spec, str):
         if spec.strip().lower() == "all":
             return [e.code for e in distances.registry()]
         spec = [s for s in spec.replace(",", " ").split() if s]
+    elif not isinstance(spec, list):
+        raise ConfigError(f"distances must be 'all', a code or a list of "
+                          f"codes, not {spec!r}")
     codes = []
     for item in spec:
         try:
@@ -90,11 +91,10 @@ def _load_data_flag(args) -> dataio.Dataset:
 def cmd_train(args) -> int:
     code = _parse_codes([args.distance])[0]
     ds = _load_data_flag(args)
-    spec = dataio.fit_normalization(ds.samples, args.normalization)
-    samples = dataio.apply_to_samples(spec, ds.samples)
+    spec = dataio.fit_normalization(ds.features, args.normalization)
+    X = dataio.normalize(spec, ds.features)
     t0 = time.perf_counter()
-    graph = forest.TrainingGraph(tuple(samples), distances.resolve(code))
-    model = forest.train(graph)
+    model = forest.train(forest.graph_from_arrays(X, ds.labels, code))
     elapsed = time.perf_counter() - t0
     dataio.save_forest(model, spec, args.out, class_names=ds.class_names)
     print(f"samples = {len(model.features)}")
@@ -115,13 +115,14 @@ def cmd_predict(args) -> int:
         ds = _load_data_flag(args)
     except EmptyFile:
         ds = None
-    feats = [s.features for s in (ds.samples if ds is not None else ())]
+    width = arc.forest.n_features
+    X = ds.features if ds is not None else np.empty((0, width))
     if args.format == "svmlight":
         # svmlight omits zeros, so a file densifies only to its own highest
         # index, which may lie below the model's width
-        feats = [f + (0.0,) * (arc.forest.n_features - len(f)) for f in feats]
-    feats = [dataio.apply_normalization(arc.normalization, f) for f in feats]
-    preds = forest.classify_batch(arc.forest, feats)
+        X = np.pad(X, ((0, 0), (0, max(0, width - X.shape[1]))))
+    preds = forest.classify_batch(arc.forest,
+                                  dataio.normalize(arc.normalization, X))
 
     def label_text(idx: int) -> str:
         if arc.class_names is not None and 0 <= idx < len(arc.class_names):
@@ -139,7 +140,7 @@ def cmd_predict(args) -> int:
         # labels are compared as text: the file numbers its labels by
         # first appearance, the model by its own training file
         acc = evaluation.accuracy([label_text(p.label) for p in preds],
-                                  [ds.class_names[s.label] for s in ds.samples])
+                                  [ds.class_names[i] for i in ds.labels])
         print(f"accuracy = {acc:.4f}")
     return 0
 
@@ -435,7 +436,7 @@ def cmd_bench(args) -> int:
     }
     for d in datasets:
         manifest[f"dataset_{d.name}"] = (
-            f"rows={len(d.samples)} features={d.n_features} "
+            f"rows={len(d.labels)} features={d.n_features} "
             f"classes={d.n_classes}")
 
     dataio.write_reports(summary, stats, out_dir, matrix=matrix,

@@ -4,7 +4,8 @@ Dataset files are either comma-separated text (optional header, one label
 column by name or index) or svmlight/libsvm sparse lines
 (``<label> <index>:<value> ...`` with 1-based strictly ascending indices).
 Label tokens are mapped to contiguous 0-based integers in first-appearance
-order; the original strings are kept in ``Dataset.class_names``.
+order; the original strings are kept in ``Dataset.class_names``.  The rows
+are one float64 matrix, which ``fit_normalization`` and ``normalize`` read.
 
 Model archive byte layout (all little-endian), format version 1:
 
@@ -48,6 +49,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,52 +73,57 @@ from .errors import (
 # --- dataset ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Named, validated sample collection with a contiguous label range."""
+@dataclass(frozen=True, eq=False, repr=False)
+class Dataset(forest._Arrays):
+    """Named, validated samples: read-only float64 (n, d) ``features``, int64
+    ``labels`` (each of 0..n_classes-1 occurs) and positional ``ids``; the
+    ``Sample`` rows are an ``_Arrays`` view, which a pickle leaves out."""
 
     name: str
-    samples: tuple[forest.Sample, ...]
-    n_features: int
+    features: np.ndarray
+    labels: np.ndarray
     n_classes: int
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not self.samples:
+        X = forest._frozen(self.features, np.float64)
+        labels = forest._frozen(self.labels, np.int64)
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "labels", labels)
+        if not len(X):
             raise EmptyInput(f"dataset {self.name!r} has no samples")
+        if X.ndim != 2 or labels.shape != X.shape[:1]:
+            raise DimensionMismatch(f"features of shape {X.shape} and "
+                                    f"labels of shape {labels.shape}")
         if self.n_features < 1:
             raise DimensionMismatch("datasets need at least one feature")
-        seen = set()
-        for s in self.samples:
-            if len(s.features) != self.n_features:
-                raise DimensionMismatch(
-                    f"sample id {s.id} has {len(s.features)} features, "
-                    f"expected {self.n_features}")
-            for v in s.features:
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"non-finite feature value {v!r} in sample id {s.id}")
-            if not 0 <= s.label < self.n_classes:
+        # the first bad row; a row's values are checked before its label
+        bad_value = ~np.isfinite(X).all(axis=1)
+        bad = bad_value | (labels < 0) | (labels >= self.n_classes)
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_value[i]:
+                v = X[i][~np.isfinite(X[i])][0].item()
                 raise ParseError(
-                    f"label {s.label} of sample id {s.id} outside "
-                    f"0..{self.n_classes - 1}")
-            seen.add(s.label)
-        if len(seen) != self.n_classes:
+                    f"non-finite feature value {v!r} in sample id {i}")
+            raise ParseError(
+                f"label {labels[i]} of sample id {i} outside "
+                f"0..{self.n_classes - 1}")
+        # not np.unique, whose first int64 call touches ~1.3 MB of sort code
+        seen = np.count_nonzero(np.bincount(labels, minlength=self.n_classes))
+        if seen != self.n_classes:
             raise ParseError(
                 f"dataset {self.name!r} declares {self.n_classes} classes but "
-                f"only {len(seen)} occur")
+                f"only {seen} occur")
         if self.class_names is not None and len(self.class_names) != self.n_classes:
             raise ParseError("class_names length disagrees with n_classes")
 
+    ids = property(lambda self: np.arange(len(self.labels)))
+
 
 def _map_labels(tokens: Sequence[str]) -> tuple[list[int], tuple[str, ...]]:
-    mapping: dict[str, int] = {}
-    out = []
-    for t in tokens:
-        if t not in mapping:
-            mapping[t] = len(mapping)
-        out.append(mapping[t])
-    return out, tuple(mapping)
+    index = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    return [index[t] for t in tokens], tuple(index)
 
 
 def _parse_feature(token: str, path, row: int, col: int) -> float:
@@ -155,7 +162,7 @@ def load_csv(
     if has_header:
         if not rows:
             raise EmptyFile("no rows at all", path=path)
-        header = [f.strip() for f in rows[0][1]]
+        header_row, header = rows[0][0], [f.strip() for f in rows[0][1]]
         rows = rows[1:]
     if not rows:
         raise EmptyFile("no data rows", path=path)
@@ -166,6 +173,9 @@ def load_csv(
             raise RaggedRows(
                 f"expected {width} fields, found {len(row)}",
                 path=path, row=line_no)
+    if header is not None and len(header) != width:
+        raise RaggedRows(f"header has {len(header)} fields, rows {width}",
+                         path=path, row=header_row)
 
     if label_column is None:
         label_idx = None
@@ -193,27 +203,16 @@ def load_csv(
     if not feature_cols:
         raise ParseError("no feature columns besides the label", path=path)
 
-    feats = []
-    label_tokens = []
-    for line_no, row in rows:
-        feats.append(tuple(
-            _parse_feature(row[c].strip(), path, line_no, c + 1)
-            for c in feature_cols))
-        if label_idx is not None:
-            label_tokens.append(row[label_idx].strip())
+    feats = np.empty((len(rows), len(feature_cols)))
+    for i, (line_no, row) in enumerate(rows):
+        feats[i] = [_parse_feature(row[c].strip(), path, line_no, c + 1)
+                    for c in feature_cols]
 
-    if label_idx is None:
-        labels = [0] * len(feats)
-        class_names: tuple[str, ...] | None = None
-        n_classes = 1
-    else:
-        labels, class_names = _map_labels(label_tokens)
-        n_classes = len(class_names)
-
-    samples = tuple(
-        forest.Sample(f, lab, i) for i, (f, lab) in enumerate(zip(feats, labels)))
-    return Dataset(name or path.stem, samples, len(feature_cols), n_classes,
-                   class_names)
+    # an unlabeled file is one class without a name
+    labels, names = _map_labels([
+        "" if label_idx is None else row[label_idx].strip() for _, row in rows])
+    return Dataset(name or path.stem, feats, labels, len(names),
+                   None if label_idx is None else names)
 
 
 def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
@@ -233,6 +232,9 @@ def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
             continue
         tokens = line.split()
         label = tokens[0]
+        if re.fullmatch(r"[+-]?[0-9]+:.*", label):
+            raise ParseError(f"feature {label!r} where the label should be",
+                             path=path, row=line_no)
         pairs = []
         prev = 0
         for tok in tokens[1:]:
@@ -263,14 +265,12 @@ def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
         raise ParseError("no features anywhere in the file", path=path)
 
     labels, class_names = _map_labels([lab for lab, _ in entries])
-    samples = []
+    feats = np.zeros((len(entries), max_index))
     for i, (_, pairs) in enumerate(entries):
-        dense = [0.0] * max_index
         for idx, v in pairs:
-            dense[idx - 1] = v
-        samples.append(forest.Sample(tuple(dense), labels[i], i))
-    return Dataset(name or path.stem, tuple(samples), max_index,
-                   len(class_names), class_names)
+            feats[i, idx - 1] = v
+    return Dataset(name or path.stem, feats, labels, len(class_names),
+                   class_names)
 
 
 # --- normalization --------------------------------------------------------
@@ -287,63 +287,66 @@ class NormalizationSpec:
     feature_max: tuple[float, ...] | None = None
 
 
-def fit_normalization(
-    train: Sequence[forest.Sample], mode: str
-) -> NormalizationSpec:
+def fit_normalization(train, mode: str) -> NormalizationSpec:
+    """``mode`` fitted on an (n, d) matrix or on ``Sample`` rows: min_max_01
+    keeps each column's minimum and maximum, and of -0.0 and +0.0 the first
+    in row order, as a scan replacing a bound on a strict < or > does."""
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if len(train) == 0:
         raise EmptyInput("cannot fit normalization on an empty training fold")
     if mode == "none":
         return NormalizationSpec("none")
-    dim = len(train[0].features)
-    lo = list(train[0].features)
-    hi = list(train[0].features)
-    for s in train[1:]:
-        if len(s.features) != dim:
-            raise DimensionMismatch("training samples disagree on dimension")
-        for j, v in enumerate(s.features):
-            if v < lo[j]:
-                lo[j] = v
-            if v > hi[j]:
-                hi[j] = v
-    return NormalizationSpec("min_max_01", tuple(lo), tuple(hi))
+    if isinstance(train[0], forest.Sample):
+        train = [s.features for s in train]
+    X = np.asarray(train, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatch("training samples disagree on dimension")
+    bounds = []
+    for bound in X.min(axis=0), X.max(axis=0):
+        # np.min and np.max may return either zero: take the first
+        cols = np.flatnonzero(bound == 0.0)
+        bound[cols] = X[(X[:, cols] == 0.0).argmax(axis=0), cols]
+        bounds.append(tuple(bound.tolist()))
+    return NormalizationSpec("min_max_01", *bounds)
+
+
+def normalize(spec: NormalizationSpec, X) -> np.ndarray:
+    """The rows of X, (n, d) or one row (d,), mapped by ``spec`` into a
+    read-only float64 array: min_max_01 takes (x - lo) / (hi - lo), then
+    t < 0 -> 0.0, t > 1 -> 1.0 and a constant feature -> 0.0."""
+    if spec.mode == "none":
+        return forest._frozen(X, np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    lo, hi = np.array(spec.feature_min), np.array(spec.feature_max)
+    if X.shape[-1:] != lo.shape:
+        raise DimensionMismatch(
+            f"rows of shape {X.shape}, normalization expects dim {len(lo)}")
+    # overflow to inf, NaN and 0 / 0 (sent to 0.0 below) pass unwarned
+    with np.errstate(all="ignore"):
+        t = (X - lo) / (hi - lo)
+        t[t < 0.0] = 0.0
+        t[t > 1.0] = 1.0
+    t[..., hi == lo] = 0.0
+    t.flags.writeable = False
+    return t
 
 
 def apply_normalization(
     spec: NormalizationSpec, v: Sequence[float]
 ) -> tuple[float, ...]:
-    """Map one vector; min_max_01 clamps into [0, 1] and sends constant
-    features to 0."""
-    if spec.mode == "none":
-        return tuple(v)
-    if len(v) != len(spec.feature_min):
-        raise DimensionMismatch(
-            f"vector has dim {len(v)}, normalization expects "
-            f"{len(spec.feature_min)}")
-    out = []
-    for x, lo, hi in zip(v, spec.feature_min, spec.feature_max):
-        if hi == lo:
-            out.append(0.0)
-            continue
-        t = (x - lo) / (hi - lo)
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        out.append(t)
-    return tuple(out)
+    """``normalize`` of one vector, as a tuple."""
+    return tuple(normalize(spec, v).tolist())
 
 
 def apply_to_samples(
     spec: NormalizationSpec, samples: Sequence[forest.Sample]
 ) -> list[forest.Sample]:
-    if spec.mode == "none":
+    """``normalize`` of ``Sample`` rows, as rows with their labels and ids."""
+    if spec.mode == "none" or not samples:
         return list(samples)
-    return [
-        forest.Sample(apply_normalization(spec, s.features), s.label, s.id)
-        for s in samples
-    ]
+    X = normalize(spec, [s.features for s in samples]).tolist()
+    return [forest.Sample(tuple(x), s.label, s.id) for x, s in zip(X, samples)]
 
 
 # --- model archive --------------------------------------------------------

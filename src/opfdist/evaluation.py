@@ -11,9 +11,9 @@ number of degrees of freedom (``_chi2_sf``), computed with ``math`` alone.
 ``rank_complete`` is the one step after the grid, for ``bench`` and
 ``rank`` alike: it picks the classifiers that can be ranked and ranks them.
 
-The grid's unit of work is one (dataset, run, test fold): it draws that
-run's split, fits the normalization on the training half once, and fits
-and tests every distance code on it with one ``forest.fit_and_label``
+The grid's unit of work is one (dataset, run, test fold): it masks the
+dataset's matrix into that run's halves, normalizes both by the training
+half's fit, and fits and tests every code with one ``forest.fit_and_label``
 call, which owns how the forests are fitted, tested and timed.
 
 Everything is deterministic given (seed, runs): split shuffles derive from
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import distances, forest
-from .dataio import Dataset, apply_to_samples, fit_normalization
+from .dataio import Dataset, fit_normalization, normalize
 from .errors import (
     EmptyInput,
     LengthMismatch,
@@ -80,9 +80,8 @@ def _split_run(dataset: Dataset, seed: int, run: int) -> SplitPlan:
     """The plan of repetition ``run`` alone, as ``make_splits`` draws it."""
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    by_class: list[list[int]] = [[] for _ in range(dataset.n_classes)]
-    for i, s in enumerate(dataset.samples):
-        by_class[s.label].append(i)
+    by_class = [np.flatnonzero(dataset.labels == cls)
+                for cls in range(dataset.n_classes)]
     for cls, members in enumerate(by_class):
         if len(members) < 2:
             raise TooFewSamplesPerClass(
@@ -91,19 +90,14 @@ def _split_run(dataset: Dataset, seed: int, run: int) -> SplitPlan:
 
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=(seed, run))))
-    assignment = [0] * len(dataset.samples)
+    assignment = np.zeros(len(dataset.labels), dtype=np.int64)
     odd_seen = 0
     for members in by_class:
         k = len(members)
-        n0 = k // 2
-        if k % 2 == 1:
-            if odd_seen % 2 == 0:
-                n0 += 1
-            odd_seen += 1
-        order = rng.permutation(k)
-        for pos, idx in enumerate(order):
-            assignment[members[int(idx)]] = 0 if pos < n0 else 1
-    return SplitPlan(seed, run, tuple(assignment))
+        n0 = k // 2 + (k % 2 == 1 and odd_seen % 2 == 0)
+        odd_seen += k % 2
+        assignment[members[rng.permutation(k)[n0:]]] = 1
+    return SplitPlan(seed, run, tuple(assignment.tolist()))
 
 
 # --- metrics ------------------------------------------------------------
@@ -208,23 +202,21 @@ def _fold_task(args):
     a cost that only a call that raised pays.
     """
     dataset, seed, run, fold, normalization, codes = args
+    X, y = dataset.features, dataset.labels
     try:
-        plan = _split_run(dataset, seed, run)
-        train = [dataset.samples[i] for i in plan.fold_indices(1 - fold)]
-        test = [dataset.samples[i] for i in plan.fold_indices(fold)]
+        test = np.array(_split_run(dataset, seed, run).fold_assignment) == fold
+        train, queries = X[~test], X[test]
         spec = fit_normalization(train, normalization)
-        train = tuple(apply_to_samples(spec, train))
-        test = apply_to_samples(spec, test)
+        train, queries = normalize(spec, train), normalize(spec, queries)
     except Exception as exc:  # recorded, never silently dropped
         error = f"{type(exc).__name__}: {exc}"
         return dataset.name, run, fold, {}, dict.fromkeys(codes, error)
-    queries = [s.features for s in test]
-    truth = [s.label for s in test]
+    truth = y[test].tolist()
     cells, errors = {}, {}
     groups = [list(codes)]
     for group in groups:  # grows by one group per code if the first raises
         try:
-            tested = forest.fit_and_label(train, group, queries)
+            tested = forest.fit_and_label(train, y[~test], group, queries)
             cells.update({code: (accuracy(labels, truth), t_train, t_test)
                           for code, (labels, t_train, t_test)
                           in zip(group, tested)})

@@ -180,9 +180,9 @@ class Sample:
     """A training point: immutable features, integer label, stable id.
 
     ``id`` is carried for traceability back to the source dataset; graph
-    algorithms address samples by position.  A graph and a forest hold
-    their samples as arrays and give them as ``Sample`` rows on request
-    (``samples``).
+    algorithms address samples by position.  A dataset, a graph and a
+    forest hold their samples as arrays and give them as ``Sample`` rows
+    on request (``samples``).
     """
 
     features: tuple[float, ...]
@@ -234,10 +234,10 @@ def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
 
 
 class _Arrays:
-    """What a graph and a forest share: ``features`` (n, d) float64 and
-    ``labels`` and ``ids`` (n,) int64, all read-only, beside a
-    ``distance``.  Equality, hash, repr and pickling read the fields; the
-    ``Sample`` rows are a view, built on first read."""
+    """What a dataset, a graph and a forest share: read-only ``features``
+    (n, d) float64 and ``labels`` and ``ids`` (n,) int64.  Equality, hash,
+    repr and pickling read the fields; the ``Sample`` rows are a view,
+    built on first read."""
 
     def _values(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -261,6 +261,9 @@ class _Arrays:
         return f"{type(self).__name__}(" + ", ".join(
             f"{f.name}={v.tolist() if isinstance(v, np.ndarray) else v!r}"
             for f, v in zip(fields(self), self._values())) + ")"
+
+    def __reduce__(self):
+        return type(self), tuple(self._values())
 
     @property
     def n_features(self) -> int:
@@ -362,9 +365,6 @@ class TrainedForest(_Arrays):
                             ("preds", np.int64), ("root_labels", np.int64),
                             ("order", np.int64)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-
-    def __reduce__(self):
-        return TrainedForest, tuple(self._values())
 
     @cached_property
     def cost(self) -> tuple[float, ...]:
@@ -847,13 +847,14 @@ def _labels(forest: TrainedForest, X: np.ndarray, Q: np.ndarray,
 
 
 def fit_and_label(
-    samples: Sequence[Sample],
+    features: Sequence[Sequence[float]],
+    labels: Sequence[int],
     measures: Sequence[distances.DistanceId | str],
     queries: Sequence[Sequence[float]],
 ) -> list[tuple[list[int], float, float]]:
     """For each measure, in order: the labels that ``classify_batch`` of
-    its ``train_measures`` forest gives ``queries``, its train seconds and
-    its test seconds.
+    its forest on the ``graph_from_arrays`` graph of ``features`` and
+    ``labels`` gives ``queries``, its train seconds and its test seconds.
 
     The forests are fitted in the stacks of ``train_measures``.  Where a
     node x query rectangle fits one ``classify_batch`` chunk, which
@@ -871,7 +872,7 @@ def fit_and_label(
     measures = [distances.resolve(m) for m in measures]
     if not measures:
         return []
-    graph = TrainingGraph(samples, measures[0])
+    graph = graph_from_arrays(features, labels, measures[0])
     X, forests, train_s = graph.features, [], []
     for fits in _fit_stacks(graph, measures):
         now = time.perf_counter()
@@ -882,13 +883,13 @@ def fit_and_label(
     entries = len(X) * len(Q)
     whole = entries <= _BLOCK_ENTRIES
     height = max(1, _MATRIX_BYTES // (8 * max(1, entries))) if whole else 1
-    labels, test_s = [], []
+    tested, test_s = [], []
     for c0 in range(0, len(forests), height):
         chunk = forests[c0:c0 + height]
         rects = (distances.pairwise_many([f.distance for f in chunk], X, Q)
                  if whole else [None])
-        labels += [_labels(f, X, Q, r) for f, r in zip(chunk, rects)]
+        tested += [_labels(f, X, Q, r) for f, r in zip(chunk, rects)]
         now = time.perf_counter()
         test_s += [(now - start) / len(chunk)] * len(chunk)
         start = now
-    return list(zip(labels, train_s, test_s))
+    return list(zip(tested, train_s, test_s))

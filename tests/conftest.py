@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from opfdist import Dataset, Sample
+from opfdist import Dataset
 
 WINE_CSV = Path(__file__).resolve().parent.parent / "data" / "wine.csv"
 
@@ -232,14 +232,14 @@ def class_separation_holds(features, labels, kernel, asymmetric):
     return min_inter > max_intra
 
 
-def make_dataset(features, labels, name="synthetic"):
-    samples = tuple(
-        Sample(tuple(f), int(l), i)
-        for i, (f, l) in enumerate(zip(features, labels))
-    )
-    n_classes = len(set(labels))
-    return Dataset(name=name, samples=samples, n_features=len(features[0]),
-                   n_classes=n_classes, class_names=None)
+def make_dataset(features, labels, name="synthetic", *, n_classes=None,
+                 class_names=None):
+    """A Dataset of the rows ``features``; ``n_classes`` defaults to the
+    number of distinct labels."""
+    if n_classes is None:
+        n_classes = len(set(labels))
+    return Dataset(name=name, features=features, labels=labels,
+                   n_classes=n_classes, class_names=class_names)
 
 
 def cut_writes(monkeypatch, message):

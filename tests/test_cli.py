@@ -578,6 +578,18 @@ def test_bench_config_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("distances", ["3", "{D3: x}"],
+                         ids=["number", "mapping"])
+def test_bench_distances_neither_text_nor_list_exit_two(tmp_path, capsys,
+                                                        distances):
+    cfg = bench_config(tmp_path, distances=distances)
+    assert main(["bench", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "distances must be 'all', a code or a list of codes" in err
+
+
 @pytest.mark.parametrize("key", ["seed", "runs", "parallelism"])
 def test_bench_config_rejects_booleans_as_integers(tmp_path, capsys, key):
     # YAML loads true as a bool, and bool is an int subclass: it must not

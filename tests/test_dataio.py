@@ -8,6 +8,7 @@ import random
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opfdist import (
@@ -23,6 +24,7 @@ from opfdist import (
     load_csv,
     load_forest,
     load_svmlight,
+    normalize,
     resolve,
     save_forest,
     train,
@@ -42,7 +44,8 @@ from opfdist.errors import (
     VersionMismatch,
 )
 
-from conftest import cut_writes, read_wine_table, resealed
+import normalization_reference as reference
+from conftest import cut_writes, make_dataset, read_wine_table, resealed
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,20 @@ def test_csv_ragged_rows_report_one_based_line(tmp_path):
     with pytest.raises(RaggedRows) as err:
         load_csv(p, label_column=-1)
     assert "row 2" in str(err.value)
+
+
+@pytest.mark.parametrize("text, row", [("a,b,label\n1,2\n3,4\n", 1),
+                                       ("\na,label\n1,2,3\n4,5,6\n", 2)],
+                         ids=["header-wider", "header-narrower"])
+def test_csv_header_width_must_equal_the_rows(tmp_path, text, row):
+    # a wider header names a label column past the rows' end, and a
+    # narrower one would read the label from the wrong column
+    p = tmp_path / "h.csv"
+    p.write_text(text)
+    with pytest.raises(RaggedRows) as err:
+        load_csv(p, label_column="label", has_header=True)
+    assert str(err.value).startswith("header has ")
+    assert f"row {row}" in str(err.value)
 
 
 def test_csv_non_numeric_feature_reports_location(tmp_path):
@@ -213,6 +230,45 @@ def test_svmlight_empty_and_malformed(tmp_path):
     p.write_text("1 1:xyz\n")
     with pytest.raises(ParseError):
         load_svmlight(p)
+    # a line without a label: its first feature is not read as one
+    p.write_text("A 1:0.5\n1:0.5 2:1.0\n")
+    with pytest.raises(ParseError, match="where the label should be") as err:
+        load_svmlight(p)
+    assert "row 2" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Dataset
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("features, labels, kw, error, message", [
+    ([], [], {"n_classes": 1}, EmptyInput,
+     "dataset 'synthetic' has no samples"),
+    ([[], []], [0, 1], {}, DimensionMismatch,
+     "datasets need at least one feature"),
+    ([[0.0], [math.nan]], [0, 1], {}, ParseError,
+     "non-finite feature value nan in sample id 1"),
+    ([[0.0, 1.0], [-math.inf, math.inf]], [0, 1], {}, ParseError,
+     "non-finite feature value -inf in sample id 1"),
+    ([[0.0], [1.0]], [0, 2], {"n_classes": 2}, ParseError,
+     "label 2 of sample id 1 outside 0..1"),
+    ([[0.0], [1.0]], [-1, 1], {"n_classes": 2}, ParseError,
+     "label -1 of sample id 0 outside 0..1"),
+    # the first bad row is reported, its values before its label
+    ([[0.0], [1.0], [math.inf]], [0, 5, 1], {"n_classes": 2}, ParseError,
+     "label 5 of sample id 1 outside 0..1"),
+    ([[0.0], [1.0]], [0, 0], {"n_classes": 2}, ParseError,
+     "dataset 'synthetic' declares 2 classes but only 1 occur"),
+    ([[0.0], [1.0]], [0, 1], {"class_names": ("a",)}, ParseError,
+     "class_names length disagrees with n_classes"),
+], ids=["no-samples", "no-features", "nan", "inf", "label-above",
+        "label-below", "first-bad-row", "class-missing", "class-names"])
+def test_dataset_rejects_with_type_and_message(features, labels, kw, error,
+                                               message):
+    with pytest.raises(error) as err:
+        make_dataset(features, labels, **kw)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +333,93 @@ def test_apply_to_samples_preserves_labels_and_ids():
     assert [(s.label, s.id) for s in out] == [(4, 9), (1, 3)]
     assert out[0].features == (0.0,)
     assert out[1].features == (1.0,)
+
+
+def _signs(values):
+    return [math.copysign(1.0, v) for v in values]
+
+
+def test_min_max_keeps_the_first_seen_signed_zero():
+    # columns 0 and 1 hold both zeros as minima, columns 2 and 3 as
+    # maxima, in both orders; column 4 holds only zeros
+    rows = [(-0.0, 0.0, -1.0, -1.0, -0.0),
+            (0.0, -0.0, -0.0, 0.0, 0.0),
+            (2.0, 2.0, 0.0, -0.0, -0.0)]
+    samples = [Sample(row, i % 2, i) for i, row in enumerate(rows)]
+    spec = fit_normalization(samples, "min_max_01")
+    assert spec.feature_min == (0.0, 0.0, -1.0, -1.0, 0.0)
+    assert _signs(spec.feature_min) == [-1.0, 1.0, -1.0, -1.0, -1.0]
+    assert spec.feature_max == (2.0, 2.0, 0.0, 0.0, 0.0)
+    assert _signs(spec.feature_max) == [1.0, 1.0, -1.0, 1.0, -1.0]
+    # x - lo keeps the sign that only the first-seen zero gives:
+    # -0.0 - (-0.0) is +0.0, and -0.0 - (+0.0) is -0.0
+    out = apply_to_samples(spec, samples)
+    assert [s.features for s in out] == [(0.0, 0.0, 0.0, 0.0, 0.0),
+                                         (0.0, 0.0, 1.0, 1.0, 0.0),
+                                         (1.0, 1.0, 1.0, 1.0, 0.0)]
+    assert _signs(out[0].features[:2]) == [1.0, 1.0]
+    assert _signs(out[1].features[:2]) == [1.0, -1.0]
+
+
+# signed zeros, values far outside a training range, the largest and the
+# smallest magnitudes (x - lo and hi - lo overflow to inf, and inf / inf
+# is NaN), and plain values
+_EDGES = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e300, -1e300,
+          1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324)
+
+
+def _adversarial_cases():
+    """(training rows, query rows) pairs that the reference is read on."""
+    yield [(-0.0, 0.0, 2.0), (0.0, -0.0, 2.0)], [(-0.0, 0.0, 2.0),
+                                                 (0.0, -0.0, 5.0)]
+    yield [(3.5, -0.0)], [(3.5, 0.0), (-7.0, -0.0)]  # one row: constant
+    yield ([(0.0, 1e300), (1.0, -1e300)],
+           [(-1e6, 1.7976931348623157e308), (1e6, -1.7976931348623157e308),
+            (0.25, 0.0)])
+    rng = random.Random(26)
+    for _ in range(300):
+        n, m, d = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 5)
+
+        def value():
+            if rng.random() < 0.7:
+                return rng.choice(_EDGES)
+            return rng.uniform(-2.0, 2.0)
+        yield ([tuple(value() for _ in range(d)) for _ in range(n)],
+               [tuple(value() for _ in range(d)) for _ in range(m)])
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_normalize_equals_the_scalar_reference_bit_for_bit():
+    for train_rows, query_rows in _adversarial_cases():
+        lo, hi = reference.fit(train_rows)
+        samples = [Sample(r, 0, i) for i, r in enumerate(train_rows)]
+        for fitted in (fit_normalization(np.array(train_rows), "min_max_01"),
+                       fit_normalization(samples, "min_max_01")):
+            assert _bits(fitted.feature_min) == _bits(lo), train_rows
+            assert _bits(fitted.feature_max) == _bits(hi), train_rows
+        rows = train_rows + query_rows
+        want = [reference.apply(lo, hi, r) for r in rows]
+        got = normalize(fitted, np.array(rows))
+        assert not got.flags.writeable
+        assert _bits(got) == _bits(want), rows
+        assert _bits(normalize(fitted, rows[0])) == _bits(want[0])
+        assert _bits([apply_normalization(fitted, r) for r in rows]) \
+            == _bits(want)
+        assert _bits([s.features for s in apply_to_samples(
+            fitted, [Sample(r, 0, 0) for r in rows])]) == _bits(want)
+
+
+def test_normalize_checks_the_row_width():
+    spec = fit_normalization(np.array([[0.0, 1.0], [1.0, 3.0]]), "min_max_01")
+    for bad in ([[1.0]], [1.0, 2.0, 3.0], np.zeros((0, 3))):
+        with pytest.raises(DimensionMismatch):
+            normalize(spec, bad)
+    assert normalize(spec, np.zeros((0, 2))).shape == (0, 2)
+    X = np.array([[1.0, -0.0]])
+    assert normalize(fit_normalization(X, "none"), X).tolist() == [[1.0, -0.0]]
 
 
 # ---------------------------------------------------------------------------

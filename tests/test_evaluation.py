@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pickle
 import random
 import threading
 
@@ -660,9 +661,9 @@ def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
     tested = []
     real = evaluation.forest.fit_and_label
 
-    def spy(samples, measures, queries):
+    def spy(features, labels, measures, queries):
         tested.append(len(measures))
-        return real(samples, measures, queries)
+        return real(features, labels, measures, queries)
 
     monkeypatch.setattr(evaluation.forest, "fit_and_label", spy)
     got = run_benchmark(datasets, codes, seed=2, runs=2)
@@ -672,6 +673,32 @@ def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
     assert calls.count(False) == 4 * 2
     assert got.errors == {("t1", "D7"): "RuntimeError: boom in test"}
     assert got.cells == {k: v for k, v in clean.cells.items() if k[1] != "D7"}
+
+
+def test_grid_tasks_build_and_carry_no_sample_rows(monkeypatch):
+    ds = toy_dataset("t1", seed=5)
+    blobs = []
+    real = evaluation._fold_task
+
+    def pickling_task(task):
+        # a fold task as a worker process receives it
+        blobs.append(pickle.dumps(task))
+        return real(task)
+
+    monkeypatch.setattr(evaluation, "_fold_task", pickling_task)
+    run_benchmark([ds], ["D3", "D7"], seed=1, runs=2,
+                  normalization="min_max_01")
+    assert "samples" not in ds.__dict__
+    # the Sample rows are a view, built on request and left out of a
+    # pickled task
+    assert ds.samples[3].features == tuple(ds.features[3].tolist())
+    run_benchmark([ds], ["D3", "D7"], seed=1, runs=2,
+                  normalization="min_max_01")
+    assert len(blobs) == 2 * 2 * 2
+    assert all(b"Sample" not in blob for blob in blobs)
+    sent = pickle.loads(blobs[-1])[0]
+    assert sent == ds and "samples" not in sent.__dict__
+    assert not sent.features.flags.writeable
 
 
 def test_serial_grid_normalizes_once_per_fold(monkeypatch):

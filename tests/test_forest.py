@@ -727,7 +727,8 @@ def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
         got = train_measures(graph.samples, codes)
         # the one fold call fits the same stacks, and times each measure
         queries = [s.features for s in graph.samples[:3]]
-        tested = opfdist.forest.fit_and_label(graph.samples, codes, queries)
+        tested = opfdist.forest.fit_and_label(graph.features, graph.labels,
+                                              codes, queries)
         assert len(got) == len(tested) == 47
         assert all(type(t) is float and t >= 0.0
                    for _, t_train, t_test in tested for t in (t_train, t_test))
@@ -873,7 +874,7 @@ def test_fit_and_label_equals_classify_batch(monkeypatch):
             monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", matrix_bytes)
             monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", entries)
             scans.clear()
-            got = fit_and_label(graph.samples, codes, queries)
+            got = fit_and_label(graph.features, graph.labels, codes, queries)
             assert [labels for labels, _, _ in got] == want, entries
             assert scans == scanned
             assert all(type(label) is int for labels, _, _ in got
@@ -881,11 +882,12 @@ def test_fit_and_label_equals_classify_batch(monkeypatch):
             assert all(type(t) is float and t >= 0.0 for _, t_train, t_test
                        in got for t in (t_train, t_test))
             assert [labels for labels, _, _ in
-                    fit_and_label(graph.samples, codes, [])] == [[]] * 47
+                    fit_and_label(graph.features, graph.labels, codes, [])
+                    ] == [[]] * 47
         monkeypatch.undo()
-    assert fit_and_label(graph.samples, [], queries) == []
+    assert fit_and_label(graph.features, graph.labels, [], queries) == []
     with pytest.raises(DimensionMismatch):
-        fit_and_label(graph.samples, codes, [[0.5]])
+        fit_and_label(graph.features, graph.labels, codes, [[0.5]])
 
 
 def test_train_measures_rejects_what_train_rejects():
@@ -1083,8 +1085,8 @@ def test_threaded_fit_and_label_gives_the_same_labels_forest_by_forest(
             monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
             scans.clear()
             with blocks.split(threads):
-                got = opfdist.forest.fit_and_label(graph.samples, codes,
-                                                   queries)
+                got = opfdist.forest.fit_and_label(
+                    graph.features, graph.labels, codes, queries)
             assert scans == codes
             assert [labels for labels, _, _ in got] == want, (path, threads)
 
@@ -1099,8 +1101,8 @@ def test_an_exception_in_a_thread_reaches_the_caller(monkeypatch):
     spy.fail = True
     # 30 x 30 entries: fit_and_label scans each forest alone, split over
     # the threads like classify_batch
-    for run in (lambda: opfdist.forest.fit_and_label(model.samples,
-                                                     ["D7", "D3"], features),
+    for run in (lambda: opfdist.forest.fit_and_label(
+                    model.features, model.labels, ["D7", "D3"], features),
                 lambda: classify_batch(model, features)):
         for threads in (2, 3):
             monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
