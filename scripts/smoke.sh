@@ -22,6 +22,9 @@ python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" 
 python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" --resume
 pin "$out/ex/cells.csv" df3ed5f06f6fdf2abee7a06268719db2c4b9bff03092b166c34908e9987bf976
 pin "$out/ex/summary_raw.csv" 418726002b7e7bc73bcce68363f6623c320f4b5d3fcda5224e4a6e4cf03ccf25
+pin "$out/ex/summary.csv" 7f6dd635d4aacbd00c06a51bdef9d308e3c6ee8819cd14c03962ab9b795dafb6
+pin "$out/ex/wilcoxon.csv" cda4a6c05b6efeb3030f882b4f827506a1be5ec6470e013d49f45f0097a0e15f
+pin "$out/ex/rank.csv" 6c8e2a02e523b282aefebbf56aabd816e16d445cf42e17df27e9afa00b8c21a0
 python -m opfdist.cli rank --cells "$out/ex/cells.csv"
 python -m opfdist.cli train --data configs/demo.csv --label-column label --has-header --distance D3 --normalization min_max_01 --out "$out/demo.opf"
 pin "$out/demo.opf" ee8c4c23fa09c8d4a180bf63a363b7e78e0a428987b06ce9911078a5331db5d9

@@ -34,7 +34,6 @@ from .dataio import (
     Dataset,
     ForestArchive,
     NormalizationSpec,
-    apply_normalization,
     apply_to_samples,
     fit_normalization,
     load_archive,

@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
     elapsed = time.perf_counter() - t0
     dataio.save_forest(model, spec, args.out, class_names=ds.class_names)
     print(f"samples = {len(model.features)}")
-    print(f"prototypes = {len(model.prototypes)}")
+    print(f"prototypes = {np.count_nonzero(model.preds < 0)}")
     print(f"distance = {code}")
     print(f"normalization = {spec.mode}")
     print(f"train_seconds = {elapsed:.6f}")

@@ -5,7 +5,9 @@ column by name or index) or svmlight/libsvm sparse lines
 (``<label> <index>:<value> ...`` with 1-based strictly ascending indices).
 Label tokens are mapped to contiguous 0-based integers in first-appearance
 order; the original strings are kept in ``Dataset.class_names``.  The rows
-are one float64 matrix, which ``fit_normalization`` and ``normalize`` read.
+are one float64 matrix, which ``fit_normalization`` and ``normalize`` read;
+a CSV file is read twice, to check and count its rows and then to parse
+them into that matrix, so that its fields are never held all at once.
 
 Model archive byte layout (all little-endian), format version 1:
 
@@ -34,8 +36,7 @@ payload::
 Array fields are numpy blocks of raw binary64 or integers, written from
 a forest's arrays with ``tobytes`` and read back as read-only
 ``frombuffer`` views, which the loaded forest keeps; a load thus
-reproduces a save bit for bit, and the forest's views give the same
-Python floats and ints.  The prototypes block is checked against the
+reproduces a save bit for bit.  The prototypes block is checked against the
 predecessors (-1 exactly at the prototypes) and not kept: a forest
 derives its prototypes from its predecessors.  Report writers use fixed
 column orders, fixed "\\n" line endings, and repr float formatting, so
@@ -76,8 +77,9 @@ from .errors import (
 @dataclass(frozen=True, eq=False, repr=False)
 class Dataset(forest._Arrays):
     """Named, validated samples: read-only float64 (n, d) ``features``, int64
-    ``labels`` (each of 0..n_classes-1 occurs) and positional ``ids``; the
-    ``Sample`` rows are an ``_Arrays`` view, which a pickle leaves out."""
+    ``labels`` (each of 0..n_classes-1 occurs, given as whole numbers) and
+    positional ``ids``; the ``Sample`` rows are an ``_Arrays`` view, which a
+    pickle leaves out and ``perfbench/wine.py`` reads."""
 
     name: str
     features: np.ndarray
@@ -86,8 +88,8 @@ class Dataset(forest._Arrays):
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        X = forest._frozen(self.features, np.float64)
-        labels = forest._frozen(self.labels, np.int64)
+        X, given = forest._frozen(self.features, np.float64), self.labels
+        labels, bad_label = forest._int_labels(given)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", labels)
         if not len(X):
@@ -99,13 +101,16 @@ class Dataset(forest._Arrays):
             raise DimensionMismatch("datasets need at least one feature")
         # the first bad row; a row's values are checked before its label
         bad_value = ~np.isfinite(X).all(axis=1)
-        bad = bad_value | (labels < 0) | (labels >= self.n_classes)
+        bad = bad_value | bad_label | (labels < 0) | (labels >= self.n_classes)
         if bad.any():
             i = int(bad.argmax())
             if bad_value[i]:
                 v = X[i][~np.isfinite(X[i])][0].item()
                 raise ParseError(
                     f"non-finite feature value {v!r} in sample id {i}")
+            if bad_label[i]:
+                raise ParseError(f"label {np.asarray(given)[i].item()!r} of "
+                                 f"sample id {i} is not a whole number")
             raise ParseError(
                 f"label {labels[i]} of sample id {i} outside "
                 f"0..{self.n_classes - 1}")
@@ -139,6 +144,13 @@ def _parse_feature(token: str, path, row: int, col: int) -> float:
     return v
 
 
+def _csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
+    """(1-based row number, fields) of each row of ``fh`` that has a
+    non-blank field."""
+    return ((i, row) for i, row in enumerate(csv.reader(fh), start=1)
+            if any(field.strip() for field in row))
+
+
 def load_csv(
     path: str | Path,
     label_column: str | int | None,
@@ -155,24 +167,24 @@ def load_csv(
     Rows and columns in error messages are 1-based file positions.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
-                if len(row) > 0 and any(field.strip() for field in row)]
     header: list[str] | None = None
-    if has_header:
-        if not rows:
-            raise EmptyFile("no rows at all", path=path)
-        header_row, header = rows[0][0], [f.strip() for f in rows[0][1]]
-        rows = rows[1:]
-    if not rows:
+    n = width = 0
+    # the first pass checks the widths and counts the data rows
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for line_no, row in _csv_rows(fh):
+            if has_header and header is None:
+                header_row, header = line_no, [f.strip() for f in row]
+                continue
+            if not n:
+                width = len(row)
+            elif len(row) != width:
+                raise RaggedRows(f"expected {width} fields, found {len(row)}",
+                                 path=path, row=line_no)
+            n += 1
+    if has_header and header is None:
+        raise EmptyFile("no rows at all", path=path)
+    if not n:
         raise EmptyFile("no data rows", path=path)
-
-    width = len(rows[0][1])
-    for line_no, row in rows:
-        if len(row) != width:
-            raise RaggedRows(
-                f"expected {width} fields, found {len(row)}",
-                path=path, row=line_no)
     if header is not None and len(header) != width:
         raise RaggedRows(f"header has {len(header)} fields, rows {width}",
                          path=path, row=header_row)
@@ -203,14 +215,20 @@ def load_csv(
     if not feature_cols:
         raise ParseError("no feature columns besides the label", path=path)
 
-    feats = np.empty((len(rows), len(feature_cols)))
-    for i, (line_no, row) in enumerate(rows):
-        feats[i] = [_parse_feature(row[c].strip(), path, line_no, c + 1)
-                    for c in feature_cols]
-
-    # an unlabeled file is one class without a name
-    labels, names = _map_labels([
-        "" if label_idx is None else row[label_idx].strip() for _, row in rows])
+    # the second parses each row into its row of the matrix
+    feats = np.empty((n, len(feature_cols)))
+    tokens = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = _csv_rows(fh)
+        if header is not None:
+            next(rows)
+        for out, (line_no, row) in zip(feats, rows):
+            out[:] = [_parse_feature(row[c].strip(), path, line_no, c + 1)
+                      for c in feature_cols]
+            # an unlabeled file is one class without a name
+            tokens.append("" if label_idx is None else row[label_idx].strip())
+    labels, names = _map_labels(tokens)
+    feats.flags.writeable = False  # frozen here, the Dataset keeps it uncopied
     return Dataset(name or path.stem, feats, labels, len(names),
                    None if label_idx is None else names)
 
@@ -269,6 +287,7 @@ def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
     for i, (_, pairs) in enumerate(entries):
         for idx, v in pairs:
             feats[i, idx - 1] = v
+    feats.flags.writeable = False
     return Dataset(name or path.stem, feats, labels, len(class_names),
                    class_names)
 
@@ -288,9 +307,10 @@ class NormalizationSpec:
 
 
 def fit_normalization(train, mode: str) -> NormalizationSpec:
-    """``mode`` fitted on an (n, d) matrix or on ``Sample`` rows: min_max_01
-    keeps each column's minimum and maximum, and of -0.0 and +0.0 the first
-    in row order, as a scan replacing a bound on a strict < or > does."""
+    """``mode`` fitted on an (n, d) matrix or on ``Sample`` rows (as
+    ``perfbench/wine.py`` fits its folds): min_max_01 keeps each column's
+    minimum and maximum, and of -0.0 and +0.0 the first in row order, as a
+    scan replacing a bound on a strict < or > does."""
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if len(train) == 0:
@@ -332,17 +352,11 @@ def normalize(spec: NormalizationSpec, X) -> np.ndarray:
     return t
 
 
-def apply_normalization(
-    spec: NormalizationSpec, v: Sequence[float]
-) -> tuple[float, ...]:
-    """``normalize`` of one vector, as a tuple."""
-    return tuple(normalize(spec, v).tolist())
-
-
 def apply_to_samples(
     spec: NormalizationSpec, samples: Sequence[forest.Sample]
 ) -> list[forest.Sample]:
-    """``normalize`` of ``Sample`` rows, as rows with their labels and ids."""
+    """``normalize`` of ``Sample`` rows, as rows with their labels and ids,
+    for the folds of ``perfbench/wine.py``."""
     if spec.mode == "none" or not samples:
         return list(samples)
     X = normalize(spec, [s.features for s in samples]).tolist()

@@ -13,9 +13,9 @@ A ``TrainingGraph`` and a ``TrainedForest`` hold arrays: a read-only
 float64 (n, d) feature matrix and int64 labels and ids, which a forest
 shares with its graph, and a forest's read-only (n,) fit arrays
 ``costs``, ``preds`` (-1 at the prototypes), ``root_labels`` and
-``order``.  Training, ``classify_batch``, the archive, ``==`` and
-``hash`` read the arrays; the ``Sample`` rows and the tuple fields of
-earlier versions are views built on first read (``_Arrays``).
+``order``, which are all that the package reads.  The ``Sample`` rows
+(``samples``), a forest's ``cost`` tuple and its ``prototypes`` frozenset
+are views built on first read, for ``perfbench/``.
 
 The distance matrix and ``classify_batch`` read their arcs from the
 measures' block kernels (``distances.pairwise``), which equal the
@@ -26,8 +26,7 @@ chunks of nodes against the queries still open, reading their arcs
 through ``arcs(r0, r1, active)``, and closes a query once the next
 chunk's first cost reaches its best offer; its node features and costs
 in scan order are built once per forest, on first use.  Single-query
-``classify`` is a batch of one, on the numpy block kernels, and reads
-its answer from the cached tuple views.  The full
+``classify`` is a batch of one, on the numpy block kernels.  The full
 scan and the early exit return the same cost, label and conqueror, so
 ``early_exit`` never changes a result.
 
@@ -182,7 +181,7 @@ class Sample:
     ``id`` is carried for traceability back to the source dataset; graph
     algorithms address samples by position.  A dataset, a graph and a
     forest hold their samples as arrays and give them as ``Sample`` rows
-    on request (``samples``).
+    on request (``samples``), which ``perfbench/wine.py`` reads.
     """
 
     features: tuple[float, ...]
@@ -233,6 +232,15 @@ def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
     return X
 
 
+def _int_labels(labels) -> tuple[np.ndarray, np.ndarray]:
+    """``labels`` as a read-only int64 array, and the mask of those that
+    the cast changed: the labels that are not whole numbers (NaN included)."""
+    given = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast unwarned
+        cast = _frozen(given, np.int64)
+    return cast, cast != given
+
+
 class _Arrays:
     """What a dataset, a graph and a forest share: read-only ``features``
     (n, d) float64 and ``labels`` and ``ids`` (n,) int64.  Equality, hash,
@@ -271,6 +279,7 @@ class _Arrays:
 
     @cached_property
     def samples(self) -> tuple[Sample, ...]:
+        # read by perfbench/wine.py's folds and perfbench/synthetic.py
         return tuple(map(Sample, map(tuple, self.features.tolist()),
                          self.labels.tolist(), self.ids.tolist()))
 
@@ -280,10 +289,12 @@ class TrainingGraph(_Arrays):
     """Complete graph over training samples under one distance measure.
 
     ``TrainingGraph(samples, distance)`` converts the ``Sample`` rows once
-    and keeps them as its ``samples``; ``graph_from_arrays`` builds one
-    from a feature matrix and labels without making rows.  Either way it
-    needs at least 2 samples (ValueError) of one dim d >= 1
-    (DimensionMismatch) and of at least two labels (SingleClass).
+    and keeps them as its ``samples`` (``perfbench/wine.py`` fits its
+    traced folds so); ``graph_from_arrays`` builds one from a feature
+    matrix and labels without making rows.  Either way it needs at least 2
+    samples (ValueError) of one dim d >= 1 (DimensionMismatch), one label
+    per sample (DimensionMismatch), each a whole number (ValueError naming
+    the sample id), and at least two labels (SingleClass).
     """
 
     features: np.ndarray
@@ -300,7 +311,15 @@ class TrainingGraph(_Arrays):
         object.__setattr__(self, "samples", samples)
 
     def _init(self, X: np.ndarray, labels, ids, distance) -> None:
-        labels = _frozen(labels, np.int64)
+        given = labels
+        labels, bad = _int_labels(labels)
+        if labels.shape != X.shape[:1]:
+            raise DimensionMismatch(
+                f"labels of shape {labels.shape} are not one per sample")
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"label {np.asarray(given)[i].item()!r} of "
+                             f"sample id {ids[i]} is not a whole number")
         if not (labels != labels[0]).any():
             raise SingleClass("training data contains a single class label")
         for name, value in (("features", X), ("labels", labels),
@@ -342,12 +361,9 @@ class TrainedForest(_Arrays):
     the label of the tree that conquered each node) and ``order`` (int64,
     node indices in the non-decreasing cost order they were settled).
 
-    Their tuple forms are views of plain Python scalars, each built on
-    first read and then kept: ``cost``, ``predecessor`` (None at the
-    prototypes), ``root_label``, ``ordered_nodes``, ``prototypes`` (a
-    frozenset) and ``samples``.  Training, ``classify_batch``,
-    ``save_forest``, ``==`` and ``hash`` build none of them; single-query
-    ``classify`` reads ``ordered_nodes`` and ``root_label``.
+    ``cost`` (a tuple), ``prototypes`` (a frozenset) and ``samples`` are
+    views of plain Python scalars, each built on first read and then
+    kept, for ``perfbench/``; nothing in the package reads them.
     """
 
     features: np.ndarray
@@ -368,22 +384,12 @@ class TrainedForest(_Arrays):
 
     @cached_property
     def cost(self) -> tuple[float, ...]:
+        # read by perfbench/common.py's scan fraction
         return tuple(self.costs.tolist())
 
     @cached_property
-    def predecessor(self) -> tuple[int | None, ...]:
-        return tuple(None if p < 0 else p for p in self.preds.tolist())
-
-    @cached_property
-    def root_label(self) -> tuple[int, ...]:
-        return tuple(self.root_labels.tolist())
-
-    @cached_property
-    def ordered_nodes(self) -> tuple[int, ...]:
-        return tuple(self.order.tolist())
-
-    @cached_property
     def prototypes(self) -> frozenset[int]:
+        # read by perfbench/synthetic.py and perfbench/wine.py's checks
         return frozenset(np.flatnonzero(self.preds < 0).tolist())
 
     @cached_property
@@ -396,7 +402,7 @@ class TrainedForest(_Arrays):
         every scan shares them; threads racing on the first use build
         equal arrays.
         """
-        nodes, cost = _scan_arrays(self, self.features)
+        nodes, cost = _scan_arrays(self)
         nodes.flags.writeable = cost.flags.writeable = False
         return nodes, cost
 
@@ -410,13 +416,12 @@ class Prediction:
     conqueror: int
 
 
-def _scan_arrays(forest: TrainedForest,
-                 X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What ``classify_batch`` scans, from the forest's feature matrix X:
-    the node features, feature-major (d, n) so that a chunk of all nodes
-    reaches the block kernel without a copy, and the node costs, both in
-    ``order``."""
-    return X.T.take(forest.order, axis=1), forest.costs[forest.order]
+def _scan_arrays(forest: TrainedForest) -> tuple[np.ndarray, np.ndarray]:
+    """What ``classify_batch`` scans: the node features, feature-major
+    (d, n) so that a chunk of all nodes reaches the block kernel without a
+    copy, and the node costs, both in ``order``."""
+    order = forest.order
+    return forest.features.T.take(order, axis=1), forest.costs[order]
 
 
 def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
@@ -656,13 +661,15 @@ def _fit_stacks(graph: TrainingGraph,
 
 
 def train_measures(
-    samples: Sequence[Sample],
+    features: Sequence[Sequence[float]],
+    labels: Sequence[int],
     measures: Sequence[distances.DistanceId | str],
 ) -> list[TrainedForest]:
-    """One forest per measure on the same samples, in ``measures`` order.
+    """One forest per measure on the ``graph_from_arrays`` graph of
+    ``features`` and ``labels``, in ``measures`` order.
 
-    Each result equals ``train(TrainingGraph(samples, m))`` field for
-    field.  The samples are validated and converted to arrays once.  The
+    Each result equals ``train(graph_from_arrays(features, labels, m))``
+    field for field.  The rows are validated and converted once.  The
     measures' matrices are filled into stacks of as many matrices as fit
     in ``_MATRIX_BYTES``, sharing their sums, and Prim and the competition
     run once per stack.  When not even one matrix fits, each measure is
@@ -671,7 +678,7 @@ def train_measures(
     measures = [distances.resolve(m) for m in measures]
     if not measures:
         return []
-    graph = TrainingGraph(samples, measures[0])
+    graph = graph_from_arrays(features, labels, measures[0])
     return [f for fits in _fit_stacks(graph, measures) for f in fits]
 
 
@@ -691,10 +698,8 @@ def classify(
     # then keeps 3x as many, which grew wine-grid's peak RSS by about 35%:
     # single queries stay on numpy until that client keeps only what it
     # checks (ROADMAP items 1 and 9).  Both paths give the same bits.
-    first, best = _classify(forest, [query], early_exit, _numpy_pairwise)
-    # the cached tuples: a query reads two entries, not two arrays
-    who = forest.ordered_nodes[first.item()]
-    return Prediction(forest.root_label[who], best.item(), who)
+    (prediction,) = _classify(forest, [query], early_exit, _numpy_pairwise)
+    return prediction
 
 
 def _numpy_pairwise(measure, A, B) -> np.ndarray:
@@ -709,7 +714,7 @@ def classify_batch(
 ) -> list[Prediction]:
     """Classify queries independently; order preserved.
 
-    Nodes are scored in ``ordered_nodes`` order with the measure's block
+    Nodes are scored in ``order`` with the measure's block
     kernel, one chunk of rows at a time against the queries still open,
     each chunk holding about ``_BLOCK_ENTRIES`` entries.  A query's best
     offer changes only on a strict improvement, so the first node that
@@ -721,44 +726,51 @@ def classify_batch(
     over the threads, each scanned in chunks of ``_BLOCK_ENTRIES`` //
     threads entries (see the module docstring).
     """
-    first, best = _classify(forest, queries, early_exit, distances.pairwise)
+    return _classify(forest, queries, early_exit, distances.pairwise)
+
+
+def _classify(forest: TrainedForest, queries: Sequence[Sequence[float]],
+              early_exit: bool, pairwise) -> list[Prediction]:
+    """The predictions of ``_scan_nodes`` of the queries over the forest's
+    ``_scan``, with the block kernel ``pairwise(measure, A, B)``."""
+    Q = _query_matrix(forest, queries)
+    if not len(Q):
+        return []
+    first, best = _scan_nodes(forest, forest._scan, Q, early_exit, pairwise)
     who = forest.order[first]
     return list(map(Prediction, forest.root_labels[who].tolist(),
                     best.tolist(), who.tolist()))
 
 
-def _classify(forest: TrainedForest, queries: Sequence[Sequence[float]],
-              early_exit: bool, pairwise) -> tuple[np.ndarray, np.ndarray]:
-    """``_scan_queries`` of the queries over the forest's ``_scan``, with
-    the block kernel ``pairwise(measure, A, B)``: each query's winning
-    scan position and its offer."""
-    Q = _query_matrix(forest, queries)
-    if not len(Q):
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    nodes, cost = forest._scan
-    return _scan_queries(
-        cost, len(Q), _node_arcs(forest.distance, nodes, Q, pairwise),
-        early_exit)
-
-
-def _node_arcs(measure: distances.DistanceId, nodes: np.ndarray,
-               Q: np.ndarray, pairwise):
-    """``arcs`` for ``_scan_queries`` from the block kernel
-    ``pairwise(measure, A, B)``, over the (d, n) node features of
-    ``_scan_arrays`` and the query rows Q."""
-    return lambda r0, r1, active: pairwise(measure, nodes[:, r0:r1].T,
-                                           Q[active])
+def _scan_nodes(forest: TrainedForest, scan: tuple[np.ndarray, np.ndarray],
+                Q: np.ndarray, early_exit: bool, pairwise):
+    """``_scan_queries`` of the query rows Q over ``scan``, the forest's
+    ``_scan_arrays``, with the block kernel ``pairwise(measure, A, B)``."""
+    nodes, cost = scan
+    return _scan_queries(cost, len(Q), lambda r0, r1, active: pairwise(
+        forest.distance, nodes[:, r0:r1].T, Q[active]), early_exit)
 
 
 def _query_matrix(forest: TrainedForest,
                   queries: Sequence[Sequence[float]]) -> np.ndarray:
-    queries = list(queries)
-    for q in queries:
-        if len(q) != forest.n_features:
-            raise DimensionMismatch(
-                f"query has dim {len(q)}, model expects {forest.n_features}")
-    return np.array(queries, dtype=np.float64).reshape(len(queries),
-                                                       forest.n_features)
+    """The queries as one (m, d) float64 ``np.asarray``: a float64 matrix,
+    read-only or not, is not copied.  A lone vector, ragged rows and rows
+    of another width than the model's raise DimensionMismatch."""
+    d = forest.n_features
+    try:
+        Q = np.asarray(queries, dtype=np.float64)
+    except ValueError:
+        # numpy refuses ragged rows: name the first of another width
+        for q in queries:
+            if len(q) != d:
+                raise DimensionMismatch(
+                    f"query has dim {len(q)}, model expects {d}") from None
+        raise
+    if len(Q) and Q.shape[1:] != (d,):
+        raise DimensionMismatch(
+            f"query has dim {Q.shape[1]}, model expects {d}" if Q.ndim == 2
+            else f"queries of shape {Q.shape} are not one row per query")
+    return Q.reshape(len(Q), d)  # no queries at all: (0, d)
 
 
 def _scan_queries(cost: np.ndarray, m: int, arcs,
@@ -827,22 +839,22 @@ def _scan_group(cost: np.ndarray, arcs, early_exit: bool, entries: int,
                     active = active[keep]
 
 
-def _labels(forest: TrainedForest, X: np.ndarray, Q: np.ndarray,
+def _labels(forest: TrainedForest, Q: np.ndarray,
             rect: np.ndarray | None) -> list[int]:
     """The labels ``classify_batch`` gives the query rows Q: from the
     forest's whole node x query rectangle ``rect``, rows in sample order,
-    when given; otherwise by the early-exit scan over ``_scan_arrays``
-    built from its feature matrix X, which live only in this call."""
+    when given; otherwise by its early-exit scan (``_scan_nodes``) over
+    ``_scan_arrays``, which live only in this call."""
     order = forest.order
     if rect is None:
-        nodes, cost = _scan_arrays(forest, X)
-        arcs = _node_arcs(forest.distance, nodes, Q, distances.pairwise)
+        first, _ = _scan_nodes(forest, _scan_arrays(forest), Q, True,
+                               distances.pairwise)
     else:
         cost, rect = forest.costs[order], rect[order]
 
         def arcs(r0, r1, active):
             return rect[r0:r1, active]
-    first, _ = _scan_queries(cost, len(Q), arcs, True)
+        first, _ = _scan_queries(cost, len(Q), arcs, True)
     return forest.root_labels[order[first]].tolist()
 
 
@@ -888,7 +900,7 @@ def fit_and_label(
         chunk = forests[c0:c0 + height]
         rects = (distances.pairwise_many([f.distance for f in chunk], X, Q)
                  if whole else [None])
-        tested += [_labels(f, X, Q, r) for f, r in zip(chunk, rects)]
+        tested += [_labels(f, Q, r) for f, r in zip(chunk, rects)]
         now = time.perf_counter()
         test_s += [(now - start) / len(chunk)] * len(chunk)
         start = now

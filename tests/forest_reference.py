@@ -134,11 +134,11 @@ def full_scan_reference(forest, kernel, query):
     scan every node in order, keep the first strict minimum."""
     best = math.inf
     who = -1
-    for s in forest.ordered_nodes:
+    for s in forest.order.tolist():
         cs = forest.cost[s]
         d = kernel(forest.samples[s].features, query)
         offer = cs if cs >= d else d
         if offer < best:
             best = offer
             who = s
-    return forest.root_label[who], best, who
+    return forest.root_labels.tolist()[who], best, who

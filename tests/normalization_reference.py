@@ -1,7 +1,7 @@
 """Scalar reference for min-max normalization.
 
-The per-value loops that ``fit_normalization`` and ``apply_normalization``
-ran over Python floats before normalization became array code.  The
+The per-value loops that min-max normalization ran over Python floats
+before it became array code.  The
 library's ``fit_normalization`` and ``normalize`` must reproduce them bit
 for bit, signed zeros and NaN included.
 """

@@ -1011,3 +1011,18 @@ def test_ci_workflow_commands_parse_and_name_existing_paths():
             "tests/test_kernels.py"} <= paths
     missing = sorted(p for p in paths if not (REPO / p).exists())
     assert not missing, missing
+
+
+# --- README's Python examples -------------------------------------------------
+
+def test_readme_python_examples_run(monkeypatch, capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 4
+    # the examples name their files relative to the repository root
+    monkeypatch.chdir(REPO)
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md, python block {i}", "exec"), {})
+        out = capsys.readouterr().out
+        if i == 1:
+            assert out == "0 0.9 1\n"

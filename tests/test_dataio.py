@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from opfdist import (
     BenchmarkMatrix,
     Sample,
     TrainingGraph,
-    apply_normalization,
     apply_to_samples,
     fit_normalization,
     friedman_nemenyi,
@@ -124,6 +124,54 @@ def test_csv_header_width_must_equal_the_rows(tmp_path, text, row):
         load_csv(p, label_column="label", has_header=True)
     assert str(err.value).startswith("header has ")
     assert f"row {row}" in str(err.value)
+
+
+# Each fault is reported as it was when the whole file was read first: a
+# width, a header or a label column fault before any value fault.
+@pytest.mark.parametrize("text, label_column, has_header, error, message", [
+    ("1,oops,A\n1,2\n", -1, False, RaggedRows,
+     "expected 3 fields, found 2 ({path}, row 2)"),
+    ("a,b,label\n1,oops\n3,4\n", "label", True, RaggedRows,
+     "header has 3 fields, rows 2 ({path}, row 1)"),
+    ("1,oops,A\n", 5, False, ParseError,
+     "label column index 5 outside row width 3 ({path})"),
+    ("x,y,target\n1,oops,A\n", "label", True, ParseError,
+     "label column 'label' not in header ['x', 'y', 'target'] ({path})"),
+    ("\n  ,\n", "label", True, EmptyFile, "no rows at all ({path})"),
+    ("1,2,A\n\n1,oops,B\n", -1, False, NonNumericFeature,
+     "feature value 'oops' is not a number ({path}, row 3, column 2)"),
+    ('"1\n2",3,A\n4,5,B\n', -1, False, NonNumericFeature,
+     "feature value '1\\n2' is not a number ({path}, row 1, column 1)"),
+    ("x,y\n1,inf\n", None, True, ParseError,
+     "non-finite feature value 'inf' ({path}, row 2, column 2)"),
+], ids=["width", "header", "label-index", "label-name", "blank-only",
+        "blank-row-counts", "quoted-newline", "non-finite"])
+def test_csv_faults_keep_their_order_and_messages(tmp_path, text,
+                                                  label_column, has_header,
+                                                  error, message):
+    p = tmp_path / "f.csv"
+    p.write_text(text)
+    with pytest.raises(error) as err:
+        load_csv(p, label_column, has_header)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(path=p)
+
+
+def test_load_csv_never_holds_the_whole_file_as_strings(tmp_path):
+    rng = np.random.default_rng(29)
+    X = rng.uniform(-1.0, 1.0, (300, 100))
+    p = tmp_path / "wide.csv"
+    p.write_text("".join(",".join(map(repr, row)) + f",c{i % 3}\n"
+                         for i, row in enumerate(X.tolist())))
+    tracemalloc.start()
+    try:
+        ds = load_csv(p, label_column=-1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ds.features == X).all() and ds.n_classes == 3
+    # the rows' fields as strings would take about 9x the matrix
+    assert peak < 3 * X.nbytes, (peak, X.nbytes)
 
 
 def test_csv_non_numeric_feature_reports_location(tmp_path):
@@ -261,14 +309,34 @@ def test_svmlight_empty_and_malformed(tmp_path):
      "dataset 'synthetic' declares 2 classes but only 1 occur"),
     ([[0.0], [1.0]], [0, 1], {"class_names": ("a",)}, ParseError,
      "class_names length disagrees with n_classes"),
+    ([[0.0], [1.0]], [[0, 1], [1, 0]], {"n_classes": 2}, DimensionMismatch,
+     "features of shape (2, 1) and labels of shape (2, 2)"),
+    # a cast would truncate these: 0.7 and 1.7 would read 0 and 1
+    ([[0.0], [1.0]], [0.7, 1.7], {"n_classes": 2}, ParseError,
+     "label 0.7 of sample id 0 is not a whole number"),
+    ([[0.0], [1.0], [2.0]], [0.0, 1.0, math.nan], {"n_classes": 2},
+     ParseError, "label nan of sample id 2 is not a whole number"),
+    ([[math.nan], [1.0]], [0.5, 1.0], {"n_classes": 2}, ParseError,
+     "non-finite feature value nan in sample id 0"),
 ], ids=["no-samples", "no-features", "nan", "inf", "label-above",
-        "label-below", "first-bad-row", "class-missing", "class-names"])
+        "label-below", "first-bad-row", "class-missing", "class-names",
+        "labels-2d", "label-fraction", "label-nan", "values-before-label"])
 def test_dataset_rejects_with_type_and_message(features, labels, kw, error,
                                                message):
     with pytest.raises(error) as err:
         make_dataset(features, labels, **kw)
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_dataset_takes_whole_number_float_labels():
+    X = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([0, 1, 1])
+    ds = make_dataset(X, y.astype(float), n_classes=2)
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+    assert ds == make_dataset(X, y, n_classes=2)
+    with pytest.raises(ParseError, match="^label 0.7 of sample id 0 is not"):
+        make_dataset(X, y + 0.7, n_classes=2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,35 +362,27 @@ def test_min_max_maps_training_range_onto_unit_interval():
     spec = fit_normalization(train_samples, "min_max_01")
     assert spec.feature_min == (0.0, 10.0)
     assert spec.feature_max == (4.0, 20.0)
-    assert apply_normalization(spec, (0.0, 10.0)) == (0.0, 0.0)
-    assert apply_normalization(spec, (4.0, 20.0)) == (1.0, 1.0)
-    assert apply_normalization(spec, (2.0, 15.0)) == (0.5, 0.5)
+    assert normalize(spec, (0.0, 10.0)).tolist() == [0.0, 0.0]
+    assert normalize(spec, (4.0, 20.0)).tolist() == [1.0, 1.0]
+    assert normalize(spec, (2.0, 15.0)).tolist() == [0.5, 0.5]
     # out-of-range values clamp instead of leaking outside [0, 1]
-    assert apply_normalization(spec, (-5.0, 100.0)) == (0.0, 1.0)
+    assert normalize(spec, (-5.0, 100.0)).tolist() == [0.0, 1.0]
 
 
 def test_constant_feature_normalizes_to_zero():
     from opfdist.forest import Sample
     train_samples = [Sample((3.0, 1.0), 0, 0), Sample((3.0, 2.0), 1, 1)]
     spec = fit_normalization(train_samples, "min_max_01")
-    assert apply_normalization(spec, (3.0, 1.5)) == (0.0, 0.5)
-    assert apply_normalization(spec, (99.0, 1.0))[0] == 0.0
+    assert normalize(spec, (3.0, 1.5)).tolist() == [0.0, 0.5]
+    assert normalize(spec, (99.0, 1.0))[0] == 0.0
 
 
 def test_none_mode_is_identity():
     from opfdist.forest import Sample
     spec = fit_normalization([Sample((1.0, 2.0), 0, 0)], "none")
-    assert apply_normalization(spec, (7.5, -3.0)) == (7.5, -3.0)
+    assert normalize(spec, (7.5, -3.0)).tolist() == [7.5, -3.0]
     out = apply_to_samples(spec, [Sample((1.0, 2.0), 0, 0)])
     assert out[0].features == (1.0, 2.0)
-
-
-def test_apply_normalization_rejects_wrong_dimension():
-    from opfdist.forest import Sample
-    spec = fit_normalization(
-        [Sample((1.0, 2.0), 0, 0), Sample((2.0, 3.0), 1, 1)], "min_max_01")
-    with pytest.raises(DimensionMismatch):
-        apply_normalization(spec, (1.0,))
 
 
 def test_apply_to_samples_preserves_labels_and_ids():
@@ -406,15 +466,14 @@ def test_normalize_equals_the_scalar_reference_bit_for_bit():
         assert not got.flags.writeable
         assert _bits(got) == _bits(want), rows
         assert _bits(normalize(fitted, rows[0])) == _bits(want[0])
-        assert _bits([apply_normalization(fitted, r) for r in rows]) \
-            == _bits(want)
+        assert _bits([normalize(fitted, r) for r in rows]) == _bits(want)
         assert _bits([s.features for s in apply_to_samples(
             fitted, [Sample(r, 0, 0) for r in rows])]) == _bits(want)
 
 
 def test_normalize_checks_the_row_width():
     spec = fit_normalization(np.array([[0.0, 1.0], [1.0, 3.0]]), "min_max_01")
-    for bad in ([[1.0]], [1.0, 2.0, 3.0], np.zeros((0, 3))):
+    for bad in ([[1.0]], (1.0,), [1.0, 2.0, 3.0], np.zeros((0, 3))):
         with pytest.raises(DimensionMismatch):
             normalize(spec, bad)
     assert normalize(spec, np.zeros((0, 2))).shape == (0, 2)
@@ -445,8 +504,8 @@ def test_archive_round_trip_is_exact(tmp_path):
     assert arc.normalization == spec
     assert arc.forest == forest
     assert arc.forest.cost == forest.cost
-    assert arc.forest.ordered_nodes == forest.ordered_nodes
-    assert arc.forest.predecessor == forest.predecessor
+    assert (arc.forest.order == forest.order).all()
+    assert (arc.forest.preds == forest.preds).all()
     loaded_forest, loaded_spec = load_forest(path)
     assert loaded_forest == forest
     assert loaded_spec == spec
@@ -499,12 +558,9 @@ def test_archive_bytes_match_format_v1_golden_digests(tmp_path, mode, names):
     if mode == "min_max_01":
         floats += [*arc.normalization.feature_min, *arc.normalization.feature_max]
     ints = ([s.label for s in loaded.samples] + [s.id for s in loaded.samples]
-            + [v for v in loaded.predecessor if v is not None]
-            + list(loaded.root_label) + list(loaded.ordered_nodes)
             + list(loaded.prototypes))
     assert {type(v) for v in floats} == {float}
     assert {type(v) for v in ints} == {int}
-    assert None in loaded.predecessor
     assert type(loaded.samples[0].features) is tuple
     assert type(loaded.cost) is tuple
 
@@ -573,7 +629,7 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
     pred_at = ordered_at - 16 * n
     cost_at = pred_at - 8 * n
     protos_at = cost_at - 4 * len(protos)
-    first, mid, last = (forest.ordered_nodes[i] for i in (0, 2, 3))
+    first, mid, last = (forest.order.tolist()[i] for i in (0, 2, 3))
     assert forest.cost[first] < forest.cost[mid] < forest.cost[last]
 
     def put(fmt, offset, *vals):
@@ -593,7 +649,7 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
         (put("I", 0, 0), size),
         (put("I", 4, 0), size),
         (put("I", ordered_at, 99), order),
-        (put("I", ordered_at, forest.ordered_nodes[1]), order),
+        (put("I", ordered_at, forest.order.tolist()[1]), order),
         (put("2I", protos_at, protos[1], protos[0]), proto),
         (put("2I", protos_at, protos[0], protos[0]), proto),
         (put("I", protos_at + 4, n), proto),

@@ -105,6 +105,13 @@ GRAPH_ERRORS = [
      "sample id {2} has dim 1, expected 2"),
     ([[1.0], [2.0]], [0, 0], SingleClass,
      "training data contains a single class label"),
+    ([[1.0], [2.0]], [[0, 1], [1, 0]], DimensionMismatch,
+     "labels of shape (2, 2) are not one per sample"),
+    # a cast would truncate these, merging classes
+    ([[1.0], [2.0], [3.0]], [0, 1.5, 1], ValueError,
+     "label 1.5 of sample id {1} is not a whole number"),
+    ([[1.0], [2.0], [3.0]], [0, 1, math.nan], ValueError,
+     "label nan of sample id {2} is not a whole number"),
 ]
 
 
@@ -123,10 +130,32 @@ def test_graph_errors_keep_their_types_and_messages(features, labels, error,
         TrainingGraph(tuple(Sample(tuple(f), l, i)
                             for f, l, i in zip(features, labels, ids)),
                       resolve("D3"))
-    with raises(ids):
-        train_measures([Sample(tuple(f), l, i)
-                        for f, l, i in zip(features, labels, ids)],
-                       ["D3", "D7"])
+    with raises(range(len(features))):
+        train_measures(features, labels, ["D3", "D7"])
+
+
+def test_labels_must_be_one_whole_number_per_row():
+    X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+    y = np.array([0, 1, 1, 0])
+    # whole-number floats are taken as their integers
+    assert graph_from_arrays(X, y.astype(float), "D3") \
+        == graph_from_arrays(X, y, "D3")
+    want = opfdist.forest.fit_and_label(X, y, ["D3"], X)
+    assert opfdist.forest.fit_and_label(X, y.astype(float), ["D3"], X)[0][0] \
+        == want[0][0]
+    for labels, error, message in (
+            (np.stack([y, y], axis=1), DimensionMismatch,
+             "labels of shape (4, 2) are not one per sample"),
+            (y + 0.5, ValueError,
+             "label 0.5 of sample id 0 is not a whole number"),
+            (np.where(y == 1, np.inf, 0.0), ValueError,
+             "label inf of sample id 1 is not a whole number")):
+        for fit in (lambda: graph_from_arrays(X, labels, "D3"),
+                    lambda: opfdist.forest.fit_and_label(
+                        X, labels, ["D3", "D7"], X),
+                    lambda: train_measures(X, labels, ["D3"])):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                fit()
 
 
 def test_graph_from_arrays_checks_lengths_first_and_copies_writeable_input():
@@ -150,9 +179,9 @@ def test_graph_from_arrays_checks_lengths_first_and_copies_writeable_input():
     assert g == graph_from_arrays([[0, 1], [2, 3], [4, 5]], [0, 1, 1], "D3")
 
 
-# A forest's cached views: the tuple fields it held before its arrays.
-CACHED_VIEWS = ("samples", "cost", "predecessor", "root_label",
-                "ordered_nodes", "prototypes")
+# A forest's cached views: the tuple fields it held before its arrays,
+# kept for the rows that perfbench reads.
+CACHED_VIEWS = ("samples", "cost", "prototypes")
 
 
 def _views_built(model) -> set[str]:
@@ -173,7 +202,7 @@ def test_forest_views_are_python_scalars_built_on_first_read(
         classify_batch(model, features[:9], early_exit=False)
         save_forest(model, NormalizationSpec("none"), tmp_path / "m.opf")
         assert model == twin and hash(model) == hash(twin)
-        (other,) = train_measures(graph.samples, ["D7"])
+        (other,) = train_measures(features, labels, ["D7"])
         assert other == model
         assert not _views_built(model) and not _views_built(other), path
         # the arrays: read-only, of the documented dtypes
@@ -183,17 +212,15 @@ def test_forest_views_are_python_scalars_built_on_first_read(
                             ("order", np.int64)):
             a = getattr(model, name)
             assert a.dtype == dtype and not a.flags.writeable, (path, name)
-        # a single query reads the cached scan-order tuples
+        # a single query reads the arrays too
         classify(model, features[0])
-        assert _views_built(model) == {"ordered_nodes", "root_label"}
+        assert not _views_built(model), path
         # the views: plain Python scalars, built once and kept
         _assert_python_scalars(model)
         assert {type(v) for s in model.samples for v in s.features} == {float}
         assert {type(v) for s in model.samples for v in (s.label, s.id)} \
             == {int}
         assert type(model.n_features) is int and model.n_features == 3
-        assert model.prototypes == {i for i, p in enumerate(model.predecessor)
-                                    if p is None}
         assert model.prototypes == set(np.flatnonzero(model.preds < 0))
         assert model.samples == graph.samples
         for name in CACHED_VIEWS:
@@ -251,13 +278,15 @@ def test_scan_equals_scan_arrays_of_the_sample_matrix(monkeypatch):
         for code in ("D3", "D33", "D46"):
             model = train(graph_from_arrays(features, labels, code))
             nodes, cost = model._scan
-            # the matrix a fit used to rebuild from the Sample rows
-            X = np.array([s.features for s in model.samples])
-            want_nodes, want_cost = opfdist.forest._scan_arrays(model, X)
+            # the matrix a fit used to rebuild from the Sample rows, in
+            # scan order, feature-major
+            order = model.order.tolist()
+            want_nodes = np.array([model.samples[i].features
+                                   for i in order]).T
+            want_cost = np.array([model.cost[i] for i in order])
             assert nodes.shape == (4, 50) and cost.shape == (50,)
             assert (nodes.view(np.uint64) == want_nodes.view(np.uint64)).all()
             assert (cost.view(np.uint64) == want_cost.view(np.uint64)).all()
-            assert cost.tolist() == [model.cost[i] for i in model.ordered_nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +330,9 @@ def test_line_graph_full_training_trace():
     forest = train(line_graph())
     assert forest.prototypes == {1, 2}
     assert forest.cost == (1.0, 0.0, 0.0, 1.0)
-    assert forest.predecessor == (1, None, None, 2)
-    assert forest.root_label == (0, 0, 1, 1)
-    assert forest.ordered_nodes == (1, 2, 0, 3)
+    assert forest.preds.tolist() == [1, -1, -1, 2]
+    assert forest.root_labels.tolist() == [0, 0, 1, 1]
+    assert forest.order.tolist() == [1, 2, 0, 3]
 
 
 def test_two_sample_graph_trains_to_zero_costs():
@@ -311,8 +340,8 @@ def test_two_sample_graph_trains_to_zero_costs():
     forest = train(g)
     assert forest.prototypes == {0, 1}
     assert forest.cost == (0.0, 0.0)
-    assert forest.ordered_nodes == (0, 1)
-    assert forest.predecessor == (None, None)
+    assert forest.order.tolist() == [0, 1]
+    assert forest.preds.tolist() == [-1, -1]
 
 
 def test_all_prototype_graph_has_all_zero_costs():
@@ -330,24 +359,25 @@ def test_prototype_invariants_and_cost_recurrence():
         for _ in range(10):
             features, labels = random_graph_spec(rng)
             forest = train(graph_from_arrays(features, labels, code))
+            preds = forest.preds.tolist()
             for i in range(len(features)):
                 if i in forest.prototypes:
                     assert forest.cost[i] == 0.0
-                    assert forest.predecessor[i] is None
+                    assert preds[i] == -1
                 else:
-                    p = forest.predecessor[i]
-                    assert p is not None
+                    p = preds[i]
+                    assert p >= 0
                     d = kernel(forest.samples[p].features,
                                forest.samples[i].features)
                     expected = forest.cost[p] if forest.cost[p] >= d else d
                     assert forest.cost[i] == expected
                     # chain terminates at a prototype
                     seen = set()
-                    while p is not None:
+                    while p >= 0:
                         assert p not in seen
                         seen.add(p)
                         last = p
-                        p = forest.predecessor[p]
+                        p = preds[p]
                     assert last in forest.prototypes
 
 
@@ -356,9 +386,10 @@ def test_settling_order_is_non_decreasing_in_cost():
     for _ in range(20):
         features, labels = random_graph_spec(rng)
         forest = train(graph_from_arrays(features, labels, "D3"))
-        costs = [forest.cost[i] for i in forest.ordered_nodes]
+        order = forest.order.tolist()
+        costs = [forest.cost[i] for i in order]
         assert all(a <= b for a, b in zip(costs, costs[1:]))
-        assert sorted(forest.ordered_nodes) == list(range(len(features)))
+        assert sorted(order) == list(range(len(features)))
 
 
 def test_cost_map_equals_bottleneck_oracle_spot_sample():
@@ -446,6 +477,53 @@ def test_classify_rejects_wrong_dimension():
         classify(forest, [1.0, 2.0])
 
 
+def test_queries_keep_their_dimension_errors():
+    model = train(line_graph())  # d = 1
+    for queries, message in (
+            ([[1.0], [2.0, 3.0]], "query has dim 2, model expects 1"),
+            ([[1.0, 2.0], [3.0]], "query has dim 2, model expects 1"),
+            ([[1.0, 2.0], [3.0, 4.0]], "query has dim 2, model expects 1"),
+            (np.zeros((3, 0)), "query has dim 0, model expects 1"),
+            # a lone vector is not one row per query
+            ([1.0, 2.0], "queries of shape (2,) are not one row per query"),
+            (np.ones((2, 1, 1)),
+             "queries of shape (2, 1, 1) are not one row per query")):
+        for call in (lambda: classify_batch(model, queries),
+                     lambda: opfdist.forest.fit_and_label(
+                         model.features, model.labels, ["D3"], queries)):
+            with pytest.raises(DimensionMismatch,
+                               match=f"^{re.escape(message)}$"):
+                call()
+    with pytest.raises(DimensionMismatch,
+                       match=r"^query has dim 2, model expects 1$"):
+        classify(model, [1.0, 2.0])
+    assert classify_batch(model, np.zeros((0, 5))) == []
+
+
+def test_a_float64_query_matrix_reaches_the_scan_uncopied(monkeypatch):
+    rng = np.random.default_rng(31)
+    X = rng.random((60, 3))
+    labels = np.arange(60) % 2
+    model = train(graph_from_arrays(X, labels, "D3"))
+    Q = rng.random((40, 3))
+    Q.flags.writeable = False
+    scanned = []
+    real = opfdist.forest._scan_nodes
+
+    def spy(forest, scan, Q, *rest):
+        scanned.append(Q)
+        return real(forest, scan, Q, *rest)
+
+    monkeypatch.setattr(opfdist.forest, "_scan_nodes", spy)
+    # 60 x 40 entries above one chunk: the fold call scans too
+    monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 64)
+    got = classify_batch(model, Q)
+    assert got == classify_batch(model, Q.tolist())
+    tested = opfdist.forest.fit_and_label(X, labels, ["D3"], Q)
+    assert tested[0][0] == [p.label for p in got]
+    assert [np.shares_memory(q, Q) for q in scanned] == [True, False, True]
+
+
 def test_classify_batch_empty_and_elementwise():
     forest = train(line_graph())
     assert classify_batch(forest, []) == []
@@ -459,7 +537,7 @@ def test_classifying_training_samples_moves_no_higher_than_own_cost():
     for i, s in enumerate(forest.samples):
         p = classify(forest, s.features)
         assert p.cost <= forest.cost[i]
-        assert p.label == forest.root_label[i]
+        assert p.label == forest.root_labels[i]
 
 
 def _assert_predictions(preds, want_preds, where):
@@ -524,9 +602,9 @@ def test_scan_arrays_stay_out_of_equality_repr_and_archive(
     builds = []
     real = opfdist.forest._scan_arrays
 
-    def spy(forest, X):
-        builds.append(len(X))
-        return real(forest, X)
+    def spy(forest):
+        builds.append(len(forest.features))
+        return real(forest)
 
     monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
     queries = [[rng.random() for _ in range(3)] for _ in range(4)]
@@ -626,31 +704,33 @@ def test_signed_oracle_graph_conquers_through_negative_zero_arcs():
         kernel = distance_reference.distance_function(code)
         feats = [s.features for s in graph.samples]
         arcs = [kernel(feats[p], feats[t])
-                for t, p in enumerate(want.predecessor)
-                if p is not None and want.cost[p] == 0.0]
+                for t, p in enumerate(want.preds.tolist())
+                if p >= 0 and want.cost[p] == 0.0]
         assert any(a == 0.0 and math.copysign(1.0, a) < 0.0
                    for a in arcs), code
 
 
-# The fields a forest had when it held tuples, now its views.
-VIEWS = ("samples", "distance", "prototypes", "cost", "predecessor",
-         "root_label", "ordered_nodes")
+# A forest's fields: the graph's arrays, its measure and the fit's arrays.
+FIELDS = ("features", "labels", "ids", "distance", "costs", "preds",
+          "root_labels", "order")
 
 
 def _assert_same_forest(got, want, where):
-    """Field for field through the views, then bit for bit through repr,
-    which, unlike ==, tells -0.0 from 0.0."""
-    for name in VIEWS:
-        assert getattr(got, name) == getattr(want, name), (where, name)
+    """Field for field, array for array (dtype, shape and values), then
+    bit for bit through repr, which, unlike ==, tells -0.0 from 0.0."""
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "distance":
+            assert a == b, where
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (where, name)
+            assert (a == b).all(), (where, name)
     assert repr(got) == repr(want), where
 
 
 def _assert_python_scalars(model):
     assert all(type(i) is int for i in model.prototypes)
     assert all(type(c) is float for c in model.cost)
-    assert all(p is None or type(p) is int for p in model.predecessor)
-    assert all(type(r) is int for r in model.root_label)
-    assert all(type(i) is int for i in model.ordered_nodes)
 
 
 def test_train_and_classify_batch_equal_scalar_reference(monkeypatch):
@@ -724,7 +804,7 @@ def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
             # a budget of one matrix leaves one measure per stack
             monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES",
                                 8 * len(graph.samples) ** 2)
-        got = train_measures(graph.samples, codes)
+        got = train_measures(graph.features, graph.labels, codes)
         # the one fold call fits the same stacks, and times each measure
         queries = [s.features for s in graph.samples[:3]]
         tested = opfdist.forest.fit_and_label(graph.features, graph.labels,
@@ -754,11 +834,11 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     monkeypatch.setattr(opfdist.forest, "_loops", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 2 * 17 * 17 * 8)
-    got = train_measures(graph.samples, codes)
+    got = train_measures(graph.features, graph.labels, codes)
     assert stacks == [(2, 17, 17), (2, 17, 17), (1, 17, 17)]
     assert got == [train(TrainingGraph(graph.samples, resolve(c)))
                    for c in codes]
-    assert train_measures(graph.samples, []) == []
+    assert train_measures(graph.features, graph.labels, []) == []
 
 
 def _adversarial_stacks():
@@ -809,8 +889,9 @@ def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
         assert (parent == want_parent).all(), case
         for a, b in zip(forests, want, strict=True):
             assert a.prototypes == b.prototypes, case
-            assert a.predecessor == b.predecessor, case
-            assert a.ordered_nodes == b.ordered_nodes, case
+            assert (a.preds == b.preds).all(), case
+            assert (a.root_labels == b.root_labels).all(), case
+            assert (a.order == b.order).all(), case
             # repr, unlike ==, tells -0.0 from 0.0
             assert repr(a.cost) == repr(b.cost), case
             assert a == b and repr(a) == repr(b), case
@@ -836,7 +917,7 @@ def test_multi_block_stack_of_mixed_measures_equals_separate_trains(
     # blocks of 7 rows (the last one 5) and stacks of 5, 5 and 2 matrices
     monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", 7 * 40)
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 5 * 40 * 40 * 8)
-    got = train_measures(graph.samples, codes)
+    got = train_measures(graph.features, graph.labels, codes)
     for code, model, w in zip(codes, got, want):
         _assert_same_forest(model, w, code)
     assert len(fills) == len(codes)
@@ -853,9 +934,9 @@ def test_fit_and_label_equals_classify_batch(monkeypatch):
     scans = []
     real = opfdist.forest._scan_arrays
 
-    def spy(model, X):
+    def spy(model):
         scans.append(model.distance.code)
-        return real(model, X)
+        return real(model)
 
     for graph in _oracle_graphs("D3"):
         rng = random.Random(len(graph.samples))
@@ -863,7 +944,7 @@ def test_fit_and_label_equals_classify_batch(monkeypatch):
         queries = [s.features for s in graph.samples[:3]] + [
             [rng.uniform(-1.0, 2.5) for _ in range(dim)] for _ in range(6)]
         want = [[p.label for p in classify_batch(f, queries)]
-                for f in train_measures(graph.samples, codes)]
+                for f in train_measures(graph.features, graph.labels, codes)]
         n = len(graph.samples)
         monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
         # shared rectangles in one stack of 47, then in stacks of 10 (the
@@ -892,8 +973,7 @@ def test_fit_and_label_equals_classify_batch(monkeypatch):
 
 def test_train_measures_rejects_what_train_rejects():
     with pytest.raises(SingleClass):
-        train_measures(graph_from_arrays(
-            [[1.0], [2.0]], [0, 0], "D3").samples, ["D3", "D7"])
+        train_measures([[1.0], [2.0]], [0, 0], ["D3", "D7"])
 
 
 def test_fold_task_drops_each_forest_once_tested(monkeypatch):
@@ -903,10 +983,10 @@ def test_fold_task_drops_each_forest_once_tested(monkeypatch):
     scans = []
     real = opfdist.forest._scan_arrays
 
-    def spy(model, X):
+    def spy(model):
         # at most one forest's scan arrays are alive at a time
         assert all(ref() is None for ref in scans)
-        nodes, cost = real(model, X)
+        nodes, cost = real(model)
         scans.extend([weakref.ref(nodes), weakref.ref(cost)])
         return nodes, cost
 
@@ -1068,9 +1148,9 @@ def test_threaded_fit_and_label_gives_the_same_labels_forest_by_forest(
     scans = []
     real = opfdist.forest._scan_arrays
 
-    def spy(model, X):
+    def spy(model):
         scans.append(model.distance.code)
-        return real(model, X)
+        return real(model)
 
     monkeypatch.setattr(opfdist.forest, "_scan_arrays", spy)
     # 40 x 9 rectangles above one chunk: each forest is scanned alone
@@ -1080,7 +1160,7 @@ def test_threaded_fit_and_label_gives_the_same_labels_forest_by_forest(
         monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
         monkeypatch.setattr(opfdist.forest, "_THREADS", 1)
         want = [[p.label for p in classify_batch(f, queries)]
-                for f in train_measures(graph.samples, codes)]
+                for f in train_measures(graph.features, graph.labels, codes)]
         for threads in THREADS:
             monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
             scans.clear()

@@ -153,10 +153,8 @@ def _fits(A):
     -0.0 from 0.0.  The child runs this function's source too."""
     import hashlib
     from opfdist import distances, forest
-    samples = [forest.Sample(tuple(r), i % 3, i)
-               for i, r in enumerate(A.tolist())]
     forests = forest.train_measures(
-        samples, [d.code for d in distances.registry()])
+        A, np.arange(len(A)) % 3, [d.code for d in distances.registry()])
     return hashlib.sha256(repr(forests).encode()).hexdigest()
 
 
