@@ -6,8 +6,9 @@ column by name or index) or svmlight/libsvm sparse lines
 Label tokens are mapped to contiguous 0-based integers in first-appearance
 order; the original strings are kept in ``Dataset.class_names``.  The rows
 are one float64 matrix, which ``fit_normalization`` and ``normalize`` read;
-a CSV file is read twice, to check and count its rows and then to parse
-them into that matrix, so that its fields are never held all at once.
+a CSV or svmlight file is read twice, to check and count its rows and
+then to parse them into that matrix, so that its fields are never held
+all at once.
 
 Model archive byte layout (all little-endian), format version 1:
 
@@ -233,60 +234,71 @@ def load_csv(
                    None if label_idx is None else names)
 
 
+def _svmlight_lines(fh) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of each line of ``fh`` with a token
+    before any ``#``."""
+    for line_no, line in enumerate(fh, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
 def load_svmlight(path: str | Path, *, name: str | None = None) -> Dataset:
     """Read sparse ``label index:value`` lines; densify to the max index.
 
     Indices are 1-based and must be strictly ascending within a line.
-    Text after ``#`` is a comment.  Blank lines are skipped.
+    Text after ``#`` is a comment.  Blank lines are skipped.  The file is
+    read twice: the first pass checks each line's label and indices and
+    counts the lines and the highest index, the second parses the values
+    into the matrix; so a fault of the labels or indices anywhere in the
+    file is reported before a value fault.
     """
     path = Path(path)
+    n = max_index = 0
     with open(path, encoding="utf-8-sig") as fh:
-        raw_lines = fh.readlines()
-    entries: list[tuple[str, list[tuple[int, float]]]] = []
-    max_index = 0
-    for line_no, line in enumerate(raw_lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        label = tokens[0]
-        if re.fullmatch(r"[+-]?[0-9]+:.*", label):
-            raise ParseError(f"feature {label!r} where the label should be",
-                             path=path, row=line_no)
-        pairs = []
-        prev = 0
-        for tok in tokens[1:]:
-            idx_txt, sep, val_txt = tok.partition(":")
-            if not sep:
+        for line_no, tokens in _svmlight_lines(fh):
+            label = tokens[0]
+            if re.fullmatch(r"[+-]?[0-9]+:.*", label):
                 raise ParseError(
-                    f"expected index:value, found {tok!r}", path=path, row=line_no)
-            try:
-                idx = int(idx_txt)
-            except ValueError:
-                raise ParseError(
-                    f"feature index {idx_txt!r} is not an integer",
-                    path=path, row=line_no) from None
-            if idx < 1:
-                raise ParseError(
-                    f"feature index {idx} must be >= 1", path=path, row=line_no)
-            if idx <= prev:
-                raise NonAscendingIndices(
-                    f"index {idx} after {prev}", path=path, row=line_no)
-            prev = idx
-            v = _parse_feature(val_txt, path, line_no, idx)
-            pairs.append((idx, v))
-            max_index = max(max_index, idx)
-        entries.append((label, pairs))
-    if not entries:
+                    f"feature {label!r} where the label should be",
+                    path=path, row=line_no)
+            prev = 0
+            for tok in tokens[1:]:
+                idx_txt, sep, _ = tok.partition(":")
+                if not sep:
+                    raise ParseError(f"expected index:value, found {tok!r}",
+                                     path=path, row=line_no)
+                try:
+                    idx = int(idx_txt)
+                except ValueError:
+                    raise ParseError(
+                        f"feature index {idx_txt!r} is not an integer",
+                        path=path, row=line_no) from None
+                if idx < 1:
+                    raise ParseError(f"feature index {idx} must be >= 1",
+                                     path=path, row=line_no)
+                if idx <= prev:
+                    raise NonAscendingIndices(f"index {idx} after {prev}",
+                                              path=path, row=line_no)
+                prev = idx
+            max_index = max(max_index, prev)
+            n += 1
+    if not n:
         raise EmptyFile("no data lines", path=path)
     if max_index == 0:
         raise ParseError("no features anywhere in the file", path=path)
 
-    labels, class_names = _map_labels([lab for lab, _ in entries])
-    feats = np.zeros((len(entries), max_index))
-    for i, (_, pairs) in enumerate(entries):
-        for idx, v in pairs:
-            feats[i, idx - 1] = v
+    feats = np.zeros((n, max_index))
+    tokens = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for out, (line_no, (label, *pairs)) in zip(feats,
+                                                   _svmlight_lines(fh)):
+            tokens.append(label)
+            for tok in pairs:
+                idx_txt, _, val_txt = tok.partition(":")
+                idx = int(idx_txt)
+                out[idx - 1] = _parse_feature(val_txt, path, line_no, idx)
+    labels, class_names = _map_labels(tokens)
     feats.flags.writeable = False
     return Dataset(name or path.stem, feats, labels, len(class_names),
                    class_names)
@@ -474,8 +486,17 @@ def load_archive(path: str | Path) -> ForestArchive:
     n, nf, n_names = block("<u4", 3).tolist()
     if n < 1 or nf < 1:
         raise CorruptArchive(f"{path}: {n} samples of {nf} features")
-    names = [str(take(scalar("<u2")), "utf-8") for _ in range(n_names)]
-    code = str(take(scalar("u1")), "ascii")
+
+    def text(length: str, encoding: str, field: str) -> str:
+        raw = take(scalar(length))
+        try:
+            return str(raw, encoding)
+        except UnicodeDecodeError:
+            raise CorruptArchive(f"{path}: {field} {bytes(raw)!r} is not "
+                                 f"{encoding}") from None
+
+    names = [text("<u2", "utf-8", "class name") for _ in range(n_names)]
+    code = text("u1", "ascii", "distance code")
     try:
         distance = distances.resolve(code)
     except KeyError:

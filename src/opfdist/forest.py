@@ -35,7 +35,8 @@ cached (k, n, n) stack of matrices, as many as fit in ``_MATRIX_BYTES``,
 is filled one row block at a time by ``distances.pairwise_many``, so its
 measures share their sums; a graph whose one matrix exceeds it
 (n > 2048) fits each measure alone (k = 1) on 1 x n rows evaluated on
-demand.  Which loops run (``_loops``):
+demand.  One function, ``_loops``, fills the stack or sets up those rows,
+and picks the loops that run:
 
 * a cached stack, where ``distances.KERNELS`` reads "compiled": the C
   Prim and competition of ``kernels``, over the stack itself, one measure
@@ -45,12 +46,14 @@ demand.  Which loops run (``_loops``):
   k measures together, reading arcs through ``rows(f) -> (k, n)``, where
   f = at * n + u names row u of measure ``at``.
 
-The numpy loops are the reference: both take the first minimum key, and
-change a node only on a strict improvement, so both give the same
-forests, bit for bit.  The prototype mask, the roots and the unreached
-check run on numpy either way, and ``find_prototypes`` uses the same
-Prim.  ``train`` fits its graph's arrays under one measure, as
-``train_measures`` fits one measure of many.
+The numpy loops are the reference: both take the first minimum key,
+change a node only on a strict improvement, and offer the settling
+node's cost unless the arc is greater (so a -0.0 arc offers +0.0, and
+no cost is -0.0); both thus give the same forests, bit for bit.  The
+prototype mask, the roots and the unreached check run on numpy either
+way (``_fit``), and ``find_prototypes`` uses the same Prim.  ``train``
+fits its graph's arrays under one measure, as ``train_measures`` fits
+one measure of many.
 
 A batch's scan is made of independent query groups.  Where it spans
 more than one ``_BLOCK_ENTRIES`` chunk, the calling thread and threads
@@ -473,29 +476,6 @@ def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
         np.fill_diagonal(out, 0.0)
 
 
-def _arc_rows(chunk: Sequence[distances.DistanceId], X: np.ndarray,
-              stack: np.ndarray | None):
-    """Return ``rows(f) -> (k, n)`` for the k measures of ``chunk``, where
-    f = at * n + u names row u of measure ``at``.
-
-    With a stack, the chunk's matrices are filled into its first k slots
-    and served by flat index.  Without one (see ``_new_stack``) the chunk
-    holds one measure, so f == u, and each row is a 1 x n ``pairwise``
-    call with a zeroed diagonal.
-    """
-    if stack is None:
-        (measure,) = chunk
-
-        def rows(f: np.ndarray) -> np.ndarray:
-            out = distances.pairwise(measure, X[f], X)
-            out[0, f] = 0.0
-            return out
-        return rows
-    _fill_stack(chunk, X, stack)
-    flat = stack[:len(chunk)].reshape(-1, len(X))
-    return lambda f: flat.take(f, axis=0)
-
-
 def _new_stack(k: int, n: int) -> np.ndarray | None:
     """An empty stack for up to k of the n x n matrices within
     ``_MATRIX_BYTES``, or None when not even one fits."""
@@ -543,15 +523,34 @@ def _prototype_mask(parent: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _loops(k: int, n: int, rows, stack: np.ndarray | None):
-    """Prim and the competition of k measures, as ``prim() -> parent`` and
-    ``compete(proto) -> (cost, pred, order)``, all (k, n): compiled
-    (``kernels``) over the first k matrices of a filled ``stack`` where
-    ``distances.KERNELS`` reads "compiled"; otherwise ``_mst_parents`` and
-    ``_compete`` on ``rows``, which are their reference."""
-    if stack is not None and distances.KERNELS == "compiled":
-        prim, compete = distances._FIT
-        return partial(prim, stack, k), partial(compete, stack, k)
+def _loops(chunk: Sequence[distances.DistanceId], X: np.ndarray,
+           stack: np.ndarray | None):
+    """Prim and the competition of the k measures of ``chunk`` on the rows
+    of ``X``, as ``prim() -> parent`` and ``compete(proto) -> (cost, pred,
+    order)``, all (k, n).
+
+    With a stack, the chunk's matrices are filled into its first k slots
+    (``_fill_stack``): the compiled loops of ``kernels`` run over it where
+    ``distances.KERNELS`` reads "compiled", and otherwise ``_mst_parents``
+    and ``_compete``, their reference, on its rows by flat index.  Without
+    one (see ``_new_stack``) the chunk holds one measure, and the numpy
+    loops read each row as a 1 x n ``pairwise`` call with a zeroed
+    diagonal.
+    """
+    k, n = len(chunk), len(X)
+    if stack is None:
+        (measure,) = chunk
+
+        def rows(f: np.ndarray) -> np.ndarray:
+            out = distances.pairwise(measure, X[f], X)
+            out[0, f] = 0.0
+            return out
+    else:
+        _fill_stack(chunk, X, stack)
+        if distances.KERNELS == "compiled":
+            prim, compete = distances._FIT
+            return partial(prim, stack, k), partial(compete, stack, k)
+        rows = partial(stack[:k].reshape(-1, n).take, axis=0)
     return partial(_mst_parents, k, n, rows), partial(_compete, k, n, rows)
 
 
@@ -563,9 +562,7 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     graph through some inter-class edge.
     """
     X = graph.features
-    n = len(X)
-    stack = _new_stack(1, n)
-    prim, _ = _loops(1, n, _arc_rows([graph.distance], X, stack), stack)
+    prim, _ = _loops([graph.distance], X, _new_stack(1, len(X)))
     mask = _prototype_mask(prim(), graph.labels)
     return frozenset(np.flatnonzero(mask[0]).tolist())
 
@@ -580,7 +577,6 @@ def _compete(k: int, n: int, rows, proto: np.ndarray):
     key = cost.copy()  # cost for extraction; a settled node reads +inf
     flat_key = key.reshape(-1)
     order = np.empty((k, n), dtype=np.intp)
-    offer = np.empty((k, n))
     better = np.empty((k, n), dtype=bool)
     for step in range(n):
         s = key.argmin(axis=1)
@@ -590,9 +586,11 @@ def _compete(k: int, n: int, rows, proto: np.ndarray):
         cs = flat_key[f][:, None]
         flat_key[f] = np.inf
         order[:, step] = s
-        # arcs are never NaN, so this is max(cs, d); a settled node t has
-        # cost[t] <= cs <= offer, so it never improves
-        np.maximum(rows(f), cs, out=offer)
+        # max(cs, d) as opf_compete takes it: cs unless d is greater, so
+        # that d = -0.0 offers cs = +0.0; a settled node t has cost[t] <=
+        # cs <= offer, so it never improves
+        d = rows(f)
+        offer = np.where(d > cs, d, cs)
         np.less(offer, cost, out=better)
         np.copyto(cost, offer, where=better)
         np.copyto(key, offer, where=better)
@@ -601,15 +599,14 @@ def _compete(k: int, n: int, rows, proto: np.ndarray):
 
 
 def _fit(graph: TrainingGraph, measures: Sequence[distances.DistanceId],
-         rows, stack: np.ndarray | None) -> list[TrainedForest]:
-    """Prim and the competition of k measures at once (``_loops``) on the
-    graph's nodes, then their forests; the prototype mask, the unreached
-    check and the roots run here, on (k, n) arrays, whichever loops ran.
-    The forests share the graph's arrays, and each holds its own row of
-    the fit's (k, n) arrays."""
+         prim, compete) -> list[TrainedForest]:
+    """The forests of k measures on the graph's nodes from their Prim and
+    competition (``_loops``); the prototype mask, the unreached check and
+    the roots run here, on (k, n) arrays, whichever loops ran.  The
+    forests share the graph's arrays, and each holds its own row of the
+    fit's (k, n) arrays."""
     k, n = len(measures), len(graph.labels)
     base = np.arange(0, k * n, n)
-    prim, compete = _loops(k, n, rows, stack)
     proto = _prototype_mask(prim(), graph.labels)
     cost, pred, order = compete(proto)
     if (cost == np.inf).any():
@@ -621,11 +618,6 @@ def _fit(graph: TrainingGraph, measures: Sequence[distances.DistanceId],
     while (up[up] != up).any():
         up = up[up]
     root = graph.labels[up.reshape(k, n) - base[:, None]]
-    # on d = -0.0 against cs = +0.0, np.maximum returns cs on x86 builds
-    # but is documented as where(x1 >= x2, x1, x2), which keeps d; adding
-    # +0.0 turns -0.0 into +0.0, the cost max(cs, d) gives, and leaves
-    # every other cost as it is
-    cost += 0.0
     # frozen whole, so that each forest's rows are read-only views
     for a in (cost, pred, root, order):
         a.flags.writeable = False
@@ -657,7 +649,7 @@ def _fit_stacks(graph: TrainingGraph,
     height = 1 if stack is None else len(stack)
     for c0 in range(0, len(measures), height):
         chunk = measures[c0:c0 + height]
-        yield _fit(graph, chunk, _arc_rows(chunk, X, stack), stack)
+        yield _fit(graph, chunk, *_loops(chunk, X, stack))
 
 
 def train_measures(
@@ -841,20 +833,20 @@ def _scan_group(cost: np.ndarray, arcs, early_exit: bool, entries: int,
 
 def _labels(forest: TrainedForest, Q: np.ndarray,
             rect: np.ndarray | None) -> list[int]:
-    """The labels ``classify_batch`` gives the query rows Q: from the
-    forest's whole node x query rectangle ``rect``, rows in sample order,
-    when given; otherwise by its early-exit scan (``_scan_nodes``) over
-    ``_scan_arrays``, which live only in this call."""
+    """The labels ``classify_batch`` gives the query rows Q.  Given the
+    forest's whole node x query rectangle ``rect`` (rows in sample order),
+    which is one chunk of its scan: each query's first minimum offer over
+    the rows in ``order``.  Otherwise its early-exit scan
+    (``_scan_nodes``) over ``_scan_arrays``, which live only in this
+    call."""
     order = forest.order
     if rect is None:
         first, _ = _scan_nodes(forest, _scan_arrays(forest), Q, True,
                                distances.pairwise)
     else:
-        cost, rect = forest.costs[order], rect[order]
-
-        def arcs(r0, r1, active):
-            return rect[r0:r1, active]
-        first, _ = _scan_queries(cost, len(Q), arcs, True)
+        # the scan's one chunk: each query's first minimum offer
+        c, d = forest.costs[order, None], rect[order]
+        first = np.where(c >= d, c, d).argmin(axis=0)
     return forest.root_labels[order[first]].tolist()
 
 

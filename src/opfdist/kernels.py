@@ -27,15 +27,16 @@ features, where numpy makes one pass per operation.  Terms of one
 argument alone are computed once per entry of that argument, not once
 per pair.
 
-One more unit, ``FIT_C``, is written by hand, since it does not depend
+One more part, ``FIT_C``, is written by hand, since it does not depend
 on the measures: Prim and the competition over a cached stack of
 matrices, which ``forest`` runs in place of its numpy loops where the
 compiled loops are in use.  It only compares and selects finite
 doubles, so no rounding can change its result.
 
-``load`` builds the C once with the system ``cc`` (``FLAGS``: ``-O2
--fno-fast-math -ffp-contract=off``, and ``exp``/``log`` from libm), into
-this package's ``__pycache__``, as one library under a name that hashes
+``load`` builds the C once, the generated source and ``FIT_C`` as one
+file in one call of the system ``cc`` (``FLAGS``: ``-O2 -fno-fast-math
+-ffp-contract=off``, and ``exp``/``log`` from libm), into this
+package's ``__pycache__``, as one library under a name that hashes
 the source of this module and of the measures' module with the machine,
 and calls it through ctypes.  The library is written to a temporary name
 and renamed into place, so a reader never sees a partial file.  An
@@ -543,13 +544,12 @@ def _pair_nest(L: _Loop, em: _Emitter, full, rets, tile_a: bool):
 
 
 def generate(source: str, *, eps: float,
-             exp_max: float) -> tuple[list[str], list]:
-    """C translation units for the loop functions in ``source`` (the text
-    of ``_measures``), one per function and a last one holding the table
-    ``opf_meta``, and that table: one entry per function, with its name,
-    its result shapes and whether it returns a tuple.  One unit per
-    function keeps the compiler's memory to that of the largest.  Raises
-    ``Refused`` on any construct it does not know."""
+             exp_max: float) -> tuple[str, list]:
+    """One C source for the loop functions in ``source`` (the text of
+    ``_measures``): the helpers, one function per loop and the table
+    ``opf_meta``; and that table: one entry per function, with its name,
+    its result shapes and whether it returns a tuple.  Raises ``Refused``
+    on any construct it does not know."""
     tree = ast.parse(textwrap.dedent(source))
     (outer,) = tree.body
     loops = [_Loop(fn) for fn in outer.body
@@ -560,9 +560,9 @@ def generate(source: str, *, eps: float,
     meta = json.dumps(table).replace("\\", "\\\\").replace('"', '\\"')
     helpers = _HELPERS.format(tile=TILE, eps=_c_const(eps.hex()),
                               exp_max=_c_const(exp_max.hex()))
-    units = [helpers + "\n" + _function(L) for L in loops]
-    units.append(f'const char *const opf_meta = "{meta}";\n')
-    return units, table
+    functions = "\n".join(_function(L) for L in loops)
+    return (f'{helpers}\n{functions}\n'
+            f'const char *const opf_meta = "{meta}";\n'), table
 
 
 # Prim and the competition (``forest._mst_parents`` and ``forest._compete``)
@@ -685,34 +685,26 @@ def cache_path(measures: Callable) -> Path:
 
 def _build(measures: Callable, path: Path, *, eps: float,
            exp_max: float) -> bool:
-    """Generate the C of ``measures``' loops, compile it with the system
-    ``cc`` and ``FLAGS``, and rename the library into ``path``; False
-    where there is no ``cc``, the generator refuses, or writing or
-    compiling fails.  Libraries beside it with its prefix and another hash
-    are removed."""
+    """Generate the C of ``measures``' loops, compile it with ``FIT_C`` as
+    one source in one call of the system ``cc`` (``cc FLAGS -shared -o
+    lib src.c -lm``), and rename the library into ``path``; False where
+    there is no ``cc``, the generator refuses, or writing or compiling
+    fails.  Libraries beside it with its prefix and another hash are
+    removed."""
     cc = shutil.which("cc")
     if cc is None:
         return False
-
-    def run(*command) -> bool:
-        return subprocess.run([str(c) for c in command],
-                              stdin=subprocess.DEVNULL, capture_output=True,
-                              timeout=600).returncode == 0
     try:
-        units, _ = generate(inspect.getsource(measures), eps=eps,
-                            exp_max=exp_max)
-        units.append(FIT_C)
+        source, _ = generate(inspect.getsource(measures), eps=eps,
+                             exp_max=exp_max)
         path.parent.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
-            objects = []
-            for i, unit in enumerate(units):
-                c_file = Path(tmp) / f"unit{i}.c"
-                c_file.write_text(unit)
-                objects.append(c_file.with_suffix(".o"))
-                if not run(cc, *FLAGS, "-c", "-o", objects[-1], c_file):
-                    return False
-            built = Path(tmp) / path.name
-            if not run(cc, "-shared", "-o", built, *objects, "-lm"):
+            c_file, built = Path(tmp) / "src.c", Path(tmp) / path.name
+            c_file.write_text(source + "\n" + FIT_C)
+            if subprocess.run(
+                    [cc, *FLAGS, "-shared", "-o", str(built), str(c_file),
+                     "-lm"], stdin=subprocess.DEVNULL, capture_output=True,
+                    timeout=600).returncode:
                 return False
             os.replace(built, path)
         prefix = path.name.split(".")[0]

@@ -254,6 +254,40 @@ def test_svmlight_densifies_to_global_max_index(tmp_path):
     assert [s.label for s in ds.samples] == [0, 1, 0]
 
 
+def test_load_svmlight_never_holds_the_whole_file_as_strings(tmp_path):
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1.0, 1.0, (300, 100))
+    X[rng.random(X.shape) < 0.1] = 0.0
+    p = tmp_path / "wide.txt"
+    p.write_text("".join(
+        f"c{i % 3} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)
+                                if v) + "\n"
+        for i, row in enumerate(X.tolist())))
+    tracemalloc.start()
+    try:
+        ds = load_svmlight(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ds.features == X).all() and ds.n_classes == 3
+    # the lines, or every (index, value) pair, would take several times
+    # the matrix
+    assert peak < 3 * X.nbytes, (peak, X.nbytes)
+
+
+def test_svmlight_reports_index_faults_before_value_faults(tmp_path):
+    p = tmp_path / "bad.txt"
+    # a value fault on line 1, an index fault on line 2
+    p.write_text("1 1:xyz\n0 2:1.0 1:2.0\n")
+    with pytest.raises(NonAscendingIndices, match="index 1 after 2") as err:
+        load_svmlight(p)
+    assert "row 2" in str(err.value)
+    p.write_text("1 1:xyz 3:1.0\n0 2:1.0\n")
+    with pytest.raises(NonNumericFeature) as err:
+        load_svmlight(p)
+    assert "row 1" in str(err.value) and "column 1" in str(err.value)
+
+
 def test_svmlight_rejects_non_ascending_indices(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2:1.0 1:2.0\n")
@@ -675,6 +709,18 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
     # the helper itself keeps an unedited archive loadable
     bad.write_bytes(resealed(blob, lambda payload: None))
     assert load_archive(bad).forest == forest
+    # text fields that do not decode: the distance code "D7" follows its
+    # length at payload offset 12 in an archive without class names, and
+    # the class name "red" its u16 length at offset 12 in one with them
+    save_forest(forest, spec, path, class_names=("red", "blue"))
+    for blob, edit, message in (
+            (blob, put("B", 13, 0xFF),
+             r"distance code b'\\xff7' is not ascii"),
+            (path.read_bytes(), put("B", 14, 0xFF),
+             r"class name b'\\xffed' is not utf-8")):
+        bad.write_bytes(resealed(blob, edit))
+        with pytest.raises(CorruptArchive, match=message):
+            load_archive(bad)
 
 
 def test_archive_overwrite_cut_midway_leaves_previous_file_whole(

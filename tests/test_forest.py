@@ -827,9 +827,9 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     real = opfdist.forest._loops
 
     # every fit picks its Prim and competition here, compiled or numpy
-    def spy(k, n, rows, stack):
-        stacks.append((k, n, n))
-        return real(k, n, rows, stack)
+    def spy(chunk, X, stack):
+        stacks.append((len(chunk), len(X), len(X)))
+        return real(chunk, X, stack)
 
     monkeypatch.setattr(opfdist.forest, "_loops", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
@@ -871,19 +871,19 @@ def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
     if "compiled" not in kernel_paths():
         pytest.skip("the compiled loops are not in use on this host")
     fit, loops = opfdist.forest._fit, opfdist.forest._loops
+    # the stacks come filled: _loops keeps them as they are
+    monkeypatch.setattr(opfdist.forest, "_fill_stack",
+                        lambda chunk, X, stack: None)
     for case, stack, k, labels in _adversarial_stacks():
         n = stack.shape[1]
         measures = list(registry()[:k])
         graph = graph_from_arrays(np.arange(n)[:, None], labels, measures[0])
-        flat = stack[:k].reshape(-1, n)
-
-        def rows(f):
-            return flat.take(f, axis=0)
         got = {}
         for path in ("numpy", "compiled"):
             monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
-            prim, _ = loops(k, n, rows, stack)
-            got[path] = (prim(), fit(graph, measures, rows, stack))
+            prim, _ = loops(measures, graph.features, stack)
+            got[path] = (prim(), fit(graph, measures,
+                                     *loops(measures, graph.features, stack)))
         (want_parent, want), (parent, forests) = got["numpy"], got["compiled"]
         assert parent.dtype == np.int64, case
         assert (parent == want_parent).all(), case
@@ -892,8 +892,11 @@ def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
             assert (a.preds == b.preds).all(), case
             assert (a.root_labels == b.root_labels).all(), case
             assert (a.order == b.order).all(), case
-            # repr, unlike ==, tells -0.0 from 0.0
+            # repr, unlike ==, tells -0.0 from 0.0; neither path may give
+            # a -0.0 cost, since _fit does not mend one
             assert repr(a.cost) == repr(b.cost), case
+            assert not np.signbit(a.costs).any(), case
+            assert not np.signbit(b.costs).any(), case
             assert a == b and repr(a) == repr(b), case
         assert np.isnan(stack[k:]).all()
 
