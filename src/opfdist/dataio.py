@@ -322,18 +322,23 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
     """``mode`` fitted on an (n, d) matrix or on ``Sample`` rows (as
     ``perfbench/wine.py`` fits its folds): min_max_01 keeps each column's
     minimum and maximum, and of -0.0 and +0.0 the first in row order, as a
-    scan replacing a bound on a strict < or > does."""
+    scan replacing a bound on a strict < or > does.  It refuses ragged
+    rows (DimensionMismatch) and a NaN or infinite value (ValueError
+    naming the sample id: a row's ``id``, or its position)."""
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if len(train) == 0:
         raise EmptyInput("cannot fit normalization on an empty training fold")
     if mode == "none":
         return NormalizationSpec("none")
+    ids = range(len(train))
     if isinstance(train[0], forest.Sample):
+        ids = [s.id for s in train]
         train = [s.features for s in train]
-    X = np.asarray(train, dtype=np.float64)
+    X = distances._float_rows(train, "training")
     if X.ndim != 2:
         raise DimensionMismatch("training samples disagree on dimension")
+    forest._finite_rows(X, ids)
     bounds = []
     for bound in X.min(axis=0), X.max(axis=0):
         # np.min and np.max may return either zero: take the first
@@ -346,10 +351,11 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
 def normalize(spec: NormalizationSpec, X) -> np.ndarray:
     """The rows of X, (n, d) or one row (d,), mapped by ``spec`` into a
     read-only float64 array: min_max_01 takes (x - lo) / (hi - lo), then
-    t < 0 -> 0.0, t > 1 -> 1.0 and a constant feature -> 0.0."""
+    t < 0 -> 0.0, t > 1 -> 1.0 and a constant feature -> 0.0.  Ragged
+    rows raise DimensionMismatch."""
+    X = distances._float_rows(X, "input")
     if spec.mode == "none":
         return forest._frozen(X, np.float64)
-    X = np.asarray(X, dtype=np.float64)
     lo, hi = np.array(spec.feature_min), np.array(spec.feature_max)
     if X.shape[-1:] != lo.shape:
         raise DimensionMismatch(

@@ -46,12 +46,12 @@ flip a tie in the forest.
 Running sums that several measures finalize are named once and marked
 shared: Sum (a-b)^2 serves seven codes, Sum |a-b| three, the inner
 products four, Sum (sqrt a - sqrt b)^2 three, Sum (a-b)^2/(a+b) two,
-the chi-squared pair four (two of them are its halves), the Shannon pair
-three (one is its first half), and the exp(a/b) pair two.  A half that
-is a measure of its own runs alone as it always did, so no measure
-computes more alone than before, except that Jeffreys and
-Kullback-Leibler each compute the other's sum, to share one exp per
-term.  ``pairwise_many`` evaluates a list of
+Sum (a-b)^2/a and Sum (a-b)^2/b three each, Sum a e^(2a/(a+b)) three,
+Sum b e^(2b/(a+b)) two, and the exp(a/b) pair two.  Each named sum is
+one loop that returns only its own values, so a measure computes no
+more alone than its own sums, except that Jeffreys and Kullback-Leibler
+each compute the other's sum, to share one exp per term.
+``pairwise_many`` evaluates a list of
 measures on one pair of row matrices and computes each named sum once
 for all of them; ``pairwise`` is that call with one measure.  A measure
 runs the same operations on the same sums as alone, so the bits do not
@@ -60,7 +60,7 @@ forests, through such calls (see ``forest``); in ``timings.csv`` each
 measure of a stack that shares its sums gets an equal share of the
 stack's seconds.
 
-The block form's per-feature loops (the 31 functions of ``_measures``
+The block form's per-feature loops (the 30 functions of ``_measures``
 that hold ``for a, b in pairs(x, y)``) are also compiled to C from their
 source (``kernels``).  At import each compiled loop is
 compared, bit for bit, with the numpy loop it replaces on a sentinel
@@ -151,10 +151,6 @@ def _lo(a, b):
 
 def _hi(a, b):
     return a if a > b else b
-
-
-def _order(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 # --- block operations --------------------------------------------------
@@ -252,11 +248,6 @@ def _vhi(a, b):
     return np.where(a > b, a, b)
 
 
-def _vorder(a, b):
-    less = a < b
-    return np.where(less, a, b), np.where(less, b, a)
-
-
 # --- shared sums -------------------------------------------------------
 
 
@@ -271,31 +262,21 @@ class _Shared(threading.local):
 _shared = _Shared()
 
 
-def _share(*halves):
+def _share(named_sum):
     # Block form of ``share``: inside a pairwise_many call, the first
     # measure to read a named sum computes it and the rest reuse it.  A
     # call has one (A, B), and every measure reads its sums of that pair.
-    # A pair names the sums that are its halves (None for a half no
-    # measure reads alone): computing it keeps them, and once both are
-    # kept it is assembled from them.
-    def mark(named_sum):
-        name = named_sum.__name__
+    name = named_sum.__name__
 
-        def shared(x, y):
-            sums = _shared.sums
-            if sums is None:
-                return named_sum(x, y)
-            if name not in sums:
-                if halves and all(h in sums for h in halves):
-                    sums[name] = tuple(sums[h] for h in halves)
-                else:
-                    sums[name] = named_sum(x, y)
-                    sums.update((h, v) for h, v in zip(halves, sums[name])
-                                if h is not None)
-            return sums[name]
-        shared.__name__ = name
-        return shared
-    return mark
+    def shared(x, y):
+        sums = _shared.sums
+        if sums is None:
+            return named_sum(x, y)
+        if name not in sums:
+            sums[name] = named_sum(x, y)
+        return sums[name]
+    shared.__name__ = name
+    return shared
 
 
 # --- the measures ------------------------------------------------------
@@ -313,34 +294,31 @@ def _share(*halves):
 # * divides through ``div`` unless the denominator is the constant 2.0
 #   (a float divided by 0 raises where numpy returns inf, and ``width``
 #   is 0 for empty vectors);
-# * branches only through the ``lo``/``hi``/``order`` selects, which
-#   evaluate both operands in both forms;
+# * branches only through the ``lo``/``hi`` selects, which evaluate both
+#   operands in both forms;
 # * counts by adding a comparison to a sum, which adds 1 or 0 in both.
 
 _SCALAR = dict(pairs=zip, div=_div, mul=_mul, exp=_exp, log=_log, sqrt=_sqrt,
-               root=math.sqrt, lo=_lo, hi=_hi, order=_order, width=len,
-               share=lambda *halves: lambda named_sum: named_sum)
+               root=math.sqrt, lo=_lo, hi=_hi, width=len,
+               share=lambda named_sum: named_sum)
 _BLOCK = dict(pairs=_cols, div=_vdiv, mul=_vmul, exp=_vexp, log=_vlog,
-              sqrt=_vsqrt, root=np.sqrt, lo=_vlo, hi=_vhi, order=_vorder,
+              sqrt=_vsqrt, root=np.sqrt, lo=_vlo, hi=_vhi,
               width=lambda A: A.shape[1], share=_share)
 
 
-def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
-              share):
+def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, share):
     """The 47 measures over one table of operations, keyed by code.
 
     ``sqrt`` clamps a negative radicand to 0; ``root`` is the plain square
-    root, for radicands that cannot be negative.  ``share(*halves)``
-    marks a named sum: the identity per pair, and one evaluation per
-    ``pairwise_many`` call in the block form, where a pair and the sums
-    named as its halves stand in for each other.
+    root, for radicands that cannot be negative.  ``@share`` marks a
+    named sum: the identity per pair, and one evaluation per
+    ``pairwise_many`` call in the block form.
     """
 
     # Running sums that several measures finalize.  Where a code comes
-    # before the semicolon, that measure is the sum itself, or one half of
-    # it: a measure of its own, below, marked as the pair's half.
+    # before the semicolon, that measure is the sum itself.
 
-    @share()
+    @share
     def sq_diff(x, y):  # sum (a-b)^2: D32; D3-D5, D17, D23, D26
         s = 0.0
         for a, b in pairs(x, y):
@@ -348,14 +326,14 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
             s += d * d
         return s
 
-    @share()
+    @share
     def abs_diff(x, y):  # sum |a-b|: D6; D9, D12
         s = 0.0
         for a, b in pairs(x, y):
             s += abs(a - b)
         return s
 
-    @share()
+    @share
     def inner(x, y):  # (sum ab, sum a^2, sum b^2): D14-D17
         sxy = sxx = syy = 0.0
         for a, b in pairs(x, y):
@@ -364,7 +342,7 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
             syy += b * b
         return sxy, sxx, syy
 
-    @share()
+    @share
     def sqrt_diff(x, y):  # sum (sqrt a - sqrt b)^2: D21; D19, D20
         s = 0.0
         for a, b in pairs(x, y):
@@ -372,7 +350,7 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
             s += d * d
         return s
 
-    @share()
+    @share
     def sq_over_sum(x, y):  # sum (a-b)^2 / (a+b): D31; D30
         s = 0.0
         for a, b in pairs(x, y):
@@ -380,26 +358,37 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
             s += div(d * d, a + b)
         return s
 
-    @share("neyman_chi2", "pearson_chi2")
-    def chi2(x, y):  # (sum (a-b)^2 / a, sum (a-b)^2 / b): D28, D29; D39, D40
-        s1 = s2 = 0.0
+    @share
+    def neyman_chi2(x, y):  # sum (a-b)^2 / a: D28; D39, D40
+        s = 0.0
         for a, b in pairs(x, y):
             d = a - b
-            dd = d * d
-            s1 += div(dd, a)
-            s2 += div(dd, b)
-        return s1, s2
+            s += div(d * d, a)
+        return s
 
-    @share("k_divergence", None)
-    def shannon(x, y):  # (sum a e^(2a/(a+b)), sum b e^(2b/(a+b))): D36; D35, D38
-        s1 = s2 = 0.0
+    @share
+    def pearson_chi2(x, y):  # sum (a-b)^2 / b: D29; D39, D40
+        s = 0.0
         for a, b in pairs(x, y):
-            t = a + b
-            s1 += a * exp(div(2.0 * a, t))
-            s2 += b * exp(div(2.0 * b, t))
-        return s1, s2
+            d = a - b
+            s += div(d * d, b)
+        return s
 
-    @share()
+    @share
+    def k_divergence(x, y):  # sum a e^(2a/(a+b)): D36; D35, D38
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += a * exp(div(2.0 * a, a + b))
+        return s
+
+    @share
+    def reverse_k_divergence(x, y):  # sum b e^(2b/(a+b)): D35, D38
+        s = 0.0
+        for a, b in pairs(x, y):
+            s += b * exp(div(2.0 * b, a + b))
+        return s
+
+    @share
     def exp_ratio(x, y):  # (sum (a-b) e^(a/b), sum a e^(a/b)): D33, D37
         # one exp for both, which a measure alone pays for with one
         # product and one sum
@@ -537,22 +526,6 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
             cnt += a * a + b * b != 0.0
         return div(num, cnt)
 
-    @share()
-    def neyman_chi2(x, y):
-        s = 0.0
-        for a, b in pairs(x, y):
-            d = a - b
-            s += div(d * d, a)
-        return s
-
-    @share()
-    def pearson_chi2(x, y):
-        s = 0.0
-        for a, b in pairs(x, y):
-            d = a - b
-            s += div(d * d, b)
-        return s
-
     def sangvi_chi2(x, y):
         return 2.0 * sq_over_sum(x, y)
 
@@ -567,28 +540,19 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
         return 0.5 * s
 
     def jensen_shannon(x, y):
-        s1, s2 = shannon(x, y)
-        return 0.5 * (s1 + s2)
-
-    @share()
-    def k_divergence(x, y):
-        s = 0.0
-        for a, b in pairs(x, y):
-            s += a * exp(div(2.0 * a, a + b))
-        return s
+        return 0.5 * (k_divergence(x, y) + reverse_k_divergence(x, y))
 
     def kullback_leibler(x, y):
         return exp_ratio(x, y)[1]
 
     def topsoe(x, y):
-        s1, s2 = shannon(x, y)
-        return s1 + s2
+        return k_divergence(x, y) + reverse_k_divergence(x, y)
 
     def max_symmetric_chi2(x, y):
-        return hi(*chi2(x, y))
+        return hi(neyman_chi2(x, y), pearson_chi2(x, y))
 
     def min_symmetric_chi2(x, y):
-        return lo(*chi2(x, y))
+        return lo(neyman_chi2(x, y), pearson_chi2(x, y))
 
     def vicis_symmetric_1(x, y):
         s = 0.0
@@ -627,7 +591,10 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, order, width,
     def hassanat(x, y):
         s = 0.0
         for a, b in pairs(x, y):
-            mn, mx = order(a, b)
+            # hi(b, a), not hi(a, b): on a tie or a NaN mx is a, as an
+            # ordered pair (a, b) if a < b else (b, a) gives it
+            mn = lo(a, b)
+            mx = hi(b, a)
             # For mn < 0 both ends shift up by |mn|.  Past 2**53 in
             # magnitude 1.0 + mn - shift rounds to 0.0, and so may the
             # denominator; div keeps that case finite.
@@ -777,9 +744,8 @@ def _compiled_blocks(
         replaced[fn.__name__] = fn
         return loops[fn.__name__]
 
-    def share(*halves):
-        return lambda named_sum: _share(*halves)(compiled(named_sum))
-    blocks = _measures(**dict(_BLOCK, share=share))
+    blocks = _measures(**dict(
+        _BLOCK, share=lambda named_sum: _share(compiled(named_sum))))
     # a shared sum's wrapper carries its name, and is already in place
     blocks = {code: fn if fn.__name__ in replaced else compiled(fn)
               for code, fn in blocks.items()}
@@ -903,13 +869,29 @@ def pairwise_many(ids_or_codes: Sequence[DistanceId | str], A,
     return _pairwise_many(KERNELS, ids_or_codes, A, B)
 
 
+def _float_rows(rows, what: str) -> np.ndarray:
+    """``np.asarray(rows, dtype=np.float64)``, where rows of unequal
+    lengths raise DimensionMismatch naming the first that differs from
+    the first row, not numpy's ValueError."""
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        dim = len(rows[0])
+        for i, row in enumerate(rows):
+            if len(row) != dim:
+                raise DimensionMismatch(
+                    f"{what} row {i} has dim {len(row)}, expected {dim}"
+                ) from None
+        raise
+
+
 def _pairwise_many(path: str, ids_or_codes: Sequence[DistanceId | str], A,
                    B) -> list[np.ndarray]:
     # pairwise_many on the block kernels of ``path``
     table = _BLOCKS[path]
     blocks = [table[resolve(m).code] for m in ids_or_codes]
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
+    A = _float_rows(A, "A")
+    B = _float_rows(B, "B")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise DimensionMismatch(
             f"A has shape {A.shape}, B has shape {B.shape}; expected two "

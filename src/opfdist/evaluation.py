@@ -305,11 +305,15 @@ def run_benchmark(
             record(*_fold_task(task))
     else:
         workers = min(parallelism, len(tasks))
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(max(1, forest._cpus() // workers),)) as pool:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(max(1, forest._cpus() // workers),))
+        try:
             for fut in as_completed([pool.submit(_fold_task, t) for t in tasks]):
                 record(*fut.result())
+        finally:
+            # a raising task or progress call drops the tasks not started
+            pool.shutdown(cancel_futures=True)
 
     for key, by_fold in failed.items():
         matrix.errors[key] = by_fold[min(by_fold)]

@@ -205,11 +205,22 @@ def _frozen(values, dtype) -> np.ndarray:
     return a
 
 
+def _finite_rows(X: np.ndarray, ids: Sequence[int]) -> None:
+    """Raise ValueError naming the id of the first row of the (n, d)
+    matrix X that holds a NaN or an infinity."""
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        v = X[i][~np.isfinite(X[i])][0].item()
+        raise ValueError(
+            f"non-finite feature value {v!r} in sample id {ids[i]}")
+
+
 def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
     """The feature rows of a training graph as one read-only (n, d)
-    float64 array.  Fewer than 2 rows raise ValueError, and d = 0 or a row
-    whose length differs from the first's raise DimensionMismatch naming
-    the row's id."""
+    float64 array.  Fewer than 2 rows or a NaN or infinite value raise
+    ValueError, and d = 0 or a row whose length differs from the first's
+    raise DimensionMismatch, naming the row's id."""
     if len(rows) < 2:
         raise ValueError("a training graph needs at least 2 samples")
     try:
@@ -232,6 +243,7 @@ def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
             f"features of shape {X.shape} are not one row per sample")
     if X.shape[1] < 1:
         raise DimensionMismatch("feature vectors must have dim >= 1")
+    _finite_rows(X, ids)
     return X
 
 

@@ -1,8 +1,8 @@
 """The measures' per-feature loops, compiled to C from their one definition.
 
 ``distances._measures`` writes each measure once, over a table of
-operations.  Of its functions, 31 hold a ``for a, b in pairs(x, y)``
-loop: the named sums, their halves, and 20 other measures.  ``generate``
+operations.  Of its functions, 30 hold a ``for a, b in pairs(x, y)``
+loop: the 10 named sums and 20 other measures.  ``generate``
 reads the source of ``_measures`` (its AST) and lowers each of them to
 one C function that evaluates it on every pair of rows of two matrices,
 as the block table ``distances._BLOCK`` defines it:
@@ -11,8 +11,8 @@ as the block table ``distances._BLOCK`` defines it:
   one operation per C expression, so that each rounds once, in the same
   order (``-ffp-contract=off`` keeps a product and a sum apart);
 * ``abs``, and comparisons, which add 1.0 or 0.0 to a sum;
-* ``div``, ``mul``, ``exp``, ``log``, ``sqrt``, ``root``, ``lo``, ``hi``,
-  ``order`` and ``width``, with the conditionals of their scalar form;
+* ``div``, ``mul``, ``exp``, ``log``, ``sqrt``, ``root``, ``lo``, ``hi``
+  and ``width``, with the conditionals of their scalar form;
   ``exp`` and ``log`` call libm, as ``math.exp``/``math.log`` do.
 
 Any other construct raises ``Refused``.  A sum over one argument only (a
@@ -95,7 +95,7 @@ _CALLS = {"abs": (1, "fabs"), "div": (2, "opf_div"), "mul": (2, "opf_mul"),
 _BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
 _CMPOPS = {"Eq": "==", "NotEq": "!=", "Lt": "<", "LtE": "<=", "Gt": ">",
            "GtE": ">="}
-_OPERATIONS = {*_CALLS, "order", "width", "pairs", "share"}
+_OPERATIONS = {*_CALLS, "width", "pairs", "share"}
 
 
 class _Loop:
@@ -139,8 +139,7 @@ class _Loop:
 
     def _lower(self, fn):
         for d in fn.decorator_list:
-            if not (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                    and d.func.id == "share"):
+            if not (isinstance(d, ast.Name) and d.id == "share"):
                 self.refuse(d, "unknown decorator")
         args = fn.args
         if (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg
@@ -208,24 +207,13 @@ class _Loop:
                 self.refuse(stmt, "unknown augmented assignment")
             env[t.id] = self.node("bin", op, env[t.id],
                                   self._expr(stmt.value, env))
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            t, v = stmt.targets[0], stmt.value
-            names = t.elts if isinstance(t, ast.Tuple) else [t]
-            if any(getattr(n, "id", None) in _OPERATIONS for n in names):
-                self.refuse(stmt, "an operation's name is assigned")
-            if isinstance(t, ast.Name):
-                env[t.id] = self._expr(v, env)
-            elif (isinstance(t, ast.Tuple) and len(t.elts) == 2
-                  and all(isinstance(e, ast.Name) for e in t.elts)
-                  and isinstance(v, ast.Call)
-                  and getattr(v.func, "id", None) == "order"
-                  and len(v.args) == 2 and not v.keywords):
-                # order(p, q) is (p, q) if p < q else (q, p)
-                p, q = (self._expr(e, env) for e in v.args)
-                env[t.elts[0].id] = self.node("call", "opf_lo", p, q)
-                env[t.elts[1].id] = self.node("call", "opf_ord2", p, q)
-            else:
+        elif isinstance(stmt, ast.Assign):
+            t = stmt.targets[0]
+            if len(stmt.targets) != 1 or not isinstance(t, ast.Name):
                 self.refuse(stmt, "unknown assignment")
+            if t.id in _OPERATIONS:
+                self.refuse(stmt, "an operation's name is assigned")
+            env[t.id] = self._expr(stmt.value, env)
         else:
             self.refuse(stmt, "unknown statement")
 
@@ -310,7 +298,6 @@ static inline double opf_log(double v) {{ return log(v > 0.0 ? v : EPS); }}
 static inline double opf_sqrt(double v) {{ return v < 0.0 ? 0.0 : sqrt(v); }}
 static inline double opf_lo(double p, double q) {{ return p < q ? p : q; }}
 static inline double opf_hi(double p, double q) {{ return p > q ? p : q; }}
-static inline double opf_ord2(double p, double q) {{ return p < q ? q : p; }}
 """
 
 

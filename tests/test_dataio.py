@@ -5,6 +5,7 @@ import csv
 import hashlib
 import math
 import random
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -386,6 +387,24 @@ def test_normalization_mode_validation():
         fit_normalization([], "min_max_01")
 
 
+def test_min_max_refuses_ragged_rows_and_non_finite_values():
+    from opfdist.forest import Sample
+    with pytest.raises(DimensionMismatch,
+                       match="^training row 1 has dim 1, expected 2$"):
+        fit_normalization([[1.0, 2.0], [3.0]], "min_max_01")
+    for rows, message in (
+            ([[1.0, math.nan], [3.0, 1.0]],
+             "non-finite feature value nan in sample id 0"),
+            ([[1.0, 2.0], [3.0, 1.0], [-math.inf, 0.0]],
+             "non-finite feature value -inf in sample id 2"),
+            ([Sample((1.0, 2.0), 0, 4), Sample((math.inf, 1.0), 1, 9)],
+             "non-finite feature value inf in sample id 9")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_normalization(rows, "min_max_01")
+    # no bounds are fitted in mode none
+    assert fit_normalization([[math.nan]], "none").mode == "none"
+
+
 def test_min_max_maps_training_range_onto_unit_interval():
     from opfdist.forest import Sample
     train_samples = [
@@ -510,6 +529,10 @@ def test_normalize_checks_the_row_width():
     for bad in ([[1.0]], (1.0,), [1.0, 2.0, 3.0], np.zeros((0, 3))):
         with pytest.raises(DimensionMismatch):
             normalize(spec, bad)
+    for mode_spec in (spec, fit_normalization([[0.0, 1.0]], "none")):
+        with pytest.raises(DimensionMismatch,
+                           match="^input row 1 has dim 1, expected 2$"):
+            normalize(mode_spec, [[1.0, 2.0], [3.0]])
     assert normalize(spec, np.zeros((0, 2))).shape == (0, 2)
     X = np.array([[1.0, -0.0]])
     assert normalize(fit_normalization(X, "none"), X).tolist() == [[1.0, -0.0]]

@@ -1,6 +1,7 @@
 """Distance registry, worked values, metadata, axiom checks, edge policy."""
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import sys
@@ -483,6 +484,10 @@ def test_pairwise_rejects_mismatched_or_empty_widths():
         pairwise("D3", np.zeros((2, 0)), np.zeros((2, 0)))
     with pytest.raises(DimensionMismatch):
         pairwise("D3", np.zeros(3), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch,
+                       match="^B row 2 has dim 1, expected 2$"):
+        distances.pairwise_many(["D3", "D7"], np.zeros((2, 2)),
+                                [[1.0, 2.0], [3.0, 4.0], [5.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +527,53 @@ def test_pairwise_many_equals_per_code_pairwise_bit_for_bit(monkeypatch,
                 for c, out in zip(codes, got):
                     _assert_bits_equal(out, want[CODES.index(c)], (name, c))
             assert distances._shared.sums is None
+
+
+def _counting_blocks(path, ran):
+    """The block kernels of ``path``, appending the name of each loop
+    function to ``ran`` each time it runs."""
+    if path == "numpy":
+        def pairs(A, B):
+            ran.append(sys._getframe(1).f_code.co_name)
+            return distances._cols(A, B)
+        return distances._measures(**dict(distances._BLOCK, pairs=pairs))
+
+    def counted(name, loop):
+        def block(A, B):
+            ran.append(name)
+            return loop(A, B)
+        block.__name__ = name
+        return block
+    loops = distances._kernels.load(distances._measures, eps=distances.EPS,
+                                    exp_max=distances.EXP_MAX)
+    del loops["prim"], loops["compete"]
+    blocks = distances._compiled_blocks(
+        {name: counted(name, loop) for name, loop in loops.items()})
+    ran.clear()  # the sentinel check ran each loop
+    return blocks
+
+
+@pytest.mark.parametrize("path", kernel_paths())
+def test_each_loop_runs_once_per_call_and_a_measure_runs_only_its_own(
+        monkeypatch, path):
+    ran = []
+    monkeypatch.setitem(distances._BLOCKS, path, _counting_blocks(path, ran))
+    monkeypatch.setattr(distances, "KERNELS", path)
+    A = np.random.default_rng(3).uniform(0.0, 2.0, (6, 4))
+    _, table = distances._kernels.generate(
+        inspect.getsource(distances._measures), eps=distances.EPS,
+        exp_max=distances.EXP_MAX)
+    distances.pairwise_many(CODES, A, A[::-1])
+    # every named sum (and every other loop) once for all 47 measures
+    assert sorted(ran) == sorted(e["name"] for e in table)
+    for codes, own in ((["D36"], ["k_divergence"]),
+                       (["D28"], ["neyman_chi2"]),
+                       (["D35"], ["k_divergence", "reverse_k_divergence"]),
+                       (["D39", "D40"], ["neyman_chi2", "pearson_chi2"]),
+                       (["D33", "D37"], ["exp_ratio"])):
+        ran.clear()
+        distances.pairwise_many(codes, A, A[::-1])
+        assert ran == own, codes
 
 
 def test_pairwise_many_keeps_no_sums_after_a_raising_measure(monkeypatch):

@@ -6,7 +6,9 @@ import math
 import os
 import pickle
 import random
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -573,6 +575,36 @@ def test_grid_workers_split_the_cpus_between_them(monkeypatch):
     monkeypatch.setattr(forest, "_THREADS", 5)
     evaluation._init_worker(2)
     assert forest._THREADS == 2
+
+
+# where _slow_logged_task notes each run; set before the workers fork
+_TASK_LOG = None
+_FOLD_TASK = evaluation._fold_task
+
+
+def _slow_logged_task(task):
+    # a fold task that takes 0.1 s and appends one byte to _TASK_LOG
+    with open(_TASK_LOG, "ab") as log:
+        log.write(b".")
+    time.sleep(0.1)
+    return _FOLD_TASK(task)
+
+
+def test_a_raising_progress_call_drops_the_queued_grid_tasks(
+        monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules[__name__], "_TASK_LOG",
+                        tmp_path / "ran")
+    monkeypatch.setattr(evaluation, "_fold_task", _slow_logged_task)
+
+    def progress(name, run, fold, errors):
+        raise BrokenPipeError  # as printing to a closed pipe does
+
+    # 12 runs make 24 tasks; after the first result only the tasks
+    # already handed to the 2 workers (2 running and 3 queued) still run
+    with pytest.raises(BrokenPipeError):
+        run_benchmark([toy_dataset()], ["D3"], seed=1, runs=12,
+                      parallelism=2, progress=progress)
+    assert (tmp_path / "ran").stat().st_size <= 12
 
 
 def test_benchmark_records_per_column_failures():

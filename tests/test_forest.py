@@ -112,6 +112,11 @@ GRAPH_ERRORS = [
      "label 1.5 of sample id {1} is not a whole number"),
     ([[1.0], [2.0], [3.0]], [0, 1, math.nan], ValueError,
      "label nan of sample id {2} is not a whole number"),
+    # a NaN row would be a zero-cost prototype; values before labels
+    ([[1.0], [math.nan], [2.0]], [0, 1, 0.5], ValueError,
+     "non-finite feature value nan in sample id {1}"),
+    ([[1.0, 2.0], [3.0, 4.0], [5.0, -math.inf]], [0, 1, 0], ValueError,
+     "non-finite feature value -inf in sample id {2}"),
 ]
 
 

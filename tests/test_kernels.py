@@ -28,20 +28,20 @@ needs_compiled = pytest.mark.skipif(
 def _generate(body):
     """``generate`` over a ``_measures`` that holds the function ``body``."""
     source = ("def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, "
-              "order, width, share):\n"
+              "width, share):\n"
               + textwrap.indent(textwrap.dedent(body), "    ")
               + "    return {}\n")
     return generate(source, eps=distances.EPS, exp_max=distances.EXP_MAX)
 
 
-def test_generator_lowers_the_31_loop_functions():
+def test_generator_lowers_the_30_loop_functions():
     _, table = generate(inspect.getsource(distances._measures),
                         eps=distances.EPS, exp_max=distances.EXP_MAX)
-    assert len(table) == 31
+    assert len(table) == 30
     shapes = {e["name"]: (e["shapes"], e["tuple"]) for e in table}
     # sum a^2 is a column and sum b^2 a row, as numpy broadcasts them
     assert shapes["inner"] == (["full", "col", "row"], True)
-    assert shapes["chi2"] == (["full", "full"], True)
+    assert shapes["exp_ratio"] == (["full", "full"], True)
     assert shapes["chebyshev"] == (["full"], False)
 
 
@@ -75,6 +75,8 @@ def test_generated_c_compiles_without_warnings(tmp_path):
     ("s **= a", "unknown augmented assignment"),
     ("if a < b:\n    s += a", "unknown statement"),
     ("d = a - b", "never added to"),
+    ("p, q = a, b\ns += p * q", "unknown assignment"),
+    ("p = q = a\ns += p * q", "unknown assignment"),
     ("exp = a\ns += exp(b)", "name is assigned"),
 ])
 def test_generator_refuses_what_it_does_not_know(body, what):
@@ -93,6 +95,8 @@ def test_generator_refuses_what_it_does_not_know(body, what):
      "        s += a\n    for a, b in pairs(x, y):\n        s += b\n"
      "    return s\n", "one loop"),
     ("@cache\ndef f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
+     "        s += a * b\n    return s\n", "decorator"),
+    ("@share()\ndef f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
      "        s += a * b\n    return s\n", "decorator"),
     ("def f(x, y):\n    s = t = 0.0\n    for a, b in pairs(x, y):\n"
      "        t += a * a\n        s += t * b\n    return s\n",
