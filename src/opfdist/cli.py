@@ -423,6 +423,7 @@ def cmd_bench(args) -> int:
         "python": platform.python_version(),
         "exp_log": distances.EXP_LOG,
         "kernels": distances.KERNELS,
+        "loop_copy": distances.LOOP_COPY,
         "archive_format": str(dataio.ARCHIVE_VERSION),
         "seed": str(cfg.seed),
         "runs": str(cfg.runs),

@@ -67,7 +67,9 @@ compared, bit for bit, with the numpy loop it replaces on a sentinel
 block; where they match, the block kernels run the compiled loops and
 everything else as before.  ``KERNELS`` names the path in use:
 "compiled", or "numpy" where there is no compiler, the cache cannot be
-written, the build fails or a bit differs.
+written, the build fails or a bit differs.  ``LOOP_COPY`` names the copy
+of the compiled loops that the loader picked on this CPU, "avx2" or
+"default" (see ``kernels``), and reads "none" on numpy.
 """
 
 from __future__ import annotations
@@ -790,23 +792,27 @@ def _same_bits(got: dict[str, BlockKernel],
     return True
 
 
-def _select_blocks() -> tuple[str, dict[str, dict[str, BlockKernel]],
+def _select_blocks() -> tuple[str, str, dict[str, dict[str, BlockKernel]],
                               tuple[Callable, Callable] | None]:
     blocks = {"numpy": _measures(**_BLOCK)}
     loops = _kernels.load(_measures, eps=EPS, exp_max=EXP_MAX)
-    fit = None if loops is None else (loops.pop("prim"), loops.pop("compete"))
-    compiled = None if loops is None else _compiled_blocks(loops)
+    if loops is None:
+        return "numpy", "none", blocks, None
+    fit = loops.pop("prim"), loops.pop("compete")
+    loop_copy = loops.pop("loop_copy")()
+    compiled = _compiled_blocks(loops)
     if compiled is None:
-        return "numpy", blocks, None
+        return "numpy", "none", blocks, None
     blocks["compiled"] = compiled
-    return "compiled", blocks, fit
+    return "compiled", loop_copy, blocks, fit
 
 
 # The block kernels, by path and code.  KERNELS names the path in use:
 # "compiled" where the loops built, loaded and matched the numpy block form
-# on the sentinel rows, else "numpy".  _FIT holds the compiled Prim and
+# on the sentinel rows, else "numpy"; LOOP_COPY the copy of the compiled
+# loops in use (module docstring).  _FIT holds the compiled Prim and
 # competition (``kernels.load``) of the same library, where it is in use.
-KERNELS, _BLOCKS, _FIT = _select_blocks()
+KERNELS, LOOP_COPY, _BLOCKS, _FIT = _select_blocks()
 
 
 def registry() -> tuple[DistanceId, ...]:

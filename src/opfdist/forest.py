@@ -205,15 +205,15 @@ def _frozen(values, dtype) -> np.ndarray:
     return a
 
 
-def _finite_rows(X: np.ndarray, ids: Sequence[int]) -> None:
-    """Raise ValueError naming the id of the first row of the (n, d)
-    matrix X that holds a NaN or an infinity."""
+def _finite_rows(X: np.ndarray, ids: Sequence[int],
+                 kind: str = "sample id") -> None:
+    """Raise ValueError naming the id (a ``kind``) of the first row of the
+    (n, d) matrix X that holds a NaN or an infinity."""
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
         v = X[i][~np.isfinite(X[i])][0].item()
-        raise ValueError(
-            f"non-finite feature value {v!r} in sample id {ids[i]}")
+        raise ValueError(f"non-finite feature value {v!r} in {kind} {ids[i]}")
 
 
 def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
@@ -759,7 +759,14 @@ def _query_matrix(forest: TrainedForest,
                   queries: Sequence[Sequence[float]]) -> np.ndarray:
     """The queries as one (m, d) float64 ``np.asarray``: a float64 matrix,
     read-only or not, is not copied.  A lone vector, ragged rows and rows
-    of another width than the model's raise DimensionMismatch."""
+    of another width than the model's raise DimensionMismatch, and a NaN
+    or an infinity raises ValueError naming the query row.
+
+    A non-finite query is not always labelled at the largest cost: of the
+    47 measures, 15 (D1 and D5 among them) give some rows holding a NaN
+    or an infinity finite distances.  So every query is tested, with one
+    ``isfinite`` pass (about 1 us for one query) before the row that
+    fails is looked for."""
     d = forest.n_features
     try:
         Q = np.asarray(queries, dtype=np.float64)
@@ -774,7 +781,10 @@ def _query_matrix(forest: TrainedForest,
         raise DimensionMismatch(
             f"query has dim {Q.shape[1]}, model expects {d}" if Q.ndim == 2
             else f"queries of shape {Q.shape} are not one row per query")
-    return Q.reshape(len(Q), d)  # no queries at all: (0, d)
+    Q = Q.reshape(len(Q), d)  # no queries at all: (0, d)
+    if not np.isfinite(Q).all():
+        _finite_rows(Q, range(len(Q)), "query row")
+    return Q
 
 
 def _scan_queries(cost: np.ndarray, m: int, arcs,

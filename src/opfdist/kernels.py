@@ -42,6 +42,18 @@ and calls it through ctypes.  The library is written to a temporary name
 and renamed into place, so a reader never sees a partial file.  An
 import that finds it parses, generates and compiles nothing.
 
+On x86_64 with glibc, where the compiler knows ``target_clones``, each
+generated loop is compiled twice in that one call: an AVX2 copy and a
+baseline copy.  The loader picks one by CPU when the library loads (an
+ifunc), and the library's ``opf_loop_copy`` names it, "avx2" or
+"default".  Elsewhere only the baseline copy is built.  The bits are
+the same: both copies run the same C under ``FLAGS``, so nothing is
+contracted or reassociated; AVX2 does not imply FMA; add, sub, mul, div
+and sqrt round each lane as SSE2 rounds it; ``exp`` and ``log`` stay
+scalar libm calls; and each pair still sums feature by feature in
+order.  The C Prim and competition are not cloned: their argmin
+tracking does not vectorize, and a clone measured no faster.
+
 ``load`` returns None where there is no compiler, the cache cannot be
 written or the build fails; ``distances`` then keeps its numpy block
 form, which it also keeps when the compiled loops differ from it on a
@@ -279,6 +291,30 @@ _HELPERS = """\
 #include <math.h>
 #include <stdlib.h>
 
+/* an AVX2 copy and a baseline copy of each loop, one picked by the loader
+   (an ifunc, so glibc only; math.h has defined __GLIBC__ there) */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define OPF_CLONED 1
+#endif
+#endif
+#ifdef OPF_CLONED
+#define OPF_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define OPF_CLONES
+#endif
+
+/* the copy of the loops that the loader picked on this CPU */
+const char *opf_loop_copy(void)
+{{
+#ifdef OPF_CLONED
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? "avx2" : "default";
+#else
+    return "default";
+#endif
+}}
+
 #define TILE {tile}
 static const double EPS = {eps};
 static const double EXP_MAX = {exp_max};
@@ -427,7 +463,7 @@ def _function(loop: _Loop) -> str:
         body += ["    " + ln for ln in nests[1][0]]
         body.append("}")
     params = ", ".join([p for p, _ in _PARAMS] + outs)
-    src = [f"int opf_{L.name}({params})", "{", "    int rc = -1;"]
+    src = [f"OPF_CLONES int opf_{L.name}({params})", "{", "    int rc = -1;"]
     src += [f"    double *{b} = NULL;" for b in bufs]
     src += ["    " + ln for ln in body]
     src += ["    rc = 0;", "done:"]
@@ -706,9 +742,9 @@ def _build(measures: Callable, path: Path, *, eps: float,
 def load(measures: Callable, *, eps: float,
          exp_max: float) -> dict[str, Callable] | None:
     """name -> compiled block function of every loop function of
-    ``measures`` (``distances._measures``), and "prim" and "compete" (see
-    ``FIT_C``), built on first use; None where there is no compiler, the
-    cache cannot be written or the build fails.
+    ``measures`` (``distances._measures``), "prim" and "compete" (see
+    ``FIT_C``), and "loop_copy", built on first use; None where there is
+    no compiler, the cache cannot be written or the build fails.
 
     A block function takes two float64 row matrices A (m, d) and B (k, d),
     of any strides, and returns what the numpy block form returns: the
@@ -719,6 +755,9 @@ def load(measures: Callable, *, eps: float,
     ``compete(stack, k, proto)`` the (k, n) costs, predecessors (-1 at the
     prototypes) and settling order of their competition from the (k, n)
     prototype mask ``proto``, as ``forest``'s numpy loops return them.
+
+    ``loop_copy()`` returns the copy of the loops that the loader picked
+    on this CPU: "avx2" or "default".
     """
     try:
         path = cache_path(measures)
@@ -731,7 +770,10 @@ def load(measures: Callable, *, eps: float,
         return None
     loops = {e["name"]: _wrap(getattr(lib, "opf_" + e["name"]), e)
              for e in table}
-    return {**loops, **_fit_functions(lib)}
+    loop_copy = lib.opf_loop_copy
+    loop_copy.argtypes, loop_copy.restype = [], ctypes.c_char_p
+    return {**loops, **_fit_functions(lib),
+            "loop_copy": lambda: loop_copy().decode()}
 
 
 _OUT = {"full": lambda m, k: (m, k), "col": lambda m, k: (m, 1),

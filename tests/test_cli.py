@@ -400,6 +400,11 @@ def test_bench_writes_full_report_set(tmp_path, capsys):
     assert f"exp_log = {opfdist.distances.EXP_LOG}\n" in manifest
     assert opfdist.distances.KERNELS in ("compiled", "numpy")
     assert f"kernels = {opfdist.distances.KERNELS}\n" in manifest
+    # the copy of the compiled loops that ran, "none" on numpy
+    assert opfdist.distances.LOOP_COPY in (
+        ("avx2", "default") if opfdist.distances.KERNELS == "compiled"
+        else ("none",))
+    assert f"loop_copy = {opfdist.distances.LOOP_COPY}\n" in manifest
     rank_lines = (out / "rank.csv").read_text().splitlines()
     assert len(rank_lines) == 4  # header + one row per ranked measure
     summary_lines = (out / "summary.csv").read_text().splitlines()

@@ -546,7 +546,7 @@ def _counting_blocks(path, ran):
         return block
     loops = distances._kernels.load(distances._measures, eps=distances.EPS,
                                     exp_max=distances.EXP_MAX)
-    del loops["prim"], loops["compete"]
+    del loops["prim"], loops["compete"], loops["loop_copy"]
     blocks = distances._compiled_blocks(
         {name: counted(name, loop) for name, loop in loops.items()})
     ran.clear()  # the sentinel check ran each loop

@@ -163,6 +163,27 @@ def test_labels_must_be_one_whole_number_per_row():
                 fit()
 
 
+@pytest.mark.parametrize("code", ["D3", "D1", "D5", "D45"])
+def test_non_finite_queries_raise_naming_the_query_row(code):
+    # D3 labels a NaN query at the largest float cost; D1, D5 and D45 give
+    # it finite distances, so no cost tells such a query apart
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    y = np.array([0, 1, 0, 1])
+    model = train(graph_from_arrays(X, y, code))
+    for bad, v in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        Q = np.array([[0.5, 0.5], [0.25, 0.75], [bad, 0.0]])
+        message = f"^non-finite feature value {v} in query row "
+        with pytest.raises(ValueError, match=message + "2$"):
+            classify_batch(model, Q)
+        with pytest.raises(ValueError, match=message + "2$"):
+            opfdist.forest.fit_and_label(X, y, [code, "D7"], Q)
+        with pytest.raises(ValueError, match=message + "0$"):
+            classify(model, Q[2])
+    # the largest finite values are still labelled
+    big = [[1e308, 1e308], [-1e308, 1e308]]
+    assert len(classify_batch(model, big)) == 2
+
+
 def test_graph_from_arrays_checks_lengths_first_and_copies_writeable_input():
     with pytest.raises(DimensionMismatch,
                        match="^features and labels disagree on length$"):

@@ -1,7 +1,9 @@
 """The measures' compiled loops: generation, build, cache and fallback."""
 from __future__ import annotations
 
+import ctypes
 import inspect
+import json
 import os
 import platform
 import shutil
@@ -45,20 +47,26 @@ def test_generator_lowers_the_30_loop_functions():
     assert shapes["chebyshev"] == (["full"], False)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-def test_generated_c_compiles_without_warnings(tmp_path):
-    # compiled and linked as _build does; the warnings are not in FLAGS,
-    # where a warning from another compiler would silently drop the
-    # compiled path
-    source, _ = generate(inspect.getsource(distances._measures),
-                         eps=distances.EPS, exp_max=distances.EXP_MAX)
-    c_file = tmp_path / "src.c"
+def _compile(source: str, built: Path) -> ctypes.CDLL:
+    """``source`` and ``FIT_C`` compiled and linked as ``_build`` does,
+    with no warning, and loaded.  The warnings are not in FLAGS, where a
+    warning from another compiler would silently drop the compiled
+    path."""
+    c_file = built.with_suffix(".c")
     c_file.write_text(source + "\n" + kernels.FIT_C)
     done = subprocess.run(
         ["cc", *kernels.FLAGS, "-Wall", "-Wextra", "-Werror", "-shared",
-         "-o", str(tmp_path / "lib.so"), str(c_file), "-lm"],
+         "-o", str(built), str(c_file), "-lm"],
         capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
+    return ctypes.CDLL(str(built))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_generated_c_compiles_without_warnings(tmp_path):
+    source, _ = generate(inspect.getsource(distances._measures),
+                         eps=distances.EPS, exp_max=distances.EXP_MAX)
+    _compile(source, tmp_path / "lib.so")
 
 
 @pytest.mark.parametrize("body,what", [
@@ -131,6 +139,72 @@ def test_compiled_loops_equal_numpy_on_strided_rows_and_both_tilings(
             assert g.shape == w.shape == (len(A), len(B)), c
             assert (g.view(np.uint64) == w.view(np.uint64)).all(), \
                 (c, A.strides, B.strides)
+
+
+def _library_loops(lib) -> dict:
+    """name -> block function of each loop of the library ``lib``, through
+    its ``opf_meta`` table, as ``kernels.load`` wraps them."""
+    table = json.loads(ctypes.c_char_p.in_dll(lib, "opf_meta").value)
+    return {e["name"]: kernels._wrap(getattr(lib, "opf_" + e["name"]), e)
+            for e in table}
+
+
+def _loop_copy(lib) -> str:
+    lib.opf_loop_copy.restype = ctypes.c_char_p
+    return lib.opf_loop_copy().decode()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_the_avx2_and_baseline_copies_agree_bit_for_bit(tmp_path):
+    # the sentinel and the oracles test only the copy this CPU runs: build
+    # the same source with the clones compiled out, and compare it with
+    # the package's library (which the sentinel may have refused) on
+    # blocks of zeros of both signs, ties, subnormals, huge values,
+    # infinities and NaN
+    source, _ = generate(inspect.getsource(distances._measures),
+                         eps=distances.EPS, exp_max=distances.EXP_MAX)
+    cloned = "#define OPF_CLONED 1\n"
+    assert source.count(cloned) == 1
+    path = kernels.cache_path(distances._measures)
+    package = (ctypes.CDLL(str(path)) if path.exists()
+               else _compile(source, tmp_path / "package.so"))
+    baseline = _compile(source.replace(cloned, ""), tmp_path / "baseline.so")
+    assert _loop_copy(package) in ("avx2", "default")
+    if distances.KERNELS == "compiled":
+        assert _loop_copy(package) == distances.LOOP_COPY
+    assert _loop_copy(baseline) == "default"
+    got, want = _library_loops(package), _library_loops(baseline)
+    assert sorted(got) == sorted(want) and len(got) == 30
+
+    rng = np.random.default_rng(34)
+    # and values whose products and quotients round
+    values = np.concatenate([
+        [0.0, -0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 1e300, -1e300, np.inf,
+         -np.inf, np.nan, 1.0, 1.0, -3.0, 499.0, 501.0],
+        rng.uniform(0.0, 2.0, 16), rng.uniform(-1.0, 1.0, 4)])
+    tilings = set()
+    for d in (1, 3, 13, 50):
+        A = rng.choice(values, (11, d))
+        # ties: B repeats rows of A
+        B = np.vstack([A[::3], rng.choice(values, (6, d))])
+        cases = [(A, B), (A[:5], B), (A[:7], B[:5]), (A, B[:2]),
+                 (A[:1], B), (B, A[:1]), (A[::-2], B[1::2, ::-1]),
+                 (np.asfortranarray(A[:6]), B[::-1])]
+        for X, Y in cases:
+            m, k = len(X), len(Y)
+            tilings.add(-(-k // kernels.TILE) * m > -(-m // kernels.TILE) * k)
+            with np.errstate(all="ignore"):
+                for name in got:
+                    g, w = got[name](X, Y), want[name](X, Y)
+                    g, w = (g, w) if isinstance(g, tuple) else ((g,), (w,))
+                    for x, y in zip(g, w, strict=True):
+                        # NaN equals NaN, as on the sentinel: a sum of two
+                        # NaNs may keep either payload
+                        same = ((x.view(np.uint64) == y.view(np.uint64))
+                                | (np.isnan(x) & np.isnan(y)))
+                        assert x.shape == y.shape and same.all(), \
+                            (name, d, X.shape, X.strides, Y.strides)
+    assert tilings == {True, False}
 
 
 # --- a fresh interpreter over a copy of the package ------------------------
