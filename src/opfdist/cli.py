@@ -401,8 +401,8 @@ def cmd_bench(args) -> int:
         datasets, cfg.distance_codes, cfg.seed, cfg.runs,
         normalization=cfg.normalization, parallelism=cfg.parallelism,
         progress=progress, done=seeded.cells)
-    # an adopted cell keeps the timing recorded when it was computed
-    for key in seeded.cells:
+    # an adopted cell that survives keeps the timing it was computed with
+    for key in matrix.cells:
         if key in old_timings:
             matrix.timings.setdefault(key, old_timings[key])
 

@@ -46,21 +46,23 @@ flip a tie in the forest.
 Running sums that several measures finalize are named once and marked
 shared: Sum (a-b)^2 serves seven codes, Sum |a-b| three, the inner
 products four, Sum (sqrt a - sqrt b)^2 three, Sum (a-b)^2/(a+b) two,
-Sum (a-b)^2/a and Sum (a-b)^2/b three each, Sum a e^(2a/(a+b)) three,
-Sum b e^(2b/(a+b)) two, and the exp(a/b) pair two.  Each named sum is
+Sum (a-b)^2/a four, Sum a e^(2a/(a+b)) three, and the exp(a/b) pair
+two.  ``flip`` reads a sum with its operands swapped: Sum (a-b)^2/b is
+Sum (a-b)^2/a of (y, x), and Sum b e^(2b/(a+b)) is Sum a e^(2a/(a+b))
+of (y, x).  Each named sum is
 one loop that returns only its own values, so a measure computes no
 more alone than its own sums, except that Jeffreys and Kullback-Leibler
 each compute the other's sum, to share one exp per term.
-``pairwise_many`` evaluates a list of
-measures on one pair of row matrices and computes each named sum once
-for all of them; ``pairwise`` is that call with one measure.  A measure
-runs the same operations on the same sums as alone, so the bits do not
-change.  Training fills a stack of matrices, and the grid tests its
+``pairwise_many`` evaluates a list of measures on one pair of row
+matrices and computes each named sum once per operand order for all of
+them; ``pairwise`` is that call with one measure.  A measure runs the
+same operations on the same sums as alone, so the bits do not change.
+Training fills a stack of matrices, and the grid tests its
 forests, through such calls (see ``forest``); in ``timings.csv`` each
 measure of a stack that shares its sums gets an equal share of the
 stack's seconds.
 
-The block form's per-feature loops (the 30 functions of ``_measures``
+The block form's per-feature loops (the 28 functions of ``_measures``
 that hold ``for a, b in pairs(x, y)``) are also compiled to C from their
 source (``kernels``).  At import each compiled loop is
 compared, bit for bit, with the numpy loop it replaces on a sentinel
@@ -254,10 +256,10 @@ def _vhi(a, b):
 
 
 class _Shared(threading.local):
-    # The named sums of the running ``pairwise_many`` call, by name, in
-    # this thread; None outside such a call.  The measures' one definition
-    # takes (x, y) alone, in both forms, so a call cannot hand its sums
-    # down as an argument.
+    # The named sums of the running ``pairwise_many`` call, by name and
+    # operand order, in this thread; None outside such a call.  The
+    # measures' one definition takes (x, y) alone, in both forms, so a
+    # call cannot hand its sums down as an argument.
     sums: dict | None = None
 
 
@@ -266,17 +268,19 @@ _shared = _Shared()
 
 def _share(named_sum):
     # Block form of ``share``: inside a pairwise_many call, the first
-    # measure to read a named sum computes it and the rest reuse it.  A
-    # call has one (A, B), and every measure reads its sums of that pair.
+    # measure to read a named sum of (x, y) computes it and the rest
+    # reuse it.  A call's sums are only ever read with its own A and B,
+    # in one order or the other (``flip``), so their ids key the order.
     name = named_sum.__name__
 
     def shared(x, y):
         sums = _shared.sums
         if sums is None:
             return named_sum(x, y)
-        if name not in sums:
-            sums[name] = named_sum(x, y)
-        return sums[name]
+        key = name, id(x), id(y)
+        if key not in sums:
+            sums[key] = named_sum(x, y)
+        return sums[key]
     shared.__name__ = name
     return shared
 
@@ -302,19 +306,22 @@ def _share(named_sum):
 
 _SCALAR = dict(pairs=zip, div=_div, mul=_mul, exp=_exp, log=_log, sqrt=_sqrt,
                root=math.sqrt, lo=_lo, hi=_hi, width=len,
-               share=lambda named_sum: named_sum)
+               flip=lambda v: v, share=lambda named_sum: named_sum)
 _BLOCK = dict(pairs=_cols, div=_vdiv, mul=_vmul, exp=_vexp, log=_vlog,
               sqrt=_vsqrt, root=np.sqrt, lo=_vlo, hi=_vhi,
-              width=lambda A: A.shape[1], share=_share)
+              width=lambda A: A.shape[1], flip=np.transpose, share=_share)
 
 
-def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, share):
+def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, flip,
+              share):
     """The 47 measures over one table of operations, keyed by code.
 
     ``sqrt`` clamps a negative radicand to 0; ``root`` is the plain square
-    root, for radicands that cannot be negative.  ``@share`` marks a
-    named sum: the identity per pair, and one evaluation per
-    ``pairwise_many`` call in the block form.
+    root, for radicands that cannot be negative.  ``flip`` reads a sum of
+    (y, x) as one of (x, y): the identity per pair, the transpose in the
+    block form.  ``@share`` marks a named sum: the identity per pair, and
+    one evaluation per operand order and ``pairwise_many`` call in the
+    block form.
     """
 
     # Running sums that several measures finalize.  Where a code comes
@@ -361,7 +368,7 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, share):
         return s
 
     @share
-    def neyman_chi2(x, y):  # sum (a-b)^2 / a: D28; D39, D40
+    def neyman_chi2(x, y):  # sum (a-b)^2 / a: D28; D29, D39, D40
         s = 0.0
         for a, b in pairs(x, y):
             d = a - b
@@ -369,25 +376,10 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, share):
         return s
 
     @share
-    def pearson_chi2(x, y):  # sum (a-b)^2 / b: D29; D39, D40
-        s = 0.0
-        for a, b in pairs(x, y):
-            d = a - b
-            s += div(d * d, b)
-        return s
-
-    @share
     def k_divergence(x, y):  # sum a e^(2a/(a+b)): D36; D35, D38
         s = 0.0
         for a, b in pairs(x, y):
             s += a * exp(div(2.0 * a, a + b))
-        return s
-
-    @share
-    def reverse_k_divergence(x, y):  # sum b e^(2b/(a+b)): D35, D38
-        s = 0.0
-        for a, b in pairs(x, y):
-            s += b * exp(div(2.0 * b, a + b))
         return s
 
     @share
@@ -528,6 +520,9 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, share):
             cnt += a * a + b * b != 0.0
         return div(num, cnt)
 
+    def pearson_chi2(x, y):  # sum (a-b)^2 / b
+        return flip(neyman_chi2(y, x))
+
     def sangvi_chi2(x, y):
         return 2.0 * sq_over_sum(x, y)
 
@@ -542,13 +537,13 @@ def _measures(pairs, div, mul, exp, log, sqrt, root, lo, hi, width, share):
         return 0.5 * s
 
     def jensen_shannon(x, y):
-        return 0.5 * (k_divergence(x, y) + reverse_k_divergence(x, y))
+        return 0.5 * topsoe(x, y)
 
     def kullback_leibler(x, y):
         return exp_ratio(x, y)[1]
 
-    def topsoe(x, y):
-        return k_divergence(x, y) + reverse_k_divergence(x, y)
+    def topsoe(x, y):  # sum a e^(2a/(a+b)) + sum b e^(2b/(a+b))
+        return k_divergence(x, y) + flip(k_divergence(y, x))
 
     def max_symmetric_chi2(x, y):
         return hi(neyman_chi2(x, y), pearson_chi2(x, y))
@@ -904,7 +899,7 @@ def _pairwise_many(path: str, ids_or_codes: Sequence[DistanceId | str], A,
             f"row matrices of one width")
     if A.shape[1] == 0:
         raise DimensionMismatch("feature vectors must have dim >= 1")
-    # no measure reads one sum twice, so one measure alone keeps none
+    # no measure reads a sum twice in one operand order: one alone keeps none
     _shared.sums = {} if len(blocks) > 1 else None
     try:
         with np.errstate(all="ignore"):

@@ -250,9 +250,9 @@ def run_benchmark(
     fold); they seed the matrix, and each fold runs only its missing
     codes.  ``progress(dataset, run, fold, errors)`` is called as each
     task finishes, with its code -> error text.  A code failing in any
-    fold fails its (dataset, code) column: the column keeps no cell from
-    this call, and ``errors`` holds its lowest failing (run, fold)'s
-    message.  Results are identical for any ``parallelism`` >= 1.
+    fold fails its (dataset, code) column: the column keeps no cell, not
+    even one from ``done``, and ``errors`` holds its lowest failing (run,
+    fold)'s message.  Results are identical for any ``parallelism`` >= 1.
 
     With ``parallelism`` 1 the tasks run in this process, and a test
     that spans more than one chunk splits its queries over the process's
@@ -317,9 +317,10 @@ def run_benchmark(
 
     for key, by_fold in failed.items():
         matrix.errors[key] = by_fold[min(by_fold)]
-    # a failed column drops the cells computed here, the ones with a timing
-    for key in [k for k in matrix.timings if k[:2] in failed]:
-        del matrix.cells[key], matrix.timings[key]
+    # a failed column drops all its cells, computed here or adopted
+    for key in [k for k in matrix.cells if k[:2] in failed]:
+        del matrix.cells[key]
+        matrix.timings.pop(key, None)
     return matrix
 
 

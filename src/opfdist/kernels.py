@@ -1,8 +1,8 @@
 """The measures' per-feature loops, compiled to C from their one definition.
 
 ``distances._measures`` writes each measure once, over a table of
-operations.  Of its functions, 30 hold a ``for a, b in pairs(x, y)``
-loop: the 10 named sums and 20 other measures.  ``generate``
+operations.  Of its functions, 28 hold a ``for a, b in pairs(x, y)``
+loop: the 8 named sums and 20 other measures.  ``generate``
 reads the source of ``_measures`` (its AST) and lowers each of them to
 one C function that evaluates it on every pair of rows of two matrices,
 as the block table ``distances._BLOCK`` defines it:
@@ -107,7 +107,7 @@ _CALLS = {"abs": (1, "fabs"), "div": (2, "opf_div"), "mul": (2, "opf_mul"),
 _BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
 _CMPOPS = {"Eq": "==", "NotEq": "!=", "Lt": "<", "LtE": "<=", "Gt": ">",
            "GtE": ">="}
-_OPERATIONS = {*_CALLS, "width", "pairs", "share"}
+_OPERATIONS = {*_CALLS, "width", "pairs", "flip", "share"}
 
 
 class _Loop:

@@ -520,6 +520,35 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     assert set(reused) <= set(timings)
 
 
+def test_bench_resume_writes_no_adopted_cell_of_a_failed_column(
+        tmp_path, capsys, monkeypatch):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    # drop one cell of (blob2, D7); its three others are adopted, and the
+    # one task left raises for D7
+    header, *rows = (out / "cells.csv").read_text().splitlines()
+    kept = [row for row in rows if not row.startswith("blob2,D7,1,0,")]
+    assert len(kept) == len(rows) - 1
+    (out / "cells.csv").write_text("\n".join([header] + kept) + "\n")
+    real = opfdist.evaluation.forest.fit_and_label
+
+    def d7_raises(features, labels, measures, queries):
+        if "D7" in measures:
+            raise RuntimeError("boom")
+        return real(features, labels, measures, queries)
+
+    monkeypatch.setattr(opfdist.evaluation.forest, "fit_and_label",
+                        d7_raises)
+    main(["bench", "--config", str(cfg), "--out", str(out), "--resume"])
+    assert "1 column(s) failed" in capsys.readouterr().err
+    for name in ("cells.csv", "timings.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert len(rows) == 24 - 4, name
+        assert not [row for row in rows if row.startswith("blob2,D7,")], name
+
+
 def test_bench_resume_refuses_invalid_cells_before_the_grid(
         tmp_path, capsys, monkeypatch):
     cfg = bench_config(tmp_path)

@@ -564,16 +564,73 @@ def test_each_loop_runs_once_per_call_and_a_measure_runs_only_its_own(
         inspect.getsource(distances._measures), eps=distances.EPS,
         exp_max=distances.EXP_MAX)
     distances.pairwise_many(CODES, A, A[::-1])
-    # every named sum (and every other loop) once for all 47 measures
-    assert sorted(ran) == sorted(e["name"] for e in table)
+    # every named sum (and every other loop) once per operand order for
+    # all 47 measures: D29 reads D28's sum, and Topsoe D36's, as (y, x)
+    assert sorted(ran) == sorted([e["name"] for e in table]
+                                 + ["neyman_chi2", "k_divergence"])
     for codes, own in ((["D36"], ["k_divergence"]),
                        (["D28"], ["neyman_chi2"]),
-                       (["D35"], ["k_divergence", "reverse_k_divergence"]),
-                       (["D39", "D40"], ["neyman_chi2", "pearson_chi2"]),
+                       (["D35"], ["k_divergence", "k_divergence"]),
+                       (["D28", "D29"], ["neyman_chi2", "neyman_chi2"]),
+                       (["D39", "D40"], ["neyman_chi2", "neyman_chi2"]),
                        (["D33", "D37"], ["exp_ratio"])):
         ran.clear()
         distances.pairwise_many(codes, A, A[::-1])
         assert ran == own, codes
+
+
+@pytest.mark.parametrize("path", ["pair", *kernel_paths()])
+def test_transposed_and_scaled_measures_equal_their_sources_bit_for_bit(
+        monkeypatch, path):
+    # D29 is D28 read as (y, x); Topsoe adds D36 read both ways; D35, D12
+    # and D30 scale D38, D6 and D31.  Before the finite clamp these are
+    # exact, per pair and on both kernel paths, on zeros of both signs,
+    # ties (B repeats rows of A), subnormals and values that overflow.
+    monkeypatch.setattr(distances, "KERNELS",
+                        "numpy" if path == "pair" else path)
+
+    def raw(code, X, Y):
+        if path == "pair":
+            kernel = resolve(code).kernel
+            return np.array([[kernel(x, y) for y in Y.tolist()]
+                             for x in X.tolist()])
+        return distances._BLOCKS[path][code](X, Y)
+
+    def same(got, want, context):
+        assert got.shape == want.shape, context
+        diff = ((got.view(np.uint64) != want.view(np.uint64))
+                & ~(np.isnan(got) & np.isnan(want)))
+        assert not diff.any(), (context, np.argwhere(diff)[:3])
+
+    rng = np.random.default_rng(29)
+    values = [0.0, -0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e300, 1e-300,
+              5e-324, 499.0, 500.0, 501.0]
+    for d in (1, 3, 13):
+        A = rng.choice(values, (7, d))
+        B = np.vstack([A[::3], rng.choice(values, (4, d)),
+                       rng.uniform(0.0, 1.0, (2, d))])
+        for X, Y in ((A, B), (B, A), (A[:1], B), (A, A)):
+            context = (path, d, X.shape, Y.shape)
+            with np.errstate(all="ignore"):
+                pairs = {
+                    "D29": (raw("D29", X, Y), raw("D28", Y, X).T),
+                    "D38": (raw("D38", X, Y),
+                            raw("D36", X, Y) + raw("D36", Y, X).T),
+                    "D35": (raw("D35", X, Y), 0.5 * raw("D38", X, Y)),
+                    "D12": (raw("D12", X, Y), 0.5 * raw("D6", X, Y)),
+                    "D30": (raw("D30", X, Y), 2.0 * raw("D31", X, Y)),
+                }
+            for code, (got, want) in pairs.items():
+                same(got, want, (code, *context))
+            if path == "pair":
+                continue
+            # D29 reads D28's sum of (B, A), never D28's own, in one call
+            want = {"D28": pairwise("D28", X, Y),
+                    "D29": pairwise("D28", Y, X).T}
+            for codes in (["D28", "D29"], ["D29", "D28"]):
+                got = distances.pairwise_many(codes, X, Y)
+                for code, out in zip(codes, got):
+                    _assert_bits_equal(out, want[code], (code, *context))
 
 
 def test_pairwise_many_keeps_no_sums_after_a_raising_measure(monkeypatch):

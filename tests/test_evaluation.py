@@ -673,6 +673,28 @@ def test_a_code_failing_on_some_folds_fails_its_whole_column(monkeypatch):
     assert parallel.errors == serial.errors
 
 
+def test_a_failed_column_drops_its_adopted_cells_too(monkeypatch):
+    datasets = [toy_dataset("t")]
+    real = evaluation.forest.fit_and_label
+
+    def d5_raises(features, labels, measures, queries):
+        if "D5" in measures:
+            raise RuntimeError("boom")
+        return real(features, labels, measures, queries)
+
+    monkeypatch.setattr(evaluation.forest, "fit_and_label", d5_raises)
+    # D5's first cell and D3's are adopted; the rest of both are computed
+    done = {("t", "D5", 0, 0): 0.5, ("t", "D3", 0, 0): 0.75}
+    matrix = run_benchmark(datasets, ["D3", "D5"], seed=0, runs=2,
+                           done=done)
+    assert matrix.errors == {("t", "D5"): "RuntimeError: boom"}
+    assert not [k for k in matrix.cells if k[1] == "D5"]
+    assert not [k for k in matrix.timings if k[1] == "D5"]
+    assert matrix.cells[("t", "D3", 0, 0)] == 0.75
+    assert matrix.is_complete("t", "D3")
+    assert not [row for row in matrix.to_rows() if row[1] == "D5"]
+
+
 def test_a_code_raising_in_the_shared_test_fails_alone(monkeypatch):
     datasets = [toy_dataset("t1", seed=5)]
     codes = ["D3", "D7", "D28", "D35"]
