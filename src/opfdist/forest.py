@@ -30,21 +30,19 @@ in scan order are built once per forest, on first use.  Single-query
 scan and the early exit return the same cost, label and conqueror, so
 ``early_exit`` never changes a result.
 
-A fit runs Prim and then the competition for k measures together.  A
-cached (k, n, n) stack of matrices, as many as fit in ``_MATRIX_BYTES``,
-is filled one row block at a time by ``distances.pairwise_many``, so its
-measures share their sums; a graph whose one matrix exceeds it
-(n > 2048) fits each measure alone (k = 1) on 1 x n rows evaluated on
-demand.  One function, ``_loops``, fills the stack or sets up those rows,
-and picks the loops that run:
+A fit runs Prim and then the competition for k measures together, on
+one path.  A (k, n, n) stack of matrices, as many as fit in
+``_MATRIX_BYTES``, is filled one row block at a time by
+``distances.pairwise_many``, so its measures share their sums; where not
+even one matrix fits (n > 2048), the stack holds one, in an unlinked
+temporary file (``_new_stack``).  One function, ``_loops``, fills the
+stack and picks the loops that run over it, ``prim(stack, k)`` and
+``compete(stack, k, proto)``:
 
-* a cached stack, where ``distances.KERNELS`` reads "compiled": the C
-  Prim and competition of ``kernels``, over the stack itself, one measure
-  after another;
-* otherwise (the numpy kernels, or rows on demand): the numpy loops
-  ``_mst_parents`` and ``_compete``, on (k, n) state arrays that step the
-  k measures together, reading arcs through ``rows(f) -> (k, n)``, where
-  f = at * n + u names row u of measure ``at``.
+* where ``distances.KERNELS`` reads "compiled": the C Prim and
+  competition of ``kernels``, one measure after another;
+* otherwise: the numpy loops ``_mst_parents`` and ``_compete``, on (k, n)
+  state arrays that step the k measures together.
 
 The numpy loops are the reference: both take the first minimum key,
 change a node only on a strict improvement, and offer the settling
@@ -79,6 +77,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -91,8 +90,8 @@ from . import distances
 from .errors import DimensionMismatch, SingleClass
 
 # A stack of float64 matrices trained together holds at most this many
-# bytes (32 MiB, one matrix of 2048 nodes).  A graph whose one matrix
-# exceeds it is left uncomputed and its arcs are evaluated on demand.
+# bytes (32 MiB, one matrix of 2048 nodes) in memory.  A graph whose one
+# matrix exceeds it fits on a stack of one in a temporary file.
 _MATRIX_BYTES = 1 << 25
 # Row blocks of the matrix and node x query chunks of classify_batch hold
 # about this many entries, which bounds the block kernels' temporaries.
@@ -488,22 +487,33 @@ def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
         np.fill_diagonal(out, 0.0)
 
 
-def _new_stack(k: int, n: int) -> np.ndarray | None:
+def _new_stack(k: int, n: int) -> np.ndarray:
     """An empty stack for up to k of the n x n matrices within
-    ``_MATRIX_BYTES``, or None when not even one fits."""
+    ``_MATRIX_BYTES``; where not even one fits, a stack of one mapped from
+    a ``tempfile.TemporaryFile``, unlinked at creation so that a crash
+    leaves nothing.  ``os.posix_fallocate`` reserves its blocks where the
+    platform has it: a full disk raises OSError here, not a SIGBUS in the
+    fill.  ``ru_maxrss`` counts the file's pages that are mapped."""
     height = min(k, _MATRIX_BYTES // (8 * n * n))
-    return np.empty((height, n, n)) if height >= 1 else None
+    if height >= 1:
+        return np.empty((height, n, n))
+    with tempfile.TemporaryFile() as f:  # the map keeps its own handle
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(f.fileno(), 0, 8 * n * n)
+        return np.memmap(f, np.float64, shape=(1, n, n))
 
 
-def _mst_parents(k: int, n: int, rows) -> np.ndarray:
-    """Prim's algorithm from node 0 on k complete graphs at once, as a
-    (k, n) parent array with -1 at each root; ``rows(f)`` gives the arcs
-    from node u of graph ``at`` for f = at * n + u.
+def _mst_parents(stack: np.ndarray, k: int) -> np.ndarray:
+    """Prim's algorithm from node 0 on the first k matrices of the
+    (height, n, n) ``stack`` at once, as a (k, n) parent array with -1 at
+    each root: the reference of ``kernels``' C ``prim``.
 
     Extraction takes the lowest-index node among minimum keys (argmin
     returns the first minimum); an equal competing key never displaces the
     recorded parent.
     """
+    n = stack.shape[1]
+    rows = stack[:k].reshape(-1, n)  # row u of matrix j is row j * n + u
     base = np.arange(0, k * n, n)
     key = np.full((k, n), np.inf)  # a node in the tree reads +inf
     key[:, 0] = -np.inf
@@ -518,7 +528,7 @@ def _mst_parents(k: int, n: int, rows) -> np.ndarray:
         f = u + base
         flat_free[f] = False
         flat_key[f] = np.inf
-        arcs = rows(f)
+        arcs = rows.take(f, axis=0)
         np.less(arcs, key, out=closer)
         closer &= free
         np.copyto(key, arcs, where=closer)
@@ -536,34 +546,21 @@ def _prototype_mask(parent: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _loops(chunk: Sequence[distances.DistanceId], X: np.ndarray,
-           stack: np.ndarray | None):
+           stack: np.ndarray):
     """Prim and the competition of the k measures of ``chunk`` on the rows
     of ``X``, as ``prim() -> parent`` and ``compete(proto) -> (cost, pred,
     order)``, all (k, n).
 
-    With a stack, the chunk's matrices are filled into its first k slots
-    (``_fill_stack``): the compiled loops of ``kernels`` run over it where
-    ``distances.KERNELS`` reads "compiled", and otherwise ``_mst_parents``
-    and ``_compete``, their reference, on its rows by flat index.  Without
-    one (see ``_new_stack``) the chunk holds one measure, and the numpy
-    loops read each row as a 1 x n ``pairwise`` call with a zeroed
-    diagonal.
+    The chunk's matrices are filled into the first k slots of ``stack``
+    (``_fill_stack``, in memory or in a file alike), and the pair bound to
+    ``(stack, k)`` is the compiled one of ``kernels`` where
+    ``distances.KERNELS`` reads "compiled", else its reference,
+    ``_mst_parents`` and ``_compete``.
     """
-    k, n = len(chunk), len(X)
-    if stack is None:
-        (measure,) = chunk
-
-        def rows(f: np.ndarray) -> np.ndarray:
-            out = distances.pairwise(measure, X[f], X)
-            out[0, f] = 0.0
-            return out
-    else:
-        _fill_stack(chunk, X, stack)
-        if distances.KERNELS == "compiled":
-            prim, compete = distances._FIT
-            return partial(prim, stack, k), partial(compete, stack, k)
-        rows = partial(stack[:k].reshape(-1, n).take, axis=0)
-    return partial(_mst_parents, k, n, rows), partial(_compete, k, n, rows)
+    _fill_stack(chunk, X, stack)
+    pair = (distances._FIT if distances.KERNELS == "compiled"
+            else (_mst_parents, _compete))
+    return tuple(partial(loop, stack, len(chunk)) for loop in pair)
 
 
 def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
@@ -579,10 +576,13 @@ def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask[0]).tolist())
 
 
-def _compete(k: int, n: int, rows, proto: np.ndarray):
-    """The competition of k measures at once from their (k, n) prototype
-    mask, as (k, n) costs, predecessors (-1 at the prototypes) and settling
-    order; ``rows(f)`` gives row u of measure ``at`` for f = at * n + u."""
+def _compete(stack: np.ndarray, k: int, proto: np.ndarray):
+    """The competition on the first k matrices of ``stack`` at once from
+    their (k, n) prototype mask, as (k, n) costs, predecessors (-1 at the
+    prototypes) and settling order: the reference of ``kernels``' C
+    ``compete``."""
+    n = stack.shape[1]
+    rows = stack[:k].reshape(-1, n)
     base = np.arange(0, k * n, n)
     cost = np.where(proto, 0.0, np.inf)
     pred = np.full((k, n), -1)
@@ -601,7 +601,7 @@ def _compete(k: int, n: int, rows, proto: np.ndarray):
         # max(cs, d) as opf_compete takes it: cs unless d is greater, so
         # that d = -0.0 offers cs = +0.0; a settled node t has cost[t] <=
         # cs <= offer, so it never improves
-        d = rows(f)
+        d = rows.take(f, axis=0)
         offer = np.where(d > cs, d, cs)
         np.less(offer, cost, out=better)
         np.copyto(cost, offer, where=better)
@@ -654,13 +654,12 @@ def train(graph: TrainingGraph) -> TrainedForest:
 def _fit_stacks(graph: TrainingGraph,
                 measures: Sequence[distances.DistanceId]):
     """Yield the forests of each stack of ``measures`` on the graph's
-    nodes, in order: as many as fit in ``_MATRIX_BYTES``, or one alone, on
-    rows evaluated on demand, when not even one matrix fits."""
+    nodes, in order: as many as fit in ``_MATRIX_BYTES``, or one at a time
+    in a file when not even one matrix fits (``_new_stack``)."""
     X = graph.features
     stack = _new_stack(len(measures), len(X))
-    height = 1 if stack is None else len(stack)
-    for c0 in range(0, len(measures), height):
-        chunk = measures[c0:c0 + height]
+    for c0 in range(0, len(measures), len(stack)):
+        chunk = measures[c0:c0 + len(stack)]
         yield _fit(graph, chunk, *_loops(chunk, X, stack))
 
 
@@ -676,8 +675,8 @@ def train_measures(
     field for field.  The rows are validated and converted once.  The
     measures' matrices are filled into stacks of as many matrices as fit
     in ``_MATRIX_BYTES``, sharing their sums, and Prim and the competition
-    run once per stack.  When not even one matrix fits, each measure is
-    fitted alone, on rows evaluated on demand.
+    run once per stack.  When not even one matrix fits, the same path
+    fits one measure at a time on a stack in a temporary file.
     """
     measures = [distances.resolve(m) for m in measures]
     if not measures:

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import math
+import os
 import pickle
 import random
 import re
+import tempfile
 import threading
 import weakref
 
@@ -446,11 +449,11 @@ def test_training_is_deterministic_and_cache_neutral(monkeypatch):
     assert 8 * len(g.samples) ** 2 <= opfdist.forest._MATRIX_BYTES
     a = train(g)
     b = train(g)
-    # a budget of 0 bytes forces rows computed on demand
+    # a budget of 0 bytes forces the stack into a temporary file
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 0)
-    uncached = train(g)
+    in_file = train(g)
     assert a == b
-    assert uncached == a
+    assert in_file == a
 
 
 # ---------------------------------------------------------------------------
@@ -776,13 +779,14 @@ def _assert_train_and_classify_batch_equal_scalar_reference(monkeypatch,
             want = forest_reference.train(graph)
             want_protos = forest_reference.find_prototypes(
                 graph, forest_reference.distance_rows(graph))
-            for cache in (True, False):
-                # a budget of 0 bytes forces rows computed on demand
+            for in_memory in (True, False):
+                # a budget of 0 bytes forces the stack into a temporary file
                 monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES",
-                                    budget if cache else 0)
-                assert find_prototypes(graph) == want_protos, (code, cache)
+                                    budget if in_memory else 0)
+                assert find_prototypes(graph) == want_protos, (code,
+                                                               in_memory)
                 got = train(graph)
-                _assert_same_forest(got, want, (code, cache))
+                _assert_same_forest(got, want, (code, in_memory))
                 _assert_python_scalars(got)
             dim = graph.n_features
             rng = random.Random(len(graph.samples))
@@ -814,7 +818,7 @@ def _assert_train_and_classify_batch_equal_scalar_reference(monkeypatch,
             monkeypatch.setattr(opfdist.forest, "_BLOCK_ENTRIES", block)
 
 
-@pytest.mark.parametrize("path", ["stack", "height_1", "on_demand"])
+@pytest.mark.parametrize("path", ["stack", "height_1", "file"])
 def test_train_measures_equals_scalar_reference(monkeypatch, path):
     for kernels in kernel_paths():
         monkeypatch.setattr(opfdist.forest.distances, "KERNELS", kernels)
@@ -822,7 +826,7 @@ def test_train_measures_equals_scalar_reference(monkeypatch, path):
 
 
 def _assert_train_measures_equal_scalar_reference(monkeypatch, path):
-    if path == "on_demand":
+    if path == "file":
         monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 0)
     codes = [d.code for d in registry()]
     for graph in _oracle_graphs("D3"):
@@ -854,17 +858,56 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
 
     # every fit picks its Prim and competition here, compiled or numpy
     def spy(chunk, X, stack):
-        stacks.append((len(chunk), len(X), len(X)))
+        stacks.append((len(chunk), stack))
         return real(chunk, X, stack)
 
+    want = [train(TrainingGraph(graph.samples, resolve(c))) for c in codes]
     monkeypatch.setattr(opfdist.forest, "_loops", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 2 * 17 * 17 * 8)
     got = train_measures(graph.features, graph.labels, codes)
-    assert stacks == [(2, 17, 17), (2, 17, 17), (1, 17, 17)]
-    assert got == [train(TrainingGraph(graph.samples, resolve(c)))
-                   for c in codes]
+    assert [(k, stack.shape) for k, stack in stacks] == [
+        (2, (2, 17, 17)), (2, (2, 17, 17)), (1, (2, 17, 17))]
+    assert not any(isinstance(stack, np.memmap) for _, stack in stacks)
+    assert got == want
+    # room for less than one: each measure alone, on a stack in a file
+    stacks.clear()
+    monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 8 * 17 * 17 - 1)
+    got = train_measures(graph.features, graph.labels, codes)
+    assert [(k, stack.shape) for k, stack in stacks] == [(1, (1, 17, 17))] * 5
+    assert all(isinstance(stack, np.memmap) for _, stack in stacks)
+    assert got == want
     assert train_measures(graph.features, graph.labels, []) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"),
+                    reason="os.posix_fallocate is not on this platform")
+def test_full_disk_raises_before_the_fill_and_leaves_no_file(monkeypatch,
+                                                              tmp_path):
+    graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 17)
+    fills, files = [], []
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    real = tempfile.TemporaryFile
+
+    def no_space(fd, offset, length):
+        raise full
+
+    def opened(*args, **kwargs):
+        files.append(real(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "TemporaryFile", opened)
+    monkeypatch.setattr(os, "posix_fallocate", no_space)
+    monkeypatch.setattr(opfdist.forest, "_fill_stack",
+                        lambda *args: fills.append(args))
+    monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 0)
+    with pytest.raises(OSError) as raised:
+        train_measures(graph.features, graph.labels, ["D3", "D7"])
+    assert raised.value is full
+    assert fills == []
+    assert len(files) == 1 and files[0].closed
+    assert list(tmp_path.iterdir()) == []
 
 
 def _adversarial_stacks():
