@@ -750,21 +750,23 @@ def _compiled_blocks(
 
 
 def _sentinel_rows() -> tuple[np.ndarray, np.ndarray]:
-    # zeros of both signs, negatives, ties (B repeats rows of A), and
-    # exponents at and past EXP_MAX: a/b, 2a/(a+b), 1 + |a-b| and a
+    # zeros of both signs, negatives, ties (B repeats rows of A),
+    # exponents at and past EXP_MAX: a/b, 2a/(a+b), 1 + |a-b| and a,
+    # subnormal divisors, and quotients n / EPS that overflow to inf.  7
+    # and 11 rows leave a remainder of a tile on either side.
     v = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 1e-3, 499.0, 500.0, 501.0,
-         1e-300)
-    A = np.array([[v[(3 * i + 5 * j) % 12] for j in range(3)]
-                  for i in range(5)])
-    B = np.vstack([A[::2], [[v[(7 * i + j) % 12] for j in range(3)]
-                            for i in range(6)]])
+         1e-300, 5e-324, -5e-324, 1e300)
+    A = np.array([[v[(2 * i + 5 * j) % 15] for j in range(3)]
+                  for i in range(7)])
+    B = np.vstack([A[::2], [[v[(7 * i + j) % 15] for j in range(3)]
+                            for i in range(7)]])
     return A, B
 
 
 def _same_bits(got: dict[str, BlockKernel],
                want: dict[str, BlockKernel]) -> bool:
     """Whether each loop in ``got`` returns the shapes and bits of its
-    namesake in ``want`` on the sentinel rows A (5 rows) and B (9 rows),
+    namesake in ``want`` on the sentinel rows A (7 rows) and B (11 rows),
     and on A and B's first row, which tiles the other side.  NaN equals
     NaN: the finite clamp maps every NaN alike."""
     A, B = _sentinel_rows()

@@ -1015,16 +1015,24 @@ _REPO_PATH = re.compile(r"[A-Za-z_][\w.-]*(/[\w.-]+)+/?")
 
 def _workflow_lines():
     """Each line that the workflow's steps run, with the lines of every
-    repository script they run (``bash <script>``), as (where, line)."""
+    repository script that they or those scripts run (``bash <script>``),
+    each script once, as (where, line)."""
     workflow = yaml.safe_load(WORKFLOW.read_text())
+    seen = set()
+
+    def lines(where, text):
+        for line in text.splitlines():
+            yield where, line
+            words = shlex.split(line, comments=True)
+            if (words[:1] in (["bash"], ["$BASH"]) and len(words) > 1
+                    and _REPO_PATH.fullmatch(words[1])
+                    and words[1] not in seen):
+                seen.add(words[1])
+                yield from lines(words[1], (REPO / words[1]).read_text())
     for job_name, job in workflow["jobs"].items():
         for step in job["steps"]:
-            for line in step.get("run", "").splitlines():
-                yield f"{job_name}: {step.get('name')}", line
-                words = shlex.split(line, comments=True)
-                if words[:1] == ["bash"] and _REPO_PATH.fullmatch(words[1]):
-                    for inner in (REPO / words[1]).read_text().splitlines():
-                        yield words[1], inner
+            yield from lines(f"{job_name}: {step.get('name')}",
+                             step.get("run", ""))
 
 
 def test_ci_workflow_commands_parse_and_name_existing_paths():
@@ -1039,10 +1047,11 @@ def test_ci_workflow_commands_parse_and_name_existing_paths():
                 opfdist.cli.build_parser().parse_args(args)
             except SystemExit:
                 pytest.fail(f"{where}: the parser refuses {line.strip()}")
-    # two jobs run the shipped example's seven CLI commands, from one script
-    assert cli_lines == 2 * 7, cli_lines
-    assert {"scripts/smoke.sh", "configs/demo.csv", "perfbench/run.py",
-            "tests/test_kernels.py"} <= paths
+    # the shipped example's seven CLI commands, from the one script that
+    # the gate and the Windows job run
+    assert cli_lines == 7, cli_lines
+    assert {"scripts/gate.sh", "scripts/smoke.sh", "configs/demo.csv",
+            "perfbench/run.py", "tests/test_kernels.py"} <= paths
     missing = sorted(p for p in paths if not (REPO / p).exists())
     assert not missing, missing
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -208,6 +209,76 @@ def test_the_avx2_and_baseline_copies_agree_bit_for_bit(tmp_path):
                         assert x.shape == y.shape and same.all(), \
                             (name, d, X.shape, X.strides, Y.strides)
     assert tilings == {True, False}
+
+
+# --- the two helper pairs ----------------------------------------------------
+
+HELPER_LOOP = """
+OPF_CLONES void t_{fn}(const double *x, const double *y, double *out, long n)
+{{
+    for (long i = 0; i < n; i++)
+        out[i] = {fn}(x[i], y[i]);
+}}
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+@pytest.mark.parametrize("pair", [("opf_div", "opf_mul"),
+                                  ("opf_div_masked", "opf_mul_masked")])
+def test_both_helper_pairs_give_the_scalar_bits(tmp_path, pair):
+    helpers = kernels._HELPERS.format(
+        tile=kernels.TILE, eps=kernels._c_const(distances.EPS.hex()),
+        exp_max=kernels._c_const(distances.EXP_MAX.hex()))
+    loops = "".join(HELPER_LOOP.format(fn=fn) for fn in pair)
+    lib = _compile(helpers + loops, tmp_path / "helpers.so")
+    values = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300,
+              -1e300, np.inf, -np.inf, np.nan)
+    pairs = [(p, q) for p in values for q in values]
+    x, y = np.array(pairs).T
+    for fn, scalar in zip(pair, (distances._div, distances._mul)):
+        c_fn = getattr(lib, "t_" + fn)
+        c_fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
+        c_fn.restype = None
+        want = np.array([scalar(p, q) for p, q in pairs])
+        # each pair in each lane of an AVX2 vector, and in the scalar tail
+        for start in range(4):
+            X, Y, W = x[start:].copy(), y[start:].copy(), want[start:]
+            got = np.empty_like(X)
+            c_fn(X.ctypes.data, Y.ctypes.data, got.ctypes.data, len(X))
+            same = ((got.view(np.uint64) == W.view(np.uint64))
+                    | (np.isnan(got) & np.isnan(W)))
+            assert same.all(), (fn, start, list(zip(X[~same], Y[~same])))
+
+
+def test_the_generator_picks_each_loops_helper_pair(monkeypatch):
+    def loops():
+        """name -> C text of each generated loop function"""
+        source, _ = generate(inspect.getsource(distances._measures),
+                             eps=distances.EPS, exp_max=distances.EXP_MAX)
+        return {name: text for text, name in re.findall(
+            r"(^OPF_CLONES int opf_(\w+)\(.*?^}\n)", source, re.M | re.S)}
+    chosen = loops()
+    assert len(chosen) == 28
+    for name, text in chosen.items():
+        if "opf_exp(" in text or "opf_log(" in text or name == "hassanat":
+            assert "_masked(" not in text, name
+        else:
+            assert "opf_div(" not in text and "opf_mul(" not in text, name
+    assert sum("_masked(" in text for text in chosen.values()) == 16
+    assert all("opf_div(" in chosen[name]
+               for name in ("k_divergence", "exp_ratio", "hassanat"))
+    # the loops that call neither helper are the same text either way:
+    # noise-fit runs only sq_diff (D3)
+    monkeypatch.setattr(kernels, "_helper_pair", lambda loop: kernels._MASKED)
+    all_masked = loops()
+    monkeypatch.setattr(kernels, "_helper_pair", lambda loop: {})
+    all_branching = loops()
+    plain = {name for name, text in all_branching.items()
+             if "opf_div(" not in text and "opf_mul(" not in text}
+    assert plain == {"sq_diff", "abs_diff", "inner", "sqrt_diff", "chebyshev",
+                     "hamming", "lorentzian", "bhattacharyya", "jensen"}
+    for name in plain:
+        assert chosen[name] == all_masked[name] == all_branching[name], name
 
 
 # --- a fresh interpreter over a copy of the package ------------------------
