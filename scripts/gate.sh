@@ -5,11 +5,13 @@
 #   bash scripts/gate.sh            # every step below, in order
 #   bash scripts/gate.sh STEP...    # the named steps, as the workflow runs them
 #
-# It prints one line per step (PASS, FAIL or SKIP, and its seconds),
-# with the step's output after it where the step failed or was named,
-# and exits non-zero if any step failed.  A step that this host cannot
-# run (no cc for `compiled`, no taskset for `one-cpu`) is skipped in a
-# full run and fails when named.
+# It prints one line per step (PASS, FAIL or SKIP, and its seconds) and
+# exits non-zero if any step failed.  A named step writes its output to
+# the terminal as it runs, so a step that hangs shows how far it got; a
+# full run keeps each step's output and prints it after the line of a
+# step that failed.  A step that this host cannot run (no cc for
+# `compiled`, no taskset for `one-cpu`) is skipped in a full run and
+# fails when named.
 #
 # Steps:
 #   compiled     the compiled distance loops are in use, so the oracles
@@ -85,7 +87,11 @@ named=$#
 failed=0
 for name in "$@"; do
     start=$(date +%s.%N)
-    step "$name" > "$work/log" 2>&1
+    if (( named )); then
+        step "$name" 2>&1
+    else
+        step "$name" > "$work/log" 2>&1
+    fi
     rc=$?
     seconds=$(python3 -c "import sys; print(f'{float(sys.argv[2]) - float(sys.argv[1]):.1f}')" "$start" "$(date +%s.%N)")
     if (( rc == 0 )); then
@@ -98,7 +104,7 @@ for name in "$@"; do
     fi
     printf '%-4s  %-11s  %6s s\n' "$result" "$name" "$seconds"
     (( rc == CANNOT_RUN )) && echo "    this host cannot run it"
-    if [[ $result == FAIL ]] || (( named )); then
+    if [[ $result == FAIL ]] && (( !named )); then
         sed 's/^/    /' "$work/log"
     fi
 done

@@ -27,15 +27,15 @@ features, where numpy makes one pass per operation.  Terms of one
 argument alone are computed once per entry of that argument, not once
 per pair.
 
-``div`` and ``mul`` have two pairs of C helpers with the same bits.
-``opf_div``/``opf_mul`` branch as the scalar form does; under the
-trapping math of ``FLAGS`` gcc keeps those branches as control flow and
-leaves the loop that calls them scalar.  ``opf_div_masked``/
-``opf_mul_masked`` always divide (by ``EPS`` where the divisor is a zero)
-or multiply, then mask the result's bits to +0.0 where the scalar form
-returns 0, and gcc vectorizes those loops.  ``_helper_pair`` picks the
-pair of each loop: the masked one, except in the loops that call
-``exp`` or ``log`` and in hassanat (D46), where it measured slower.
+``div`` has two C helpers with the same bits.  ``opf_div`` (like
+``opf_mul``) branches as the scalar form does; under the trapping math
+of ``FLAGS`` gcc keeps that branch as control flow and leaves the loop
+that calls it scalar.  ``opf_div_masked`` always divides (by ``EPS``
+where the divisor is a zero), then masks the quotient's bits to +0.0
+where the scalar form returns 0, and gcc vectorizes those loops.
+``_swapped_helpers`` picks the ``div`` of each loop: the masked one,
+except in the loops that call ``exp`` or ``log``, where it measured
+slower.
 
 One more part, ``FIT_C``, is written by hand, since it does not depend
 on the measures: Prim and the competition over a cached stack of
@@ -342,9 +342,8 @@ static inline double opf_mul(double p, double q)
     return (p == 0.0 || q == 0.0) ? 0.0 : p * q;
 }}
 
-/* The same two, branch free: they compute the quotient or product
-   always, then mask its bits.  A zero mask is all ones where v is +0.0 or
-   -0.0. */
+/* opf_div, branch free: it computes the quotient always, then masks
+   its bits.  A zero mask is all ones where v is +0.0 or -0.0. */
 static inline uint64_t opf_bits(double v)
 {{
     uint64_t u;
@@ -367,11 +366,6 @@ static inline double opf_div_masked(double n, double d)
     const double q = n / opf_double((opf_bits(d) & ~dz) | (opf_bits(EPS) & dz));
     return opf_double(opf_bits(q) & ~(dz & opf_zero_mask(n)));
 }}
-static inline double opf_mul_masked(double p, double q)
-{{
-    return opf_double(opf_bits(p * q)
-                      & ~(opf_zero_mask(p) | opf_zero_mask(q)));
-}}
 static inline double opf_exp(double t) {{ return exp(t > EXP_MAX ? EXP_MAX : t); }}
 static inline double opf_log(double v) {{ return log(v > 0.0 ? v : EPS); }}
 static inline double opf_sqrt(double v) {{ return v < 0.0 ? 0.0 : sqrt(v); }}
@@ -380,27 +374,22 @@ static inline double opf_hi(double p, double q) {{ return p > q ? p : q; }}
 """
 
 
-# Which loops call the bit-mask opf_div_masked/opf_mul_masked in place of
-# the branching opf_div/opf_mul.  Both pairs give the same bits, but under
-# trapping math (FLAGS) gcc keeps the branches' ?: as control flow, and
-# leaves a loop that calls them scalar ("not vectorized: control flow in
-# loop"); the masks let it vectorize.  Two kinds of loop keep the branching
-# pair, where the masks measured slower (one code's 100 x 600 block, d=200,
-# one CPU, AVX2 copy, gcc 12, min of 3 rounds):
-# * loops that call exp or log, whose libm calls stay scalar: D35 went
-#   from 185 to 244 ms, D38 from 190 to 243 ms and D36 from 93 to 121 ms;
-# * hassanat (D46), whose feature loop still reports "control flow in
-#   loop" with the masks (its lo/hi selects of the tiled entry become
-#   masked loads), so they only add work: 76 to 90 ms.
-_MASKED = {"opf_div": "opf_div_masked", "opf_mul": "opf_mul_masked"}
+# Which loops call the bit-mask opf_div_masked in place of the branching
+# opf_div.  Both give the same bits, but under trapping math (FLAGS) gcc
+# keeps the branch's ?: as control flow, and leaves a loop that calls it
+# scalar ("not vectorized: control flow in loop"); the masks let it
+# vectorize.  Loops that call exp or log keep the branching helper: their
+# libm calls stay scalar, and the masks measured slower there (one code's
+# 100 x 600 block, d=200, one CPU, AVX2 copy, gcc 12, min of 3 rounds):
+# D35 went from 185 to 244 ms, D38 from 190 to 243 ms and D36 from 93 to
+# 121 ms.  No loop calls mul, so opf_mul has no masked copy.
+_MASKED = {"opf_div": "opf_div_masked"}
 
 
-def _helper_pair(loop: _Loop) -> dict[str, str]:
+def _swapped_helpers(loop: _Loop) -> dict[str, str]:
     """C helper -> the helper that ``loop``'s C calls in its place."""
     calls = {key[1] for key in loop.nodes if key[0] == "call"}
-    if calls & {"opf_exp", "opf_log"} or loop.name == "hassanat":
-        return {}
-    return _MASKED
+    return {} if calls & {"opf_exp", "opf_log"} else _MASKED
 
 
 def _c_const(h: str) -> str:
@@ -411,7 +400,7 @@ def _c_const(h: str) -> str:
 class _Emitter:
     def __init__(self, loop: _Loop):
         self.loop = loop
-        self.calls = _helper_pair(loop)
+        self.calls = _swapped_helpers(loop)
 
     def expr(self, k: int, leaf) -> str:
         key = self.loop.nodes[k]

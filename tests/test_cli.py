@@ -1015,31 +1015,41 @@ _REPO_PATH = re.compile(r"[A-Za-z_][\w.-]*(/[\w.-]+)+/?")
 
 def _workflow_lines():
     """Each line that the workflow's steps run, with the lines of every
-    repository script that they or those scripts run (``bash <script>``),
-    each script once, as (where, line)."""
+    repository script that they or those scripts run (``[VAR=value ...]
+    bash <script>``), each script's once, as [(where, line)]; and the jobs
+    that reach each script, as {script: {job, ...}}."""
     workflow = yaml.safe_load(WORKFLOW.read_text())
-    seen = set()
+    lines, reached = [], {}
 
-    def lines(where, text):
+    def visit(job, where, text, first):
         for line in text.splitlines():
-            yield where, line
+            if first:
+                lines.append((where, line))
             words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"\w+=.*", words[0]):
+                words.pop(0)
             if (words[:1] in (["bash"], ["$BASH"]) and len(words) > 1
-                    and _REPO_PATH.fullmatch(words[1])
-                    and words[1] not in seen):
-                seen.add(words[1])
-                yield from lines(words[1], (REPO / words[1]).read_text())
+                    and _REPO_PATH.fullmatch(words[1])):
+                script = words[1]
+                new = script not in reached
+                if job not in reached.setdefault(script, set()):
+                    reached[script].add(job)
+                    visit(job, script, (REPO / script).read_text(), new)
     for job_name, job in workflow["jobs"].items():
         for step in job["steps"]:
-            yield from lines(f"{job_name}: {step.get('name')}",
-                             step.get("run", ""))
+            visit(job_name, f"{job_name}: {step.get('name')}",
+                  step.get("run", ""), True)
+    return lines, reached
 
 
 def test_ci_workflow_commands_parse_and_name_existing_paths():
-    cli_lines, paths = 0, set()
-    for where, line in _workflow_lines():
+    lines, reached = _workflow_lines()
+    cli_lines, gate_smokes, paths = 0, 0, set()
+    for where, line in lines:
         words = shlex.split(line, comments=True)
         paths |= {w for w in words if _REPO_PATH.fullmatch(w)}
+        if where == "scripts/gate.sh" and "scripts/smoke.sh" in words:
+            gate_smokes += 1
         if "opfdist.cli" in words:
             cli_lines += 1
             args = words[words.index("opfdist.cli") + 1:]
@@ -1048,12 +1058,29 @@ def test_ci_workflow_commands_parse_and_name_existing_paths():
             except SystemExit:
                 pytest.fail(f"{where}: the parser refuses {line.strip()}")
     # the shipped example's seven CLI commands, from the one script that
-    # the gate and the Windows job run
+    # the tier1 job (through the gate) and the Windows job both run
     assert cli_lines == 7, cli_lines
+    assert reached["scripts/gate.sh"] >= {"tier1"}, reached
+    assert reached["scripts/smoke.sh"] >= {"tier1", "windows-smoke"}, reached
+    # the gate runs it on both kernel paths (steps smoke and smoke-numpy)
+    assert gate_smokes == 2, gate_smokes
     assert {"scripts/gate.sh", "scripts/smoke.sh", "configs/demo.csv",
             "perfbench/run.py", "tests/test_kernels.py"} <= paths
     missing = sorted(p for p in paths if not (REPO / p).exists())
     assert not missing, missing
+
+
+def test_the_tier1_job_runs_every_gate_step():
+    gate = (REPO / "scripts" / "gate.sh").read_text()
+    steps = re.search(r"^ALL=\((.*?)\)", gate, re.M | re.S).group(1).split()
+    named = []
+    for step in yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]:
+        for line in step.get("run", "").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:2] == ["bash", "scripts/gate.sh"]:
+                named += words[2:]
+    # each step once, and none but the gate's
+    assert sorted(named) == sorted(steps), named
 
 
 # --- README's Python examples -------------------------------------------------

@@ -211,7 +211,7 @@ def test_the_avx2_and_baseline_copies_agree_bit_for_bit(tmp_path):
     assert tilings == {True, False}
 
 
-# --- the two helper pairs ----------------------------------------------------
+# --- the div and mul helpers -------------------------------------------------
 
 HELPER_LOOP = """
 OPF_CLONES void t_{fn}(const double *x, const double *y, double *out, long n)
@@ -223,9 +223,9 @@ OPF_CLONES void t_{fn}(const double *x, const double *y, double *out, long n)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-@pytest.mark.parametrize("pair", [("opf_div", "opf_mul"),
-                                  ("opf_div_masked", "opf_mul_masked")])
-def test_both_helper_pairs_give_the_scalar_bits(tmp_path, pair):
+@pytest.mark.parametrize("pair", [("opf_div", "opf_mul"), ("opf_div_masked",)],
+                         ids=["branching", "masked"])
+def test_the_helpers_give_the_scalar_bits(tmp_path, pair):
     helpers = kernels._HELPERS.format(
         tile=kernels.TILE, eps=kernels._c_const(distances.EPS.hex()),
         exp_max=kernels._c_const(distances.EXP_MAX.hex()))
@@ -250,7 +250,7 @@ def test_both_helper_pairs_give_the_scalar_bits(tmp_path, pair):
             assert same.all(), (fn, start, list(zip(X[~same], Y[~same])))
 
 
-def test_the_generator_picks_each_loops_helper_pair(monkeypatch):
+def test_the_generator_picks_each_loops_div_helper(monkeypatch):
     def loops():
         """name -> C text of each generated loop function"""
         source, _ = generate(inspect.getsource(distances._measures),
@@ -260,18 +260,19 @@ def test_the_generator_picks_each_loops_helper_pair(monkeypatch):
     chosen = loops()
     assert len(chosen) == 28
     for name, text in chosen.items():
-        if "opf_exp(" in text or "opf_log(" in text or name == "hassanat":
+        if "opf_exp(" in text or "opf_log(" in text:
             assert "_masked(" not in text, name
         else:
             assert "opf_div(" not in text and "opf_mul(" not in text, name
-    assert sum("_masked(" in text for text in chosen.values()) == 16
+    assert sum("_masked(" in text for text in chosen.values()) == 17
     assert all("opf_div(" in chosen[name]
-               for name in ("k_divergence", "exp_ratio", "hassanat"))
+               for name in ("k_divergence", "exp_ratio"))
     # the loops that call neither helper are the same text either way:
     # noise-fit runs only sq_diff (D3)
-    monkeypatch.setattr(kernels, "_helper_pair", lambda loop: kernels._MASKED)
+    monkeypatch.setattr(kernels, "_swapped_helpers",
+                        lambda loop: kernels._MASKED)
     all_masked = loops()
-    monkeypatch.setattr(kernels, "_helper_pair", lambda loop: {})
+    monkeypatch.setattr(kernels, "_swapped_helpers", lambda loop: {})
     all_branching = loops()
     plain = {name for name, text in all_branching.items()
              if "opf_div(" not in text and "opf_mul(" not in text}
