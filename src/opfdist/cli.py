@@ -13,6 +13,7 @@ import hashlib
 import json
 import platform
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -59,10 +60,9 @@ def _int_or_text(value):
     if isinstance(value, int):
         return value
     text = str(value)
-    stripped = text.lstrip("+-")
-    if stripped.isdigit():
-        return int(text)
-    return text
+    # an optional sign and ASCII digits; names such as "+-1" or "²",
+    # which int() refuses, stay names
+    return int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else text
 
 
 def _load_dataset(path: Path, fmt: str, label_column, has_header: bool,

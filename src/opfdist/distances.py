@@ -292,10 +292,11 @@ def _share(named_sum):
 # and B (k, d), returning the (m, k) matrix of kernel(A[i], B[j]).  Both
 # return raw values; ``distance_function`` and ``pairwise`` apply the
 # finite clamp.  An accumulator starts at s = 0.0 and becomes an array on
-# its first addition; a sum over one argument only (sxx, syy, a * exp(a))
-# stays a column or a row.  The same operations run in the same order in
-# both forms, so they give the same bits.  To keep both forms total and
-# equal, a definition
+# its first addition; a sum over one argument only (sxx, syy) stays a
+# column or a row (the compiled loops return it as the (m, k) matrix,
+# each entry with the same bits).  The same operations run in the same
+# order in both forms, so they give the same bits.  To keep both forms
+# total and equal, a definition
 #
 # * divides through ``div`` unless the denominator is the constant 2.0
 #   (a float divided by 0 raises where numpy returns inf, and ``width``
@@ -765,10 +766,12 @@ def _sentinel_rows() -> tuple[np.ndarray, np.ndarray]:
 
 def _same_bits(got: dict[str, BlockKernel],
                want: dict[str, BlockKernel]) -> bool:
-    """Whether each loop in ``got`` returns the shapes and bits of its
-    namesake in ``want`` on the sentinel rows A (7 rows) and B (11 rows),
-    and on A and B's first row, which tiles the other side.  NaN equals
-    NaN: the finite clamp maps every NaN alike."""
+    """Whether each loop in ``got`` returns the bits of its namesake in
+    ``want`` on the sentinel rows A (7 rows) and B (11 rows), and on A and
+    B's first row, which tiles the other side.  A column (m, 1) or a row
+    (1, k) of ``want`` (a sum over one argument) is compared with each
+    column or row of ``got``'s result; any other shape differs.  NaN
+    equals NaN: the finite clamp maps every NaN alike."""
     A, B = _sentinel_rows()
     with np.errstate(all="ignore"):
         for name, fn in want.items():
@@ -782,8 +785,11 @@ def _same_bits(got: dict[str, BlockKernel],
             for g, u in cases:
                 g, u = (g, u) if isinstance(g, tuple) else ((g,), (u,))
                 for x, y in zip(g, u, strict=True):
-                    if x.shape != y.shape or not (
-                            (x.view(np.uint64) == y.view(np.uint64))
+                    try:
+                        y = np.broadcast_to(y, x.shape)
+                    except ValueError:
+                        return False
+                    if not ((x.view(np.uint64) == y.view(np.uint64))
                             | (np.isnan(x) & np.isnan(y))).all():
                         return False
     return True

@@ -11,15 +11,17 @@ as the block table ``distances._BLOCK`` defines it:
   one operation per C expression, so that each rounds once, in the same
   order (``-ffp-contract=off`` keeps a product and a sum apart);
 * ``abs``, and comparisons, which add 1.0 or 0.0 to a sum;
-* ``div``, ``mul``, ``exp``, ``log``, ``sqrt``, ``root``, ``lo``, ``hi``
-  and ``width``, with the conditionals of their scalar form;
-  ``exp`` and ``log`` call libm, as ``math.exp``/``math.log`` do.
+* ``div``, ``exp``, ``sqrt``, ``root``, ``lo`` and ``hi``, with the
+  conditionals of their scalar form; ``exp`` calls libm, as
+  ``math.exp`` does.
 
-Any other construct raises ``Refused``.  A sum over one argument only (a
-column ``sum a^2`` or a row ``sum b^2``) is returned as a column or a
-row, as numpy broadcasting returns it.  Every pair accumulates feature
-by feature in component order, so each entry is the block form's, bit
-for bit.
+These are the operations that the 28 loops call.  Any other construct
+raises ``Refused``, ``mul``, ``log`` and ``width`` included: the
+measures apply them only to finished sums, in Python.  Every result is
+the (m, k) matrix: every sum accumulates per pair, feature by feature in
+component order, so each entry is the block form's, bit for bit.  Where
+the block form returns a column or a row (a sum over one argument only,
+``sum a^2``), each entry sums the same terms in the same order.
 
 The pairs run in tiles of ``TILE`` entries of one side, with the
 features inside, so that a tile's sums stay in locals: one pass over the
@@ -27,15 +29,13 @@ features, where numpy makes one pass per operation.  Terms of one
 argument alone are computed once per entry of that argument, not once
 per pair.
 
-``div`` has two C helpers with the same bits.  ``opf_div`` (like
-``opf_mul``) branches as the scalar form does; under the trapping math
-of ``FLAGS`` gcc keeps that branch as control flow and leaves the loop
-that calls it scalar.  ``opf_div_masked`` always divides (by ``EPS``
+``div`` has two C helpers with the same bits.  ``opf_div`` branches as
+the scalar form does; under the trapping math of ``FLAGS`` gcc keeps
+that branch as control flow and leaves the loop that calls it scalar.  ``opf_div_masked`` always divides (by ``EPS``
 where the divisor is a zero), then masks the quotient's bits to +0.0
 where the scalar form returns 0, and gcc vectorizes those loops.
 ``_swapped_helpers`` picks the ``div`` of each loop: the masked one,
-except in the loops that call ``exp`` or ``log``, where it measured
-slower.
+except in the loops that call ``exp``, where it measured slower.
 
 One more part, ``FIT_C``, is written by hand, since it does not depend
 on the measures: Prim and the competition over a cached stack of
@@ -45,8 +45,8 @@ doubles, so no rounding can change its result.
 
 ``load`` builds the C once, the generated source and ``FIT_C`` as one
 file in one call of the system ``cc`` (``FLAGS``: ``-O2 -fno-fast-math
--ffp-contract=off``, and ``exp``/``log`` from libm), into this
-package's ``__pycache__``, as one library under a name that hashes
+-ffp-contract=off``, and ``exp`` from libm), into this package's
+``__pycache__``, as one library under a name that hashes
 the source of this module and of the measures' module with the machine,
 and calls it through ctypes.  The library is written to a temporary name
 and renamed into place, so a reader never sees a partial file.  An
@@ -59,10 +59,10 @@ ifunc), and the library's ``opf_loop_copy`` names it, "avx2" or
 "default".  Elsewhere only the baseline copy is built.  The bits are
 the same: both copies run the same C under ``FLAGS``, so nothing is
 contracted or reassociated; AVX2 does not imply FMA; add, sub, mul, div
-and sqrt round each lane as SSE2 rounds it; ``exp`` and ``log`` stay
-scalar libm calls; and each pair still sums feature by feature in
-order.  The C Prim and competition are not cloned: their argmin
-tracking does not vectorize, and a clone measured no faster.
+and sqrt round each lane as SSE2 rounds it; ``exp`` stays a scalar
+libm call; and each pair still sums feature by feature in order.  The
+C Prim and competition are not cloned: their argmin tracking does not
+vectorize, and a clone measured no faster.
 
 ``load`` returns None where there is no compiler, the cache cannot be
 written or the build fails; ``distances`` then keeps its numpy block
@@ -90,12 +90,12 @@ from typing import Callable
 import numpy as np
 
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fno-builtin-exp",
-         "-fno-builtin-log", "-fPIC")
+         "-fPIC")
 # Pairs per tile of the longer side; a tile's sums stay in locals.
 TILE = 4
 # The calling convention of every loop function: two row matrices with
 # their strides in elements, the sizes, which side is tiled, then one
-# output pointer per result.
+# output pointer per (m, k) result.
 _PARAMS = (("const double *A", ctypes.c_void_p), ("long as0", ctypes.c_long),
            ("long as1", ctypes.c_long), ("const double *B", ctypes.c_void_p),
            ("long bs0", ctypes.c_long), ("long bs1", ctypes.c_long),
@@ -109,25 +109,27 @@ class Refused(ValueError):
     """The generator met a construct it does not know how to lower."""
 
 
-# name in the table of operations -> (arity, C function)
-_CALLS = {"abs": (1, "fabs"), "div": (2, "opf_div"), "mul": (2, "opf_mul"),
-          "exp": (1, "opf_exp"), "log": (1, "opf_log"),
+# name in the table of operations -> (arity, C function), for the
+# operations that the loops call
+_CALLS = {"abs": (1, "fabs"), "div": (2, "opf_div"), "exp": (1, "opf_exp"),
           "sqrt": (1, "opf_sqrt"), "root": (1, "sqrt"),
           "lo": (2, "opf_lo"), "hi": (2, "opf_hi")}
 _BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
 _CMPOPS = {"Eq": "==", "NotEq": "!=", "Lt": "<", "LtE": "<=", "Gt": ">",
            "GtE": ">="}
-_OPERATIONS = {*_CALLS, "width", "pairs", "flip", "share"}
+# every name of the table, which a loop may not assign
+_OPERATIONS = {*_CALLS, "mul", "log", "width", "pairs", "flip", "share"}
 
 
 class _Loop:
     """One loop function lowered to a graph of operations.
 
-    Nodes are interned tuples: ("a",), ("b",), ("const", hex), ("width",),
-    ("acc", name) (a sum's value before this feature), ("fin", name) (its
-    value after the loop), ("bin", op, x, y), ("neg", x), ("cmp", op, x, y)
-    and ("call", c_function, *args).  ``deps[node]`` names what a node
-    reads: "a", "b", "acc:<name>" and "fin:<name>".
+    Nodes are interned tuples: ("a",), ("b",), ("const", hex), ("acc",
+    name) (a sum's value before this feature), ("fin", name) (its value
+    after the loop), ("bin", op, x, y), ("neg", x), ("cmp", op, x, y) and
+    ("call", c_function, *args).  ``deps[node]`` names the leaves that a
+    node reads: "a", "b", "acc" and "fin".  Each of ``returns`` is one
+    (m, k) result.
     """
 
     def __init__(self, fn):
@@ -145,11 +147,9 @@ class _Loop:
     def node(self, *key) -> int:
         if key not in self.ids:
             op = key[0]
-            if op in ("a", "b"):
+            if op in ("a", "b", "acc", "fin"):
                 deps = frozenset([op])
-            elif op in ("acc", "fin"):
-                deps = frozenset([f"{op}:{key[1]}"])
-            elif op in ("const", "width"):
+            elif op == "const":
                 deps = frozenset()
             else:
                 deps = frozenset().union(
@@ -203,23 +203,13 @@ class _Loop:
             if env[name] == self.node("acc", name):
                 self.refuse(loop, f"{name} is never added to")
             self.update[name] = env[name]
-        self._shapes(loop)
         env = {name: self.node("fin", name) for name in init}
-        env[x] = env[y] = None  # only as the argument of width
         if ret.value is None:
             self.refuse(ret, "a measure returns a value")
         items = (ret.value.elts if isinstance(ret.value, ast.Tuple)
                  else [ret.value])
         self.tuple = isinstance(ret.value, ast.Tuple)
         self.returns = [self._expr(e, env) for e in items]
-        self.out_shapes = []
-        for e, r in zip(items, self.returns):
-            reads = {self.shape[d[4:]] for d in self.deps[r]
-                     if d.startswith("fin:")}
-            if not reads:
-                self.refuse(e, "a result reads no sum")
-            self.out_shapes.append(
-                reads.pop() if len(reads) == 1 else "full")
 
     def _statement(self, stmt, env):
         if isinstance(stmt, ast.AugAssign):
@@ -241,7 +231,7 @@ class _Loop:
 
     def _expr(self, e, env) -> int:
         if isinstance(e, ast.Name):
-            if env.get(e.id) is None:
+            if e.id not in env:
                 self.refuse(e, "unknown name")
             return env[e.id]
         if isinstance(e, ast.Constant) and type(e.value) is float:
@@ -261,38 +251,10 @@ class _Loop:
                 and not e.keywords
                 and not any(isinstance(a, ast.Starred) for a in e.args)):
             name = e.func.id
-            if (name == "width" and len(e.args) == 1
-                    and isinstance(e.args[0], ast.Name)
-                    and e.args[0].id in env and env[e.args[0].id] is None):
-                return self.node("width")
             if name in _CALLS and len(e.args) == _CALLS[name][0]:
                 return self.node("call", _CALLS[name][1],
                                  *(self._expr(a, env) for a in e.args))
         self.refuse(e, "unknown operation")
-
-    def _shapes(self, loop):
-        # a sum over both arguments fills the (m, k) matrix; over one, a
-        # column (m, 1) or a row (1, k), as numpy broadcasting gives it
-        reads = {n: {d[4:] for d in self.deps[u] if d.startswith("acc:")}
-                 for n, u in self.update.items()}
-        sides = {n: self.deps[u] & {"a", "b"} for n, u in self.update.items()}
-        changed = True
-        while changed:
-            changed = False
-            for n in sides:
-                grown = sides[n].union(*(sides[r] for r in reads[n]))
-                changed |= grown != sides[n]
-                sides[n] = grown
-        names = {frozenset("a"): "col", frozenset("b"): "row",
-                 frozenset("ab"): "full"}
-        self.shape = {}
-        for n, s in sides.items():
-            if not s:
-                self.refuse(loop, f"{n} sums no feature")
-            self.shape[n] = names[frozenset(s)]
-        for n, r in reads.items():
-            if any(self.shape[o] != self.shape[n] for o in r):
-                self.refuse(loop, f"{n} reads a sum of another shape")
 
 
 # --- C ----------------------------------------------------------------------
@@ -337,10 +299,6 @@ static inline double opf_div(double n, double d)
         return n == 0.0 ? 0.0 : n / EPS;
     return n / d;
 }}
-static inline double opf_mul(double p, double q)
-{{
-    return (p == 0.0 || q == 0.0) ? 0.0 : p * q;
-}}
 
 /* opf_div, branch free: it computes the quotient always, then masks
    its bits.  A zero mask is all ones where v is +0.0 or -0.0. */
@@ -367,7 +325,6 @@ static inline double opf_div_masked(double n, double d)
     return opf_double(opf_bits(q) & ~(dz & opf_zero_mask(n)));
 }}
 static inline double opf_exp(double t) {{ return exp(t > EXP_MAX ? EXP_MAX : t); }}
-static inline double opf_log(double v) {{ return log(v > 0.0 ? v : EPS); }}
 static inline double opf_sqrt(double v) {{ return v < 0.0 ? 0.0 : sqrt(v); }}
 static inline double opf_lo(double p, double q) {{ return p < q ? p : q; }}
 static inline double opf_hi(double p, double q) {{ return p > q ? p : q; }}
@@ -378,18 +335,18 @@ static inline double opf_hi(double p, double q) {{ return p > q ? p : q; }}
 # opf_div.  Both give the same bits, but under trapping math (FLAGS) gcc
 # keeps the branch's ?: as control flow, and leaves a loop that calls it
 # scalar ("not vectorized: control flow in loop"); the masks let it
-# vectorize.  Loops that call exp or log keep the branching helper: their
-# libm calls stay scalar, and the masks measured slower there (one code's
+# vectorize.  Loops that call exp keep the branching helper: their libm
+# calls stay scalar, and the masks measured slower there (one code's
 # 100 x 600 block, d=200, one CPU, AVX2 copy, gcc 12, min of 3 rounds):
 # D35 went from 185 to 244 ms, D38 from 190 to 243 ms and D36 from 93 to
-# 121 ms.  No loop calls mul, so opf_mul has no masked copy.
+# 121 ms.
 _MASKED = {"opf_div": "opf_div_masked"}
 
 
 def _swapped_helpers(loop: _Loop) -> dict[str, str]:
     """C helper -> the helper that ``loop``'s C calls in its place."""
     calls = {key[1] for key in loop.nodes if key[0] == "call"}
-    return {} if calls & {"opf_exp", "opf_log"} else _MASKED
+    return {} if "opf_exp" in calls else _MASKED
 
 
 def _c_const(h: str) -> str:
@@ -407,11 +364,8 @@ class _Emitter:
         got = leaf(k)
         if got is not None:
             return got
-        op = key[0]
-        if op == "const":
+        if key[0] == "const":
             return _c_const(key[1])
-        if op == "width":
-            return "(double)d"
         return f"v{k}"
 
     def define(self, k: int, leaf) -> str:
@@ -452,73 +406,16 @@ class _Emitter:
 
 
 def _is_leaf(key) -> bool:
-    return key[0] in ("a", "b", "const", "width", "acc", "fin")
+    return key[0] in ("a", "b", "const", "acc", "fin")
 
 
-def _function(loop: _Loop) -> str:
-    em = _Emitter(loop)
-    L = loop
-    names = list(L.init)
-    by_shape = {s: [n for n in names if L.shape[n] == s]
-                for s in ("col", "row", "full")}
+def _function(L: _Loop) -> str:
+    em = _Emitter(L)
+    nests = [_pair_nest(L, em, t) for t in (True, False)]
+    bufs = [b for _, new in nests for b in new]
+    body = ["if (tile_a) {", *("    " + ln for ln in nests[0][0]),
+            "} else {", *("    " + ln for ln in nests[1][0]), "}"]
     outs = [f"double *out{q}" for q in range(len(L.returns))]
-    body: list[str] = []
-    bufs: list[str] = []
-    leafkey = lambda k: _is_leaf(L.nodes[k])  # noqa: E731
-
-    # sums of one argument: one loop over that argument's rows
-    for shape, side, idx, n_rows, M, s0, s1 in (
-            ("col", "a", "i", "m", "A", "as0", "as1"),
-            ("row", "b", "j", "k", "B", "bs0", "bs1")):
-        accs = by_shape[shape]
-        if not accs:
-            continue
-        store = "ca" if shape == "col" else "ra"
-        rets = [q for q, s in enumerate(L.out_shapes) if s == shape]
-
-        def leaf(k, side=side, store=store, idx=idx):
-            key = L.nodes[k]
-            if key[0] == side:
-                return side
-            if key[0] == "acc":
-                return f"s_{key[1]}"
-            if key[0] == "fin":
-                return f"{store}_{key[1]}[{idx}]"
-            return None
-        new = [f"{store}_{n}" for n in accs]
-        bufs += new
-        body += [f"{b} = malloc(sizeof(double) * ({n_rows} + 1));"
-                 for b in new]
-        body += [f"if ({' || '.join('!' + b for b in new)})",
-                 "    goto done;",
-                 f"for (long {idx} = 0; {idx} < {n_rows}; {idx}++) {{"]
-        body += [f"    double s_{n} = {_c_const(L.init[n].hex())};"
-                 for n in accs]
-        body += ["    for (long f = 0; f < d; f++) {",
-                 f"        const double {side} = "
-                 f"{M}[{idx} * {s0} + f * {s1}];"]
-        terms = em.closure([L.update[n] for n in accs], leafkey)
-        body += ["        " + ln for ln in em.lines(terms, leaf)]
-        body += [f"        s_{n} = {em.expr(L.update[n], leaf)};"
-                 for n in accs]
-        body.append("    }")
-        body += [f"    {store}_{n}[{idx}] = s_{n};" for n in accs]
-        fin = em.closure([L.returns[q] for q in rets], leafkey)
-        body += ["    " + ln for ln in em.lines(fin, leaf)]
-        body += [f"    out{q}[{idx}] = {em.expr(L.returns[q], leaf)};"
-                 for q in rets]
-        body.append("}")
-
-    rets = [q for q, s in enumerate(L.out_shapes) if s == "full"]
-    if rets:
-        nests = [_pair_nest(L, em, by_shape["full"], rets, t)
-                 for t in (True, False)]
-        bufs += [b for _, new in nests for b in new]
-        body.append("if (tile_a) {")
-        body += ["    " + ln for ln in nests[0][0]]
-        body.append("} else {")
-        body += ["    " + ln for ln in nests[1][0]]
-        body.append("}")
     params = ", ".join([p for p, _ in _PARAMS] + outs)
     src = [f"OPF_CLONES int opf_{L.name}({params})", "{", "    int rc = -1;"]
     src += [f"    double *{b} = NULL;" for b in bufs]
@@ -529,12 +426,12 @@ def _function(loop: _Loop) -> str:
     return "\n".join(src)
 
 
-def _pair_nest(L: _Loop, em: _Emitter, full, rets, tile_a: bool):
+def _pair_nest(L: _Loop, em: _Emitter, tile_a: bool):
     """The loops over pairs, and the buffers they allocate: for each row of
     the untiled side, for each tile of TILE entries of the tiled side, the
-    features, with the tile's sums in locals.  The tiled side is copied
-    into tile-major order, zero padded; its one-argument terms are
-    computed there, once per entry."""
+    features, with the tile's sums in locals, then the tile's results.
+    The tiled side is copied into tile-major order, zero padded; its
+    one-argument terms are computed there, once per entry."""
     # side: (letter, index, count, matrix, strides)
     tiled = ("a", "i", "m", "A", "as0", "as1") if tile_a else \
         ("b", "j", "k", "B", "bs0", "bs1")
@@ -542,8 +439,9 @@ def _pair_nest(L: _Loop, em: _Emitter, full, rets, tile_a: bool):
         ("a", "i", "m", "A", "as0", "as1")
     ts, ti, tn, TM, t0, t1 = tiled
     os_, oi, on, OM, o0, o1 = outer
+    sums = list(L.init)
     leafkey = lambda k: _is_leaf(L.nodes[k])  # noqa: E731
-    every = em.closure([L.update[n] for n in full], leafkey)
+    every = em.closure([L.update[n] for n in sums], leafkey)
     # terms of the tiled side alone become tables; of the outer side
     # alone (or of constants), locals per feature
     alone = [k for k in every if L.deps[k] == frozenset([ts])]
@@ -571,11 +469,7 @@ def _pair_nest(L: _Loop, em: _Emitter, full, rets, tile_a: bool):
 
     def fin_leaf(k):
         key = L.nodes[k]
-        if key[0] == "fin":
-            n = key[1]
-            return {"full": f"s_{n}[t]", "col": f"ca_{n}[i]",
-                    "row": f"ra_{n}[j]"}[L.shape[n]]
-        return None
+        return f"s_{key[1]}[t]" if key[0] == "fin" else None
 
     bufs = [f"{ts}t", *tables.values()]
     src = [f"const long nt = ({tn} + TILE - 1) / TILE;"]
@@ -596,12 +490,11 @@ def _pair_nest(L: _Loop, em: _Emitter, full, rets, tile_a: bool):
     src += ["        }",
             f"for (long {oi} = 0; {oi} < {on}; {oi}++)",
             "    for (long tt = 0; tt < nt; tt++) {"]
-    src += [f"        double s_{n}[TILE];" for n in full]
-    if full:
-        src.append("        for (int t = 0; t < TILE; t++) {")
-        src += [f"            s_{n}[t] = {_c_const(L.init[n].hex())};"
-                for n in full]
-        src.append("        }")
+    src += [f"        double s_{n}[TILE];" for n in sums]
+    src.append("        for (int t = 0; t < TILE; t++) {")
+    src += [f"            s_{n}[t] = {_c_const(L.init[n].hex())};"
+            for n in sums]
+    src.append("        }")
     src += ["        for (long f = 0; f < d; f++) {",
             f"            const double {os_} = {OM}[{oi} * {o0} + f * {o1}];",
             "            const long p = (tt * d + f) * TILE;"]
@@ -609,16 +502,16 @@ def _pair_nest(L: _Loop, em: _Emitter, full, rets, tile_a: bool):
     src.append("            for (int t = 0; t < TILE; t++) {")
     src += ["                " + ln for ln in em.lines(inner, pair_leaf)]
     src += [f"                s_{n}[t] = {em.expr(L.update[n], pair_leaf)};"
-            for n in full]
+            for n in sums]
     src += ["            }", "        }",
             "        for (int t = 0; t < TILE; t++) {",
             f"            const long {ti} = tt * TILE + t;",
             f"            if ({ti} >= {tn})",
             "                break;"]
-    fin = em.closure([L.returns[q] for q in rets], leafkey)
+    fin = em.closure(L.returns, leafkey)
     src += ["            " + ln for ln in em.lines(fin, fin_leaf)]
-    src += [f"            out{q}[i * k + j] = "
-            f"{em.expr(L.returns[q], fin_leaf)};" for q in rets]
+    src += [f"            out{q}[i * k + j] = {em.expr(r, fin_leaf)};"
+            for q, r in enumerate(L.returns)]
     src += ["        }", "    }"]
     return src, bufs
 
@@ -628,14 +521,14 @@ def generate(source: str, *, eps: float,
     """One C source for the loop functions in ``source`` (the text of
     ``_measures``): the helpers, one function per loop and the table
     ``opf_meta``; and that table: one entry per function, with its name,
-    its result shapes and whether it returns a tuple.  Raises ``Refused``
+    its number of (m, k) results and whether it returns a tuple.  Raises ``Refused``
     on any construct it does not know."""
     tree = ast.parse(textwrap.dedent(source))
     (outer,) = tree.body
     loops = [_Loop(fn) for fn in outer.body
              if isinstance(fn, ast.FunctionDef)
              and any(isinstance(s, ast.For) for s in ast.walk(fn))]
-    table = [{"name": L.name, "shapes": L.out_shapes, "tuple": L.tuple}
+    table = [{"name": L.name, "results": len(L.returns), "tuple": L.tuple}
              for L in loops]
     meta = json.dumps(table).replace("\\", "\\\\").replace('"', '\\"')
     helpers = _HELPERS.format(tile=TILE, eps=_c_const(eps.hex()),
@@ -804,8 +697,10 @@ def load(measures: Callable, *, eps: float,
     no compiler, the cache cannot be written or the build fails.
 
     A block function takes two float64 row matrices A (m, d) and B (k, d),
-    of any strides, and returns what the numpy block form returns: the
-    (m, k) matrix, a column (m, 1) or a row (1, k), or a tuple of these.
+    of any strides, and returns the (m, k) matrix, or a tuple of them
+    where the measure returns a tuple.  Where the numpy block form returns
+    a column (m, 1) or a row (1, k) (a sum over one argument), each of its
+    columns or rows holds that column's or row's bits.
 
     ``prim(stack, k)`` returns the (k, n) Prim parents, -1 at each root,
     of the first k matrices of a C-ordered float64 (k', n, n) stack, and
@@ -833,14 +728,13 @@ def load(measures: Callable, *, eps: float,
             "loop_copy": lambda: loop_copy().decode()}
 
 
-_OUT = {"full": lambda m, k: (m, k), "col": lambda m, k: (m, 1),
-        "row": lambda m, k: (1, k)}
-
-
 def _wrap(fn, entry) -> Callable:
-    shapes = [_OUT[s] for s in entry["shapes"]]
-    fn.argtypes = ([t for _, t in _PARAMS]
-                   + [ctypes.c_void_p] * len(shapes))
+    """The block function of the library's loop function ``fn``, whose
+    ``opf_meta`` entry is ``entry``: it allocates the entry's number of
+    (m, k) results and returns them, as a tuple where the measure returns
+    one."""
+    results = entry["results"]
+    fn.argtypes = [t for _, t in _PARAMS] + [ctypes.c_void_p] * results
     fn.restype = ctypes.c_int
     as_tuple = entry["tuple"]
 
@@ -850,7 +744,7 @@ def _wrap(fn, entry) -> Callable:
         if B.strides[0] % 8 or B.strides[1] % 8:
             B = np.ascontiguousarray(B)
         (m, d), k = A.shape, len(B)
-        outs = [np.empty(s(m, k)) for s in shapes]
+        outs = [np.empty((m, k)) for _ in range(results)]
         # tile the side that pads fewer pairs
         tile_a = -(-k // TILE) * m > -(-m // TILE) * k
         if fn(A.ctypes.data, A.strides[0] // 8, A.strides[1] // 8,

@@ -177,6 +177,20 @@ def test_predict_compares_labels_as_text_without_class_names(tmp_path, capsys):
             preds.read_text().splitlines()[1:]] == ["1", "0"]
 
 
+@pytest.mark.parametrize("name", ["+-1", "--1", "²"])
+def test_a_header_column_named_like_a_number_trains_by_name(
+        tmp_path, capsys, name):
+    # int() refuses these names, so they must stay names, not indexes
+    # (argparse takes "--1" as an option unless it follows "=")
+    data = tmp_path / "named.csv"
+    data.write_text(f"f1,{name}\n0.0,A\n0.1,A\n1.0,B\n1.1,B\n")
+    rc = main(["train", "--data", str(data), f"--label-column={name}",
+               "--has-header", "--distance", "D3",
+               "--out", str(tmp_path / "model.opf")])
+    assert rc == 0, capsys.readouterr().err
+    assert "samples = 4" in capsys.readouterr().out
+
+
 def test_predict_quotes_labels_with_commas_and_quotes(tmp_path, capsys):
     data = tmp_path / "quoted.csv"
     data.write_text('0.0,"a,b"\n1.0,"a,b"\n3.0,"say ""hi"""\n'
@@ -437,7 +451,8 @@ def test_bench_parallelism_flag_takes_auto_like_the_config_key(
         == opfdist.forest._cpus()
     capsys.readouterr()
     for bad, why in (("0", "parallelism must be >= 1"),
-                     ("many", "parallelism must be an integer or 'auto'")):
+                     ("many", "parallelism must be an integer or 'auto'"),
+                     ("+-1", "parallelism must be an integer or 'auto'")):
         assert main(["bench", "--config", str(cfg), "--out", str(out2),
                      "--parallelism", bad]) == 2
         assert why in capsys.readouterr().err

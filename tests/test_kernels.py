@@ -41,13 +41,13 @@ def test_generator_lowers_the_28_loop_functions():
     _, table = generate(inspect.getsource(distances._measures),
                         eps=distances.EPS, exp_max=distances.EXP_MAX)
     assert len(table) == 28
-    shapes = {e["name"]: (e["shapes"], e["tuple"]) for e in table}
-    # sum a^2 is a column and sum b^2 a row, as numpy broadcasts them
-    assert shapes["inner"] == (["full", "col", "row"], True)
-    assert shapes["exp_ratio"] == (["full", "full"], True)
-    assert shapes["chebyshev"] == (["full"], False)
+    results = {e["name"]: (e["results"], e["tuple"]) for e in table}
+    # every result is (m, k), sum a^2 and sum b^2 too
+    assert results["inner"] == (3, True)
+    assert results["exp_ratio"] == (2, True)
+    assert results["chebyshev"] == (1, False)
     # D29 is D28 read as (y, x), and Topsoe's second sum D36's
-    assert "pearson_chi2" not in shapes and "neyman_chi2" in shapes
+    assert "pearson_chi2" not in results and "neyman_chi2" in results
 
 
 def _compile(source: str, built: Path) -> ctypes.CDLL:
@@ -83,6 +83,9 @@ def test_generated_c_compiles_without_warnings(tmp_path):
     ("s += a < b < 2.0", "unknown operation"),
     ("s += x", "unknown name"),
     ("s += width(x)", "unknown operation"),
+    # in the table, but applied only to finished sums, so not lowered
+    ("s += mul(a, b)", "unknown operation"),
+    ("s += log(a)", "unknown operation"),
     ("s **= a", "unknown augmented assignment"),
     ("if a < b:\n    s += a", "unknown statement"),
     ("d = a - b", "never added to"),
@@ -110,13 +113,11 @@ def test_generator_refuses_what_it_does_not_know(body, what):
      "        s += a * b\n    return s\n", "decorator"),
     ("@share()\ndef f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
      "        s += a * b\n    return s\n", "decorator"),
-    ("def f(x, y):\n    s = t = 0.0\n    for a, b in pairs(x, y):\n"
-     "        t += a * a\n        s += t * b\n    return s\n",
-     "another shape"),
-    ("def f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
-     "        s += 1.0\n    return s\n", "sums no feature"),
     ("def f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
      "        d = a - b\n        s += d\n    return d\n", "unknown name"),
+    ("def f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
+     "        s += abs(a - b)\n    return div(s, width(x))\n",
+     "unknown operation"),
 ])
 def test_generator_refuses_unknown_shapes_of_function(fn, what):
     with pytest.raises(Refused, match=f"^f .*{what}"):
@@ -143,6 +144,38 @@ def test_compiled_loops_equal_numpy_on_strided_rows_and_both_tilings(
             assert g.shape == w.shape == (len(A), len(B)), c
             assert (g.view(np.uint64) == w.view(np.uint64)).all(), \
                 (c, A.strides, B.strides)
+
+
+@needs_compiled
+def test_the_sentinel_refuses_a_signed_zero_and_other_shapes():
+    loops = kernels.load(distances._measures, eps=distances.EPS,
+                         exp_max=distances.EXP_MAX)
+    named = {}  # the numpy named sums, by name
+    distances._measures(**dict(
+        distances._BLOCK, share=lambda f: named.setdefault(f.__name__, f)))
+    A, B = distances._sentinel_rows()
+    with np.errstate(all="ignore"):  # the sentinel overflows on purpose
+        got, want = loops["inner"](A, B), named["inner"](A, B)
+        # a +0.0 distance, since B repeats rows of A
+        assert (named["sq_diff"](A, B).view(np.uint64) == 0).any()
+    # inner's sums a^2 and b^2: (m, k) compiled, a column and a row in numpy
+    assert [g.shape for g in got] == [(7, 11)] * 3
+    assert [w.shape for w in want] == [(7, 11), (7, 1), (1, 11)]
+    assert distances._same_bits({"inner": loops["inner"]},
+                                {"inner": named["inner"]})
+
+    def negative_zero(X, Y):
+        out = loops["sq_diff"](X, Y)
+        out.flat[np.flatnonzero(out.view(np.uint64) == 0)[:1]] = -0.0
+        return out
+    for wrong in (negative_zero,
+                  lambda X, Y: loops["sq_diff"](X, Y)[:, :1],
+                  lambda X, Y: loops["sq_diff"](X, Y).T):
+        assert not distances._same_bits({"sq_diff": wrong},
+                                        {"sq_diff": named["sq_diff"]})
+    assert not distances._same_bits(
+        {"inner": lambda X, Y: tuple(g.T for g in loops["inner"](X, Y))},
+        {"inner": named["inner"]})
 
 
 def _library_loops(lib) -> dict:
@@ -211,7 +244,7 @@ def test_the_avx2_and_baseline_copies_agree_bit_for_bit(tmp_path):
     assert tilings == {True, False}
 
 
-# --- the div and mul helpers -------------------------------------------------
+# --- the C helpers ----------------------------------------------------------
 
 HELPER_LOOP = """
 OPF_CLONES void t_{fn}(const double *x, const double *y, double *out, long n)
@@ -222,32 +255,56 @@ OPF_CLONES void t_{fn}(const double *x, const double *y, double *out, long n)
 """
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
-@pytest.mark.parametrize("pair", [("opf_div", "opf_mul"), ("opf_div_masked",)],
-                         ids=["branching", "masked"])
-def test_the_helpers_give_the_scalar_bits(tmp_path, pair):
-    helpers = kernels._HELPERS.format(
+def _helpers() -> str:
+    return kernels._HELPERS.format(
         tile=kernels.TILE, eps=kernels._c_const(distances.EPS.hex()),
         exp_max=kernels._c_const(distances.EXP_MAX.hex()))
-    loops = "".join(HELPER_LOOP.format(fn=fn) for fn in pair)
-    lib = _compile(helpers + loops, tmp_path / "helpers.so")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+@pytest.mark.parametrize("fn", ["opf_div", "opf_div_masked"],
+                         ids=["branching", "masked"])
+def test_the_helpers_give_the_scalar_bits(tmp_path, fn):
+    lib = _compile(_helpers() + HELPER_LOOP.format(fn=fn),
+                   tmp_path / "helpers.so")
     values = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300,
               -1e300, np.inf, -np.inf, np.nan)
     pairs = [(p, q) for p in values for q in values]
     x, y = np.array(pairs).T
-    for fn, scalar in zip(pair, (distances._div, distances._mul)):
-        c_fn = getattr(lib, "t_" + fn)
-        c_fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
-        c_fn.restype = None
-        want = np.array([scalar(p, q) for p, q in pairs])
-        # each pair in each lane of an AVX2 vector, and in the scalar tail
-        for start in range(4):
-            X, Y, W = x[start:].copy(), y[start:].copy(), want[start:]
-            got = np.empty_like(X)
-            c_fn(X.ctypes.data, Y.ctypes.data, got.ctypes.data, len(X))
-            same = ((got.view(np.uint64) == W.view(np.uint64))
-                    | (np.isnan(got) & np.isnan(W)))
-            assert same.all(), (fn, start, list(zip(X[~same], Y[~same])))
+    c_fn = getattr(lib, "t_" + fn)
+    c_fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
+    c_fn.restype = None
+    want = np.array([distances._div(p, q) for p, q in pairs])
+    # each pair in each lane of an AVX2 vector, and in the scalar tail
+    for start in range(4):
+        X, Y, W = x[start:].copy(), y[start:].copy(), want[start:]
+        got = np.empty_like(X)
+        c_fn(X.ctypes.data, Y.ctypes.data, got.ctypes.data, len(X))
+        same = ((got.view(np.uint64) == W.view(np.uint64))
+                | (np.isnan(got) & np.isnan(W)))
+        assert same.all(), (fn, start, list(zip(X[~same], Y[~same])))
+
+
+def test_every_helper_is_called_by_a_generated_loop():
+    # -Wall does not warn about an unused static inline function, so a
+    # helper whose last caller is gone would stay unseen
+    source, _ = generate(inspect.getsource(distances._measures),
+                         eps=distances.EPS, exp_max=distances.EXP_MAX)
+    helpers = _helpers()
+    assert source.startswith(helpers)
+    starts = list(re.finditer(r"^static inline \w+ (\w+)\(", helpers, re.M))
+    bodies = {m[1]: helpers[m.end():end] for m, end in zip(
+        starts, [m.start() for m in starts[1:]] + [len(helpers)])}
+
+    def calls(text):
+        return {h for h in bodies if re.search(rf"\b{h}\(", text)}
+    used, todo = set(), calls(source[len(helpers):])
+    while todo:
+        h = todo.pop()
+        used.add(h)
+        todo |= calls(bodies[h]) - used
+    assert {"opf_div", "opf_bits"} <= used
+    assert set(bodies) - used == set()
 
 
 def test_the_generator_picks_each_loops_div_helper(monkeypatch):
@@ -260,10 +317,10 @@ def test_the_generator_picks_each_loops_div_helper(monkeypatch):
     chosen = loops()
     assert len(chosen) == 28
     for name, text in chosen.items():
-        if "opf_exp(" in text or "opf_log(" in text:
+        if "opf_exp(" in text:
             assert "_masked(" not in text, name
         else:
-            assert "opf_div(" not in text and "opf_mul(" not in text, name
+            assert "opf_div(" not in text, name
     assert sum("_masked(" in text for text in chosen.values()) == 17
     assert all("opf_div(" in chosen[name]
                for name in ("k_divergence", "exp_ratio"))
@@ -275,7 +332,7 @@ def test_the_generator_picks_each_loops_div_helper(monkeypatch):
     monkeypatch.setattr(kernels, "_swapped_helpers", lambda loop: {})
     all_branching = loops()
     plain = {name for name, text in all_branching.items()
-             if "opf_div(" not in text and "opf_mul(" not in text}
+             if "opf_div(" not in text}
     assert plain == {"sq_diff", "abs_diff", "inner", "sqrt_diff", "chebyshev",
                      "hamming", "lorentzian", "bhattacharyya", "jensen"}
     for name in plain:
