@@ -19,6 +19,10 @@
 #   tier1        the tier-1 tests
 #   one-cpu      forest and grid tests on a one-CPU affinity mask
 #                (taskset -c 0)
+#   resources    forest tests in Python's dev mode with ResourceWarning
+#                as an error, so that a file left open fails them (pytest
+#                reports a warning raised in a finalizer as its own
+#                PytestUnraisableExceptionWarning, which is an error too)
 #   oracle       the kernel oracles with numpy's AVX-512 targets off
 #   smoke        scripts/smoke.sh on the compiled kernels
 #   smoke-numpy  scripts/smoke.sh on the numpy kernels, in a temporary copy
@@ -35,8 +39,8 @@
 # without scipy and on numpy 1.24) and the Windows smoke job.
 set -uo pipefail
 
-ALL=(compiled tier1 one-cpu oracle smoke smoke-numpy selftest wine-grid
-     noise-fit trace)
+ALL=(compiled tier1 one-cpu resources oracle smoke smoke-numpy selftest
+     wine-grid noise-fit trace)
 CANNOT_RUN=77
 
 cd "$(dirname "$0")/.." || exit 2
@@ -54,6 +58,8 @@ step() {
     one-cpu)
         command -v taskset >/dev/null || return $CANNOT_RUN
         PYTHONPATH=$src taskset -c 0 python -m pytest -q tests/test_forest.py tests/test_evaluation.py ;;
+    resources)
+        PYTHONPATH=$src python -X dev -W error::ResourceWarning -m pytest -q -W error::pytest.PytestUnraisableExceptionWarning tests/test_forest.py ;;
     oracle)
         NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=$src python -m pytest -q tests/test_distances.py tests/test_forest.py tests/test_evaluation.py tests/test_kernels.py ;;
     smoke)

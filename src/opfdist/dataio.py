@@ -110,7 +110,7 @@ class Dataset(forest._Arrays):
                 raise ParseError(
                     f"non-finite feature value {v!r} in sample id {i}")
             if bad_label[i]:
-                raise ParseError(f"label {np.asarray(given)[i].item()!r} of "
+                raise ParseError(f"label {np.asarray(given).tolist()[i]!r} of "
                                  f"sample id {i} is not a whole number")
             raise ParseError(
                 f"label {labels[i]} of sample id {i} outside "

@@ -55,12 +55,13 @@ one measure of many.
 
 A batch's scan is made of independent query groups.  Where it spans
 more than one ``_BLOCK_ENTRIES`` chunk, the calling thread and threads
-made for the call take its groups (``_each``), ``_THREADS`` in all, and
-the threads are joined before it returns; the compiled loops and most
-numpy loops run without the GIL.  ``_THREADS`` counts the CPUs the
-process may run on (``_cpus``), and a grid worker gets its share of them
-(``evaluation.run_benchmark``).  Each query's scan is computed as on one
-thread, so the bits do not change.  Single queries, the fill of a stack,
+made for the call take its groups (``_each``), ``_THREADS`` in all or
+one per query where there are fewer, and the threads are joined before
+it returns; the compiled loops and most numpy loops run without the
+GIL.  ``_THREADS`` counts the CPUs the process may run on (``_cpus``),
+and a grid worker gets its share of them (``evaluation.run_benchmark``).
+Each query's scan is computed as on one thread, so the bits do not
+change.  Single queries, the fill of a stack,
 Prim and the competition run on the calling thread alone.
 
 ``fit_and_label`` is a benchmark fold's one call: each measure's
@@ -119,12 +120,12 @@ def _cpus() -> int:
 _THREADS = _cpus()
 
 
-def _each(fn, items: Sequence) -> None:
-    """Call ``fn(item)`` for every item, in any order: inline where there
-    is one item or ``_THREADS`` is 1; otherwise the calling thread and up
-    to ``_THREADS`` - 1 threads made for this call take the items one at a
-    time, and the threads are joined before it returns.  The first
-    exception that ``fn`` raises stops the taking and is raised here.
+def _each(fn, items: Sequence, threads: int) -> None:
+    """Call ``fn(item)`` for every item, in any order: the calling thread
+    and ``threads`` - 1 threads made for this call (``threads`` >= 2, at
+    most ``_THREADS`` and ``len(items)``) take the items one at a time, and
+    the threads are joined before it returns.  The first exception that
+    ``fn`` raises stops the taking and is raised here.
 
     Where ``_THREADS`` is all the calling thread's CPUs (not a grid
     worker's share), each thread is pinned to a CPU of its own for the
@@ -136,11 +137,6 @@ def _each(fn, items: Sequence) -> None:
     pinned (median 24.9 against 36.5 ms), and in 178 of 441 unpinned
     (37.5 ms).
     """
-    threads = min(_THREADS, len(items))
-    if threads <= 1:
-        for item in items:
-            fn(item)
-        return
     todo, done = iter(items), object()
     lock = threading.Lock()
     errors: list[BaseException] = []
@@ -248,11 +244,28 @@ def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
 
 def _int_labels(labels) -> tuple[np.ndarray, np.ndarray]:
     """``labels`` as a read-only int64 array, and the mask of those that
-    the cast changed: the labels that are not whole numbers (NaN included)."""
+    the cast changed: the labels that are not whole numbers (NaN included).
+    Where numpy cannot cast them at all (text that is no number, None, an
+    int past int64), each label is cast alone: the array is then zeros,
+    and the mask marks those that are not whole int64 numbers."""
     given = np.asarray(labels)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast unwarned
-        cast = _frozen(given, np.int64)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast unwarned
+            cast = _frozen(given, np.int64)
+    except (TypeError, ValueError, OverflowError):
+        bad = np.fromiter(map(_not_whole, given.flat), bool, given.size)
+        if not bad.any():
+            raise
+        return np.zeros(given.shape, np.int64), bad.reshape(given.shape)
     return cast, cast != given
+
+
+def _not_whole(label) -> bool:
+    """Whether ``label`` alone does not cast to an equal int64."""
+    try:
+        return bool(np.int64(label) != label)
+    except (TypeError, ValueError, OverflowError):
+        return True
 
 
 class _Arrays:
@@ -332,7 +345,7 @@ class TrainingGraph(_Arrays):
                 f"labels of shape {labels.shape} are not one per sample")
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(f"label {np.asarray(given)[i].item()!r} of "
+            raise ValueError(f"label {np.asarray(given).tolist()[i]!r} of "
                              f"sample id {ids[i]} is not a whole number")
         if not (labels != labels[0]).any():
             raise SingleClass("training data contains a single class label")
@@ -441,7 +454,10 @@ def _scan_arrays(forest: TrainedForest) -> tuple[np.ndarray, np.ndarray]:
 def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
                 stack: np.ndarray) -> None:
     """Write the distances between the rows of ``X`` under the k measures
-    of ``chunk`` into ``stack[:k]`` (n x n each, zero diagonal).
+    of ``chunk`` into ``stack[:k]``, n x n each.  The diagonal holds each
+    row's distance to itself, which no reader needs: Prim closes a node
+    before it relaxes the node's row, and in the competition a node's
+    offer to itself, max(cost, d), never beats its settled cost.
 
     Rows are filled in blocks of about ``_BLOCK_ENTRIES`` entries, so a
     matrix that fits in one block is one block of full rows.  Each block
@@ -483,8 +499,6 @@ def _fill_stack(chunk: Sequence[distances.DistanceId], X: np.ndarray,
             out[r0:r1, :r0] = out[:r0, r0:r1].T
             square = out[r0:r1, r0:r1]
             square[...] = np.where(below[:m, :m], square.T, square)
-    for out in stack[:len(chunk)]:
-        np.fill_diagonal(out, 0.0)
 
 
 def _new_stack(k: int, n: int) -> np.ndarray:
@@ -754,19 +768,21 @@ def _scan_nodes(forest: TrainedForest, scan: tuple[np.ndarray, np.ndarray],
         forest.distance, nodes[:, r0:r1].T, Q[active]), early_exit)
 
 
-def _query_matrix(forest: TrainedForest,
+def _query_matrix(model: _Arrays,
                   queries: Sequence[Sequence[float]]) -> np.ndarray:
-    """The queries as one (m, d) float64 ``np.asarray``: a float64 matrix,
-    read-only or not, is not copied.  A lone vector, ragged rows and rows
-    of another width than the model's raise DimensionMismatch, and a NaN
-    or an infinity raises ValueError naming the query row.
+    """The queries to a graph's or a forest's ``model`` as one (m, d)
+    float64 ``np.asarray``: a float64 matrix, read-only or not, is not
+    copied, and an empty sequence is (0, d).  A lone vector, ragged rows
+    and rows of another width than the model's (an empty matrix too)
+    raise DimensionMismatch, and a NaN or an infinity raises ValueError
+    naming the query row.
 
     A non-finite query is not always labelled at the largest cost: of the
     47 measures, 15 (D1 and D5 among them) give some rows holding a NaN
     or an infinity finite distances.  So every query is tested, with one
     ``isfinite`` pass (about 1 us for one query) before the row that
     fails is looked for."""
-    d = forest.n_features
+    d = model.n_features
     try:
         Q = np.asarray(queries, dtype=np.float64)
     except ValueError:
@@ -776,11 +792,11 @@ def _query_matrix(forest: TrainedForest,
                 raise DimensionMismatch(
                     f"query has dim {len(q)}, model expects {d}") from None
         raise
-    if len(Q) and Q.shape[1:] != (d,):
+    if Q.shape[1:] != (d,) and Q.shape != (0,):
         raise DimensionMismatch(
             f"query has dim {Q.shape[1]}, model expects {d}" if Q.ndim == 2
             else f"queries of shape {Q.shape} are not one row per query")
-    Q = Q.reshape(len(Q), d)  # no queries at all: (0, d)
+    Q = Q.reshape(len(Q), d)
     if not np.isfinite(Q).all():
         _finite_rows(Q, range(len(Q)), "query row")
     return Q
@@ -794,9 +810,10 @@ def _scan_queries(cost: np.ndarray, m: int, arcs,
     Returns each query's winning scan position and its offer.
 
     Where the n x m entries span more than one chunk, the queries are
-    split into contiguous groups, four per thread of ``_each``, which the
-    threads take as they free up: a thread that starts late or is
-    preempted then holds the others back less.  (On a 2-vCPU VM, the
+    split over min(``_THREADS``, m) threads, the count that ``_each`` is
+    given, in contiguous groups, four per thread, which the threads take
+    as they free up: a thread that starts late or is preempted then holds
+    the others back less.  (On a 2-vCPU VM, the
     first threaded batch of ``_each``'s docstring after 1 s of one-thread
     work beat the one-thread scan in 31 of 36 calls, against 23 of 36
     with one group per thread.)  Each group's chunks hold
@@ -814,7 +831,8 @@ def _scan_queries(cost: np.ndarray, m: int, arcs,
     else:
         groups = min(m, 4 * threads)
         bounds = [m * g // groups for g in range(groups + 1)]
-        _each(lambda group: scan(*group), list(zip(bounds, bounds[1:])))
+        _each(lambda group: scan(*group), list(zip(bounds, bounds[1:])),
+              threads)
     return first, best
 
 
@@ -881,30 +899,32 @@ def fit_and_label(
     its forest on the ``graph_from_arrays`` graph of ``features`` and
     ``labels`` gives ``queries``, its train seconds and its test seconds.
 
-    The forests are fitted in the stacks of ``train_measures``.  Where a
-    node x query rectangle fits one ``classify_batch`` chunk, which
-    ``classify_batch`` would score whole, the rectangles come in stacks
-    within ``_MATRIX_BYTES``, each from one ``pairwise_many`` call in
-    which the measures share their sums.  Otherwise each forest is
+    The queries are checked before any fit, as ``classify_batch`` checks
+    them.  The forests are fitted in the stacks of ``train_measures``.
+    Where a node x query rectangle fits one ``classify_batch`` chunk,
+    which ``classify_batch`` would score whole, the rectangles come in
+    stacks within ``_MATRIX_BYTES``, each from one ``pairwise_many`` call
+    in which the measures share their sums.  Otherwise each forest is
     scanned as ``classify_batch`` scans it, with early exit, from scan
     arrays built for it alone and dropped once it is tested.
 
     A measure's seconds are an equal share of its stack's time: the
     matrix fill, Prim and the competition (the first stack also carries
-    the validation), then its stack of rectangles or its own scan.
+    the validation of the graph and the queries), then its stack of
+    rectangles or its own scan.
     """
     start = time.perf_counter()
     measures = [distances.resolve(m) for m in measures]
     if not measures:
         return []
     graph = graph_from_arrays(features, labels, measures[0])
+    Q = _query_matrix(graph, queries)
     X, forests, train_s = graph.features, [], []
     for fits in _fit_stacks(graph, measures):
         now = time.perf_counter()
         forests += fits
         train_s += [(now - start) / len(fits)] * len(fits)
         start = now
-    Q = _query_matrix(forests[0], queries)
     entries = len(X) * len(Q)
     whole = entries <= _BLOCK_ENTRIES
     height = max(1, _MATRIX_BYTES // (8 * max(1, entries))) if whole else 1

@@ -10,24 +10,27 @@ as the block table ``distances._BLOCK`` defines it:
 * Python float arithmetic (``+ - * /``, unary minus) on float constants,
   one operation per C expression, so that each rounds once, in the same
   order (``-ffp-contract=off`` keeps a product and a sum apart);
-* ``abs``, and comparisons, which add 1.0 or 0.0 to a sum;
+* ``abs``, and ``!=``, which adds 1.0 or 0.0 to a sum;
 * ``div``, ``exp``, ``sqrt``, ``root``, ``lo`` and ``hi``, with the
   conditionals of their scalar form; ``exp`` calls libm, as
   ``math.exp`` does.
 
-These are the operations that the 28 loops call.  Any other construct
-raises ``Refused``, ``mul``, ``log`` and ``width`` included: the
-measures apply them only to finished sums, in Python.  Every result is
-the (m, k) matrix: every sum accumulates per pair, feature by feature in
-component order, so each entry is the block form's, bit for bit.  Where
-the block form returns a column or a row (a sum over one argument only,
-``sum a^2``), each entry sums the same terms in the same order.
+These are the operations that the 28 loops call, and a sum grows only
+by ``+=``.  Any other construct raises ``Refused``, ``mul``, ``log``
+and ``width`` included: the measures apply them only to finished sums,
+in Python.  Every result is the (m, k) matrix: every sum accumulates per
+pair, feature by feature in component order, so each entry is the block
+form's, bit for bit.  Where the block form returns a column or a row (a
+sum over one argument only, ``sum a^2``), each entry sums the same terms
+in the same order.  A loop that returns more than one value returns a
+tuple of them, and one value alone.
 
 The pairs run in tiles of ``TILE`` entries of one side, with the
 features inside, so that a tile's sums stay in locals: one pass over the
-features, where numpy makes one pass per operation.  Terms of one
-argument alone are computed once per entry of that argument, not once
-per pair.
+features, where numpy makes one pass per operation.  Each function picks
+the tiled side from m and k, the side that pads fewer pairs.  Terms of
+one argument alone are computed once per entry of that argument, not
+once per pair.
 
 ``div`` has two C helpers with the same bits.  ``opf_div`` branches as
 the scalar form does; under the trapping math of ``FLAGS`` gcc keeps
@@ -91,16 +94,16 @@ import numpy as np
 
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fno-builtin-exp",
          "-fPIC")
-# Pairs per tile of the longer side; a tile's sums stay in locals.
+# Pairs per tile of one side; a tile's sums stay in locals.
 TILE = 4
 # The calling convention of every loop function: two row matrices with
-# their strides in elements, the sizes, which side is tiled, then one
-# output pointer per (m, k) result.
+# their strides in elements, the sizes, then one output pointer per
+# (m, k) result.
 _PARAMS = (("const double *A", ctypes.c_void_p), ("long as0", ctypes.c_long),
            ("long as1", ctypes.c_long), ("const double *B", ctypes.c_void_p),
            ("long bs0", ctypes.c_long), ("long bs1", ctypes.c_long),
            ("long m", ctypes.c_long), ("long k", ctypes.c_long),
-           ("long d", ctypes.c_long), ("int tile_a", ctypes.c_int))
+           ("long d", ctypes.c_long))
 
 _HERE = Path(__file__).resolve()
 
@@ -115,8 +118,6 @@ _CALLS = {"abs": (1, "fabs"), "div": (2, "opf_div"), "exp": (1, "opf_exp"),
           "sqrt": (1, "opf_sqrt"), "root": (1, "sqrt"),
           "lo": (2, "opf_lo"), "hi": (2, "opf_hi")}
 _BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
-_CMPOPS = {"Eq": "==", "NotEq": "!=", "Lt": "<", "LtE": "<=", "Gt": ">",
-           "GtE": ">="}
 # every name of the table, which a loop may not assign
 _OPERATIONS = {*_CALLS, "mul", "log", "width", "pairs", "flip", "share"}
 
@@ -208,16 +209,17 @@ class _Loop:
             self.refuse(ret, "a measure returns a value")
         items = (ret.value.elts if isinstance(ret.value, ast.Tuple)
                  else [ret.value])
-        self.tuple = isinstance(ret.value, ast.Tuple)
+        if isinstance(ret.value, ast.Tuple) and len(items) < 2:
+            self.refuse(ret, "a tuple returns at least two values")
         self.returns = [self._expr(e, env) for e in items]
 
     def _statement(self, stmt, env):
         if isinstance(stmt, ast.AugAssign):
             t = stmt.target
-            op = _BINOPS.get(type(stmt.op).__name__)
-            if not isinstance(t, ast.Name) or t.id not in env or op is None:
+            if (not isinstance(t, ast.Name) or t.id not in env
+                    or not isinstance(stmt.op, ast.Add)):
                 self.refuse(stmt, "unknown augmented assignment")
-            env[t.id] = self.node("bin", op, env[t.id],
+            env[t.id] = self.node("bin", "+", env[t.id],
                                   self._expr(stmt.value, env))
         elif isinstance(stmt, ast.Assign):
             t = stmt.targets[0]
@@ -243,9 +245,8 @@ class _Loop:
         if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
             return self.node("neg", self._expr(e.operand, env))
         if (isinstance(e, ast.Compare) and len(e.ops) == 1
-                and type(e.ops[0]).__name__ in _CMPOPS):
-            return self.node("cmp", _CMPOPS[type(e.ops[0]).__name__],
-                             self._expr(e.left, env),
+                and isinstance(e.ops[0], ast.NotEq)):
+            return self.node("cmp", "!=", self._expr(e.left, env),
                              self._expr(e.comparators[0], env))
         if (isinstance(e, ast.Call) and isinstance(e.func, ast.Name)
                 and not e.keywords
@@ -417,7 +418,11 @@ def _function(L: _Loop) -> str:
             "} else {", *("    " + ln for ln in nests[1][0]), "}"]
     outs = [f"double *out{q}" for q in range(len(L.returns))]
     params = ", ".join([p for p, _ in _PARAMS] + outs)
-    src = [f"OPF_CLONES int opf_{L.name}({params})", "{", "    int rc = -1;"]
+    # tile the side that pads fewer pairs, in long long, which holds the
+    # products where a long is 32 bits (Windows)
+    src = [f"OPF_CLONES int opf_{L.name}({params})", "{", "    int rc = -1;",
+           "    const int tile_a = (long long)((k + TILE - 1) / TILE) * m > "
+           "(long long)((m + TILE - 1) / TILE) * k;"]
     src += [f"    double *{b} = NULL;" for b in bufs]
     src += ["    " + ln for ln in body]
     src += ["    rc = 0;", "done:"]
@@ -520,16 +525,15 @@ def generate(source: str, *, eps: float,
              exp_max: float) -> tuple[str, list]:
     """One C source for the loop functions in ``source`` (the text of
     ``_measures``): the helpers, one function per loop and the table
-    ``opf_meta``; and that table: one entry per function, with its name,
-    its number of (m, k) results and whether it returns a tuple.  Raises ``Refused``
-    on any construct it does not know."""
+    ``opf_meta``; and that table: one entry per function, with its name
+    and its number of (m, k) results.  Raises ``Refused`` on any construct
+    it does not know."""
     tree = ast.parse(textwrap.dedent(source))
     (outer,) = tree.body
     loops = [_Loop(fn) for fn in outer.body
              if isinstance(fn, ast.FunctionDef)
              and any(isinstance(s, ast.For) for s in ast.walk(fn))]
-    table = [{"name": L.name, "results": len(L.returns), "tuple": L.tuple}
-             for L in loops]
+    table = [{"name": L.name, "results": len(L.returns)} for L in loops]
     meta = json.dumps(table).replace("\\", "\\\\").replace('"', '\\"')
     helpers = _HELPERS.format(tile=TILE, eps=_c_const(eps.hex()),
                               exp_max=_c_const(exp_max.hex()))
@@ -698,9 +702,10 @@ def load(measures: Callable, *, eps: float,
 
     A block function takes two float64 row matrices A (m, d) and B (k, d),
     of any strides, and returns the (m, k) matrix, or a tuple of them
-    where the measure returns a tuple.  Where the numpy block form returns
-    a column (m, 1) or a row (1, k) (a sum over one argument), each of its
-    columns or rows holds that column's or row's bits.
+    where the measure returns more than one value.  Where the numpy block
+    form returns a column (m, 1) or a row (1, k) (a sum over one
+    argument), each of its columns or rows holds that column's or row's
+    bits.
 
     ``prim(stack, k)`` returns the (k, n) Prim parents, -1 at each root,
     of the first k matrices of a C-ordered float64 (k', n, n) stack, and
@@ -731,12 +736,11 @@ def load(measures: Callable, *, eps: float,
 def _wrap(fn, entry) -> Callable:
     """The block function of the library's loop function ``fn``, whose
     ``opf_meta`` entry is ``entry``: it allocates the entry's number of
-    (m, k) results and returns them, as a tuple where the measure returns
+    (m, k) results and returns them, as a tuple where there are more than
     one."""
     results = entry["results"]
     fn.argtypes = [t for _, t in _PARAMS] + [ctypes.c_void_p] * results
     fn.restype = ctypes.c_int
-    as_tuple = entry["tuple"]
 
     def block(A: np.ndarray, B: np.ndarray):
         if A.strides[0] % 8 or A.strides[1] % 8:
@@ -745,13 +749,11 @@ def _wrap(fn, entry) -> Callable:
             B = np.ascontiguousarray(B)
         (m, d), k = A.shape, len(B)
         outs = [np.empty((m, k)) for _ in range(results)]
-        # tile the side that pads fewer pairs
-        tile_a = -(-k // TILE) * m > -(-m // TILE) * k
         if fn(A.ctypes.data, A.strides[0] // 8, A.strides[1] // 8,
               B.ctypes.data, B.strides[0] // 8, B.strides[1] // 8,
-              m, k, d, tile_a, *(o.ctypes.data for o in outs)):
+              m, k, d, *(o.ctypes.data for o in outs)):
             raise MemoryError(f"{entry['name']}: no memory for the tiles")
-        return tuple(outs) if as_tuple else outs[0]
+        return tuple(outs) if results > 1 else outs[0]
 
     block.__name__ = block.__qualname__ = entry["name"]
     return block

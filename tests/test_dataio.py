@@ -353,9 +353,17 @@ def test_svmlight_empty_and_malformed(tmp_path):
      ParseError, "label nan of sample id 2 is not a whole number"),
     ([[math.nan], [1.0]], [0.5, 1.0], {"n_classes": 2}, ParseError,
      "non-finite feature value nan in sample id 0"),
+    # labels that numpy cannot cast at all: the first is named
+    ([[0.0], [1.0]], ["a", "b"], {"n_classes": 2}, ParseError,
+     "label 'a' of sample id 0 is not a whole number"),
+    ([[0.0], [1.0]], [0, None], {"n_classes": 2}, ParseError,
+     "label None of sample id 1 is not a whole number"),
+    ([[0.0], [1.0]], [0, 2**70], {"n_classes": 2}, ParseError,
+     "label 1180591620717411303424 of sample id 1 is not a whole number"),
 ], ids=["no-samples", "no-features", "nan", "inf", "label-above",
         "label-below", "first-bad-row", "class-missing", "class-names",
-        "labels-2d", "label-fraction", "label-nan", "values-before-label"])
+        "labels-2d", "label-fraction", "label-nan", "values-before-label",
+        "label-text", "label-none", "label-past-int64"])
 def test_dataset_rejects_with_type_and_message(features, labels, kw, error,
                                                message):
     with pytest.raises(error) as err:

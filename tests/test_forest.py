@@ -93,7 +93,7 @@ def test_graph_assigns_positional_ids():
     assert g.n_features == 1
 
 
-# (features, labels, error, message); "{}" stands for the id of row 1 or 2
+# (features, labels, error, message); "{i}" stands for the id of row i
 GRAPH_ERRORS = [
     ([], [], ValueError, "a training graph needs at least 2 samples"),
     ([[1.0]], [0], ValueError, "a training graph needs at least 2 samples"),
@@ -120,6 +120,15 @@ GRAPH_ERRORS = [
      "non-finite feature value nan in sample id {1}"),
     ([[1.0, 2.0], [3.0, 4.0], [5.0, -math.inf]], [0, 1, 0], ValueError,
      "non-finite feature value -inf in sample id {2}"),
+    # labels that numpy cannot cast at all: the first is named
+    ([[1.0], [2.0]], ["a", "b"], ValueError,
+     "label 'a' of sample id {0} is not a whole number"),
+    ([[1.0], [2.0], [3.0]], [0, 1.5, "b"], ValueError,
+     "label '0' of sample id {0} is not a whole number"),
+    ([[1.0], [2.0]], [0, None], ValueError,
+     "label None of sample id {1} is not a whole number"),
+    ([[1.0], [2.0]], [0, 2**70], ValueError,
+     "label 1180591620717411303424 of sample id {1} is not a whole number"),
 ]
 
 
@@ -127,8 +136,10 @@ GRAPH_ERRORS = [
 def test_graph_errors_keep_their_types_and_messages(features, labels, error,
                                                     message):
     def raises(ids):
-        text = message.replace("{1}", str(ids[1] if len(ids) > 1 else ""))
-        text = text.replace("{2}", str(ids[2] if len(ids) > 2 else ""))
+        text = message
+        for row in range(3):
+            text = text.replace(f"{{{row}}}",
+                                str(ids[row] if len(ids) > row else ""))
         return pytest.raises(error, match=f"^{re.escape(text)}$")
 
     with raises(range(len(features))):
@@ -513,6 +524,8 @@ def test_queries_keep_their_dimension_errors():
             ([[1.0, 2.0], [3.0]], "query has dim 2, model expects 1"),
             ([[1.0, 2.0], [3.0, 4.0]], "query has dim 2, model expects 1"),
             (np.zeros((3, 0)), "query has dim 0, model expects 1"),
+            # no rows, but of another width
+            (np.zeros((0, 2)), "query has dim 2, model expects 1"),
             # a lone vector is not one row per query
             ([1.0, 2.0], "queries of shape (2,) are not one row per query"),
             (np.ones((2, 1, 1)),
@@ -526,7 +539,24 @@ def test_queries_keep_their_dimension_errors():
     with pytest.raises(DimensionMismatch,
                        match=r"^query has dim 2, model expects 1$"):
         classify(model, [1.0, 2.0])
-    assert classify_batch(model, np.zeros((0, 5))) == []
+    # no queries: an empty sequence, or no rows of the model's width
+    for queries in ([], np.zeros(0), np.zeros((0, 1))):
+        assert classify_batch(model, queries) == []
+        tested = opfdist.forest.fit_and_label(
+            model.features, model.labels, ["D3"], queries)
+        assert [labels for labels, _, _ in tested] == [[]]
+
+
+def test_fit_and_label_checks_its_queries_before_any_fill(monkeypatch):
+    model = train(line_graph())  # d = 1
+    fills = []
+    monkeypatch.setattr(opfdist.forest, "_fill_stack",
+                        lambda *args: fills.append(args))
+    for queries in ([[1.0], [2.0, 3.0]], np.zeros((0, 2)), [[math.nan]]):
+        with pytest.raises((DimensionMismatch, ValueError)):
+            opfdist.forest.fit_and_label(model.features, model.labels,
+                                         ["D3", "D7"], queries)
+    assert fills == []
 
 
 def test_a_float64_query_matrix_reaches_the_scan_uncopied(monkeypatch):
@@ -993,10 +1023,13 @@ def test_multi_block_stack_of_mixed_measures_equals_separate_trains(
     for code, model, w in zip(codes, got, want):
         _assert_same_forest(model, w, code)
     assert len(fills) == len(codes)
+    # the diagonal is left unspecified: neither Prim nor the competition
+    # reads it
+    off = ~np.eye(len(X), dtype=bool)
     for code, matrix in zip(codes, fills):
         full = opfdist.forest.distances.pairwise(code, X, X)
-        np.fill_diagonal(full, 0.0)
-        assert (matrix.view(np.uint64) == full.view(np.uint64)).all(), code
+        assert (matrix[off].view(np.uint64)
+                == full[off].view(np.uint64)).all(), code
 
 
 def test_fit_and_label_equals_classify_batch(monkeypatch):
@@ -1168,16 +1201,15 @@ def test_fill_stays_on_the_calling_thread_with_the_same_stacks(
         monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
         want = np.stack([opfdist.forest.distances.pairwise(c, X, X)
                          for c in codes])
-        for matrix in want:
-            np.fill_diagonal(matrix, 0.0)
+        off = ~np.eye(40, dtype=bool)  # the diagonal is not read
         for threads in THREADS:
             monkeypatch.setattr(opfdist.forest, "_THREADS", threads)
             stack = np.full((len(codes) + 1, 40, 40), np.nan)
             # at any thread budget, the six blocks run inline
             with spy.split(1):
                 opfdist.forest._fill_stack(codes, X, stack)
-            assert (stack[:-1].view(np.uint64) == want.view(np.uint64)).all(), \
-                (path, threads)
+            assert (stack[:-1, off].view(np.uint64)
+                    == want[:, off].view(np.uint64)).all(), (path, threads)
             assert np.isnan(stack[-1]).all()
 
 

@@ -41,11 +41,12 @@ def test_generator_lowers_the_28_loop_functions():
     _, table = generate(inspect.getsource(distances._measures),
                         eps=distances.EPS, exp_max=distances.EXP_MAX)
     assert len(table) == 28
-    results = {e["name"]: (e["results"], e["tuple"]) for e in table}
+    assert all(e.keys() == {"name", "results"} for e in table)
+    results = {e["name"]: e["results"] for e in table}
     # every result is (m, k), sum a^2 and sum b^2 too
-    assert results["inner"] == (3, True)
-    assert results["exp_ratio"] == (2, True)
-    assert results["chebyshev"] == (1, False)
+    assert results["inner"] == 3
+    assert results["exp_ratio"] == 2
+    assert results["chebyshev"] == 1
     # D29 is D28 read as (y, x), and Topsoe's second sum D36's
     assert "pearson_chi2" not in results and "neyman_chi2" in results
 
@@ -86,6 +87,9 @@ def test_generated_c_compiles_without_warnings(tmp_path):
     # in the table, but applied only to finished sums, so not lowered
     ("s += mul(a, b)", "unknown operation"),
     ("s += log(a)", "unknown operation"),
+    # the loops compare only with != and add only with +=
+    ("s += a < b", "unknown operation"),
+    ("s -= a", "unknown augmented assignment"),
     ("s **= a", "unknown augmented assignment"),
     ("if a < b:\n    s += a", "unknown statement"),
     ("d = a - b", "never added to"),
@@ -118,6 +122,9 @@ def test_generator_refuses_what_it_does_not_know(body, what):
     ("def f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
      "        s += abs(a - b)\n    return div(s, width(x))\n",
      "unknown operation"),
+    # a tuple is returned only for more than one value
+    ("def f(x, y):\n    s = 0.0\n    for a, b in pairs(x, y):\n"
+     "        s += a\n    return (s,)\n", "at least two values"),
 ])
 def test_generator_refuses_unknown_shapes_of_function(fn, what):
     with pytest.raises(Refused, match=f"^f .*{what}"):
@@ -176,6 +183,22 @@ def test_the_sentinel_refuses_a_signed_zero_and_other_shapes():
     assert not distances._same_bits(
         {"inner": lambda X, Y: tuple(g.T for g in loops["inner"](X, Y))},
         {"inner": named["inner"]})
+
+
+@needs_compiled
+def test_a_loop_returns_a_tuple_exactly_where_it_has_more_than_one_result():
+    _, table = generate(inspect.getsource(distances._measures),
+                        eps=distances.EPS, exp_max=distances.EXP_MAX)
+    loops = kernels.load(distances._measures, eps=distances.EPS,
+                         exp_max=distances.EXP_MAX)
+    A, B = np.ones((3, 2)), np.ones((5, 2))
+    for e in table:
+        got = loops[e["name"]](A, B)
+        if e["results"] > 1:
+            assert type(got) is tuple and len(got) == e["results"], e
+            assert [g.shape for g in got] == [(3, 5)] * e["results"], e
+        else:
+            assert type(got) is np.ndarray and got.shape == (3, 5), e
 
 
 def _library_loops(lib) -> dict:
