@@ -19,9 +19,10 @@
 #   tier1        the tier-1 tests
 #   one-cpu      forest and grid tests on a one-CPU affinity mask
 #                (taskset -c 0)
-#   resources    forest tests in Python's dev mode with ResourceWarning
-#                as an error, so that a file left open fails them (pytest
-#                reports a warning raised in a finalizer as its own
+#   resources    forest, command-line and grid tests in Python's dev mode
+#                with ResourceWarning as an error, so that a file (say, a
+#                journal) or a pool left open fails them (pytest reports a
+#                warning raised in a finalizer as its own
 #                PytestUnraisableExceptionWarning, which is an error too)
 #   oracle       the kernel oracles with numpy's AVX-512 targets off
 #   smoke        scripts/smoke.sh on the compiled kernels
@@ -59,7 +60,7 @@ step() {
         command -v taskset >/dev/null || return $CANNOT_RUN
         PYTHONPATH=$src taskset -c 0 python -m pytest -q tests/test_forest.py tests/test_evaluation.py ;;
     resources)
-        PYTHONPATH=$src python -X dev -W error::ResourceWarning -m pytest -q -W error::pytest.PytestUnraisableExceptionWarning tests/test_forest.py ;;
+        PYTHONPATH=$src python -X dev -W error::ResourceWarning -m pytest -q -W error::pytest.PytestUnraisableExceptionWarning tests/test_forest.py tests/test_cli.py tests/test_evaluation.py ;;
     oracle)
         NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=$src python -m pytest -q tests/test_distances.py tests/test_forest.py tests/test_evaluation.py tests/test_kernels.py ;;
     smoke)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The shipped example through bench, bench --resume, rank, train and
-# predict (csv and svmlight), pinning the bytes of the reports, the demo
-# archive and both predictions.  Run from the repository root, with the
+# The shipped example through bench, bench --resume (after a whole run,
+# then from a journal cut mid-row), rank, train and predict (csv and
+# svmlight), pinning the bytes of the reports, the demo archive and both
+# predictions.  Run from the repository root, with the
 # package importable (PYTHONPATH=src for a checkout):
 #
 #   bash scripts/smoke.sh OUT_DIR [PARALLELISM]
@@ -19,6 +20,13 @@ pin() {
 
 python -c "from opfdist import distances as d; print('kernels:', d.KERNELS)"
 python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" --parallelism "$parallelism"
+python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" --resume
+# A crash mid-journal: keep the header and two rows, then a row cut short
+# without its newline; the resumed run must still write the pinned bytes.
+# (Shell builtins only: the numpy smoke runs with python alone on PATH.)
+journal=("$out"/ex/journal-*.csv)
+{ IFS= read -r header; IFS= read -r row1; IFS= read -r row2; } < "${journal[0]}"
+printf '%s\n%s\n%s\ndemo,D3,9,1,0.9' "$header" "$row1" "$row2" > "${journal[0]}"
 python -m opfdist.cli bench --config configs/bench_example.yaml --out "$out/ex" --resume
 pin "$out/ex/cells.csv" df3ed5f06f6fdf2abee7a06268719db2c4b9bff03092b166c34908e9987bf976
 pin "$out/ex/summary_raw.csv" 418726002b7e7bc73bcce68363f6623c320f4b5d3fcda5224e4a6e4cf03ccf25

@@ -9,8 +9,10 @@ standard output.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import os
 import platform
 import random
 import re
@@ -339,6 +341,26 @@ def _read_baselines(cfg: BenchConfig) -> dict[tuple[str, str, int, int], float]:
     return cells
 
 
+_JOURNAL_HEADER = ("dataset", "classifier", "run", "fold", "accuracy",
+                   "train_seconds", "test_seconds")
+
+
+def _journaled_cells(journal: Path) -> dict:
+    """The cells of a bench journal, as ``run_benchmark``'s ``done``.
+
+    The file is first cut back to its last newline, so that appends go on
+    after whole rows: a row counts only once its newline is written, and
+    a journal cut inside its header holds no cells (its header is written
+    again).  The rows are checked as ``dataio.read_cells_csv`` checks a
+    cells file."""
+    with open(journal, "rb+") as fh:
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+    if not journal.stat().st_size:
+        return {}
+    return {row[:4]: row[4:]
+            for row in dataio.read_cells_csv(journal, _JOURNAL_HEADER[4:])}
+
+
 def cmd_bench(args) -> int:
     cfg = load_bench_config(Path(args.config), out_override=args.out,
                             parallelism_override=args.parallelism)
@@ -353,58 +375,50 @@ def cmd_bench(args) -> int:
         for s in cfg.datasets
     ]
 
-    # resume: adopt cells already on disk if they belong to this exact config
-    seeded = evaluation.BenchmarkMatrix(
-        tuple(s.name for s in cfg.datasets), cfg.distance_codes, cfg.runs)
-    manifest_path = out_dir / "manifest.txt"
-    cells_path = out_dir / "cells.csv"
-    timings_path = out_dir / "timings.csv"
-    old_timings = {}
-    if args.resume and cells_path.exists():
-        if not manifest_path.exists():
-            raise ConfigError(
-                f"{out_dir} holds cells.csv but no manifest.txt; cannot check "
-                f"that its cells belong to this configuration")
-        recorded = None
-        for line in manifest_path.read_text(encoding="utf-8").splitlines():
-            if line.startswith("config_hash = "):
-                recorded = line.split(" = ", 1)[1]
-        if recorded != cfg_hash:
-            raise ConfigError(
-                f"{out_dir} holds results for a different configuration "
-                f"(manifest config_hash {recorded} != {cfg_hash})")
-        keys = set(seeded.grid())
-        on_disk = evaluation.BenchmarkMatrix.from_rows(
-            dataio.read_cells_csv(cells_path)).cells
-        seeded.cells.update(
-            (key, acc) for key, acc in on_disk.items() if key in keys)
-        if timings_path.exists():
-            old_timings = dataio.read_timings_csv(timings_path)
+    # resume: adopt the cells journaled by runs of this exact config
+    journal = out_dir / f"journal-{cfg_hash[:16]}.csv"
+    done = {}
+    if args.resume and journal.exists():
+        done = _journaled_cells(journal)
+    elif args.resume and any(out_dir.glob("journal-*.csv")):
+        raise ConfigError(f"{out_dir} holds results for a different "
+                          f"configuration (no {journal.name})")
 
     # one task per (dataset, run, test fold); fully reused folds count as done
+    grid = evaluation.BenchmarkMatrix(
+        tuple(s.name for s in cfg.datasets), cfg.distance_codes, cfg.runs).grid()
     total = len(cfg.datasets) * cfg.runs * 2
-    done_count = total - len({(ds, r, f) for ds, c, r, f in seeded.grid()
-                              if (ds, c, r, f) not in seeded.cells})
+    done_count = total - len({(ds, r, f) for ds, c, r, f in grid
+                              if (ds, c, r, f) not in done})
     print(f"grid: {total} tasks, {total - done_count} to compute, "
-          f"{len(seeded.cells)} cells reused", file=sys.stderr)
+          f"{len(done)} cells reused", file=sys.stderr)
 
-    def progress(name, run, fold, errors):
-        nonlocal done_count
-        done_count += 1
-        first = next(iter(errors), None)
-        status = "ok" if first is None else (
-            f"FAILED {len(errors)} code(s), first {first}: {errors[first]}")
-        print(f"[{done_count}/{total}] {name} run {run} fold {fold}: {status}",
-              file=sys.stderr)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(journal, "a" if args.resume else "w", newline="",
+              encoding="utf-8") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        if not fh.tell():
+            rows.writerow(_JOURNAL_HEADER)
 
-    matrix = evaluation.run_benchmark(
-        datasets, cfg.distance_codes, cfg.seed, cfg.runs,
-        normalization=cfg.normalization, parallelism=cfg.parallelism,
-        progress=progress, done=seeded.cells)
-    # an adopted cell that survives keeps the timing it was computed with
-    for key in matrix.cells:
-        if key in old_timings:
-            matrix.timings.setdefault(key, old_timings[key])
+        def progress(name, run, fold, cells, errors):
+            nonlocal done_count
+            # a task's cells are on disk before its line is printed
+            rows.writerows((name, code, run, fold, *map(dataio._f, record))
+                           for code, record in cells.items())
+            fh.flush()
+            os.fsync(fh.fileno())
+            done_count += 1
+            first = next(iter(errors), None)
+            status = "ok" if first is None else (
+                f"FAILED {len(errors)} code(s), first {first}: "
+                f"{errors[first]}")
+            print(f"[{done_count}/{total}] {name} run {run} fold {fold}: "
+                  f"{status}", file=sys.stderr)
+
+        matrix = evaluation.run_benchmark(
+            datasets, cfg.distance_codes, cfg.seed, cfg.runs,
+            normalization=cfg.normalization, parallelism=cfg.parallelism,
+            progress=progress, done=done)
 
     for key, acc in baselines.items():
         if key[1] not in matrix.classifiers:
@@ -567,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "large test over max(1, CPUs // workers) "
                         "threads; overrides the config's parallelism")
     p.add_argument("--resume", action="store_true",
-                   help="reuse completed cells found in the output directory")
+                   help="reuse the cells that earlier runs of this "
+                        "configuration journaled in the output directory")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("axioms", help="empirical metric-axiom table")

@@ -598,13 +598,17 @@ def _f(v: float) -> str:
     return repr(float(v))
 
 
-def _read_grid_csv(path: str | Path, value_names: Sequence[str]
-                   ) -> Iterator[tuple[int, tuple]]:
-    """(line number, (dataset, classifier, run, fold, *values)) for each
-    row of a per-cell file whose header is dataset,classifier,run,fold
-    followed by value_names."""
+def read_cells_csv(path: str | Path, value_names: Sequence[str] = ("accuracy",)
+                   ) -> list[tuple]:
+    """Rows of a cells file: (dataset, classifier, run, fold, accuracy),
+    under the header dataset,classifier,run,fold,accuracy.  Where
+    ``value_names`` go on past the accuracy (a bench journal's seconds),
+    the header and each row go on with them.  A row with a negative run,
+    a fold other than 0 or 1, or an accuracy outside [0, 1] (NaN
+    included) raises ParseError naming file and row."""
     path = Path(path)
     expected = ["dataset", "classifier", "run", "fold", *value_names]
+    rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -621,35 +625,17 @@ def _read_grid_csv(path: str | Path, value_names: Sequence[str]
                     f"expected {len(expected)} fields, found {len(row)}",
                     path=path, row=line_no)
             try:
-                parsed = (row[0], row[1], int(row[2]), int(row[3]),
-                          *(float(v) for v in row[4:]))
+                row = (row[0], row[1], int(row[2]), int(row[3]),
+                       *(float(v) for v in row[4:]))
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, row=line_no) from None
-            yield line_no, parsed
-
-
-def read_cells_csv(path: str | Path) -> list[tuple[str, str, int, int, float]]:
-    """Rows of a cells file: (dataset, classifier, run, fold, accuracy).
-    A row with a negative run, a fold other than 0 or 1, or an accuracy
-    outside [0, 1] (NaN included) raises ParseError naming file and row."""
-    rows = []
-    for line_no, row in _read_grid_csv(path, ["accuracy"]):
-        _, _, r, f, acc = row
-        if r < 0 or f not in (0, 1) or not 0.0 <= acc <= 1.0:
-            raise ParseError(
-                f"row {','.join(map(str, row))}: fold must be 0 or 1, "
-                f"run >= 0 and accuracy in [0, 1]", path=path, row=line_no)
-        rows.append(row)
+            _, _, r, f, acc, *_ = row
+            if r < 0 or f not in (0, 1) or not 0.0 <= acc <= 1.0:
+                raise ParseError(
+                    f"row {','.join(map(str, row))}: fold must be 0 or 1, "
+                    f"run >= 0 and accuracy in [0, 1]", path=path, row=line_no)
+            rows.append(row)
     return rows
-
-
-def read_timings_csv(
-    path: str | Path,
-) -> dict[tuple[str, str, int, int], tuple[float, float]]:
-    """A timings file as (dataset, classifier, run, fold) ->
-    (train_seconds, test_seconds)."""
-    return {row[:4]: row[4:]
-            for _, row in _read_grid_csv(path, ["train_seconds", "test_seconds"])}
 
 
 def write_stat_files(stats, out_dir: str | Path) -> list[Path]:

@@ -25,6 +25,9 @@ parallelism cannot change any reported number.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
@@ -231,6 +234,16 @@ def _fold_task(args):
 def _init_worker(threads: int) -> None:
     # a grid worker's share of the CPUs, for forest's threaded scans
     forest._THREADS = threads
+    # a worker whose parent is killed exits, rather than wait on its queue
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_after, args=(parent,),
+                         daemon=True).start()
+
+
+def _exit_after(parent) -> None:
+    parent.join()  # waits on the parent's sentinel
+    os._exit(1)
 
 
 def run_benchmark(
@@ -241,18 +254,20 @@ def run_benchmark(
     *,
     normalization: str = "none",
     parallelism: int = 1,
-    progress: Callable[[str, int, int, dict[str, str]], None] | None = None,
-    done: Mapping[tuple[str, str, int, int], float] | None = None,
+    progress: Callable[[str, int, int, dict, dict], None] | None = None,
+    done: Mapping[tuple[str, str, int, int], tuple] | None = None,
 ) -> BenchmarkMatrix:
     """Compute the full grid, one task per (dataset, run, test fold).
 
-    ``done`` holds cells already computed, keyed (dataset, code, run,
-    fold); they seed the matrix, and each fold runs only its missing
-    codes.  ``progress(dataset, run, fold, errors)`` is called as each
-    task finishes, with its code -> error text.  A code failing in any
-    fold fails its (dataset, code) column: the column keeps no cell, not
-    even one from ``done``, and ``errors`` holds its lowest failing (run,
-    fold)'s message.  Results are identical for any ``parallelism`` >= 1.
+    A cell's record is (accuracy, train s, test s).  ``done`` maps the
+    (dataset, code, run, fold) of cells already computed to theirs; they
+    seed the matrix's cells and timings, and each fold runs only its
+    missing codes.  ``progress(dataset, run, fold, cells, errors)`` is
+    called as each task finishes, with its code -> record and code ->
+    error text.  A code failing in any fold fails its (dataset, code)
+    column: the column keeps no cell, not even one from ``done``, and
+    ``errors`` holds its lowest failing (run, fold)'s message.  Results
+    are identical for any ``parallelism`` >= 1.
 
     With ``parallelism`` 1 the tasks run in this process, and a test
     that spans more than one chunk splits its queries over the process's
@@ -275,10 +290,10 @@ def run_benchmark(
 
     matrix = BenchmarkMatrix(tuple(names), tuple(codes), runs)
     grid = set(matrix.grid())
-    for key, acc in (done or {}).items():
+    for key, (acc, *seconds) in (done or {}).items():
         if key not in grid:
             raise ValueError(f"done cell {key} lies outside the grid")
-        matrix.cells[key] = acc
+        matrix.cells[key], matrix.timings[key] = acc, tuple(seconds)
 
     tasks = []
     for d in datasets:
@@ -298,7 +313,7 @@ def run_benchmark(
         for code, error in errors.items():
             failed.setdefault((name, code), {})[(run, fold)] = error
         if progress is not None:
-            progress(name, run, fold, errors)
+            progress(name, run, fold, cells, errors)
 
     if parallelism == 1 or len(tasks) <= 1:
         for task in tasks:

@@ -247,8 +247,13 @@ def _int_labels(labels) -> tuple[np.ndarray, np.ndarray]:
     the cast changed: the labels that are not whole numbers (NaN included).
     Where numpy cannot cast them at all (text that is no number, None, an
     int past int64), each label is cast alone: the array is then zeros,
-    and the mask marks those that are not whole int64 numbers."""
-    given = np.asarray(labels)
+    and the mask marks those that are not whole int64 numbers.  Ragged
+    labels, which numpy cannot make an array of, raise DimensionMismatch."""
+    try:
+        given = np.asarray(labels)
+    except ValueError:
+        raise DimensionMismatch(
+            "labels of ragged shape are not one per sample") from None
     try:
         with np.errstate(invalid="ignore"):  # NaN and inf cast unwarned
             cast = _frozen(given, np.int64)

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 import platform
 import random
 import re
 import shlex
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +101,18 @@ def assert_reports_version(proc):
     assert "opfdist" in proc.stdout
 
 
-def run_fresh(script):
-    """Run ``script`` in a new interpreter that imports this opfdist."""
+def fresh_env():
+    """An environment in which a new interpreter imports this opfdist."""
     package_parent = str(Path(opfdist.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [package_parent] + ([inherited] if inherited else [])))
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that imports this opfdist."""
     return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=fresh_env())
 
 
 def test_console_script_is_installed():
@@ -501,6 +508,22 @@ def test_bench_resume_rejects_changed_configuration(tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
 
 
+def journal_of(out):
+    """The one bench journal in ``out``."""
+    [journal] = out.glob("journal-*.csv")
+    return journal
+
+
+def drop_journal_rows(out, prefixes):
+    """Remove the journal rows of ``out`` that start with ``prefixes``;
+    returns how many were removed."""
+    journal = journal_of(out)
+    header, *rows = journal.read_text().splitlines()
+    kept = [row for row in rows if not row.startswith(prefixes)]
+    journal.write_text("\n".join([header] + kept) + "\n")
+    return len(rows) - len(kept)
+
+
 def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     cfg = bench_config(tmp_path)
     out = tmp_path / "r"
@@ -511,10 +534,7 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
 
     # drop the whole (blob1, D6) column and one cell of (blob2, D7)
     dropped = ("blob1,D6,", "blob2,D7,1,0,")
-    header, *rows = (out / "cells.csv").read_text().splitlines()
-    kept = [row for row in rows if not row.startswith(dropped)]
-    assert len(kept) == len(rows) - 5
-    (out / "cells.csv").write_text("\n".join([header] + kept) + "\n")
+    assert drop_journal_rows(out, dropped) == 5
 
     assert main(["bench", "--config", str(cfg), "--out", str(out),
                  "--resume", "--parallelism", "2"]) == 0
@@ -533,6 +553,8 @@ def test_bench_resume_computes_only_missing_cells(tmp_path, capsys):
     reused = [t for t in timings_before if not t.startswith(dropped)]
     assert len(reused) == 19
     assert set(reused) <= set(timings)
+    # the resume appended the 5 cells it computed
+    assert len(journal_of(out).read_text().splitlines()) == 1 + 24
 
 
 def test_bench_resume_writes_no_adopted_cell_of_a_failed_column(
@@ -543,10 +565,7 @@ def test_bench_resume_writes_no_adopted_cell_of_a_failed_column(
     capsys.readouterr()
     # drop one cell of (blob2, D7); its three others are adopted, and the
     # one task left raises for D7
-    header, *rows = (out / "cells.csv").read_text().splitlines()
-    kept = [row for row in rows if not row.startswith("blob2,D7,1,0,")]
-    assert len(kept) == len(rows) - 1
-    (out / "cells.csv").write_text("\n".join([header] + kept) + "\n")
+    assert drop_journal_rows(out, ("blob2,D7,1,0,",)) == 1
     real = opfdist.evaluation.forest.fit_and_label
 
     def d7_raises(features, labels, measures, queries):
@@ -570,10 +589,11 @@ def test_bench_resume_refuses_invalid_cells_before_the_grid(
     out = tmp_path / "r"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
-    header, first, *rows = (out / "cells.csv").read_text().splitlines()
+    journal = journal_of(out)
+    header, first, *rows = journal.read_text().splitlines()
     assert first.startswith("blob1,D3,0,0,")
-    (out / "cells.csv").write_text(
-        "\n".join([header, "blob1,D3,0,0,nan", *rows]) + "\n")
+    journal.write_text(
+        "\n".join([header, "blob1,D3,0,0,nan,0.1,0.1", *rows]) + "\n")
     before = {n: (out / n).read_bytes() for n in REPORT_FILES}
     tasks = []
     monkeypatch.setattr(opfdist.evaluation, "_fold_task",
@@ -582,22 +602,175 @@ def test_bench_resume_refuses_invalid_cells_before_the_grid(
     assert main(["bench", "--config", str(cfg), "--out", str(out),
                  "--resume"]) == 1
     err = capsys.readouterr().err
-    assert "row blob1,D3,0,0,nan: fold must be 0 or 1" in err
-    assert f"({out / 'cells.csv'}, row 2)" in err
+    assert "row blob1,D3,0,0,nan,0.1,0.1: fold must be 0 or 1" in err
+    assert f"({journal}, row 2)" in err
     assert tasks == []
     assert {n: (out / n).read_bytes() for n in REPORT_FILES} == before
 
 
-def test_bench_resume_refuses_cells_without_manifest(tmp_path, capsys):
+def test_bench_resume_refuses_a_directory_of_another_configs_journal(
+        tmp_path, capsys):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    out.mkdir()
+    other = out / "journal-0123456789abcdef.csv"
+    other.write_text("dataset,classifier,run,fold,accuracy,train_seconds,"
+                     "test_seconds\n")
+    rc = main(["bench", "--config", str(cfg), "--out", str(out), "--resume"])
+    assert rc == 2
+    assert "different configuration" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == [other]
+
+
+def test_bench_resume_without_a_journal_computes_every_cell(tmp_path, capsys):
+    # a directory of reports with no journal, as earlier versions wrote
     cfg = bench_config(tmp_path)
     out = tmp_path / "r"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {n: (out / n).read_bytes() for n in BYTE_STABLE}
+    journal_of(out).unlink()
     capsys.readouterr()
-    (out / "manifest.txt").unlink()
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--resume"]) == 0
+    assert "grid: 8 tasks, 8 to compute, 0 cells reused" in \
+        capsys.readouterr().err
+    for name in BYTE_STABLE:
+        assert (out / name).read_bytes() == before[name], name
+    assert len(journal_of(out).read_text().splitlines()) == 1 + 24
 
-    rc = main(["bench", "--config", str(cfg), "--out", str(out), "--resume"])
-    assert rc == 2
-    assert "manifest" in capsys.readouterr().err
+
+def test_bench_resume_counts_only_rows_whose_newline_is_written(
+        tmp_path, capsys):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {n: (out / n).read_bytes() for n in BYTE_STABLE}
+    journal = journal_of(out)
+    text = journal.read_text()
+    header, first, second, *_ = text.splitlines(keepends=True)
+    # a row cut inside its last number still parses, so it must not count
+    for cut, reused in ((header + first + second[:-3], 1),
+                        (header[:20], 0), ("", 0)):
+        journal.write_text(cut)
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg), "--out", str(out),
+                     "--resume"]) == 0
+        assert f"{reused} cells reused" in capsys.readouterr().err
+        for name in BYTE_STABLE:
+            assert (out / name).read_bytes() == before[name], name
+        rows = journal.read_text().splitlines()
+        assert rows[0] == header.strip() and len(rows) == 1 + 24
+
+
+class _BrokenPipe(io.StringIO):
+    """A stderr whose reader went away once the grid's first line was
+    read: each progress line raises, as printing to a closed pipe does."""
+
+    def write(self, text):
+        if text.startswith("["):
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_a_raising_progress_line_keeps_the_journaled_task(
+        tmp_path, capsys, monkeypatch):
+    cfg = bench_config(tmp_path)
+    out = tmp_path / "r"
+    monkeypatch.setattr(sys, "stderr", _BrokenPipe())
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "BrokenPipeError" in sys.stderr.getvalue()
+    monkeypatch.undo()
+    assert not (out / "cells.csv").exists()
+    # the first task's three cells were on disk before its line
+    rows = journal_of(out).read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == \
+        [["blob1", c, "0", "0"] for c in ("D3", "D6", "D7")]
+    capsys.readouterr()
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--resume"]) == 0
+    assert "grid: 8 tasks, 7 to compute, 3 cells reused" in \
+        capsys.readouterr().err
+
+
+def _children(pid):
+    """The pids of the processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended meanwhile
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _ended(pid):
+    """Whether ``pid`` is gone or a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2] \
+            .split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+@pytest.mark.parametrize("parallelism, torn", [(1, True), (2, False)],
+                         ids=["serial-torn-row", "two-workers"])
+def test_a_killed_bench_resumes_to_the_reports_of_an_uninterrupted_run(
+        tmp_path, capsys, parallelism, torn):
+    rng = random.Random(3)
+    rows = [",".join(repr(rng.uniform(0, 1) + 0.3 * (i % 3))
+                     for _ in range(16)) + f",c{i % 3}" for i in range(240)]
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "k.yaml"
+    cfg.write_text("seed: 0\nruns: 6\nnormalization: min_max_01\n"
+                   "distances: all\ndatasets:\n"
+                   "  - {path: d.csv, label_column: -1}\n")
+    whole, out = tmp_path / "whole", tmp_path / "killed"
+    assert main(["bench", "--config", str(cfg), "--out", str(whole)]) == 0
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opfdist.cli", "bench", "--config", str(cfg),
+         "--out", str(out), "--parallelism", str(parallelism)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=fresh_env())
+    try:
+        # a progress line is printed once its task's cells are journaled
+        while not proc.stderr.readline().startswith("[1/12]"):
+            assert proc.poll() is None, "bench ended before its first task"
+        workers = _children(proc.pid)
+        proc.kill()
+    finally:
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == -signal.SIGKILL
+    assert len(workers) == (parallelism if parallelism > 1 else 0)
+    deadline = time.monotonic() + 5.0
+    while not all(map(_ended, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if not _ended(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
+
+    assert not (out / "cells.csv").exists()
+    if torn:
+        with open(journal_of(out), "a") as fh:
+            fh.write("d,D3,5,1,0.5")  # no newline: cut mid-row
+    capsys.readouterr()
+    assert main(["bench", "--config", str(cfg), "--out", str(out),
+                 "--resume"]) == 0
+    reused = re.search(r"(\d+) cells reused", capsys.readouterr().err)
+    assert int(reused.group(1)) > 0
+    for name in BYTE_STABLE:
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+    timings = (out / "timings.csv").read_text().splitlines()[1:]
+    cells = (out / "cells.csv").read_text().splitlines()[1:]
+    assert len(cells) == 47 * 6 * 2
+    assert [t.split(",")[:4] for t in timings] == \
+        [c.split(",")[:4] for c in cells]
 
 
 def test_bench_without_resume_overwrites_cleanly(tmp_path):
@@ -607,6 +780,8 @@ def test_bench_without_resume_overwrites_cleanly(tmp_path):
     first = (out / "cells.csv").read_bytes()
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "cells.csv").read_bytes() == first
+    # the journal starts again: one row per cell, not two
+    assert len(journal_of(out).read_text().splitlines()) == 1 + 24
 
 
 def test_bench_config_validation_exit_codes(tmp_path, capsys):
@@ -1072,9 +1247,9 @@ def test_ci_workflow_commands_parse_and_name_existing_paths():
                 opfdist.cli.build_parser().parse_args(args)
             except SystemExit:
                 pytest.fail(f"{where}: the parser refuses {line.strip()}")
-    # the shipped example's seven CLI commands, from the one script that
+    # the shipped example's eight CLI commands, from the one script that
     # the tier1 job (through the gate) and the Windows job both run
-    assert cli_lines == 7, cli_lines
+    assert cli_lines == 8, cli_lines
     assert reached["scripts/gate.sh"] >= {"tier1"}, reached
     assert reached["scripts/smoke.sh"] >= {"tier1", "windows-smoke"}, reached
     # the gate runs it on both kernel paths (steps smoke and smoke-numpy)

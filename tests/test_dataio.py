@@ -346,6 +346,8 @@ def test_svmlight_empty_and_malformed(tmp_path):
      "class_names length disagrees with n_classes"),
     ([[0.0], [1.0]], [[0, 1], [1, 0]], {"n_classes": 2}, DimensionMismatch,
      "features of shape (2, 1) and labels of shape (2, 2)"),
+    ([[0.0], [1.0]], [[0, 1], [2]], {"n_classes": 2}, DimensionMismatch,
+     "labels of ragged shape are not one per sample"),
     # a cast would truncate these: 0.7 and 1.7 would read 0 and 1
     ([[0.0], [1.0]], [0.7, 1.7], {"n_classes": 2}, ParseError,
      "label 0.7 of sample id 0 is not a whole number"),
@@ -362,8 +364,8 @@ def test_svmlight_empty_and_malformed(tmp_path):
      "label 1180591620717411303424 of sample id 1 is not a whole number"),
 ], ids=["no-samples", "no-features", "nan", "inf", "label-above",
         "label-below", "first-bad-row", "class-missing", "class-names",
-        "labels-2d", "label-fraction", "label-nan", "values-before-label",
-        "label-text", "label-none", "label-past-int64"])
+        "labels-2d", "labels-ragged", "label-fraction", "label-nan",
+        "values-before-label", "label-text", "label-none", "label-past-int64"])
 def test_dataset_rejects_with_type_and_message(features, labels, kw, error,
                                                message):
     with pytest.raises(error) as err:

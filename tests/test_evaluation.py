@@ -524,15 +524,29 @@ def test_benchmark_results_do_not_depend_on_parallelism():
                              parallelism=3)
     assert serial.cells == parallel.cells
 
-    # seeding half the cells computes only the other half, to the same bits
-    half = {k: serial.cells[k] for k in sorted(serial.cells)[3:11]}
-    resumed = run_benchmark(datasets, ["D3", "D7"], seed=2, runs=2,
-                            parallelism=3, done=half)
+    # seeding half the cells computes only the other half, to the same
+    # bits, and the seeded cells keep their seconds
+    half = {k: (serial.cells[k], *serial.timings[k])
+            for k in sorted(serial.cells)[3:11]}
+    seen = []
+    resumed = run_benchmark(
+        datasets, ["D3", "D7"], seed=2, runs=2, parallelism=3, done=half,
+        progress=lambda name, run, fold, cells, errors: seen.extend(
+            (name, code, run, fold, *record) for code, record in cells.items()))
     assert resumed.cells == serial.cells
-    assert set(resumed.timings) == set(serial.cells) - set(half)
+    assert set(resumed.timings) == set(serial.cells)
+    assert {k: resumed.timings[k] for k in half} == \
+        {k: serial.timings[k] for k in half}
+    # progress sees each computed cell once, with the matrix's record
+    assert sorted(row[:4] for row in seen) == \
+        sorted(set(serial.cells) - set(half))
+    for *key, acc, t_train, t_test in seen:
+        key = tuple(key)
+        assert (acc, (t_train, t_test)) == (resumed.cells[key],
+                                            resumed.timings[key])
     with pytest.raises(ValueError):
         run_benchmark(datasets, ["D3", "D7"], seed=2, runs=2,
-                      done={("t1", "D3", 2, 0): 0.5})
+                      done={("t1", "D3", 2, 0): (0.5, 0.0, 0.0)})
 
 
 def test_grid_workers_after_threads_in_the_parent_give_the_same_cells(
@@ -596,7 +610,7 @@ def test_a_raising_progress_call_drops_the_queued_grid_tasks(
                         tmp_path / "ran")
     monkeypatch.setattr(evaluation, "_fold_task", _slow_logged_task)
 
-    def progress(name, run, fold, errors):
+    def progress(name, run, fold, cells, errors):
         raise BrokenPipeError  # as printing to a closed pipe does
 
     # 12 runs make 24 tasks; after the first result only the tasks
@@ -684,7 +698,8 @@ def test_a_failed_column_drops_its_adopted_cells_too(monkeypatch):
 
     monkeypatch.setattr(evaluation.forest, "fit_and_label", d5_raises)
     # D5's first cell and D3's are adopted; the rest of both are computed
-    done = {("t", "D5", 0, 0): 0.5, ("t", "D3", 0, 0): 0.75}
+    done = {("t", "D5", 0, 0): (0.5, 0.0, 0.0),
+            ("t", "D3", 0, 0): (0.75, 0.0, 0.0)}
     matrix = run_benchmark(datasets, ["D3", "D5"], seed=0, runs=2,
                            done=done)
     assert matrix.errors == {("t", "D5"): "RuntimeError: boom"}

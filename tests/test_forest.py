@@ -129,6 +129,9 @@ GRAPH_ERRORS = [
      "label None of sample id {1} is not a whole number"),
     ([[1.0], [2.0]], [0, 2**70], ValueError,
      "label 1180591620717411303424 of sample id {1} is not a whole number"),
+    # labels that numpy cannot make an array of
+    ([[1.0], [2.0]], [[0, 1], [2]], DimensionMismatch,
+     "labels of ragged shape are not one per sample"),
 ]
 
 
