@@ -16,14 +16,11 @@
 # Steps:
 #   compiled     the compiled distance loops are in use, so the oracles
 #                test them
-#   tier1        the tier-1 tests
+#   tier1        the tier-1 tests; pyproject.toml makes a ResourceWarning
+#                an error there, so a file, pool or journal left open fails
+#                them
 #   one-cpu      forest and grid tests on a one-CPU affinity mask
 #                (taskset -c 0)
-#   resources    forest, command-line and grid tests in Python's dev mode
-#                with ResourceWarning as an error, so that a file (say, a
-#                journal) or a pool left open fails them (pytest reports a
-#                warning raised in a finalizer as its own
-#                PytestUnraisableExceptionWarning, which is an error too)
 #   oracle       the kernel oracles with numpy's AVX-512 targets off
 #   smoke        scripts/smoke.sh on the compiled kernels
 #   smoke-numpy  scripts/smoke.sh on the numpy kernels, in a temporary copy
@@ -40,8 +37,8 @@
 # without scipy and on numpy 1.24) and the Windows smoke job.
 set -uo pipefail
 
-ALL=(compiled tier1 one-cpu resources oracle smoke smoke-numpy selftest
-     wine-grid noise-fit trace)
+ALL=(compiled tier1 one-cpu oracle smoke smoke-numpy selftest wine-grid
+     noise-fit trace)
 CANNOT_RUN=77
 
 cd "$(dirname "$0")/.." || exit 2
@@ -59,8 +56,6 @@ step() {
     one-cpu)
         command -v taskset >/dev/null || return $CANNOT_RUN
         PYTHONPATH=$src taskset -c 0 python -m pytest -q tests/test_forest.py tests/test_evaluation.py ;;
-    resources)
-        PYTHONPATH=$src python -X dev -W error::ResourceWarning -m pytest -q -W error::pytest.PytestUnraisableExceptionWarning tests/test_forest.py tests/test_cli.py tests/test_evaluation.py ;;
     oracle)
         NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=$src python -m pytest -q tests/test_distances.py tests/test_forest.py tests/test_evaluation.py tests/test_kernels.py ;;
     smoke)

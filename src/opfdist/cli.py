@@ -216,9 +216,7 @@ def load_bench_config(path: Path, *, out_override=None,
         _require(isinstance(item, dict), f"datasets[{i}] must be a mapping")
         _require(isinstance(item.get("path"), str),
                  f"datasets[{i}]: path must be a string")
-        p = Path(item["path"])
-        if not p.is_absolute():
-            p = (base / p).resolve()
+        p = _config_path(base, item["path"])
         fmt = item.get("format", "csv")
         _require(fmt in ("csv", "svmlight"),
                  f"datasets[{i}]: format must be csv or svmlight")
@@ -254,12 +252,8 @@ def load_bench_config(path: Path, *, out_override=None,
     for key in ("output_dir", "external_baselines"):
         _require(raw.get(key) is None or isinstance(raw[key], str),
                  f"{key} must be a string")
-    out_dir = out_override or raw.get("output_dir")
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        if not Path(out_dir).is_absolute() and out_override is None:
-            out_path = (base / out_dir).resolve()
+    out_path = (Path(out_override) if out_override is not None
+                else _config_path(base, raw.get("output_dir")))
 
     par = parallelism_override if parallelism_override is not None else raw.get(
         "parallelism", 1)
@@ -268,15 +262,19 @@ def load_bench_config(path: Path, *, out_override=None,
         par = forest._cpus()
     _require(_is_int(par) and par >= 1, "parallelism must be >= 1")
 
-    ext = raw.get("external_baselines")
-    ext_path = None
-    if ext is not None:
-        ext_path = Path(ext)
-        if not ext_path.is_absolute():
-            ext_path = (base / ext_path).resolve()
-
     return BenchConfig(seed, runs, normalization, float(alpha), tuple(codes),
-                       tuple(specs), out_path, par, ext_path)
+                       tuple(specs), out_path, par,
+                       _config_path(base, raw.get("external_baselines")))
+
+
+def _config_path(base: Path, value: str | None) -> Path | None:
+    """A path that a bench config names (None where it names none): a
+    relative one is relative to the config's directory ``base``, and an
+    absolute one is kept as given."""
+    if value is None:
+        return None
+    p = Path(value)
+    return p if p.is_absolute() else (base / p).resolve()
 
 
 def _config_hash(cfg: BenchConfig) -> str:

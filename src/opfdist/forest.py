@@ -21,14 +21,15 @@ The distance matrix and ``classify_batch`` read their arcs from the
 measures' block kernels (``distances.pairwise``), which equal the
 per-pair kernels bit for bit.  Classification scans nodes
 in cost order and may stop once no remaining node can improve on the best
-offer (Papa et al., Pattern Recognition 2012).  ``classify_batch`` scans
-chunks of nodes against the queries still open, reading their arcs
-through ``arcs(r0, r1, active)``, and closes a query once the next
-chunk's first cost reaches its best offer; its node features and costs
-in scan order are built once per forest, on first use.  Single-query
-``classify`` is a batch of one, on the numpy block kernels.  The full
-scan and the early exit return the same cost, label and conqueror, so
-``early_exit`` never changes a result.
+offer (Papa et al., Pattern Recognition 2012).  One function,
+``_scan_nodes``, is that scan: it takes chunks of nodes against the
+queries still open, one block-kernel call each, and closes a query once
+the next chunk's first cost reaches its best offer.  ``classify_batch``
+runs it over node features and costs in scan order that are built once
+per forest, on first use.  Single-query ``classify`` is a batch of one,
+on the numpy block kernels.  The full scan and the early exit return the
+same cost, label and conqueror, so ``early_exit`` never changes a
+result.
 
 A fit runs Prim and then the competition for k measures together, on
 one path.  A (k, n, n) stack of matrices, as many as fit in
@@ -54,14 +55,14 @@ fits its graph's arrays under one measure, as ``train_measures`` fits
 one measure of many.
 
 A batch's scan is made of independent query groups.  Where it spans
-more than one ``_BLOCK_ENTRIES`` chunk, the calling thread and threads
-made for the call take its groups (``_each``), ``_THREADS`` in all or
-one per query where there are fewer, and the threads are joined before
-it returns; the compiled loops and most numpy loops run without the
-GIL.  ``_THREADS`` counts the CPUs the process may run on (``_cpus``),
-and a grid worker gets its share of them (``evaluation.run_benchmark``).
-Each query's scan is computed as on one thread, so the bits do not
-change.  Single queries, the fill of a stack,
+more than one ``_BLOCK_ENTRIES`` chunk, ``_scan_nodes`` hands its groups
+to the calling thread and threads made for the call (``_each``),
+``_THREADS`` in all or one per query where there are fewer, and the
+threads are joined before it returns; the compiled loops and most numpy
+loops run without the GIL.  ``_THREADS`` counts the CPUs the process may
+run on (``_cpus``), and a grid worker gets its share of them
+(``evaluation.run_benchmark``).  Each query's scan is computed as on one
+thread, so the bits do not change.  Single queries, the fill of a stack,
 Prim and the competition run on the calling thread alone.
 
 ``fit_and_label`` is a benchmark fold's one call: each measure's
@@ -135,7 +136,11 @@ def _each(fn, items: Sequence, threads: int) -> None:
     on one CPU for seconds on end: in such a spell, a batch of 500 queries
     on a 2000-node D3 forest beat the one-thread scan in 377 of 441 calls
     pinned (median 24.9 against 36.5 ms), and in 178 of 441 unpinned
-    (37.5 ms).
+    (37.5 ms).  The threads stay hand-made: a
+    ``concurrent.futures.ThreadPoolExecutor`` of two threads, the caller
+    idle, served perfbench noise-fit's batches at 16.6k queries/s against
+    19.2k (pooled medians of 12 alternated pairs, ahead in 3) and read 0.5
+    to 3.1 MB more peak RSS in all 12.
     """
     todo, done = iter(items), object()
     lock = threading.Lock()
@@ -764,15 +769,6 @@ def _classify(forest: TrainedForest, queries: Sequence[Sequence[float]],
                     best.tolist(), who.tolist()))
 
 
-def _scan_nodes(forest: TrainedForest, scan: tuple[np.ndarray, np.ndarray],
-                Q: np.ndarray, early_exit: bool, pairwise):
-    """``_scan_queries`` of the query rows Q over ``scan``, the forest's
-    ``_scan_arrays``, with the block kernel ``pairwise(measure, A, B)``."""
-    nodes, cost = scan
-    return _scan_queries(cost, len(Q), lambda r0, r1, active: pairwise(
-        forest.distance, nodes[:, r0:r1].T, Q[active]), early_exit)
-
-
 def _query_matrix(model: _Arrays,
                   queries: Sequence[Sequence[float]]) -> np.ndarray:
     """The queries to a graph's or a forest's ``model`` as one (m, d)
@@ -807,12 +803,12 @@ def _query_matrix(model: _Arrays,
     return Q
 
 
-def _scan_queries(cost: np.ndarray, m: int, arcs,
-                  early_exit: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The scan of ``classify_batch`` over m queries, with node costs
-    ``cost`` in scan order; ``arcs(r0, r1, active)`` gives the distances
-    from the nodes at scan positions r0:r1 to the queries ``active``.
-    Returns each query's winning scan position and its offer.
+def _scan_nodes(forest: TrainedForest, scan: tuple[np.ndarray, np.ndarray],
+                Q: np.ndarray, early_exit: bool,
+                pairwise) -> tuple[np.ndarray, np.ndarray]:
+    """The scan of ``classify_batch``: the query rows Q over ``scan``, the
+    forest's ``_scan_arrays``, with the block kernel ``pairwise(measure, A,
+    B)``.  Returns each query's winning scan position and its offer.
 
     Where the n x m entries span more than one chunk, the queries are
     split over min(``_THREADS``, m) threads, the count that ``_each`` is
@@ -826,53 +822,50 @@ def _scan_queries(cost: np.ndarray, m: int, arcs,
     hold no more than one chunk.  A query's result does not depend on the
     chunks its scan went through.
     """
+    nodes, cost = scan
+    n, m = len(cost), len(Q)
     best = np.empty(m)
     first = np.empty(m, dtype=np.intp)
-    threads = min(_THREADS, m) if len(cost) * m > _BLOCK_ENTRIES else 1
-    scan = partial(_scan_group, cost, arcs, early_exit,
-                   max(1, _BLOCK_ENTRIES // threads), best, first)
+    threads = min(_THREADS, m) if n * m > _BLOCK_ENTRIES else 1
+    entries = max(1, _BLOCK_ENTRIES // threads)
+
+    def scan_group(group: tuple[int, int]) -> None:
+        lo, hi = group
+        for q0 in range(lo, hi, entries):
+            active = np.arange(q0, min(hi, q0 + entries))
+            r0 = 0
+            while r0 < n and len(active):
+                r1 = min(n, r0 + max(1, entries // len(active)))
+                d = pairwise(forest.distance, nodes[:, r0:r1].T, Q[active])
+                c = cost[r0:r1, None]
+                offer = np.where(c >= d, c, d)
+                k = offer.argmin(axis=0)
+                b = offer[k, np.arange(len(k))]
+                if r0 == 0:
+                    # every offer beats the initial +inf
+                    best[active] = b
+                    first[active] = k
+                else:
+                    better = b < best[active]
+                    won = active[better]
+                    best[won] = b[better]
+                    first[won] = k[better] + r0
+                r0 = r1
+                if early_exit and r0 < n:
+                    # a later node offers max(cost, d) >= its cost, so a
+                    # query whose best is <= the next cost can no longer
+                    # improve
+                    keep = best[active] > cost[r0]
+                    if not keep.all():
+                        active = active[keep]
+
     if threads == 1:  # a single query's path, kept free of _each's cost
-        scan(0, m)
+        scan_group((0, m))
     else:
         groups = min(m, 4 * threads)
         bounds = [m * g // groups for g in range(groups + 1)]
-        _each(lambda group: scan(*group), list(zip(bounds, bounds[1:])),
-              threads)
+        _each(scan_group, list(zip(bounds, bounds[1:])), threads)
     return first, best
-
-
-def _scan_group(cost: np.ndarray, arcs, early_exit: bool, entries: int,
-                best: np.ndarray, first: np.ndarray, lo: int,
-                hi: int) -> None:
-    """``_scan_queries`` of the queries lo:hi, in chunks of about
-    ``entries`` entries, into ``best`` and ``first``."""
-    n = len(cost)
-    for q0 in range(lo, hi, entries):
-        active = np.arange(q0, min(hi, q0 + entries))
-        r0 = 0
-        while r0 < n and len(active):
-            r1 = min(n, r0 + max(1, entries // len(active)))
-            d = arcs(r0, r1, active)
-            c = cost[r0:r1, None]
-            offer = np.where(c >= d, c, d)
-            k = offer.argmin(axis=0)
-            b = offer[k, np.arange(len(k))]
-            if r0 == 0:
-                # every offer beats the initial +inf
-                best[active] = b
-                first[active] = k
-            else:
-                better = b < best[active]
-                won = active[better]
-                best[won] = b[better]
-                first[won] = k[better] + r0
-            r0 = r1
-            if early_exit and r0 < n:
-                # a later node offers max(cost, d) >= its cost, so a query
-                # whose best is <= the next cost can no longer improve
-                keep = best[active] > cost[r0]
-                if not keep.all():
-                    active = active[keep]
 
 
 def _labels(forest: TrainedForest, Q: np.ndarray,

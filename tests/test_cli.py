@@ -871,6 +871,36 @@ def test_bench_config_refuses_a_label_column_on_svmlight(tmp_path, capsys):
     assert load_bench_config(cfg).datasets[1].format == "svmlight"
 
 
+def test_config_paths_are_relative_to_the_config_and_out_to_the_cwd(
+        tmp_path, monkeypatch):
+    where = tmp_path / "configs"
+    where.mkdir()
+    cfg = bench_config(where, extra="output_dir: ../o/./r\n"
+                       "external_baselines: ext.csv\n")
+    elsewhere = tmp_path / "cwd"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    got = load_bench_config(cfg)
+    assert [s.path for s in got.datasets] == [where / "blob1.csv",
+                                              where / "blob2.csv"]
+    assert got.output_dir == tmp_path / "o" / "r"
+    assert got.external_baselines == where / "ext.csv"
+    # --out is taken as given, relative to the working directory
+    assert load_bench_config(cfg, out_override="x/../y").output_dir \
+        == Path("x/../y")
+    # absolute paths are kept as given, unresolved
+    odd = str(tmp_path / "a" / ".." / "b")
+    cfg.write_text(cfg.read_text().replace("blob1.csv", odd + ".csv")
+                   .replace("../o/./r", odd).replace("ext.csv", odd))
+    got = load_bench_config(cfg)
+    assert got.datasets[0].path == Path(odd + ".csv")
+    assert got.output_dir == got.external_baselines == Path(odd)
+    # a config without the keys names neither
+    cfg = bench_config(where)
+    got = load_bench_config(cfg)
+    assert got.output_dir is None and got.external_baselines is None
+
+
 def test_bench_runs_without_importing_scipy(tmp_path):
     out = tmp_path / "r"
     result = run_fresh(

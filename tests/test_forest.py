@@ -1296,3 +1296,58 @@ def test_an_exception_in_a_thread_reaches_the_caller(monkeypatch):
             with spy.split(threads):
                 with pytest.raises(ZeroDivisionError, match="in a thread"):
                     run()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no affinity masks")
+def test_each_pins_its_threads_only_where_they_are_all_the_callers_cpus(
+        monkeypatch):
+    # a made-up mask, so that no thread is really pinned
+    mask = {2, 5, 7}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    calls, lock = [], threading.Lock()
+    # every pinned thread waits at the barrier, so the three are alive at
+    # once and their idents are distinct
+    together = threading.Barrier(3, timeout=30)
+
+    def setaffinity(pid, cpus):
+        with lock:
+            calls.append((threading.get_ident(), pid, set(cpus)))
+        if len(cpus) == 1:
+            together.wait()
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    caller = threading.get_ident()
+    taken = []
+
+    def take(item):
+        taken.append(item)
+        if item == "fail":
+            raise ZeroDivisionError("raised in a group")
+
+    # a budget of all the caller's CPUs: each thread pins to one of its
+    # own, the caller to the first, and the caller gets its mask back,
+    # also when a group raises
+    monkeypatch.setattr(opfdist.forest, "_THREADS", len(mask))
+    for fails in (False, True):
+        calls.clear()
+        taken.clear()
+        together.reset()
+        with (pytest.raises(ZeroDivisionError) if fails
+              else contextlib.nullcontext()):
+            opfdist.forest._each(take, ["fail"] * 8 if fails else range(8),
+                                 3)
+        *pins, restore = calls
+        assert restore == (caller, 0, mask)
+        assert sorted(len(cpus) for _, _, cpus in pins) == [1, 1, 1]
+        assert set.union(*(cpus for _, _, cpus in pins)) == mask
+        assert len({ident for ident, _, _ in pins}) == 3
+        assert (caller, 0, {2}) in pins
+        assert fails or sorted(taken) == list(range(8))
+    # a grid worker's share, below the mask's size: no thread pins
+    calls.clear()
+    taken.clear()
+    monkeypatch.setattr(opfdist.forest, "_THREADS", 2)
+    opfdist.forest._each(take, range(8), 2)
+    assert calls == []
+    assert sorted(taken) == list(range(8))
