@@ -323,8 +323,9 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
     ``perfbench/wine.py`` fits its folds): min_max_01 keeps each column's
     minimum and maximum, and of -0.0 and +0.0 the first in row order, as a
     scan replacing a bound on a strict < or > does.  It refuses ragged
-    rows (DimensionMismatch) and a NaN or infinite value (ValueError
-    naming the sample id: a row's ``id``, or its position)."""
+    rows and input that is not (n, d) rows (DimensionMismatch), and a NaN
+    or infinite value (ValueError naming the sample id: a row's ``id``, or
+    its position)."""
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     if len(train) == 0:
@@ -335,9 +336,11 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
     if isinstance(train[0], forest.Sample):
         ids = [s.id for s in train]
         train = [s.features for s in train]
-    X = distances._float_rows(train, "training")
+    X = distances._float_rows(train, "training row {id} has dim {n}, "
+                                     "expected {dim}")
     if X.ndim != 2:
-        raise DimensionMismatch("training samples disagree on dimension")
+        raise DimensionMismatch(
+            f"features of shape {X.shape} are not one row per sample")
     forest._finite_rows(X, ids)
     bounds = []
     for bound in X.min(axis=0), X.max(axis=0):
@@ -352,8 +355,11 @@ def normalize(spec: NormalizationSpec, X) -> np.ndarray:
     """The rows of X, (n, d) or one row (d,), mapped by ``spec`` into a
     read-only float64 array: min_max_01 takes (x - lo) / (hi - lo), then
     t < 0 -> 0.0, t > 1 -> 1.0 and a constant feature -> 0.0.  Ragged
-    rows raise DimensionMismatch."""
-    X = distances._float_rows(X, "input")
+    rows and input of any other shape raise DimensionMismatch."""
+    X = distances._float_rows(X, "input row {id} has dim {n}, expected {dim}")
+    if X.ndim not in (1, 2):
+        raise DimensionMismatch(
+            f"features of shape {X.shape} are not one row per sample")
     if spec.mode == "none":
         return forest._frozen(X, np.float64)
     lo, hi = np.array(spec.feature_min), np.array(spec.feature_max)
@@ -476,7 +482,7 @@ def load_archive(path: str | Path) -> ForestArchive:
     def take(size: int) -> memoryview:
         nonlocal off
         if off + size > len(payload):
-            raise CorruptArchive("payload ends mid-field")
+            raise CorruptArchive(f"{path}: payload ends mid-field")
         off += size
         return payload[off - size:off]
 

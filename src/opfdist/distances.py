@@ -878,19 +878,27 @@ def pairwise_many(ids_or_codes: Sequence[DistanceId | str], A,
     return _pairwise_many(KERNELS, ids_or_codes, A, B)
 
 
-def _float_rows(rows, what: str) -> np.ndarray:
+def _float_rows(rows, message: str, ids: Sequence | None = None,
+                dim: int | None = None) -> np.ndarray:
     """``np.asarray(rows, dtype=np.float64)``, where rows of unequal
-    lengths raise DimensionMismatch naming the first that differs from
-    the first row, not numpy's ValueError."""
+    lengths raise DimensionMismatch, not numpy's ValueError: an empty first
+    row, where ``dim`` is None, raises "feature vectors must have dim >=
+    1"; otherwise the first row whose length is not ``dim`` (the first
+    row's by default) raises ``message.format(id=, n=, dim=)``, with the
+    row's entry of ``ids`` (its position by default) and its length.  This
+    is the package's one search for a ragged row."""
     try:
         return np.asarray(rows, dtype=np.float64)
     except ValueError:
-        dim = len(rows[0])
-        for i, row in enumerate(rows):
+        if dim is None:
+            dim = len(rows[0])
+            if dim < 1:
+                raise DimensionMismatch(
+                    "feature vectors must have dim >= 1") from None
+        for row, i in zip(rows, range(len(rows)) if ids is None else ids):
             if len(row) != dim:
                 raise DimensionMismatch(
-                    f"{what} row {i} has dim {len(row)}, expected {dim}"
-                ) from None
+                    message.format(id=i, n=len(row), dim=dim)) from None
         raise
 
 
@@ -899,8 +907,8 @@ def _pairwise_many(path: str, ids_or_codes: Sequence[DistanceId | str], A,
     # pairwise_many on the block kernels of ``path``
     table = _BLOCKS[path]
     blocks = [table[resolve(m).code] for m in ids_or_codes]
-    A = _float_rows(A, "A")
-    B = _float_rows(B, "B")
+    A = _float_rows(A, "A row {id} has dim {n}, expected {dim}")
+    B = _float_rows(B, "B row {id} has dim {n}, expected {dim}")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise DimensionMismatch(
             f"A has shape {A.shape}, B has shape {B.shape}; expected two "
@@ -992,10 +1000,8 @@ def check_axioms(
         raise EmptyInput("check_axioms needs at least one sample")
     if not tolerance > 0.0:  # NaN compares false either way
         raise ValueError("tolerance must be > 0")
-    if len({len(s) for s in samples}) != 1:
-        raise DimensionMismatch("samples disagree on dimension")
-
-    d = pairwise(entry, samples, samples)
+    X = _float_rows(samples, "sample {id} has dim {n}, expected {dim}")
+    d = pairwise(entry, X, X)
     v = d.tolist()  # Python floats, for the messages
 
     def first(mask):  # first True entry in row-major order, or None

@@ -36,9 +36,9 @@ one path.  A (k, n, n) stack of matrices, as many as fit in
 ``_MATRIX_BYTES``, is filled one row block at a time by
 ``distances.pairwise_many``, so its measures share their sums; where not
 even one matrix fits (n > 2048), the stack holds one, in an unlinked
-temporary file (``_new_stack``).  One function, ``_loops``, fills the
-stack and picks the loops that run over it, ``prim(stack, k)`` and
-``compete(stack, k, proto)``:
+temporary file (``_new_stack``).  One function, ``_fit``, fills the
+stack and runs the loops over it, ``prim(stack, k)`` and
+``compete(stack, k, proto)``, which ``_fit_pair`` picks at each call:
 
 * where ``distances.KERNELS`` reads "compiled": the C Prim and
   competition of ``kernels``, one measure after another;
@@ -83,7 +83,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -220,23 +220,16 @@ def _matrix(rows: Sequence[Sequence[float]], ids: Sequence[int]) -> np.ndarray:
     """The feature rows of a training graph as one read-only (n, d)
     float64 array.  Fewer than 2 rows or a NaN or infinite value raise
     ValueError, and d = 0 or a row whose length differs from the first's
-    raise DimensionMismatch, naming the row's id."""
+    raise DimensionMismatch, naming the row's id (``distances._float_rows``,
+    called only where numpy refuses the rows, so that a list is converted
+    once)."""
     if len(rows) < 2:
         raise ValueError("a training graph needs at least 2 samples")
     try:
         X = _frozen(rows, np.float64)
     except ValueError:
-        # numpy refuses ragged rows: name the first, after the first row's
-        # own dim, as a row-by-row check would
-        dim = len(rows[0])
-        if dim < 1:
-            raise DimensionMismatch("feature vectors must have dim >= 1") \
-                from None
-        for row, i in zip(rows, ids):
-            if len(row) != dim:
-                raise DimensionMismatch(
-                    f"sample id {i} has dim {len(row)}, expected {dim}"
-                ) from None
+        distances._float_rows(
+            rows, "sample id {id} has dim {n}, expected {dim}", ids)
         raise
     if X.ndim != 2:
         raise DimensionMismatch(
@@ -569,34 +562,29 @@ def _prototype_mask(parent: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _loops(chunk: Sequence[distances.DistanceId], X: np.ndarray,
-           stack: np.ndarray):
-    """Prim and the competition of the k measures of ``chunk`` on the rows
-    of ``X``, as ``prim() -> parent`` and ``compete(proto) -> (cost, pred,
-    order)``, all (k, n).
-
-    The chunk's matrices are filled into the first k slots of ``stack``
-    (``_fill_stack``, in memory or in a file alike), and the pair bound to
-    ``(stack, k)`` is the compiled one of ``kernels`` where
-    ``distances.KERNELS`` reads "compiled", else its reference,
-    ``_mst_parents`` and ``_compete``.
-    """
-    _fill_stack(chunk, X, stack)
-    pair = (distances._FIT if distances.KERNELS == "compiled"
+def _fit_pair():
+    """The Prim and the competition in use, ``prim(stack, k) -> parent``
+    and ``compete(stack, k, proto) -> (cost, pred, order)``, all (k, n):
+    the compiled pair of ``kernels`` where ``distances.KERNELS`` reads
+    "compiled", else its reference, ``_mst_parents`` and ``_compete``.
+    Picked at each call, as ``KERNELS`` may change at run time."""
+    return (distances._FIT if distances.KERNELS == "compiled"
             else (_mst_parents, _compete))
-    return tuple(partial(loop, stack, len(chunk)) for loop in pair)
 
 
 def find_prototypes(graph: TrainingGraph) -> frozenset[int]:
-    """Endpoint pairs of inter-class MST edges.
+    """Endpoint pairs of inter-class MST edges: the Prim of ``_fit`` on a
+    stack of the graph's one matrix.
 
     Every class present in the graph contributes at least one prototype:
     a spanning tree must connect each class's nodes to the rest of the
     graph through some inter-class edge.
     """
     X = graph.features
-    prim, _ = _loops([graph.distance], X, _new_stack(1, len(X)))
-    mask = _prototype_mask(prim(), graph.labels)
+    stack = _new_stack(1, len(X))
+    _fill_stack([graph.distance], X, stack)
+    prim, _ = _fit_pair()
+    mask = _prototype_mask(prim(stack, 1), graph.labels)
     return frozenset(np.flatnonzero(mask[0]).tolist())
 
 
@@ -634,17 +622,21 @@ def _compete(stack: np.ndarray, k: int, proto: np.ndarray):
     return cost, pred, order
 
 
-def _fit(graph: TrainingGraph, measures: Sequence[distances.DistanceId],
-         prim, compete) -> list[TrainedForest]:
-    """The forests of k measures on the graph's nodes from their Prim and
-    competition (``_loops``); the prototype mask, the unreached check and
-    the roots run here, on (k, n) arrays, whichever loops ran.  The
+def _fit(graph: TrainingGraph, chunk: Sequence[distances.DistanceId],
+         stack: np.ndarray) -> list[TrainedForest]:
+    """The forests of the k measures of ``chunk`` on the graph's nodes.
+    Their matrices are filled into the first k slots of ``stack``
+    (``_fill_stack``, in memory or in a file alike), and the loops of
+    ``_fit_pair`` run over them; the prototype mask, the unreached check
+    and the roots run here, on (k, n) arrays, whichever loops ran.  The
     forests share the graph's arrays, and each holds its own row of the
     fit's (k, n) arrays."""
-    k, n = len(measures), len(graph.labels)
+    k, n = len(chunk), len(graph.labels)
+    _fill_stack(chunk, graph.features, stack)
+    prim, compete = _fit_pair()
     base = np.arange(0, k * n, n)
-    proto = _prototype_mask(prim(), graph.labels)
-    cost, pred, order = compete(proto)
+    proto = _prototype_mask(prim(stack, k), graph.labels)
+    cost, pred, order = compete(stack, k, proto)
     if (cost == np.inf).any():
         raise AssertionError("complete graph left nodes unreached")
     # a node's root is its final predecessor's, which was fixed when the
@@ -659,7 +651,7 @@ def _fit(graph: TrainingGraph, measures: Sequence[distances.DistanceId],
         a.flags.writeable = False
     return [TrainedForest(graph.features, graph.labels, graph.ids, m,
                           cost[j], pred[j], root[j], order[j])
-            for j, m in enumerate(measures)]
+            for j, m in enumerate(chunk)]
 
 
 def train(graph: TrainingGraph) -> TrainedForest:
@@ -677,14 +669,13 @@ def train(graph: TrainingGraph) -> TrainedForest:
 
 def _fit_stacks(graph: TrainingGraph,
                 measures: Sequence[distances.DistanceId]):
-    """Yield the forests of each stack of ``measures`` on the graph's
-    nodes, in order: as many as fit in ``_MATRIX_BYTES``, or one at a time
-    in a file when not even one matrix fits (``_new_stack``)."""
-    X = graph.features
-    stack = _new_stack(len(measures), len(X))
+    """Yield the forests (``_fit``) of each stack of ``measures`` on the
+    graph's nodes, in order: as many as fit in ``_MATRIX_BYTES``, or one
+    at a time in a file when not even one matrix fits (``_new_stack``).
+    The stacks reuse one array."""
+    stack = _new_stack(len(measures), len(graph.labels))
     for c0 in range(0, len(measures), len(stack)):
-        chunk = measures[c0:c0 + len(stack)]
-        yield _fit(graph, chunk, *_loops(chunk, X, stack))
+        yield _fit(graph, measures[c0:c0 + len(stack)], stack)
 
 
 def train_measures(
@@ -775,7 +766,8 @@ def _query_matrix(model: _Arrays,
     float64 ``np.asarray``: a float64 matrix, read-only or not, is not
     copied, and an empty sequence is (0, d).  A lone vector, ragged rows
     and rows of another width than the model's (an empty matrix too)
-    raise DimensionMismatch, and a NaN or an infinity raises ValueError
+    raise DimensionMismatch, the first row of another width named by
+    ``distances._float_rows``, and a NaN or an infinity raises ValueError
     naming the query row.
 
     A non-finite query is not always labelled at the largest cost: of the
@@ -784,15 +776,8 @@ def _query_matrix(model: _Arrays,
     ``isfinite`` pass (about 1 us for one query) before the row that
     fails is looked for."""
     d = model.n_features
-    try:
-        Q = np.asarray(queries, dtype=np.float64)
-    except ValueError:
-        # numpy refuses ragged rows: name the first of another width
-        for q in queries:
-            if len(q) != d:
-                raise DimensionMismatch(
-                    f"query has dim {len(q)}, model expects {d}") from None
-        raise
+    Q = distances._float_rows(
+        queries, "query has dim {n}, model expects {dim}", dim=d)
     if Q.shape[1:] != (d,) and Q.shape != (0,):
         raise DimensionMismatch(
             f"query has dim {Q.shape[1]}, model expects {d}" if Q.ndim == 2
@@ -904,7 +889,9 @@ def fit_and_label(
     stacks within ``_MATRIX_BYTES``, each from one ``pairwise_many`` call
     in which the measures share their sums.  Otherwise each forest is
     scanned as ``classify_batch`` scans it, with early exit, from scan
-    arrays built for it alone and dropped once it is tested.
+    arrays built for it alone and dropped once it is tested.  Both paths
+    stay: on one CPU of a 2-vCPU x86_64 host, the scans would add about a
+    fifth to a 47-code wine fold (ROADMAP, "Measured, not levers").
 
     A measure's seconds are an equal share of its stack's time: the
     matrix fill, Prim and the competition (the first stack also carries

@@ -1316,3 +1316,33 @@ def test_readme_python_examples_run(monkeypatch, capsys):
         out = capsys.readouterr().out
         if i == 1:
             assert out == "0 0.9 1\n"
+
+
+# --- scripts/code_lines.py ------------------------------------------------------
+
+def test_code_lines_counts_tokens_outside_docstrings_and_comments(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text('''"""Module docstring,
+on two lines."""
+
+# a comment
+X = """a string that is
+no docstring"""  # counted: 2 lines
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        return (1,
+                2)
+''')
+    (tmp_path / "pkg" / "empty.py").write_text("# only a comment\n\n")
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "code_lines.py"),
+         str(tmp_path / "pkg")], capture_output=True, text=True, check=True)
+    # X (2), class A, def f, return (2)
+    assert done.stdout.split("\n") == [
+        "     0  empty.py", "     6  mod.py", "     6  total", ""]

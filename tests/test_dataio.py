@@ -402,6 +402,12 @@ def test_min_max_refuses_ragged_rows_and_non_finite_values():
     with pytest.raises(DimensionMismatch,
                        match="^training row 1 has dim 1, expected 2$"):
         fit_normalization([[1.0, 2.0], [3.0]], "min_max_01")
+    # no two rows disagree here: the input is not rows at all
+    for bad in ([1.0, 2.0], np.zeros((2, 1, 1))):
+        with pytest.raises(DimensionMismatch, match="^" + re.escape(
+                f"features of shape {np.shape(bad)} are not one row per "
+                "sample") + "$"):
+            fit_normalization(bad, "min_max_01")
     for rows, message in (
             ([[1.0, math.nan], [3.0, 1.0]],
              "non-finite feature value nan in sample id 0"),
@@ -544,6 +550,13 @@ def test_normalize_checks_the_row_width():
                            match="^input row 1 has dim 1, expected 2$"):
             normalize(mode_spec, [[1.0, 2.0], [3.0]])
     assert normalize(spec, np.zeros((0, 2))).shape == (0, 2)
+    # one row or a matrix of rows, and no other shape, in either mode
+    for mode_spec in (spec, fit_normalization([[0.0, 1.0]], "none")):
+        for bad in (np.zeros((2, 1, 1)), np.zeros((2, 1, 2)), 0.5):
+            with pytest.raises(DimensionMismatch, match=re.escape(
+                    f"features of shape {np.shape(bad)} are not one row "
+                    "per sample")):
+                normalize(mode_spec, bad)
     X = np.array([[1.0, -0.0]])
     assert normalize(fit_normalization(X, "none"), X).tolist() == [[1.0, -0.0]]
 
@@ -734,6 +747,8 @@ def test_archive_rejects_structurally_invalid_payloads(tmp_path):
         (put("d", cost_at + 8 * last, math.inf), infinite),
         (put("d", cost_at + 8 * last, forest.cost[mid] / 2), decrease),
         (put("d", cost_at + 8 * first, forest.cost[last] + 1.0), decrease),
+        # five class names claimed, none held: the fault names the file
+        (put("I", 8, 5), r"bad\.opf: payload ends mid-field$"),
     ]
     for edit, message in cases:
         bad.write_bytes(resealed(blob, edit))

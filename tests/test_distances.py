@@ -310,7 +310,8 @@ def test_axiom_check_requires_samples_and_positive_tolerance():
     with pytest.raises(ValueError):
         check_axioms(resolve("D4"), [(0.1, 0.2), (0.5, 0.9), (0.1, 0.2)],
                      tolerance=float("nan"))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch,
+                       match="^sample 1 has dim 2, expected 1$"):
         check_axioms(resolve("D3"), [(1.0,), (1.0, 2.0)], tolerance=1e-9)
     with pytest.raises(DimensionMismatch):
         check_axioms(resolve("D3"), [(), ()], tolerance=1e-9)
@@ -488,6 +489,10 @@ def test_pairwise_rejects_mismatched_or_empty_widths():
                        match="^B row 2 has dim 1, expected 2$"):
         distances.pairwise_many(["D3", "D7"], np.zeros((2, 2)),
                                 [[1.0, 2.0], [3.0, 4.0], [5.0]])
+    # an empty first row is no width to hold the others to
+    with pytest.raises(DimensionMismatch,
+                       match="^feature vectors must have dim >= 1$"):
+        pairwise("D3", [[], [1.0]], [[1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -887,15 +887,15 @@ def test_train_measures_splits_stacks_by_byte_budget(monkeypatch):
     graph = next(g for g in _oracle_graphs("D3") if len(g.samples) == 17)
     codes = ["D3", "D7", "D15", "D37", "D46"]
     stacks = []
-    real = opfdist.forest._loops
+    real = opfdist.forest._fit
 
-    # every fit picks its Prim and competition here, compiled or numpy
-    def spy(chunk, X, stack):
+    # every stack is filled and fitted here, compiled or numpy
+    def spy(graph, chunk, stack):
         stacks.append((len(chunk), stack))
-        return real(chunk, X, stack)
+        return real(graph, chunk, stack)
 
     want = [train(TrainingGraph(graph.samples, resolve(c))) for c in codes]
-    monkeypatch.setattr(opfdist.forest, "_loops", spy)
+    monkeypatch.setattr(opfdist.forest, "_fit", spy)
     # room for two 17 x 17 matrices: stacks of 2, 2, then one alone
     monkeypatch.setattr(opfdist.forest, "_MATRIX_BYTES", 2 * 17 * 17 * 8)
     got = train_measures(graph.features, graph.labels, codes)
@@ -972,8 +972,8 @@ def _adversarial_stacks():
 def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
     if "compiled" not in kernel_paths():
         pytest.skip("the compiled loops are not in use on this host")
-    fit, loops = opfdist.forest._fit, opfdist.forest._loops
-    # the stacks come filled: _loops keeps them as they are
+    fit, pair = opfdist.forest._fit, opfdist.forest._fit_pair
+    # the stacks come filled: _fit keeps them as they are
     monkeypatch.setattr(opfdist.forest, "_fill_stack",
                         lambda chunk, X, stack: None)
     for case, stack, k, labels in _adversarial_stacks():
@@ -983,9 +983,8 @@ def test_compiled_fit_equals_numpy_loops_on_adversarial_stacks(monkeypatch):
         got = {}
         for path in ("numpy", "compiled"):
             monkeypatch.setattr(opfdist.forest.distances, "KERNELS", path)
-            prim, _ = loops(measures, graph.features, stack)
-            got[path] = (prim(), fit(graph, measures,
-                                     *loops(measures, graph.features, stack)))
+            prim, _ = pair()
+            got[path] = (prim(stack, k), fit(graph, measures, stack))
         (want_parent, want), (parent, forests) = got["numpy"], got["compiled"]
         assert parent.dtype == np.int64, case
         assert (parent == want_parent).all(), case
